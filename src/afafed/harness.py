@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -127,9 +128,12 @@ def _as_float(value: Any, key: str) -> Optional[float]:
     if isinstance(value, bool):
         raise ConfigError(f"{key}: expected a number, got {value!r}")
     try:
-        return float(value)
+        out = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+    if not math.isfinite(out):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    return out
 
 
 def _as_int(value: Any, key: str) -> Optional[int]:
@@ -433,7 +437,19 @@ def build_experiment(
             cid += 1
 
     _require(cfg["eval"]["every"] >= 0, "eval.every", "must be non-negative")
-    _require(cfg["sim"]["T"] is None or cfg["sim"]["T"] >= 0, "sim.T", "must be non-negative")
+    timer_factor = cfg["link"]["timer_factor"]
+    _require(timer_factor is not None and timer_factor > 0, "link.timer_factor",
+             "must be positive")
+    sim = cfg["sim"]
+    _require(sim["T"] is None or sim["T"] >= 0, "sim.T", "must be non-negative")
+    unbounded = sim["horizon"] is None and sim["event_budget"] is None
+    _require(sim["T"] is not None or not unbounded,
+             "sim.T", "need at least one of sim.T, sim.horizon and sim.event_budget")
+    # with every uplink lost no aggregation ever happens, while Poisson
+    # arrivals and retries keep the calendar busy: the run would never stop
+    _require(not (sim["T"] and unbounded and all(p == 1.0 for p in losses)),
+             "sim.T", "unreachable: every coworker has p_loss 1.0; "
+             "set sim.horizon or sim.event_budget")
 
     w0 = np.zeros(dim)
     try:
@@ -448,7 +464,7 @@ def build_experiment(
             eval_weights=eval_weights,
             record_wbar=record_wbar,
             enable_profiling=enable_profiling,
-            timer_factor=cfg["link"]["timer_factor"],
+            timer_factor=timer_factor,
             iteration_hook=iteration_hook,
             aggregation_hook=aggregation_hook,
         )

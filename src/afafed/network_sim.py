@@ -3,19 +3,32 @@
 Events are processed in (time, insertion-sequence) order from a binary heap,
 so any run is a pure function of its configuration and seed.  Uplinks drop
 with a per-coworker Bernoulli probability and otherwise arrive after a
-rate-derived delay; downlinks and coefficient broadcasts are lossless.  Local
-iterations are timed individually: a cluster occupies a span of virtual time
-and every event addressed to a coworker first advances its cluster to the
-iteration boundary at or before the event, which is what makes a mid-cluster
-broadcast take effect at the next iteration.
+rate-derived delay; model downlinks are lossless.  Local iterations are
+timed individually: a cluster occupies a span of virtual time and every
+event addressed to a coworker first advances its cluster to the iteration
+boundary at or before the event.
+
+Fairness coefficients are not calendar events.  Each coefficient change is
+appended once to a log of (send time, coefficients, queue position) entries,
+and every coworker keeps a cursor into it.  An entry reaches coworker k at
+its send time plus k's downlink delay; when a catch-up runs the iteration at
+boundary b, it first adopts the newest entry that arrived strictly before b,
+so an iteration at the same instant as an arrival still uses the old
+coefficient and a mid-cluster change takes effect at the next iteration.
+The queue position orders an entry against calendar events that share its
+arrival time, exactly as a broadcast event pushed at send time would be.
+When a run stops, each coworker is advanced to the newest entry such an
+event would already have delivered, and the prefix of the log that every
+cursor has passed is dropped.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
+import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +52,6 @@ class EventKind(enum.Enum):
     CLUSTER_COMPLETE = "cluster_complete"
     UPLINK_DELIVERY = "uplink_delivery"
     DOWNLINK_DELIVERY = "downlink_delivery"
-    FAIRNESS_BROADCAST = "fairness_broadcast"
     TIMER_EXPIRY = "timer_expiry"
 
 
@@ -76,6 +88,11 @@ class EventQueue:
 
     def peek_time(self) -> Optional[float]:
         return self._heap[0][0] if self._heap else None
+
+    @property
+    def next_seq(self) -> int:
+        """Sequence number the next pushed event will get."""
+        return self._seq
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -185,6 +202,19 @@ class _Runtime:
     iterations: int = 0
     stalls: int = 0
     first_ready_time: Optional[float] = None
+    coef_cursor: int = 0            # absolute index of the first unapplied log entry
+
+
+class _Coefficients(NamedTuple):
+    """One fairness-coefficient change in the engine's log."""
+
+    sent: float                     # server time of the change
+    lambdas: np.ndarray
+    seq: int                        # queue position: after every event pushed before it
+
+
+# the log is trimmed once it holds this many entries (or twice its last size)
+_LOG_TRIM_MIN = 64
 
 
 @dataclass
@@ -213,13 +243,19 @@ class RunResult:
     accepted_by: np.ndarray
     iters_per_acceptance: List[int]
     final_time: float
-    events_processed: int
+    events_processed: int           # calendar events; coefficient deliveries are not events
     wbar_history: Optional[List[np.ndarray]] = None
     profiling_log: Optional[ProfilingLog] = None
 
 
 class SimulationEngine:
-    """Event-driven run of K coworkers against one aggregation server."""
+    """Event-driven run of K coworkers against one aggregation server.
+
+    ``iteration_hook(cid, state)`` runs after every local iteration.  Calls
+    for one coworker come in its iteration order; calls for different
+    coworkers may interleave in any order, because iterations run lazily
+    when an event or a coefficient flush reaches their coworker.
+    """
 
     def __init__(
         self,
@@ -279,6 +315,9 @@ class SimulationEngine:
         self.accepted_by = np.zeros(k, dtype=np.int64)
         self.iters_per_acceptance: List[int] = []
         self.events_processed = 0
+        self._coef_log: List[_Coefficients] = []
+        self._coef_base = 0              # absolute index of _coef_log[0]
+        self._coef_trim_at = _LOG_TRIM_MIN
         self.wbar_history: Optional[List[np.ndarray]] = [] if record_wbar else None
         self.profiling_log = (
             ProfilingLog(dim=model.dim, w_start=self.w0.copy()) if enable_profiling else None
@@ -322,34 +361,87 @@ class SimulationEngine:
         end = now + rt.iters_total * rt.setup.compute.iteration_duration
         self.queue.push(end, EventKind.CLUSTER_COMPLETE, cid, token=rt.cluster_token)
 
-    def _catch_up(self, cid: int, now: float) -> None:
-        """Execute every pending iteration whose boundary lies at or before now."""
+    def _catch_up(self, cid: int, now: float, seq: int) -> None:
+        """Execute every pending iteration whose boundary lies at or before now.
+
+        Each iteration first adopts the newest coefficient that arrived
+        strictly before its boundary.  Afterwards the coworker adopts every
+        coefficient delivered by (now, seq) in calendar order.
+        """
         rt = self.runtimes[cid]
-        if rt.phase != "computing":
-            return
-        dur = rt.setup.compute.iteration_duration
-        while rt.iters_done < rt.iters_total:
-            boundary = rt.cluster_anchor + (rt.iters_done + 1) * dur
-            if boundary > now:
+        logged = self._coef_base + len(self._coef_log)
+        if rt.phase == "computing":
+            dur = rt.setup.compute.iteration_duration
+            while rt.iters_done < rt.iters_total:
+                boundary = rt.cluster_anchor + (rt.iters_done + 1) * dur
+                if boundary > now:
+                    break
+                if rt.coef_cursor < logged:
+                    self._adopt_coefficients(cid, boundary, -1)
+                ok = cw.run_single_iteration(rt.state, self.adaptive, self.model,
+                                             rt.rng_sample, now=boundary)
+                if not ok:
+                    raise RuntimeError(
+                        f"coworker {cid} lost minibatch readiness mid-cluster at {boundary:.6g}"
+                    )
+                rt.iters_done += 1
+                rt.iterations += 1
+                self.iterations_total += 1
+                if self.iteration_hook is not None:
+                    self.iteration_hook(cid, rt.state)
+        if rt.coef_cursor < logged:
+            self._adopt_coefficients(cid, now, seq)
+
+    def _delivered(self, cid: int, time: float, seq: int) -> int:
+        """Log index just past the entries delivered to cid by (time, seq).
+
+        An entry is delivered when its arrival (send time plus cid's downlink
+        delay) precedes (time, seq) in calendar order; seq -1 admits only
+        arrivals strictly before time.
+        """
+        rt = self.runtimes[cid]
+        delay = rt.setup.link.downlink_delay
+        log = self._coef_log
+        j = rt.coef_cursor - self._coef_base
+        while j < len(log):
+            entry = log[j]
+            arrival = entry.sent + delay
+            if arrival > time or (arrival == time and entry.seq > seq):
                 break
-            ok = cw.run_single_iteration(rt.state, self.adaptive, self.model,
-                                         rt.rng_sample, now=boundary)
-            if not ok:
-                raise RuntimeError(
-                    f"coworker {cid} lost minibatch readiness mid-cluster at {boundary:.6g}"
-                )
-            rt.iters_done += 1
-            rt.iterations += 1
-            self.iterations_total += 1
-            if self.iteration_hook is not None:
-                self.iteration_hook(cid, rt.state)
+            j += 1
+        return j
+
+    def _adopt_coefficients(self, cid: int, time: float, seq: int) -> None:
+        """Apply the newest coefficient delivered to cid by (time, seq)."""
+        rt = self.runtimes[cid]
+        j = self._delivered(cid, time, seq)
+        if j > rt.coef_cursor - self._coef_base:
+            cw.handle_fairness_broadcast(rt.state, float(self._coef_log[j - 1].lambdas[cid]))
+            rt.coef_cursor = self._coef_base + j
+
+    def _flush_coefficients(self, time: float, seq: int) -> None:
+        """Deliver every entry up to (time, seq), then drop the applied prefix.
+
+        Each coworker is caught up to the arrival of the newest entry it
+        receives, not to time: the iterations after that arrival have not
+        yet been reached by any event of that coworker.
+        """
+        for cid, rt in enumerate(self.runtimes):
+            j = self._delivered(cid, time, seq)
+            if j > rt.coef_cursor - self._coef_base:
+                entry = self._coef_log[j - 1]
+                self._catch_up(cid, entry.sent + rt.setup.link.downlink_delay, entry.seq)
+        passed = min(rt.coef_cursor for rt in self.runtimes) - self._coef_base
+        del self._coef_log[:passed]
+        self._coef_base += passed
+        self._coef_trim_at = max(_LOG_TRIM_MIN, 2 * len(self._coef_log))
 
     # ---------------- event handlers ---------------- #
 
     def _on_data_arrival(self, ev: SimEvent) -> None:
         cid = ev.coworker
         rt = self.runtimes[cid]
-        self._catch_up(cid, ev.time)
+        self._catch_up(cid, ev.time, ev.seq)
         shard = rt.setup.shard
         example = shard[rt.arrival_count % len(shard)]
         admit(rt.state.buffer, example)
@@ -365,7 +457,7 @@ class SimulationEngine:
         rt = self.runtimes[cid]
         if rt.phase != "computing" or ev.token != rt.cluster_token:
             return  # the cluster was aborted by a downlink
-        self._catch_up(cid, ev.time)
+        self._catch_up(cid, ev.time, ev.seq)
         if rt.iters_done != rt.iters_total:
             raise RuntimeError("cluster completion fired before all iterations elapsed")
         payload = cw.finalize_cluster(rt.state, self.adaptive)
@@ -412,10 +504,10 @@ class SimulationEngine:
             self.aggregation_hook(server, record)
         # coefficient broadcast first, then the sender's model downlink
         if record.lambda_changed:
-            lam = server.lambdas.copy()
-            for cid, rt in enumerate(self.runtimes):
-                self.queue.push(ev.time + rt.setup.link.downlink_delay,
-                                EventKind.FAIRNESS_BROADCAST, cid, payload=lam)
+            self._coef_log.append(_Coefficients(ev.time, server.lambdas.copy(),
+                                                self.queue.next_seq))
+            if len(self._coef_log) >= self._coef_trim_at:
+                self._flush_coefficients(ev.time, ev.seq)
         rt = self.runtimes[payload.sender]
         self.queue.push(ev.time + rt.setup.link.downlink_delay, EventKind.DOWNLINK_DELIVERY,
                         payload.sender, payload=(server.w_global.copy(), server.t))
@@ -423,7 +515,7 @@ class SimulationEngine:
     def _on_downlink_delivery(self, ev: SimEvent) -> None:
         cid = ev.coworker
         rt = self.runtimes[cid]
-        self._catch_up(cid, ev.time)
+        self._catch_up(cid, ev.time, ev.seq)
         w_global, stamp = ev.payload
         cw.handle_downlink(rt.state, w_global, stamp)
         rt.timer_token += 1      # any pending timeout is now stale
@@ -433,12 +525,6 @@ class SimulationEngine:
         elif rt.phase == "waiting":
             self._start_cluster(cid, ev.time)
         # stalled: state refreshed, cluster still waits for buffer warm-up
-
-    def _on_fairness_broadcast(self, ev: SimEvent) -> None:
-        cid = ev.coworker
-        self._catch_up(cid, ev.time)
-        lam = ev.payload
-        cw.handle_fairness_broadcast(self.runtimes[cid].state, float(lam[cid]))
 
     def _on_timer_expiry(self, ev: SimEvent) -> None:
         cid = ev.coworker
@@ -456,7 +542,12 @@ class SimulationEngine:
         horizon: Optional[float] = None,
         event_budget: Optional[int] = None,
     ) -> RunResult:
-        """Process events until T aggregations, the horizon or the budget is hit."""
+        """Process events until T aggregations, the horizon or the budget is hit.
+
+        ``event_budget`` and ``events_processed`` count calendar events only.
+        On return every coworker holds the coefficients, and has run the
+        iterations, that deliveries up to the stopping point imply.
+        """
         if aggregations is None and horizon is None and event_budget is None:
             raise ValueError("need at least one stopping condition")
         handlers = {
@@ -464,9 +555,12 @@ class SimulationEngine:
             EventKind.CLUSTER_COMPLETE: self._on_cluster_complete,
             EventKind.UPLINK_DELIVERY: self._on_uplink_delivery,
             EventKind.DOWNLINK_DELIVERY: self._on_downlink_delivery,
-            EventKind.FAIRNESS_BROADCAST: self._on_fairness_broadcast,
             EventKind.TIMER_EXPIRY: self._on_timer_expiry,
         }
+        # coefficients delivered by (stop_time, stop_seq) in calendar order
+        # reach their coworkers before run returns; an earlier stop of this
+        # engine already delivered those up to (now, -1)
+        stop_time, stop_seq = self.now, -1
         while True:
             if aggregations is not None and self.server.t >= aggregations:
                 break
@@ -474,9 +568,11 @@ class SimulationEngine:
                 break
             next_time = self.queue.peek_time()
             if next_time is None:
+                stop_time, stop_seq = math.inf, self.queue.next_seq
                 break
             if horizon is not None and next_time > horizon:
                 self.now = horizon
+                stop_time, stop_seq = horizon, self.queue.next_seq
                 break
             ev = self.queue.pop()
             if ev.time < self.now:
@@ -484,8 +580,10 @@ class SimulationEngine:
                     f"event at {ev.time!r} precedes current time {self.now!r}"
                 )
             self.now = ev.time
+            stop_time, stop_seq = ev.time, ev.seq
             handlers[ev.kind](ev)
             self.events_processed += 1
+        self._flush_coefficients(stop_time, stop_seq)
         if self.profiling_log is not None:
             self.profiling_log.w_end = self.server.w_global.copy()
         return RunResult(

@@ -131,6 +131,21 @@ def test_golden_trace(name):
     assert fingerprint(CASES[name]) == GOLDEN[name]
 
 
+# The small preset stopped by event_budget 700 when every coefficient
+# delivery was a calendar event: 48 aggregations, with this digest.
+BUDGET_700_ROWS = 48
+BUDGET_700_SHA256 = "2433e33bc50b27fcd1d270ac51fdfc6b1bffefbee930d661b10d83edb1d6d48d"
+
+
+def test_event_budget_counts_calendar_events_only():
+    # coefficient deliveries no longer spend the budget, so the same budget
+    # reaches further along the very same trajectory
+    _, result, _ = run_experiment(resolve_config({"sim": {"T": None, "event_budget": 700}}))
+    assert result.events_processed == 700
+    assert len(result.rows) > BUDGET_700_ROWS
+    assert _trajectory_sha(result.rows[:BUDGET_700_ROWS]) == BUDGET_700_SHA256
+
+
 if __name__ == "__main__":
     import pprint
 

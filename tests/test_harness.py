@@ -1,5 +1,8 @@
 """Config resolution, data generation, outputs, and the CLI."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -453,6 +456,39 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, small_doc(buffer={"minibatch": 999}))
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, key", [
+    ("arrivals: {rate: .nan}\n", "arrivals.rate"),
+    ("compute: {cycles_per_iter: .nan}\n", "compute.cycles_per_iter"),
+    ("link: {timer_factor: -1}\n", "link.timer_factor"),
+    ("link: {p_loss: 1.0}\nsim: {T: 5}\n", "sim.T"),
+    ("sim: {T: null}\n", "sim.T"),
+])
+def test_cli_config_faults_exit_2_naming_the_key(tmp_path, capsys, text, key):
+    # each of these once ran to a NaN time, a traceback or forever; the
+    # build must refuse them before the engine starts
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=key):
+        build_experiment(load_config(str(path)))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert f"configuration error: {key}:" in capsys.readouterr().err
+
+
+def test_total_loss_with_a_horizon_still_runs():
+    cfg = resolve_config(small_doc(link={"p_loss": 1.0}, sim={"T": 5, "horizon": 0.5}))
+    _, result, _ = run_experiment(cfg)
+    assert result.aggregations == 0
+    assert result.final_time == 0.5
+
+
+def test_readme_python_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert blocks, "README has no python example"
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_cli_missing_config_exits_2(tmp_path, capsys):

@@ -347,6 +347,85 @@ def test_midcluster_broadcast_applies_at_next_iteration_boundary():
     assert any(lam != 0.5 for lam in slow_first_cluster)
 
 
+def coefficient_timing_run(slow_downlink_delay):
+    """Two coworkers on dyadic clocks; returns (lambda used per slow iteration, expected).
+
+    The fast coworker runs two 0.25-long iterations and its uplink takes
+    0.25, so the server first changes the coefficients at exactly 0.75.  The
+    slow coworker's iterations end at 1.0 and 2.0.  The expected value for a
+    boundary is the newest coefficient that arrived strictly before it.
+    """
+    rng = np.random.default_rng(59)
+    setups = []
+    for speed, delay in ((40.0, 0.0), (10.0, slow_downlink_delay)):
+        setups.append(CoworkerSetup(
+            shard=quad_shard(rng),
+            link=LinkModel(rate=40.0, payload_bits=10.0, downlink_delay=delay),
+            compute=ComputeModel(speed=speed, cycles_per_iteration=10.0),
+            arrivals=ArrivalProcess(kind="trace", times=(0.0, 0.0, 0.0, 0.0)),
+            capacity=4, minibatch=4,
+        ))
+    used = []
+    sent = []      # (arrival at the slow coworker, its coefficient)
+    eng = SimulationEngine(
+        model=LossModel(LossKind.QUADRATIC, 2), setups=setups,
+        adaptive=AdaptiveConfig(iter_max=2), mixing=MixingConfig(), w0=np.zeros(2), seed=59,
+        iteration_hook=lambda cid, st: used.append(st.lambda_last) if cid == 1 else None,
+        aggregation_hook=lambda server, rec: sent.append(
+            (eng.now + slow_downlink_delay, float(server.lambdas[1])))
+        if rec.lambda_changed else None,
+    )
+    eng.run(horizon=2.0)
+    assert sent[0][0] == 0.75 + slow_downlink_delay
+
+    def expected(boundary):
+        return [lam for arrival, lam in sent if arrival < boundary][-1:] or [0.5]
+
+    return used[:2], expected(1.0) + expected(2.0), sent[0][1]
+
+
+def test_coefficient_arriving_on_an_iteration_boundary_is_not_used_by_it():
+    # arrival 0.75 + 0.25 == boundary 1.0: that iteration keeps the old value
+    used, expected, first = coefficient_timing_run(0.25)
+    assert used == expected
+    assert used[0] == 0.5 != first
+
+
+def test_coefficient_arriving_before_an_iteration_boundary_is_used_by_it():
+    # arrival 0.75 + 0.125 < boundary 1.0
+    used, expected, first = coefficient_timing_run(0.125)
+    assert used == expected
+    assert used[0] == first != 0.5
+
+
+def test_coefficient_change_reaches_events_queued_before_it_only_after_them():
+    # the server changes the coefficients at 0.75 and they reach coworker 1
+    # at once (no downlink delay); coworker 1's data arrival at 0.75 was
+    # queued before that change, so in calendar order it comes first, and a
+    # run stopped right after it must leave coworker 1 on the old value
+    rng = np.random.default_rng(61)
+    setups = []
+    for speed, times in ((40.0, (0.0,) * 4), (10.0, (0.0,) * 4 + (0.6, 0.75))):
+        setups.append(CoworkerSetup(
+            shard=quad_shard(rng), link=LinkModel(rate=40.0, payload_bits=10.0),
+            compute=ComputeModel(speed=speed, cycles_per_iteration=10.0),
+            arrivals=ArrivalProcess(kind="trace", times=times), capacity=4, minibatch=4,
+        ))
+    eng = SimulationEngine(model=LossModel(LossKind.QUADRATIC, 2), setups=setups,
+                           adaptive=AdaptiveConfig(iter_max=2), mixing=MixingConfig(),
+                           w0=np.zeros(2), seed=61)
+    slow = eng.runtimes[1]
+    budget = 0
+    while slow.arrival_count < 6:
+        budget += 1
+        eng.run(event_budget=budget)
+    assert eng.now == 0.75 and eng.server.t == 1
+    assert eng.server.lambdas[1] != 0.5
+    assert slow.state.lambda_last == 0.5
+    eng.run(horizon=0.75)
+    assert slow.state.lambda_last == eng.server.lambdas[1]
+
+
 def test_first_uplink_with_positive_multiplier_boosts_sender():
     eng = build_engine(k=2, seed=41, iter_max=4)
     res = eng.run(aggregations=1)
