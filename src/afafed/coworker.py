@@ -191,7 +191,7 @@ def run_single_iteration(
     batch = sample_minibatch(state.buffer, rng)
     if batch is None:
         return False
-    grad = minibatch_gradient(model, state.w, batch)
+    grad = minibatch_gradient(model, state.w, *batch)
     diff = state.w - state.w_global_last
     dev_sq = float(diff @ diff)
     update_step_sizes(state, cfg, grad, dev_sq)

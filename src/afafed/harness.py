@@ -23,7 +23,7 @@ import yaml
 from . import bounds as bnd
 from .coworker import AdaptiveConfig
 from .errors import ConfigError
-from .model_core import LossKind, LossModel, TrainingExample, uniform_weights
+from .model_core import LossKind, LossModel, uniform_weights
 from .network_sim import (
     ArrivalProcess,
     ComputeModel,
@@ -122,9 +122,11 @@ def _require(cond: bool, key: str, message: str) -> None:
         raise ConfigError(f"{key}: {message}")
 
 
-def _as_float(value: Any, key: str) -> Optional[float]:
+def _as_float(value: Any, key: str, nullable: bool = False) -> Optional[float]:
     if value is None:
-        return None
+        if nullable:
+            return None
+        raise ConfigError(f"{key}: expected a number, got null")
     if isinstance(value, bool):
         raise ConfigError(f"{key}: expected a number, got {value!r}")
     try:
@@ -136,8 +138,8 @@ def _as_float(value: Any, key: str) -> Optional[float]:
     return out
 
 
-def _as_int(value: Any, key: str) -> Optional[int]:
-    out = _as_float(value, key)
+def _as_int(value: Any, key: str, nullable: bool = False) -> Optional[int]:
+    out = _as_float(value, key, nullable)
     if out is None:
         return None
     if not out.is_integer():
@@ -162,6 +164,11 @@ _NUMERIC_SCHEMA: Dict[str, Dict[str, type]] = {
     "sim": {"seed": int, "T": int, "horizon": float, "event_budget": int},
     "eval": {"every": int},
 }
+# numeric keys whose null is meaningful: no such stop condition, the
+# payload size derived from model.dim, or no rate/interval for an arrival
+# law that does not use it (link.p_loss is handled on its own)
+_NULLABLE = {"sim.T", "sim.horizon", "sim.event_budget", "link.payload_bits",
+             "arrivals.rate", "arrivals.interval"}
 
 
 def _coerce_config(cfg: Dict[str, Any]) -> Dict[str, Any]:
@@ -174,7 +181,8 @@ def _coerce_config(cfg: Dict[str, Any]) -> Dict[str, Any]:
         for key, kind in fields.items():
             if key in node:
                 cast = _as_int if kind is int else _as_float
-                node[key] = cast(node[key], f"{section}.{key}")
+                dotted = f"{section}.{key}"
+                node[key] = cast(node[key], dotted, dotted in _NULLABLE)
     topo = out.get("topology")
     if not isinstance(topo, dict) or not isinstance(topo.get("categories"), list):
         raise ConfigError("topology.categories: must be a list of category mappings")
@@ -192,8 +200,8 @@ def _coerce_config(cfg: Dict[str, Any]) -> Dict[str, Any]:
     if isinstance(p_loss, (list, tuple)):
         out["link"]["p_loss"] = [_as_float(v, f"link.p_loss[{i}]")
                                  for i, v in enumerate(p_loss)]
-    elif p_loss is not None:
-        out["link"]["p_loss"] = _as_float(p_loss, "link.p_loss")
+    else:
+        out["link"]["p_loss"] = _as_float(p_loss, "link.p_loss", nullable=True)
     return out
 
 
@@ -217,8 +225,11 @@ def _data_rng(seed: int, domain: int, cid: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(domain, cid)))
 
 
-def generate_shards(cfg: Dict[str, Any]) -> List[List[TrainingExample]]:
-    """Per-coworker synthetic shards, deterministic in the seed.
+Shard = Tuple[np.ndarray, np.ndarray]     # (X, y): (m, d) features, (m,) targets
+
+
+def generate_shards(cfg: Dict[str, Any]) -> List[Shard]:
+    """Per-coworker synthetic (X, y) shards, deterministic in the seed.
 
     Quadratic runs draw features from a standard normal and label them with a
     shared ground-truth vector plus Gaussian noise.  Logistic runs draw two
@@ -244,7 +255,7 @@ def generate_shards(cfg: Dict[str, Any]) -> List[List[TrainingExample]]:
             rng = _data_rng(seed, 10, cid)
             X = rng.standard_normal((n, dim))
             y = X @ w_true + noise * rng.standard_normal(n)
-            shards.append([TrainingExample(X[i], float(y[i])) for i in range(n)])
+            shards.append((X, y))
         return shards
 
     # logistic: two Gaussian clusters split by a shared direction
@@ -263,14 +274,17 @@ def generate_shards(cfg: Dict[str, Any]) -> List[List[TrainingExample]]:
             labels = np.full(n, cid % 2)
         signs = 2.0 * labels - 1.0
         X = rng.standard_normal((n, dim)) + np.outer(signs * (sep / 2.0), direction)
-        shards.append([TrainingExample(X[i], float(labels[i])) for i in range(n)])
+        shards.append((X, labels.astype(np.float64)))
     return shards
 
 
-def read_arrival_trace(path: str) -> Tuple[Tuple[float, ...], List[TrainingExample]]:
-    """Parse an arrival trace: one `time,x1,..,xd,label` line per example."""
-    times: List[float] = []
-    examples: List[TrainingExample] = []
+def read_arrival_trace(path: str) -> Tuple[Tuple[float, ...], Shard]:
+    """Parse an arrival trace: one `time,x1,..,xd,label` line per example.
+
+    Every line must have as many fields as the first one.
+    """
+    values: List[float] = []
+    width = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -281,15 +295,20 @@ def read_arrival_trace(path: str) -> Tuple[Tuple[float, ...], List[TrainingExamp
                 raise ConfigError(
                     f"{path}:{lineno}: need arrival_time, at least one feature, and a label"
                 )
+            if not width:
+                width = len(fields)
+            elif len(fields) != width:
+                raise ConfigError(
+                    f"{path}:{lineno}: {len(fields)} fields, but the first example has {width}"
+                )
             try:
-                values = [float(f) for f in fields]
+                values.extend([float(f) for f in fields])
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
-            times.append(values[0])
-            examples.append(TrainingExample(np.array(values[1:-1]), values[-1]))
-    if not times:
+    if not values:
         raise ConfigError(f"{path}: trace file holds no examples")
-    return tuple(times), examples
+    rows = np.array(values).reshape(-1, width)
+    return tuple(rows[:, 0].tolist()), (rows[:, 1:-1].copy(), rows[:, -1].copy())
 
 
 # ---------------- experiment assembly ---------------- #
@@ -302,7 +321,6 @@ class Experiment:
     cfg: Dict[str, Any]
     model: LossModel
     engine: SimulationEngine
-    shards: List[List[TrainingExample]]
 
 
 def _per_coworker_loss(cfg: Dict[str, Any], k_total: int) -> List[float]:
@@ -358,7 +376,7 @@ def build_experiment(
 
     arrivals_cfg = cfg["arrivals"]
     trace_paths = arrivals_cfg.get("trace")
-    trace_data: Optional[List[Tuple[Tuple[float, ...], List[TrainingExample]]]] = None
+    trace_data: Optional[List[Tuple[Tuple[float, ...], Shard]]] = None
     if arrivals_cfg["kind"] == "trace":
         _require(trace_paths is not None, "arrivals.trace", "trace arrivals need a file path")
         if isinstance(trace_paths, str):
@@ -366,9 +384,12 @@ def build_experiment(
         _require(len(trace_paths) == k_total, "arrivals.trace",
                  f"need {k_total} paths, got {len(trace_paths)}")
         trace_data = [read_arrival_trace(p) for p in trace_paths]
+        for path, (_, (X, _)) in zip(trace_paths, trace_data):
+            _require(X.shape[1] == dim, "arrivals.trace",
+                     f"{path} has {X.shape[1]} features per example, but model.dim is {dim}")
 
     if trace_data is not None:
-        shards = [examples for _, examples in trace_data]
+        shards = [shard for _, shard in trace_data]
     else:
         shards = generate_shards(cfg)
 
@@ -438,7 +459,7 @@ def build_experiment(
 
     _require(cfg["eval"]["every"] >= 0, "eval.every", "must be non-negative")
     timer_factor = cfg["link"]["timer_factor"]
-    _require(timer_factor is not None and timer_factor > 0, "link.timer_factor",
+    _require(timer_factor > 0, "link.timer_factor",
              "must be positive")
     sim = cfg["sim"]
     _require(sim["T"] is None or sim["T"] >= 0, "sim.T", "must be non-negative")
@@ -470,7 +491,7 @@ def build_experiment(
         )
     except ValueError as exc:
         raise ConfigError(f"buffer: {exc}") from None
-    return Experiment(cfg=cfg, model=model, engine=engine, shards=shards)
+    return Experiment(cfg=cfg, model=model, engine=engine)
 
 
 def run_experiment(

@@ -5,13 +5,18 @@ provided: scalar quadratic regression, 0.5 * (y - w.x)^2, whose smoothness
 constant and global minimum are analytically available, and binary logistic
 classification with labels in {0, 1}.  All averages are uniform over the
 examples they range over.
+
+Data are stacked arrays only: a shard is an (m, d) feature matrix X with an
+(m,) target vector y, and the K shards together are one :class:`ShardSet`,
+over which the weighted global risk and gradient take one matrix-vector
+product.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -29,21 +34,42 @@ class LossModel:
     dim: int
 
 
-@dataclass(frozen=True)
-class TrainingExample:
-    """One labelled example: feature vector x and scalar target y."""
+class ShardSet(NamedTuple):
+    """The K local data sets stacked into one (X, y); shard k holds the next sizes[k] rows."""
 
-    x: np.ndarray
-    y: float
+    X: np.ndarray
+    y: np.ndarray
+    sizes: Tuple[int, ...]
+
+    def views(self) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Per-shard (X, y) views into the stacked arrays, in shard order."""
+        out, start = [], 0
+        for n in self.sizes:
+            out.append((self.X[start:start + n], self.y[start:start + n]))
+            start += n
+        return out
+
+    def row_weights(self, weights: np.ndarray) -> np.ndarray:
+        """weights[k] / sizes[k] on every row of shard k, so a weighted sum of
+        per-row values is the weights-weighted sum of per-shard means."""
+        if len(weights) != len(self.sizes):
+            raise ValueError(f"{len(self.sizes)} shards but {len(weights)} weights")
+        return np.repeat(np.asarray(weights, dtype=np.float64) / self.sizes, self.sizes)
 
 
-def stack_examples(data: Sequence[TrainingExample]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a non-empty example sequence into an (m, d) matrix and an (m,) target vector."""
-    if len(data) == 0:
-        raise ValueError("empty data set")
-    X = np.array([ex.x for ex in data], dtype=np.float64)
-    y = np.array([ex.y for ex in data], dtype=np.float64)
-    return X, y
+def stack_shards(shards: Sequence[Tuple[np.ndarray, np.ndarray]]) -> ShardSet:
+    """Concatenate per-shard (X, y) pairs into one :class:`ShardSet`."""
+    if len(shards) == 0:
+        raise ValueError("need at least one shard")
+    for k, (X, y) in enumerate(shards):
+        if X.ndim != 2 or X.shape[0] == 0 or np.shape(y) != (X.shape[0],):
+            raise ValueError(
+                f"shard {k}: need a non-empty (m, d) matrix and (m,) targets, "
+                f"got {X.shape} and {np.shape(y)}"
+            )
+    X = np.concatenate([X for X, _ in shards], dtype=np.float64)
+    y = np.concatenate([y for _, y in shards], dtype=np.float64)
+    return ShardSet(X, y, tuple(len(y) for _, y in shards))
 
 
 def _check_dims(model: LossModel, w: np.ndarray, X: np.ndarray) -> None:
@@ -58,90 +84,54 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
+def _losses(model: LossModel, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each example's loss given its score z = x.w."""
+    if model.kind is LossKind.QUADRATIC:
+        r = z - y
+        return 0.5 * (r * r)
+    # -[y log p + (1-y) log(1-p)] written stably as softplus(z) - y z
+    return np.logaddexp(0.0, z) - y * z
+
+
+def _residuals(model: LossModel, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Derivative of each example's loss with respect to its score z = x.w."""
+    if model.kind is LossKind.QUADRATIC:
+        return z - y
+    return _sigmoid(z) - y
+
+
 def risk_arrays(model: LossModel, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
     """Mean per-example loss over stacked data."""
     _check_dims(model, w, X)
-    z = X @ w
-    if model.kind is LossKind.QUADRATIC:
-        r = z - y
-        return float(0.5 * np.mean(r * r))
-    # -[y log p + (1-y) log(1-p)] written stably as softplus(z) - y z
-    return float(np.mean(np.logaddexp(0.0, z) - y * z))
-
-
-def gradient_arrays(model: LossModel, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of ``risk_arrays`` with respect to w."""
-    _check_dims(model, w, X)
-    z = X @ w
-    if model.kind is LossKind.QUADRATIC:
-        resid = z - y
-    else:
-        resid = _sigmoid(z) - y
-    return (X.T @ resid) / X.shape[0]
-
-
-def local_risk(model: LossModel, w: np.ndarray, data: Sequence[TrainingExample]) -> float:
-    """Empirical risk of w over one coworker's data set (uniform average)."""
-    X, y = stack_examples(data)
-    return risk_arrays(model, w, X, y)
-
-
-def local_gradient(model: LossModel, w: np.ndarray, data: Sequence[TrainingExample]) -> np.ndarray:
-    """Exact gradient of the local empirical risk."""
-    X, y = stack_examples(data)
-    return gradient_arrays(model, w, X, y)
+    return float(np.mean(_losses(model, X @ w, y)))
 
 
 def minibatch_gradient(
-    model: LossModel, w: np.ndarray, batch: Sequence[TrainingExample]
+    model: LossModel, w: np.ndarray, X: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
-    """Stochastic gradient over a sampled batch.
+    """Gradient of ``risk_arrays``: the mean per-example gradient over the rows of (X, y).
 
-    Identical computation to :func:`local_gradient` restricted to the batch,
-    so a batch equal to the full data set reproduces the exact gradient.
+    Over a sampled minibatch this is the stochastic gradient; over a whole
+    shard it is the exact local gradient.
     """
-    return local_gradient(model, w, batch)
-
-
-def global_risk(
-    model: LossModel,
-    w: np.ndarray,
-    shards: Sequence[Sequence[TrainingExample]],
-    weights: np.ndarray,
-) -> float:
-    """Weighted global risk: sum_k weights[k] * local_risk(k)."""
-    if len(shards) != len(weights):
-        raise ValueError(f"{len(shards)} shards but {len(weights)} weights")
-    return float(sum(lam * local_risk(model, w, shard) for lam, shard in zip(weights, shards)))
+    _check_dims(model, w, X)
+    return (X.T @ _residuals(model, X @ w, y)) / X.shape[0]
 
 
 def global_risk_arrays(
-    model: LossModel,
-    w: np.ndarray,
-    shard_arrays: Sequence[tuple[np.ndarray, np.ndarray]],
-    weights: np.ndarray,
+    model: LossModel, w: np.ndarray, data: ShardSet, weights: np.ndarray
 ) -> float:
-    """Same as :func:`global_risk` on pre-stacked (X, y) shards; used on hot paths."""
-    if len(shard_arrays) != len(weights):
-        raise ValueError(f"{len(shard_arrays)} shards but {len(weights)} weights")
-    return float(
-        sum(lam * risk_arrays(model, w, X, y) for lam, (X, y) in zip(weights, shard_arrays))
-    )
+    """Weighted global risk sum_k weights[k] * risk_k, in one pass over the stacked rows."""
+    _check_dims(model, w, data.X)
+    return float(data.row_weights(weights) @ _losses(model, data.X @ w, data.y))
 
 
 def global_gradient_arrays(
-    model: LossModel,
-    w: np.ndarray,
-    shard_arrays: Sequence[tuple[np.ndarray, np.ndarray]],
-    weights: np.ndarray,
+    model: LossModel, w: np.ndarray, data: ShardSet, weights: np.ndarray
 ) -> np.ndarray:
-    """Gradient of the weighted global risk on pre-stacked shards."""
-    if len(shard_arrays) != len(weights):
-        raise ValueError(f"{len(shard_arrays)} shards but {len(weights)} weights")
-    g = np.zeros(model.dim)
-    for lam, (X, y) in zip(weights, shard_arrays):
-        g += lam * gradient_arrays(model, w, X, y)
-    return g
+    """Gradient of :func:`global_risk_arrays` with respect to w."""
+    _check_dims(model, w, data.X)
+    return data.X.T @ (data.row_weights(weights) * _residuals(model, data.X @ w, data.y))
 
 
 # ---------------- fairness weights ---------------- #
@@ -194,27 +184,20 @@ def shard_smoothness(model: LossModel, X: np.ndarray) -> float:
     return top
 
 
-def smoothness_constant(
-    model: LossModel, shard_arrays: Sequence[tuple[np.ndarray, np.ndarray]]
-) -> float:
+def smoothness_constant(model: LossModel, data: ShardSet) -> float:
     """Smoothness constant valid for every local risk: the max over shards."""
-    return max(shard_smoothness(model, X) for X, _ in shard_arrays)
+    return max(shard_smoothness(model, X) for X, _ in data.views())
 
 
-def quadratic_global_minimum(
-    shard_arrays: Sequence[tuple[np.ndarray, np.ndarray]], weights: np.ndarray
-) -> tuple[np.ndarray, float]:
+def quadratic_global_minimum(data: ShardSet, weights: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimizer and minimum value of the weighted quadratic global risk.
 
     Solves the weighted normal equations; only meaningful for the quadratic
     loss, where the global risk is an exact quadratic form.
     """
-    dim = shard_arrays[0][0].shape[1]
-    H = np.zeros((dim, dim))
-    b = np.zeros(dim)
-    for lam, (X, y) in zip(weights, shard_arrays):
-        H += lam * (X.T @ X) / X.shape[0]
-        b += lam * (X.T @ y) / X.shape[0]
+    c = data.row_weights(weights)
+    H = data.X.T @ (c[:, None] * data.X)
+    b = data.X.T @ (c * data.y)
     w_star = np.linalg.solve(H, b)
-    model = LossModel(LossKind.QUADRATIC, dim)
-    return w_star, global_risk_arrays(model, w_star, shard_arrays, weights)
+    model = LossModel(LossKind.QUADRATIC, data.X.shape[1])
+    return w_star, global_risk_arrays(model, w_star, data, weights)

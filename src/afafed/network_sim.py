@@ -24,6 +24,7 @@ cursor has passed is dropped.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import heapq
 import math
@@ -37,10 +38,11 @@ from . import server as srv
 from .errors import ProtocolError
 from .model_core import (
     LossModel,
-    TrainingExample,
     global_gradient_arrays,
     global_risk_arrays,
-    stack_examples,
+    minibatch_gradient,
+    risk_arrays,
+    stack_shards,
     uniform_weights,
 )
 from .profiler import ProfilingLog, record_aggregation
@@ -174,7 +176,7 @@ class ArrivalProcess:
 class CoworkerSetup:
     """Everything the engine needs to instantiate one coworker."""
 
-    shard: List[TrainingExample]
+    shard: Tuple[np.ndarray, np.ndarray]    # (X, y); arrival a is row a % len(y)
     link: LinkModel
     compute: ComputeModel
     arrivals: ArrivalProcess
@@ -291,12 +293,19 @@ class SimulationEngine:
         self.eval_weights = (
             lambdas.copy() if eval_weights is None else np.asarray(eval_weights, dtype=np.float64)
         )
-        self.shard_arrays = [stack_examples(s.shard) for s in setups]
+        # every shard lives once, in the stacked set; each runtime's setup and
+        # buffer hold views of its rows
+        self.data = stack_shards([s.shard for s in setups])
+        if self.data.X.shape[1] != model.dim:
+            raise ValueError(
+                f"shards have {self.data.X.shape[1]} features, model.dim is {model.dim}"
+            )
         self.w0 = np.array(w0, dtype=np.float64)
 
         self.runtimes: List[_Runtime] = []
-        for cid, setup in enumerate(setups):
-            buf = StreamBuffer(capacity=setup.capacity, minibatch_size=setup.minibatch)
+        for cid, (setup, shard) in enumerate(zip(setups, self.data.views())):
+            setup = dataclasses.replace(setup, shard=shard)
+            buf = StreamBuffer(*shard, capacity=setup.capacity, minibatch_size=setup.minibatch)
             state = cw.make_coworker(cid, self.w0, buf, lambdas[cid], adaptive)
             rt = _Runtime(
                 state=state,
@@ -442,9 +451,7 @@ class SimulationEngine:
         cid = ev.coworker
         rt = self.runtimes[cid]
         self._catch_up(cid, ev.time, ev.seq)
-        shard = rt.setup.shard
-        example = shard[rt.arrival_count % len(shard)]
-        admit(rt.state.buffer, example)
+        admit(rt.state.buffer)
         rt.arrival_count += 1
         if rt.first_ready_time is None and rt.state.buffer.ready:
             rt.first_ready_time = ev.time
@@ -482,7 +489,7 @@ class SimulationEngine:
         due = self.eval_every > 0 and (server.t + 1) % self.eval_every == 0
         grad_sq = None
         if due:
-            g = global_gradient_arrays(self.model, server.w_global, self.shard_arrays,
+            g = global_gradient_arrays(self.model, server.w_global, self.data,
                                        self.eval_weights)
             grad_sq = float(g @ g)
         record = srv.process_uplink(server, payload, self.mixing)
@@ -490,7 +497,7 @@ class SimulationEngine:
         self.iters_per_acceptance.append(record.iters_in_cluster)
         risk = None
         if due:
-            risk = global_risk_arrays(self.model, server.w_global, self.shard_arrays,
+            risk = global_risk_arrays(self.model, server.w_global, self.data,
                                       server.lambdas)
         checksum = float(np.arange(1, len(server.lambdas) + 1) @ server.lambdas)
         self.rows.append(MetricsRow(
@@ -616,17 +623,15 @@ class SimulationEngine:
         log.w_end = self.server.w_global.copy()
         displacement = float(np.linalg.norm(log.w_end - log.w_start))
         log.coworker_stats = []
-        from .model_core import minibatch_gradient, risk_arrays
-
         for cid, rt in enumerate(self.runtimes):
-            X, y = self.shard_arrays[cid]
+            X, y = rt.setup.shard
             f_first = risk_arrays(self.model, log.w_start, X, y)
             f_last = risk_arrays(self.model, log.w_end, X, y)
             zeta_hat = None
             batch = sample_minibatch(rt.state.buffer, self._rng(3, cid))
             if batch is not None and displacement > 0.0:
-                g_last = minibatch_gradient(self.model, rt.state.w, batch)
-                g_first = minibatch_gradient(self.model, log.w_start, batch)
+                g_last = minibatch_gradient(self.model, rt.state.w, *batch)
+                g_first = minibatch_gradient(self.model, log.w_start, *batch)
                 zeta_hat = float(np.linalg.norm(g_last - g_first)) / displacement
             log.coworker_stats.append((f_first, f_last, zeta_hat))
         return log

@@ -21,9 +21,7 @@ from afafed.harness import metrics_csv_text, resolve_config, run_experiment
 from afafed.model_core import (
     LossKind,
     LossModel,
-    TrainingExample,
     global_risk_arrays,
-    gradient_arrays,
     minibatch_gradient,
     quadratic_global_minimum,
     risk_arrays,
@@ -49,8 +47,9 @@ def _verdict(n: int, name: str, ok: bool) -> bool:
 
 def _quad_shard(rng, n=16, d=2, noise=0.05):
     w_true = rng.standard_normal(d)
-    return [TrainingExample(x, float(x @ w_true + noise * rng.standard_normal()))
-            for x in rng.standard_normal((n, d))]
+    X = rng.standard_normal((n, d))
+    y = np.array([x @ w_true + noise * rng.standard_normal() for x in X])
+    return X, y
 
 
 # ---------------------------------------------------------------- criterion 1
@@ -80,13 +79,13 @@ def test_criterion_01_plain_sgd_reduction():
     res = eng.run(aggregations=steps)
 
     ref_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0)))
-    buf = StreamBuffer(capacity=16, minibatch_size=16)
-    for ex in shard:
-        admit(buf, ex)
+    buf = StreamBuffer(*shard, capacity=16, minibatch_size=16)
+    for _ in range(16):
+        admit(buf)
     w = np.zeros(3)
     exact = 0
     for t in range(steps):
-        w = w - eta * minibatch_gradient(model, w, sample_minibatch(buf, ref_rng))
+        w = w - eta * minibatch_gradient(model, w, *sample_minibatch(buf, ref_rng))
         exact += int(np.array_equal(w, res.wbar_history[t]))
     ok = exact == steps and np.array_equal(w, eng.server.w_global)
     assert _verdict(1, "plain-SGD reduction, bitwise", ok)
@@ -126,11 +125,10 @@ def test_criterion_02_convergence_bound_dominates():
         c_hats.append(est.c_hat)
         g_hats.append(est.gamma_hat)
         a_hats.append(0.0 if est.a_hat is None else est.a_hat)
-        uw = uniform_weights(len(exp.shards))
-        zetas.append(smoothness_constant(exp.model, exp.engine.shard_arrays))
-        f0s.append(global_risk_arrays(exp.model, np.zeros(5),
-                                      exp.engine.shard_arrays, uw))
-        fstars.append(quadratic_global_minimum(exp.engine.shard_arrays, uw)[1])
+        uw = uniform_weights(len(exp.engine.runtimes))
+        zetas.append(smoothness_constant(exp.model, exp.engine.data))
+        f0s.append(global_risk_arrays(exp.model, np.zeros(5), exp.engine.data, uw))
+        fstars.append(quadratic_global_minimum(exp.engine.data, uw)[1])
 
     base = dict(zeta=float(np.mean(zetas)), f0=float(np.mean(f0s)),
                 f_star=float(np.mean(fstars)), c=float(np.mean(c_hats)),
@@ -324,7 +322,7 @@ def test_criterion_09_gradient_oracle():
         y = (rng.standard_normal(n) if kind is LossKind.QUADRATIC
              else rng.integers(0, 2, size=n).astype(np.float64))
         w = rng.standard_normal(d)
-        analytic = gradient_arrays(model, w, X, y)
+        analytic = minibatch_gradient(model, w, X, y)
         fd = np.zeros(d)
         for j in range(d):
             h = 1e-6 * (1.0 + abs(w[j]))

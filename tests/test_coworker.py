@@ -27,7 +27,7 @@ from afafed.coworker import (
     update_tolerance,
 )
 from afafed.errors import ProtocolError
-from afafed.model_core import LossKind, LossModel, TrainingExample, minibatch_gradient
+from afafed.model_core import LossKind, LossModel, minibatch_gradient
 from afafed.stream_manager import (
     StreamBuffer,
     admit,
@@ -37,26 +37,32 @@ from afafed.stream_manager import (
 
 
 def warm_buffer(shard, capacity=None, minibatch=None):
-    capacity = capacity or len(shard)
+    X, y = shard
+    capacity = capacity or len(y)
     minibatch = minibatch or max(1, capacity // 2)
-    buf = StreamBuffer(capacity=capacity, minibatch_size=minibatch)
-    for ex in shard:
-        admit(buf, ex)
+    buf = StreamBuffer(X, y, capacity=capacity, minibatch_size=minibatch)
+    for _ in range(len(y)):
+        admit(buf)
     return buf
 
 
 def make_shard(rng, n, d, offset=0.0):
-    return [
-        TrainingExample(rng.standard_normal(d), float(rng.standard_normal() + offset))
-        for _ in range(n)
-    ]
+    X, y = np.empty((n, d)), np.empty(n)
+    for i in range(n):
+        X[i] = rng.standard_normal(d)
+        y[i] = rng.standard_normal() + offset
+    return X, y
+
+
+def cold_buffer(capacity, minibatch, d=1):
+    return StreamBuffer(np.ones((1, d)), np.ones(1), capacity=capacity, minibatch_size=minibatch)
 
 
 def fresh_state(**kw):
     defaults = dict(
         id=0,
         w=np.array([1.0]),
-        buffer=StreamBuffer(capacity=2, minibatch_size=1),
+        buffer=cold_buffer(capacity=2, minibatch=1),
         w_global_last=np.array([0.0]),
     )
     defaults.update(kw)
@@ -233,7 +239,7 @@ def scripted_cluster(state, cfg, model, rng):
     for _ in range(state.iter_k):
         batch = sample_minibatch(state.buffer, rng)
         assert batch is not None
-        grad = minibatch_gradient(model, state.w, batch)
+        grad = minibatch_gradient(model, state.w, *batch)
         diff = state.w - state.w_global_last
         dev_sq = float(diff @ diff)
         update_step_sizes(state, cfg, grad, dev_sq)
@@ -280,11 +286,8 @@ def test_cluster_equals_scripted_replay():
         assert st_a.iter_k == st_b.iter_k
         # refill both buffers identically for the next round
         while st_a.buffer.count < 20:
-            idx = st_a.buffer.next_arrival_index
-            rng = np.random.default_rng(idx)
-            ex = TrainingExample(rng.standard_normal(3), float(rng.standard_normal()))
-            admit(st_a.buffer, ex)
-            admit(st_b.buffer, ex)
+            admit(st_a.buffer)
+            admit(st_b.buffer)
 
 
 def test_single_iteration_cluster_advances_clock_by_one():
@@ -312,15 +315,15 @@ def test_clock_advances_by_iter_k_per_cluster():
         assert payload.iters_in_cluster == planned
         assert st.t_local == total
         while st.buffer.count < 20:
-            admit(st.buffer, TrainingExample(np.zeros(3), 0.0))
+            admit(st.buffer)
         assert 1 <= st.iter_k <= cfg.iter_max
 
 
 def test_cluster_refuses_cold_buffer():
     cfg = AdaptiveConfig(iter_max=3)
     model = LossModel(LossKind.QUADRATIC, 1)
-    buf = StreamBuffer(capacity=4, minibatch_size=3)
-    admit(buf, TrainingExample(np.ones(1), 1.0))
+    buf = cold_buffer(capacity=4, minibatch=3)
+    admit(buf)
     st = make_coworker(0, np.zeros(1), buf, 1.0, cfg)
     before = st.t_local
     assert run_iteration_cluster(st, cfg, model, np.random.default_rng(0)) is None
@@ -338,8 +341,8 @@ def test_payload_is_isolated_from_later_mutation():
 def test_not_ready_single_iteration_leaves_state_untouched():
     cfg = AdaptiveConfig(iter_max=2)
     model = LossModel(LossKind.QUADRATIC, 1)
-    buf = StreamBuffer(capacity=4, minibatch_size=2)
-    admit(buf, TrainingExample(np.ones(1), 1.0))
+    buf = cold_buffer(capacity=4, minibatch=2)
+    admit(buf)
     st = make_coworker(0, np.zeros(1), buf, 1.0, cfg)
     w0, mu0, t0 = st.w.copy(), st.mu, st.t_local
     assert run_single_iteration(st, cfg, model, np.random.default_rng(0)) is False
@@ -415,7 +418,7 @@ def test_trajectory_equals_plain_sgd_under_degenerate_settings():
         finalize_cluster(st, cfg)
         handle_downlink(st, st.w, stamp=step + 1)
         batch = sample_minibatch(ref_buf, ref_rng)
-        w_ref = w_ref - h * minibatch_gradient(model, w_ref, batch)
+        w_ref = w_ref - h * minibatch_gradient(model, w_ref, *batch)
         np.testing.assert_array_equal(st.w, w_ref)
         assert st.mu == 0.0
 
@@ -438,7 +441,7 @@ def test_complementary_slackness_time_average():
             assert run_single_iteration(st, cfg, model, rng)
             products.append(st.mu * (dev_sq - tol))
             while st.buffer.count < 16:
-                admit(st.buffer, shard[st.buffer.next_arrival_index % 16])
+                admit(st.buffer)
         finalize_cluster(st, cfg)
     products = np.asarray(products)
     peak = np.abs(products).max()

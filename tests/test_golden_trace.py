@@ -1,4 +1,4 @@
-"""Golden trace: pinned digests of four harness runs.
+"""Golden trace: pinned digests of five harness runs.
 
 The simulator is a pure function of (config, seed), so a change to how the
 engine runs must leave what it simulates bit for bit the same.  Each case
@@ -34,6 +34,13 @@ CASES: Dict[str, Dict[str, Any]] = {
     "logistic_skew_profile": {
         "doc": {"model": {"kind": "logistic"},
                 "data": {"partition": "label_skew", "classes_per_coworker": 1},
+                "sim": {"T": 60}},
+        "profile": True,
+    },
+    # a 6-row shard behind a 24-slot buffer: the window wraps around the
+    # shard and holds each row more than once
+    "wrap_repeat_profile": {
+        "doc": {"data": {"shard_size": 6}, "buffer": {"capacity": 24, "minibatch": 8},
                 "sim": {"T": 60}},
         "profile": True,
     },
@@ -122,6 +129,16 @@ GOLDEN: Dict[str, Dict[str, Any]] = {
         "estimates_sha256": "96c0fe671ac016afb956f6c742e36a275cd8e8c0fe480ba63e02d6d38c82fdc3",
         "coworker_states_sha256":
             "38ee36fb371ebce1519e9f68c2b89197245168b2d0ba9766bfdbd9dca150d325",
+    },
+    "wrap_repeat_profile": {
+        "aggregations": 60,
+        "trajectory_sha256": "f82c5703d9cf31d3b66f5c237775eb830c44ab70ea15c07a105d11319c5bc8e6",
+        "iterations_total": 309,
+        "final_time": "2.9905550184444323",
+        "accepted": [11, 20, 3, 8, 8, 10, 0, 0],
+        "estimates_sha256": "74c7282cfe2a85eb991ec4dce696de8a043d0fccc5be2d42510365a461ae4572",
+        "coworker_states_sha256":
+            "5b7f3e825636f0b3fab4d071886054e17cbbc300636b8ee348753b0f0ba51507",
     },
 }
 

@@ -177,32 +177,30 @@ def test_shards_are_deterministic_in_the_seed():
     cfg = resolve_config(small_doc())
     a = generate_shards(cfg)
     b = generate_shards(cfg)
-    for sa, sb in zip(a, b):
-        for ea, eb in zip(sa, sb):
-            np.testing.assert_array_equal(ea.x, eb.x)
-            assert ea.y == eb.y
+    for (Xa, ya), (Xb, yb) in zip(a, b):
+        np.testing.assert_array_equal(Xa, Xb)
+        np.testing.assert_array_equal(ya, yb)
     cfg2 = resolve_config(small_doc(sim={"seed": 4}))
     c = generate_shards(cfg2)
-    assert not np.array_equal(a[0][0].x, c[0][0].x)
+    assert not np.array_equal(a[0][0], c[0][0])
 
 
 def test_shards_have_configured_shape():
     cfg = resolve_config(small_doc())
     shards = generate_shards(cfg)
     assert len(shards) == 2
-    assert all(len(s) == 16 for s in shards)
-    assert all(e.x.shape == (3,) for s in shards for e in s)
+    assert all(X.shape == (16, 3) and y.shape == (16,) for X, y in shards)
 
 
 def test_coworkers_get_distinct_draws():
     shards = generate_shards(resolve_config(small_doc()))
-    assert not np.array_equal(shards[0][0].x, shards[1][0].x)
+    assert not np.array_equal(shards[0][0], shards[1][0])
 
 
 def test_logistic_iid_labels_are_binary():
     cfg = resolve_config(small_doc(model={"kind": "logistic"}))
     shards = generate_shards(cfg)
-    labels = {e.y for s in shards for e in s}
+    labels = {float(v) for _, y in shards for v in y}
     assert labels == {0.0, 1.0}
 
 
@@ -212,8 +210,8 @@ def test_label_skew_gives_single_class_shards():
         data={"partition": "label_skew", "classes_per_coworker": 1},
     ))
     shards = generate_shards(cfg)
-    assert {e.y for e in shards[0]} == {0.0}
-    assert {e.y for e in shards[1]} == {1.0}
+    assert set(shards[0][1].tolist()) == {0.0}
+    assert set(shards[1][1].tolist()) == {1.0}
 
 
 def test_label_skew_with_two_classes_keeps_both():
@@ -222,7 +220,7 @@ def test_label_skew_with_two_classes_keeps_both():
         data={"partition": "label_skew", "classes_per_coworker": 2},
     ))
     shards = generate_shards(cfg)
-    assert {e.y for e in shards[0]} == {0.0, 1.0}
+    assert set(shards[0][1].tolist()) == {0.0, 1.0}
 
 
 def test_classes_per_coworker_bounds():
@@ -248,11 +246,10 @@ TRACE_TEXT = """\
 def test_trace_parsing(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text(TRACE_TEXT)
-    times, examples = read_arrival_trace(str(path))
+    times, (X, y) = read_arrival_trace(str(path))
     assert times == (0.5, 1.25, 2.0)
-    np.testing.assert_array_equal(examples[0].x, [1.0, 2.0])
-    assert examples[0].y == 3.0
-    assert examples[1].y == 0.0
+    np.testing.assert_array_equal(X, [[1.0, 2.0], [-1.0, 0.5], [0.0, 0.0]])
+    np.testing.assert_array_equal(y, [3.0, 0.0, 1.0])
 
 
 def test_trace_malformed_line_reports_position(tmp_path):
@@ -273,6 +270,27 @@ def test_trace_short_line_and_empty_file(tmp_path):
         read_arrival_trace(str(empty))
 
 
+def test_trace_ragged_row_reports_position(tmp_path):
+    # rows are stacked into one array, so a row of another width must be
+    # refused rather than reshaped into the wrong columns
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("# t,x1,x2,label\n0.5, 1.0, 2.0, 1.0\n\n0.7, 1.0, 2.0, 3.0, 1.0\n")
+    with pytest.raises(ConfigError, match="ragged.csv:4: 5 fields, but the first example has 4"):
+        read_arrival_trace(str(ragged))
+
+
+def test_trace_feature_count_must_match_model_dim(tmp_path, capsys):
+    path = tmp_path / "trace.csv"
+    path.write_text("".join(f"{0.1 * (i + 1)}, 1.0, 2.0, 0.0\n" for i in range(20)))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"model: {{dim: 3}}\narrivals: {{kind: trace, trace: {path}}}\n"
+                   "sim: {T: 5}\n")
+    with pytest.raises(ConfigError, match="arrivals.trace: .*trace.csv has 2 features"):
+        build_experiment(load_config(str(cfg)))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "configuration error: arrivals.trace:" in capsys.readouterr().err
+
+
 def test_trace_arrivals_feed_the_buffer_from_the_file(tmp_path):
     path = tmp_path / "trace.csv"
     lines = [f"{0.1 * (i + 1)}, {float(i)}, 0.0, {float(i)}" for i in range(12)]
@@ -283,8 +301,9 @@ def test_trace_arrivals_feed_the_buffer_from_the_file(tmp_path):
         model={"dim": 2},
     )
     exp = build_experiment(resolve_config(doc))
-    shard = exp.engine.runtimes[0].setup.shard
-    assert [e.y for e in shard] == [float(i) for i in range(12)]
+    X, y = exp.engine.runtimes[0].setup.shard
+    np.testing.assert_array_equal(y, np.arange(12.0))
+    np.testing.assert_array_equal(X[:, 0], np.arange(12.0))
     assert exp.engine.runtimes[0].setup.arrivals.kind == "trace"
 
 
@@ -332,7 +351,7 @@ def test_summary_contents_and_final_risk_recompute():
     assert sum(summary["per_coworker"]["access_prob"]) == pytest.approx(1.0)
     assert summary["config"]["sim"]["seed"] == 3
     direct = global_risk_arrays(
-        exp.model, exp.engine.server.w_global, exp.engine.shard_arrays,
+        exp.model, exp.engine.server.w_global, exp.engine.data,
         np.asarray(summary["lambdas_final"]),
     )
     assert summary["final_risk"] == pytest.approx(direct, rel=1e-12)
@@ -464,13 +483,17 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     ("link: {timer_factor: -1}\n", "link.timer_factor"),
     ("link: {p_loss: 1.0}\nsim: {T: 5}\n", "sim.T"),
     ("sim: {T: null}\n", "sim.T"),
+    ("compute: {cycles_per_iter: null}\n", "compute.cycles_per_iter"),
+    ("link: {downlink_delay: null}\n", "link.downlink_delay"),
+    ("topology: {categories: [{count: 2, speed: null, rate: 1.0e+5}]}\n",
+     "topology.categories[0].speed"),
 ])
 def test_cli_config_faults_exit_2_naming_the_key(tmp_path, capsys, text, key):
     # each of these once ran to a NaN time, a traceback or forever; the
     # build must refuse them before the engine starts
     path = tmp_path / "cfg.yaml"
     path.write_text(text)
-    with pytest.raises(ConfigError, match=key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
         build_experiment(load_config(str(path)))
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
     assert f"configuration error: {key}:" in capsys.readouterr().err

@@ -12,24 +12,20 @@ import pytest
 from afafed.model_core import (
     LossKind,
     LossModel,
-    TrainingExample,
     check_weights,
-    gradient_arrays,
     global_gradient_arrays,
-    global_risk,
     global_risk_arrays,
     jain_fairness_index,
-    local_gradient,
-    local_risk,
     minibatch_gradient,
     normalized_weights,
     quadratic_global_minimum,
     risk_arrays,
     shard_smoothness,
     smoothness_constant,
-    stack_examples,
+    stack_shards,
     uniform_weights,
 )
+from afafed.stream_manager import StreamBuffer, admit, sample_minibatch
 
 
 def fd_gradient(model, w, X, y):
@@ -66,16 +62,16 @@ def test_gradient_matches_finite_differences(kind, d):
     for trial in range(10):
         X, y = make_shard(rng, 12, d, kind)
         w = rng.standard_normal(d) * (3.0 if trial % 2 else 0.3)
-        g = gradient_arrays(model, w, X, y)
+        g = minibatch_gradient(model, w, X, y)
         assert rel_err(g, fd_gradient(model, w, X, y)) <= 1e-5
 
 
 def test_quadratic_hand_values():
     model = LossModel(LossKind.QUADRATIC, 1)
-    data = [TrainingExample(np.array([1.0]), 1.0)]
+    X, y = np.array([[1.0]]), np.array([1.0])
     w = np.array([0.0])
-    assert local_risk(model, w, data) == pytest.approx(0.5, abs=1e-15)
-    np.testing.assert_allclose(local_gradient(model, w, data), [-1.0], atol=1e-15)
+    assert risk_arrays(model, w, X, y) == pytest.approx(0.5, abs=1e-15)
+    np.testing.assert_allclose(minibatch_gradient(model, w, X, y), [-1.0], atol=1e-15)
 
 
 def test_logistic_value_at_origin():
@@ -103,36 +99,52 @@ def test_logistic_stable_at_extreme_scores():
     y = np.array([1.0, 0.0])
     w = np.array([500.0])
     v = risk_arrays(model, w, X, y)
-    g = gradient_arrays(model, w, X, y)
+    g = minibatch_gradient(model, w, X, y)
     assert np.isfinite(v) and v == pytest.approx(0.0, abs=1e-12)
     assert np.all(np.isfinite(g))
 
 
 def test_global_risk_weighted_combination():
     model = LossModel(LossKind.QUADRATIC, 1)
-    # shard risks at w=0: 0.5*y^2
-    shard_a = [TrainingExample(np.array([1.0]), np.sqrt(2.0))]   # risk 1
-    shard_b = [TrainingExample(np.array([1.0]), 2.0)]            # risk 2
+    # shard risks at w=0: mean of 0.5*y^2, over shards of 1 and 2 rows
+    shard_a = (np.array([[1.0]]), np.array([np.sqrt(2.0)]))          # risk 1
+    shard_b = (np.array([[1.0], [3.0]]), np.array([2.0, 2.0]))       # risk 2
     w = np.zeros(1)
-    got = global_risk(model, w, [shard_a, shard_b], np.array([0.3, 0.7]))
+    got = global_risk_arrays(model, w, stack_shards([shard_a, shard_b]), np.array([0.3, 0.7]))
     assert got == pytest.approx(0.3 * 1.0 + 0.7 * 2.0, rel=1e-12)
 
 
-def test_global_arrays_agree_with_example_lists():
+def test_global_arrays_match_per_shard_sums():
+    # one pass over the stacked rows must equal the weighted sum of per-shard
+    # means, with each shard's own size in its mean
     rng = np.random.default_rng(11)
-    model = LossModel(LossKind.QUADRATIC, 4)
-    shards = []
-    arrays = []
-    for _ in range(3):
-        X, y = make_shard(rng, 9, 4, LossKind.QUADRATIC)
-        arrays.append((X, y))
-        shards.append([TrainingExample(X[i], float(y[i])) for i in range(9)])
-    lam = normalized_weights(rng.uniform(0.1, 1.0, size=3))
-    w = rng.standard_normal(4)
-    assert global_risk_arrays(model, w, arrays, lam) == pytest.approx(
-        global_risk(model, w, shards, lam), rel=1e-12)
-    direct = sum(l * gradient_arrays(model, w, X, y) for l, (X, y) in zip(lam, arrays))
-    np.testing.assert_allclose(global_gradient_arrays(model, w, arrays, lam), direct, rtol=1e-12)
+    for kind in (LossKind.QUADRATIC, LossKind.LOGISTIC):
+        model = LossModel(kind, 4)
+        arrays = [make_shard(rng, n, 4, kind) for n in (9, 1, 23, 5)]
+        data = stack_shards(arrays)
+        for _ in range(10):
+            lam = normalized_weights(rng.uniform(0.1, 1.0, size=4))
+            w = rng.standard_normal(4)
+            risk = sum(l * risk_arrays(model, w, X, y) for l, (X, y) in zip(lam, arrays))
+            grad = sum(l * minibatch_gradient(model, w, X, y) for l, (X, y) in zip(lam, arrays))
+            assert global_risk_arrays(model, w, data, lam) == pytest.approx(risk, rel=1e-12)
+            np.testing.assert_allclose(global_gradient_arrays(model, w, data, lam), grad,
+                                       rtol=1e-12, atol=1e-15)
+
+
+def test_stacked_shards_are_views_in_order():
+    rng = np.random.default_rng(12)
+    arrays = [make_shard(rng, n, 3, LossKind.QUADRATIC) for n in (4, 7, 2)]
+    data = stack_shards(arrays)
+    assert data.X.shape == (13, 3) and data.sizes == (4, 7, 2)
+    for (X, y), (Xv, yv) in zip(arrays, data.views()):
+        np.testing.assert_array_equal(Xv, X)
+        np.testing.assert_array_equal(yv, y)
+        assert np.shares_memory(Xv, data.X) and np.shares_memory(yv, data.y)
+    np.testing.assert_allclose(data.row_weights(np.array([0.2, 0.7, 0.1])),
+                               [0.05] * 4 + [0.1] * 7 + [0.05] * 2)
+    with pytest.raises(ValueError):
+        data.row_weights(np.array([0.5, 0.5]))
 
 
 def test_convexity_midpoint():
@@ -153,13 +165,13 @@ def test_smoothness_constant_bounds_gradient_variation():
     for kind in (LossKind.QUADRATIC, LossKind.LOGISTIC):
         model = LossModel(kind, 4)
         arrays = [make_shard(rng, 25, 4, kind) for _ in range(3)]
-        L = smoothness_constant(model, arrays)
+        L = smoothness_constant(model, stack_shards(arrays))
         for X, y in arrays:
             for _ in range(25):
                 a = rng.standard_normal(4) * 2
                 b = rng.standard_normal(4) * 2
                 lhs = np.linalg.norm(
-                    gradient_arrays(model, a, X, y) - gradient_arrays(model, b, X, y))
+                    minibatch_gradient(model, a, X, y) - minibatch_gradient(model, b, X, y))
                 assert lhs <= L * np.linalg.norm(a - b) * (1 + 1e-9)
 
 
@@ -173,7 +185,7 @@ def test_quadratic_smoothness_is_tight():
     top_vec = np.linalg.eigh(gram)[1][:, -1]
     a = np.zeros(3)
     b = top_vec
-    lhs = np.linalg.norm(gradient_arrays(model, a, X, y) - gradient_arrays(model, b, X, y))
+    lhs = np.linalg.norm(minibatch_gradient(model, a, X, y) - minibatch_gradient(model, b, X, y))
     assert lhs == pytest.approx(L * np.linalg.norm(a - b), rel=1e-9)
 
 
@@ -182,37 +194,41 @@ def test_minibatch_average_over_all_subsets_is_exact_gradient():
     # gradient: each example appears in the same number of subsets
     rng = np.random.default_rng(41)
     model = LossModel(LossKind.QUADRATIC, 2)
-    shard = [TrainingExample(rng.standard_normal(2), float(rng.standard_normal()))
-             for _ in range(5)]
+    X, y = rng.standard_normal((5, 2)), rng.standard_normal(5)
     w = rng.standard_normal(2)
-    full = local_gradient(model, w, shard)
+    full = minibatch_gradient(model, w, X, y)
     for m in (1, 2, 3):
-        batches = list(itertools.combinations(shard, m))
-        mean_g = np.mean([minibatch_gradient(model, w, list(b)) for b in batches], axis=0)
+        batches = [list(b) for b in itertools.combinations(range(5), m)]
+        mean_g = np.mean([minibatch_gradient(model, w, X[b], y[b]) for b in batches], axis=0)
         np.testing.assert_allclose(mean_g, full, rtol=1e-12, atol=1e-14)
 
 
 def test_minibatch_full_batch_equals_exact():
+    # a full-buffer minibatch is the whole shard in a random order
     rng = np.random.default_rng(42)
     model = LossModel(LossKind.LOGISTIC, 3)
-    shard = [TrainingExample(rng.standard_normal(3), float(rng.integers(0, 2)))
-             for _ in range(8)]
+    X = rng.standard_normal((8, 3))
+    y = rng.integers(0, 2, size=8).astype(np.float64)
+    buf = StreamBuffer(X, y, capacity=8, minibatch_size=8)
+    for _ in range(8):
+        admit(buf)
     w = rng.standard_normal(3)
-    np.testing.assert_array_equal(
-        minibatch_gradient(model, w, shard), local_gradient(model, w, shard))
+    Xb, yb = sample_minibatch(buf, rng)
+    np.testing.assert_allclose(minibatch_gradient(model, w, Xb, yb),
+                               minibatch_gradient(model, w, X, y), rtol=1e-12, atol=1e-15)
 
 
 def test_quadratic_global_minimum_is_stationary_and_minimal():
     rng = np.random.default_rng(51)
     model = LossModel(LossKind.QUADRATIC, 4)
-    arrays = [make_shard(rng, 20, 4, LossKind.QUADRATIC) for _ in range(3)]
+    data = stack_shards([make_shard(rng, n, 4, LossKind.QUADRATIC) for n in (20, 12, 31)])
     lam = normalized_weights(rng.uniform(0.2, 1.0, size=3))
-    w_star, f_star = quadratic_global_minimum(arrays, lam)
-    g = global_gradient_arrays(model, w_star, arrays, lam)
+    w_star, f_star = quadratic_global_minimum(data, lam)
+    g = global_gradient_arrays(model, w_star, data, lam)
     assert np.linalg.norm(g) <= 1e-10
     for _ in range(20):
         w = w_star + rng.standard_normal(4)
-        assert global_risk_arrays(model, w, arrays, lam) >= f_star - 1e-12
+        assert global_risk_arrays(model, w, data, lam) >= f_star - 1e-12
 
 
 # ---------------- fairness weights ---------------- #
@@ -260,12 +276,20 @@ def test_weight_helpers():
 
 
 def test_stack_and_dimension_checks():
-    X, y = stack_examples([TrainingExample(np.array([1.0, 2.0]), 3.0)])
-    assert X.shape == (1, 2) and y.shape == (1,)
+    data = stack_shards([(np.array([[1.0, 2.0]]), np.array([3.0]))])
+    assert data.X.shape == (1, 2) and data.y.shape == (1,)
     with pytest.raises(ValueError):
-        stack_examples([])
+        stack_shards([])
+    with pytest.raises(ValueError):
+        stack_shards([(np.zeros((0, 2)), np.zeros(0))])
+    with pytest.raises(ValueError):
+        stack_shards([(np.zeros((3, 2)), np.zeros(2))])
+    with pytest.raises(ValueError):
+        stack_shards([(np.zeros((3, 2)), np.zeros(3)), (np.zeros((3, 4)), np.zeros(3))])
     model = LossModel(LossKind.QUADRATIC, 2)
     with pytest.raises(ValueError):
-        risk_arrays(model, np.zeros(3), X, y)
+        risk_arrays(model, np.zeros(3), data.X, data.y)
     with pytest.raises(ValueError):
         risk_arrays(model, np.zeros(2), np.zeros((4, 3)), np.zeros(4))
+    with pytest.raises(ValueError):
+        global_risk_arrays(model, np.zeros(3), data, np.ones(1))

@@ -8,10 +8,10 @@ from afafed.errors import ProtocolError
 from afafed.model_core import (
     LossKind,
     LossModel,
-    TrainingExample,
     global_gradient_arrays,
     global_risk_arrays,
-    stack_examples,
+    risk_arrays,
+    stack_shards,
     uniform_weights,
 )
 from afafed.network_sim import (
@@ -26,11 +26,11 @@ from afafed.server import MixingConfig
 
 def quad_shard(rng, n=12, d=2):
     w_true = rng.standard_normal(d)
-    out = []
-    for _ in range(n):
-        x = rng.standard_normal(d)
-        out.append(TrainingExample(x, float(x @ w_true + 0.05 * rng.standard_normal())))
-    return out
+    X, y = np.empty((n, d)), np.empty(n)
+    for i in range(n):
+        X[i] = rng.standard_normal(d)
+        y[i] = X[i] @ w_true + 0.05 * rng.standard_normal()
+    return X, y
 
 
 def build_engine(
@@ -174,19 +174,42 @@ def test_first_delivery_time_is_exact():
 def test_first_gradient_row_is_at_the_initial_model():
     eng = build_engine(k=2, seed=9, eval_every=1)
     res = eng.run(aggregations=1)
-    shard_arrays = [stack_examples(s.shard) for s in
-                    (rt.setup for rt in eng.runtimes)]
-    g = global_gradient_arrays(eng.model, np.zeros(2), shard_arrays, uniform_weights(2))
+    data = stack_shards([rt.setup.shard for rt in eng.runtimes])
+    g = global_gradient_arrays(eng.model, np.zeros(2), data, uniform_weights(2))
     assert res.rows[0].grad_sqnorm == pytest.approx(float(g @ g), rel=1e-12)
 
 
 def test_risk_rows_recompute_offline_for_single_coworker():
     eng = build_engine(k=1, seed=13, eval_every=1, record_wbar=True)
     res = eng.run(aggregations=15)
-    X, y = stack_examples(eng.runtimes[0].setup.shard)
+    X, y = eng.runtimes[0].setup.shard
     for row, wbar in zip(res.rows, res.wbar_history):
-        direct = global_risk_arrays(eng.model, wbar, [(X, y)], np.array([1.0]))
+        direct = risk_arrays(eng.model, wbar, X, y)
         assert row.global_risk == pytest.approx(direct, rel=1e-12)
+
+
+def test_eval_columns_straddle_the_aggregation():
+    # grad_sqnorm is taken before the aggregation, at the model the uplink
+    # meets, with the fixed eval_weights; global_risk after it, at the new
+    # model, with the coefficients the aggregation left
+    eval_weights = np.array([0.1, 0.6, 0.3])
+    seen = []
+    eng = build_engine(k=3, seed=29, eval_every=1, eval_weights=eval_weights,
+                       speed=[10.0, 20.0, 40.0],
+                       aggregation_hook=lambda server, record: seen.append(
+                           (server.w_global.copy(), server.lambdas.copy())))
+    res = eng.run(aggregations=40)
+    assert any(not np.allclose(lam, lam[0]) for _, lam in seen)   # lambda moved
+    shards = [rt.setup.shard for rt in eng.runtimes]
+    w_before = np.zeros(2)
+    for row, (w_after, lam) in zip(res.rows, seen):
+        g = sum(e * (X.T @ (X @ w_before - y)) / len(y)
+                for e, (X, y) in zip(eval_weights, shards))
+        risk = sum(l * 0.5 * np.mean((X @ w_after - y) ** 2)
+                   for l, (X, y) in zip(lam, shards))
+        assert row.grad_sqnorm == pytest.approx(float(g @ g), rel=1e-12)
+        assert row.global_risk == pytest.approx(risk, rel=1e-12)
+        w_before = w_after
 
 
 def test_eval_every_spacing():
