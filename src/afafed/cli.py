@@ -6,7 +6,9 @@ Subcommands:
   bound    evaluate the convergence-rate bounds from a parameter file
   sweep    run a seed x parameter grid, one output directory per cell
 
-Configuration errors exit with status 2 and name the offending key.
+Configuration errors exit with status 2 and name the offending key; a
+missing file also exits 2.  A run that diverges numerically or breaks a
+protocol invariant exits with status 3 and a one-line `error:` message.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ import os
 import sys
 from typing import Any, Dict, List, Optional
 
+import numpy as np
 import yaml
 
 from . import harness
-from .errors import ConfigError
+from .errors import ConfigError, NumericDivergenceError, ProtocolError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -138,22 +141,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    commands = {
+        "run": lambda: _cmd_run(args, profiling=False),
+        "profile": lambda: _cmd_run(args, profiling=True),
+        "bound": lambda: _cmd_bound(args),
+        "sweep": lambda: _cmd_sweep(args),
+    }
     try:
-        if args.command == "run":
-            return _cmd_run(args, profiling=False)
-        if args.command == "profile":
-            return _cmd_run(args, profiling=True)
-        if args.command == "bound":
-            return _cmd_bound(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
+        # the overflow on the way to a divergence is reported once, as the
+        # NumericDivergenceError, not as one numpy warning per operation
+        with np.errstate(over="ignore", invalid="ignore"):
+            return commands[args.command]()
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
+    except (NumericDivergenceError, ProtocolError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

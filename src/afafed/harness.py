@@ -1,10 +1,12 @@
 """Experiment assembly: config files, synthetic data, presets, and outputs.
 
 Configs are YAML with one section per concern (model, topology, data,
-buffer, arrivals, adaptive, mixing, link, sim, eval).  A preset fills every
-key; the config file overrides individual keys; the CLI can override the
-seed.  Runs write a fixed-header per-aggregation CSV plus a YAML summary, so
-two runs of the same config and seed can be compared byte for byte.
+buffer, arrivals, compute, adaptive, mixing, link, sim, eval).
+``CONFIG_SCHEMA`` declares every key once; a preset fills every key from its
+defaults, the config file overrides individual keys, the CLI can override the
+seed, and ``build_experiment`` checks the result against the schema.  Runs
+write a fixed-header per-aggregation CSV plus a YAML summary, so two runs of
+the same config and seed can be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import io
 import math
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 import yaml
@@ -40,63 +42,122 @@ CSV_HEADER = [
     "lambda_checksum", "fairness_index", "global_risk", "grad_sqnorm",
 ]
 
-_DEFAULTS: Dict[str, Any] = {
-    "model": {"kind": "quadratic", "dim": 5, "noise_std": 0.05, "class_sep": 2.0},
-    "topology": {
-        "categories": [
+_REQUIRED, _OPTIONAL = object(), object()    # Key defaults: must be given / may be left out
+
+
+class Key(NamedTuple):
+    """One configuration key: its default, its type and the values it admits.
+
+    ``type`` is int, float or str; a table (a dict of Keys) for a mapping; or
+    ``[table]`` for a non-empty list of mappings.  ``default`` is the value
+    the presets start from.  A ``per_coworker`` key also takes a list with
+    one value per coworker.  ``ge``/``gt`` bound the keys that no
+    constructor checks.
+    """
+
+    default: Any = _REQUIRED
+    type: Any = float
+    nullable: bool = False
+    ge: Optional[float] = None
+    gt: Optional[float] = None
+    per_coworker: bool = False
+
+
+def _section(**keys: Key) -> Key:
+    return Key(type=keys)
+
+
+_CATEGORY = {
+    "count": Key(type=int, ge=1),
+    "speed": Key(gt=0),
+    "rate": Key(gt=0),
+    "p_loss": Key(_OPTIONAL),
+}
+
+# every key of a run config, written once; null keys mean no such stop
+# condition, a payload size derived from model.dim, an arrival law that does
+# not use the rate or interval, or a loss taken from the categories
+CONFIG_SCHEMA: Dict[str, Key] = {
+    "preset": Key(_OPTIONAL, str),
+    "model": _section(kind=Key("quadratic", str), dim=Key(5, int, ge=1),
+                      noise_std=Key(0.05), class_sep=Key(2.0)),
+    "topology": _section(
+        K=Key(_OPTIONAL, int, nullable=True),
+        categories=Key([
             {"count": 3, "speed": 50e7, "rate": 100e4, "p_loss": 0.0},
             {"count": 3, "speed": 25e7, "rate": 50e4, "p_loss": 0.0},
             {"count": 2, "speed": 1.0e7, "rate": 2e4, "p_loss": 0.0},
-        ],
-    },
-    "data": {"shard_size": 64, "partition": "iid", "classes_per_coworker": 2},
-    "buffer": {"capacity": 64, "minibatch": 16},
-    "arrivals": {"kind": "poisson", "rate": 5.0, "interval": 0.0, "trace": None},
-    "compute": {"cycles_per_iter": 1.0e7},
-    "adaptive": {
-        "iter_max": 5, "omega_a": 2.0, "omega_c": 1.0,
-        "b0": 1.0, "gamma": 0.1, "eta_min": 0.01, "eta_max": 0.5,
-    },
-    "mixing": {
-        "beta_min": 0.001, "beta_max": 0.9, "de": 0.0,
-        "phi": "power", "alpha": 0.5, "hinge_b": 4, "fairness_margin": 4.0,
-    },
-    "link": {
-        "p_loss": None, "downlink_delay": 0.0, "payload_bits": None,
-        "timer_factor": 3.0, "rate_jitter": 0.0,
-    },
-    "sim": {"seed": 1, "T": 200, "horizon": None, "event_budget": None},
-    "eval": {"every": 1},
+        ], [_CATEGORY]),
+    ),
+    "data": _section(shard_size=Key(64, int, ge=1), partition=Key("iid", str),
+                     classes_per_coworker=Key(2, int)),
+    "buffer": _section(capacity=Key(64, int), minibatch=Key(16, int)),
+    "arrivals": _section(kind=Key("poisson", str), rate=Key(5.0, nullable=True),
+                         interval=Key(0.0, nullable=True),
+                         trace=Key(None, str, nullable=True, per_coworker=True)),
+    "compute": _section(cycles_per_iter=Key(1.0e7)),
+    "adaptive": _section(iter_max=Key(5, int), omega_a=Key(2.0), omega_c=Key(1.0),
+                         b0=Key(1.0), gamma=Key(0.1), eta_min=Key(0.01), eta_max=Key(0.5)),
+    "mixing": _section(beta_min=Key(0.001), beta_max=Key(0.9), de=Key(0.0),
+                       phi=Key("power", str), alpha=Key(0.5), hinge_b=Key(4),
+                       fairness_margin=Key(4.0)),
+    "link": _section(p_loss=Key(None, nullable=True, per_coworker=True),
+                     downlink_delay=Key(0.0), payload_bits=Key(None, nullable=True),
+                     timer_factor=Key(3.0, gt=0), rate_jitter=Key(0.0)),
+    "sim": _section(seed=Key(1, int, ge=0), T=Key(200, int, nullable=True, ge=0),
+                    horizon=Key(None, nullable=True, ge=0),
+                    event_budget=Key(None, int, nullable=True, ge=0)),
+    "eval": _section(every=Key(1, int, ge=0)),
 }
+
+# the parameter file of `afafed bound`, under a `bound:` key or at top level
+BOUND_SCHEMA: Dict[str, Key] = {
+    **{name: Key() for name in ("zeta", "f0", "f_star", "c", "gamma", "a",
+                                "epsilon", "beta_min", "beta_max")},
+    "horizon": Key(type=int),
+    "beta": Key(_OPTIONAL),
+    "scaled": Key(_OPTIONAL, {name: Key() for name in (
+        "c0", "gamma0", "a0", "sigma_sq_bar", "i_bar", "i2_bar")}, nullable=True),
+}
+
+# table_a1 as overrides of the schema defaults (which are table_a1_small)
+_TABLE_A1 = {
+    "topology": {"categories": [
+        {"count": 30, "speed": 50e7, "rate": 100e4, "p_loss": 0.0},
+        {"count": 40, "speed": 25e7, "rate": 50e4, "p_loss": 0.0},
+        {"count": 30, "speed": 1.0e7, "rate": 2e4, "p_loss": 0.0},
+    ]},
+    "adaptive": {"iter_max": 30},
+    "sim": {"T": 2000},
+}
+
+
+def _defaults(table: Dict[str, Key]) -> Dict[str, Any]:
+    return {name: _defaults(key.type) if isinstance(key.type, dict) else copy.deepcopy(key.default)
+            for name, key in table.items() if key.default is not _OPTIONAL}
 
 
 def presets() -> Dict[str, Dict[str, Any]]:
     """Named starting points; table_a1_small is the desk-scale default."""
-    small = copy.deepcopy(_DEFAULTS)
-    full = copy.deepcopy(_DEFAULTS)
-    full["topology"]["categories"] = [
-        {"count": 30, "speed": 50e7, "rate": 100e4, "p_loss": 0.0},
-        {"count": 40, "speed": 25e7, "rate": 50e4, "p_loss": 0.0},
-        {"count": 30, "speed": 1.0e7, "rate": 2e4, "p_loss": 0.0},
-    ]
-    full["adaptive"]["iter_max"] = 30
-    full["sim"]["T"] = 2000
-    return {"table_a1_small": small, "table_a1": full}
+    small = _defaults(CONFIG_SCHEMA)
+    return {"table_a1_small": small, "table_a1": _deep_merge(small, _TABLE_A1)}
 
 
-def _deep_merge(base: Dict[str, Any], override: Dict[str, Any], path: str = "") -> Dict[str, Any]:
+def _deep_merge(base: Dict[str, Any], override: Dict[str, Any]) -> Dict[str, Any]:
     out = copy.deepcopy(base)
     for key, value in override.items():
-        here = f"{path}.{key}" if path else key
         if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value, here)
+            out[key] = _deep_merge(out[key], value)
         else:
             out[key] = copy.deepcopy(value)
     return out
 
 
 def resolve_config(doc: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-    """Apply preset then per-key overrides; returns the fully resolved dict."""
+    """Apply preset then per-key overrides; returns the fully resolved dict.
+
+    Values are checked by ``build_experiment``, not here.
+    """
     doc = dict(doc or {})
     preset_name = doc.pop("preset", "table_a1_small")
     table = presets()
@@ -122,87 +183,68 @@ def _require(cond: bool, key: str, message: str) -> None:
         raise ConfigError(f"{key}: {message}")
 
 
-def _as_float(value: Any, key: str, nullable: bool = False) -> Optional[float]:
-    if value is None:
-        if nullable:
-            return None
-        raise ConfigError(f"{key}: expected a number, got null")
-    if isinstance(value, bool):
-        raise ConfigError(f"{key}: expected a number, got {value!r}")
+def _check(table: Dict[str, Key], node: Any, path: str) -> Dict[str, Any]:
+    """A copy of mapping ``node`` with every value checked against ``table``.
+
+    Refuses unknown and missing keys, disallowed nulls, non-finite numbers
+    and values under a key's bound; errors name the dotted key.  Keys left
+    out of ``node`` stay out of the copy.
+    """
+    _require(isinstance(node, dict), path or "config", "must be a mapping")
+    out = {}
+    for name, value in node.items():
+        dotted = f"{path}.{name}" if path else str(name)
+        _require(name in table, dotted, f"unknown key; known keys are {sorted(table)}")
+        out[name] = _value(table[name], value, dotted)
+    missing = [name for name, key in table.items()
+               if name not in node and key.default is not _OPTIONAL]
+    _require(not missing, path or "config", f"missing keys {missing}")
+    return out
+
+
+def _value(key: Key, value: Any, dotted: str) -> Any:
+    if value is None and key.nullable:
+        return None
+    if isinstance(key.type, dict):
+        return _check(key.type, value, dotted)
+    if isinstance(key.type, list):
+        _require(isinstance(value, list) and bool(value), dotted, "need a non-empty list")
+        return [_check(key.type[0], item, f"{dotted}[{i}]") for i, item in enumerate(value)]
+    if key.per_coworker and isinstance(value, (list, tuple)):
+        return [_scalar(key, item, f"{dotted}[{i}]") for i, item in enumerate(value)]
+    return _scalar(key, value, dotted)
+
+
+def _scalar(key: Key, value: Any, dotted: str) -> Any:
+    if key.type is str:
+        _require(isinstance(value, str), dotted, f"expected a string, got {value!r}")
+        return value
+    # YAML 1.1 reads unsigned exponents like 1.0e7 as strings, so strings
+    # that spell a number are numbers here
+    _require(value is not None, dotted, "expected a number, got null")
+    _require(not isinstance(value, bool), dotted, f"expected a number, got {value!r}")
     try:
         out = float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
-    if not math.isfinite(out):
-        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+        raise ConfigError(f"{dotted}: expected a number, got {value!r}") from None
+    _require(math.isfinite(out), dotted, f"expected a finite number, got {value!r}")
+    if key.type is int:
+        _require(out.is_integer(), dotted, f"expected an integer, got {value!r}")
+        out = int(out)
+    _require(key.ge is None or out >= key.ge, dotted, f"must be >= {key.ge}")
+    _require(key.gt is None or out > key.gt, dotted, f"must be > {key.gt}")
     return out
 
 
-def _as_int(value: Any, key: str, nullable: bool = False) -> Optional[int]:
-    out = _as_float(value, key, nullable)
-    if out is None:
-        return None
-    if not out.is_integer():
-        raise ConfigError(f"{key}: expected an integer, got {value!r}")
-    return int(out)
+_T = TypeVar("_T")
 
 
-# YAML 1.1 parses unsigned exponents like 1.0e7 as strings, so every numeric
-# key is coerced here, with errors that name the offending key
-_NUMERIC_SCHEMA: Dict[str, Dict[str, type]] = {
-    "model": {"dim": int, "noise_std": float, "class_sep": float},
-    "data": {"shard_size": int, "classes_per_coworker": int},
-    "buffer": {"capacity": int, "minibatch": int},
-    "arrivals": {"rate": float, "interval": float},
-    "compute": {"cycles_per_iter": float},
-    "adaptive": {"iter_max": int, "omega_a": float, "omega_c": float,
-                 "b0": float, "gamma": float, "eta_min": float, "eta_max": float},
-    "mixing": {"beta_min": float, "beta_max": float, "de": float,
-               "alpha": float, "hinge_b": float, "fairness_margin": float},
-    "link": {"downlink_delay": float, "payload_bits": float,
-             "timer_factor": float, "rate_jitter": float},
-    "sim": {"seed": int, "T": int, "horizon": float, "event_budget": int},
-    "eval": {"every": int},
-}
-# numeric keys whose null is meaningful: no such stop condition, the
-# payload size derived from model.dim, or no rate/interval for an arrival
-# law that does not use it (link.p_loss is handled on its own)
-_NULLABLE = {"sim.T", "sim.horizon", "sim.event_budget", "link.payload_bits",
-             "arrivals.rate", "arrivals.interval"}
-
-
-def _coerce_config(cfg: Dict[str, Any]) -> Dict[str, Any]:
-    """Copy the resolved config with all numeric leaves cast to numbers."""
-    out = copy.deepcopy(cfg)
-    for section, fields in _NUMERIC_SCHEMA.items():
-        node = out.get(section)
-        if not isinstance(node, dict):
-            raise ConfigError(f"{section}: must be a mapping")
-        for key, kind in fields.items():
-            if key in node:
-                cast = _as_int if kind is int else _as_float
-                dotted = f"{section}.{key}"
-                node[key] = cast(node[key], dotted, dotted in _NULLABLE)
-    topo = out.get("topology")
-    if not isinstance(topo, dict) or not isinstance(topo.get("categories"), list):
-        raise ConfigError("topology.categories: must be a list of category mappings")
-    for i, cat in enumerate(topo["categories"]):
-        if not isinstance(cat, dict):
-            raise ConfigError(f"topology.categories[{i}]: must be a mapping")
-        for key, kind in (("count", int), ("speed", float),
-                          ("rate", float), ("p_loss", float)):
-            if key in cat:
-                cast = _as_int if kind is int else _as_float
-                cat[key] = cast(cat[key], f"topology.categories[{i}].{key}")
-    if topo.get("K") is not None:
-        topo["K"] = _as_int(topo["K"], "topology.K")
-    p_loss = out["link"].get("p_loss")
-    if isinstance(p_loss, (list, tuple)):
-        out["link"]["p_loss"] = [_as_float(v, f"link.p_loss[{i}]")
-                                 for i, v in enumerate(p_loss)]
-    else:
-        out["link"]["p_loss"] = _as_float(p_loss, "link.p_loss", nullable=True)
-    return out
+def _build(key: str, ctor: Callable[..., _T], *args: Any, **kwargs: Any) -> _T:
+    """``ctor(*args, **kwargs)``, reporting its ValueError as a fault of ``key``."""
+    try:
+        return ctor(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def set_by_path(doc: Dict[str, Any], dotted: str, value: Any) -> None:
@@ -323,50 +365,43 @@ class Experiment:
     engine: SimulationEngine
 
 
-def _per_coworker_loss(cfg: Dict[str, Any], k_total: int) -> List[float]:
-    categories = cfg["topology"]["categories"]
-    base: List[float] = []
-    for cat in categories:
-        base.extend([float(cat.get("p_loss", 0.0))] * cat["count"])
-    override = cfg["link"]["p_loss"]
+def _per_coworker_loss(override: Any, cats: List[Dict[str, Any]]) -> List[float]:
     if override is None:
-        return base
-    if isinstance(override, (int, float)):
-        return [float(override)] * k_total
-    _require(len(override) == k_total, "link.p_loss",
-             f"need {k_total} entries, got {len(override)}")
-    return [float(p) for p in override]
+        return [cat.get("p_loss", 0.0) for cat in cats]
+    if isinstance(override, float):
+        return [override] * len(cats)
+    _require(len(override) == len(cats), "link.p_loss",
+             f"need {len(cats)} entries, got {len(override)}")
+    return override
 
 
 def build_experiment(
     cfg: Dict[str, Any],
     enable_profiling: bool = False,
-    record_wbar: bool = False,
     eval_weights: Optional[np.ndarray] = None,
     iteration_hook=None,
     aggregation_hook=None,
 ) -> Experiment:
-    """Validate the resolved config and construct the simulation engine."""
-    cfg = _coerce_config(cfg)
+    """Validate the resolved config and construct the simulation engine.
+
+    The config is checked against ``CONFIG_SCHEMA``; ``Experiment.cfg`` is
+    the checked copy, with every number coerced to its key's type.
+    """
+    cfg = _check(CONFIG_SCHEMA, cfg, "")
     kind = cfg["model"]["kind"]
     _require(kind in ("quadratic", "logistic"), "model.kind", f"unknown loss {kind!r}")
     dim = cfg["model"]["dim"]
-    _require(dim >= 1, "model.dim", "dimension must be at least 1")
     model = LossModel(LossKind(kind), dim)
 
-    categories = cfg["topology"]["categories"]
-    _require(bool(categories), "topology.categories", "need at least one category")
-    for i, cat in enumerate(categories):
-        _require(cat.get("count", 0) >= 1, f"topology.categories[{i}].count", "must be >= 1")
-        _require(cat.get("speed", 0) > 0, f"topology.categories[{i}].speed", "must be positive")
-        _require(cat.get("rate", 0) > 0, f"topology.categories[{i}].rate", "must be positive")
-    k_total = sum(cat["count"] for cat in categories)
+    # one category entry per coworker
+    cats = [cat for cat in cfg["topology"]["categories"] for _ in range(cat["count"])]
+    k_total = len(cats)
     declared = cfg["topology"].get("K")
     if declared is not None:
         _require(declared == k_total, "topology.K",
                  f"declared {declared} but categories sum to {k_total}")
 
-    losses = _per_coworker_loss(cfg, k_total)
+    losses = _per_coworker_loss(cfg["link"]["p_loss"], cats)
     for i, p in enumerate(losses):
         _require(0.0 <= p <= 1.0, f"link.p_loss[{i}]", "must lie in [0, 1]")
 
@@ -375,9 +410,8 @@ def build_experiment(
         payload_bits = 64.0 * (dim + 2)
 
     arrivals_cfg = cfg["arrivals"]
-    trace_paths = arrivals_cfg.get("trace")
-    trace_data: Optional[List[Tuple[Tuple[float, ...], Shard]]] = None
     if arrivals_cfg["kind"] == "trace":
+        trace_paths = arrivals_cfg["trace"]
         _require(trace_paths is not None, "arrivals.trace", "trace arrivals need a file path")
         if isinstance(trace_paths, str):
             trace_paths = [trace_paths] * k_total
@@ -387,82 +421,39 @@ def build_experiment(
         for path, (_, (X, _)) in zip(trace_paths, trace_data):
             _require(X.shape[1] == dim, "arrivals.trace",
                      f"{path} has {X.shape[1]} features per example, but model.dim is {dim}")
-
-    if trace_data is not None:
         shards = [shard for _, shard in trace_data]
+        laws = [_build("arrivals.trace", ArrivalProcess, kind="trace", times=times)
+                for times, _ in trace_data]
     else:
         shards = generate_shards(cfg)
+        # a law's fault is about its one parameter, or else its kind
+        param = {"poisson": "rate", "periodic": "interval"}.get(arrivals_cfg["kind"], "kind")
+        laws = [_build(f"arrivals.{param}", ArrivalProcess, kind=arrivals_cfg["kind"],
+                       rate=arrivals_cfg["rate"] or 0.0,
+                       interval=arrivals_cfg["interval"] or 0.0)] * k_total
 
-    try:
-        adaptive = AdaptiveConfig(
-            iter_max=cfg["adaptive"]["iter_max"],
-            omega_a=cfg["adaptive"]["omega_a"],
-            omega_c=cfg["adaptive"]["omega_c"],
-            b0=cfg["adaptive"]["b0"],
-            gamma=cfg["adaptive"]["gamma"],
-            eta_min=cfg["adaptive"]["eta_min"],
-            eta_max=cfg["adaptive"]["eta_max"],
+    adaptive = _build("adaptive", AdaptiveConfig, **cfg["adaptive"])
+    mix = cfg["mixing"]
+    mixing = _build("mixing", MixingConfig, beta_min=mix["beta_min"], beta_max=mix["beta_max"],
+                    de=mix["de"], phi_kind=mix["phi"], phi_alpha=mix["alpha"],
+                    phi_hinge_b=mix["hinge_b"], fairness_margin=mix["fairness_margin"])
+    setups = [
+        CoworkerSetup(
+            shard=shards[cid],
+            link=_build("link", LinkModel, p_loss=losses[cid], rate=cat["rate"],
+                        payload_bits=payload_bits,
+                        downlink_delay=cfg["link"]["downlink_delay"],
+                        rate_jitter=cfg["link"]["rate_jitter"]),
+            compute=_build("compute", ComputeModel, speed=cat["speed"],
+                           cycles_per_iteration=cfg["compute"]["cycles_per_iter"]),
+            arrivals=laws[cid],
+            capacity=cfg["buffer"]["capacity"],
+            minibatch=cfg["buffer"]["minibatch"],
         )
-    except ValueError as exc:
-        raise ConfigError(f"adaptive: {exc}") from None
-    try:
-        mixing = MixingConfig(
-            beta_min=cfg["mixing"]["beta_min"],
-            beta_max=cfg["mixing"]["beta_max"],
-            de=cfg["mixing"]["de"],
-            phi_kind=cfg["mixing"]["phi"],
-            phi_alpha=cfg["mixing"]["alpha"],
-            phi_hinge_b=cfg["mixing"]["hinge_b"],
-            fairness_margin=cfg["mixing"]["fairness_margin"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"mixing: {exc}") from None
+        for cid, cat in enumerate(cats)
+    ]
 
-    setups: List[CoworkerSetup] = []
-    cid = 0
-    for cat_idx, cat in enumerate(categories):
-        for _ in range(cat["count"]):
-            try:
-                link = LinkModel(
-                    p_loss=losses[cid],
-                    rate=float(cat["rate"]),
-                    payload_bits=float(payload_bits),
-                    downlink_delay=float(cfg["link"]["downlink_delay"]),
-                    rate_jitter=float(cfg["link"]["rate_jitter"]),
-                )
-                compute = ComputeModel(
-                    speed=float(cat["speed"]),
-                    cycles_per_iteration=float(cfg["compute"]["cycles_per_iter"]),
-                )
-                if trace_data is not None:
-                    arrivals = ArrivalProcess(kind="trace", times=trace_data[cid][0])
-                else:
-                    arrivals = ArrivalProcess(
-                        kind=arrivals_cfg["kind"],
-                        rate=float(arrivals_cfg["rate"] or 0.0),
-                        interval=float(arrivals_cfg["interval"] or 0.0),
-                    )
-            except ValueError as exc:
-                raise ConfigError(f"topology.categories[{cat_idx}]: {exc}") from None
-            try:
-                setups.append(CoworkerSetup(
-                    shard=shards[cid],
-                    link=link,
-                    compute=compute,
-                    arrivals=arrivals,
-                    capacity=cfg["buffer"]["capacity"],
-                    minibatch=cfg["buffer"]["minibatch"],
-                ))
-            except ValueError as exc:
-                raise ConfigError(f"buffer: {exc}") from None
-            cid += 1
-
-    _require(cfg["eval"]["every"] >= 0, "eval.every", "must be non-negative")
-    timer_factor = cfg["link"]["timer_factor"]
-    _require(timer_factor > 0, "link.timer_factor",
-             "must be positive")
     sim = cfg["sim"]
-    _require(sim["T"] is None or sim["T"] >= 0, "sim.T", "must be non-negative")
     unbounded = sim["horizon"] is None and sim["event_budget"] is None
     _require(sim["T"] is not None or not unbounded,
              "sim.T", "need at least one of sim.T, sim.horizon and sim.event_budget")
@@ -472,39 +463,34 @@ def build_experiment(
              "sim.T", "unreachable: every coworker has p_loss 1.0; "
              "set sim.horizon or sim.event_budget")
 
-    w0 = np.zeros(dim)
-    try:
-        engine = SimulationEngine(
-            model=model,
-            setups=setups,
-            adaptive=adaptive,
-            mixing=mixing,
-            w0=w0,
-            seed=cfg["sim"]["seed"],
-            eval_every=cfg["eval"]["every"],
-            eval_weights=eval_weights,
-            record_wbar=record_wbar,
-            enable_profiling=enable_profiling,
-            timer_factor=timer_factor,
-            iteration_hook=iteration_hook,
-            aggregation_hook=aggregation_hook,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"buffer: {exc}") from None
+    # the engine's buffers check capacity and minibatch
+    engine = _build(
+        "buffer", SimulationEngine,
+        model=model,
+        setups=setups,
+        adaptive=adaptive,
+        mixing=mixing,
+        w0=np.zeros(dim),
+        seed=sim["seed"],
+        eval_every=cfg["eval"]["every"],
+        eval_weights=eval_weights,
+        enable_profiling=enable_profiling,
+        timer_factor=cfg["link"]["timer_factor"],
+        iteration_hook=iteration_hook,
+        aggregation_hook=aggregation_hook,
+    )
     return Experiment(cfg=cfg, model=model, engine=engine)
 
 
 def run_experiment(
     cfg: Dict[str, Any],
     enable_profiling: bool = False,
-    record_wbar: bool = False,
 ) -> Tuple[Experiment, RunResult, Optional[ParameterEstimates]]:
     """Build, run to the configured stop condition, optionally profile."""
-    exp = build_experiment(cfg, enable_profiling=enable_profiling, record_wbar=record_wbar)
+    exp = build_experiment(cfg, enable_profiling=enable_profiling)
+    sim = exp.cfg["sim"]
     result = exp.engine.run(
-        aggregations=cfg["sim"]["T"],
-        horizon=cfg["sim"]["horizon"],
-        event_budget=cfg["sim"]["event_budget"],
+        aggregations=sim["T"], horizon=sim["horizon"], event_budget=sim["event_budget"],
     )
     estimates = None
     if enable_profiling and result.profiling_log is not None and result.profiling_log.samples > 0:
@@ -614,46 +600,22 @@ def write_outputs(out_dir: str, exp: Experiment, result: RunResult,
 
 def evaluate_bounds(doc: Dict[str, Any]) -> Dict[str, Any]:
     """Evaluate the rate bounds from a parameter mapping (see README)."""
-    params = doc.get("bound", doc)
-    required = ["zeta", "f0", "f_star", "c", "gamma", "a",
-                "epsilon", "beta_min", "beta_max", "horizon"]
-    missing = [k for k in required if k not in params]
-    if missing:
-        raise ConfigError(f"bound: missing keys {missing}")
-    try:
-        inputs = bnd.BoundInputs(
-            zeta=float(params["zeta"]), f0=float(params["f0"]),
-            f_star=float(params["f_star"]), c=float(params["c"]),
-            gamma=float(params["gamma"]), a=float(params["a"]),
-            epsilon=float(params["epsilon"]), beta_min=float(params["beta_min"]),
-            beta_max=float(params["beta_max"]), horizon=int(params["horizon"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bound: {exc}") from None
+    params = _check(BOUND_SCHEMA, doc.get("bound", doc), "bound")
+    scaled = params.pop("scaled", None)
+    beta = params.pop("beta", params["beta_max"])
+    inputs = _build("bound", bnd.BoundInputs, **params)
     out: Dict[str, Any] = {
         "beta_max_admissible": bnd.beta_max_admissible(inputs),
         "clipped": bnd.bound_clipped_beta(inputs),
     }
-    beta = float(params.get("beta", params["beta_max"]))
     try:
         out["constant"] = bnd.bound_constant_beta(inputs, beta)
         out["constant_beta"] = beta
     except ValueError as exc:
         out["constant"] = None
         out["constant_refused"] = str(exc)
-    scaled = params.get("scaled")
     if scaled is not None:
-        needed = ["c0", "gamma0", "a0", "sigma_sq_bar", "i_bar", "i2_bar"]
-        missing = [k for k in needed if k not in scaled]
-        if missing:
-            raise ConfigError(f"bound.scaled: missing keys {missing}")
-        try:
-            res = bnd.bound_scaled(
-                inputs, float(scaled["c0"]), float(scaled["gamma0"]), float(scaled["a0"]),
-                float(scaled["sigma_sq_bar"]), float(scaled["i_bar"]), float(scaled["i2_bar"]),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bound.scaled: {exc}") from None
+        res = _build("bound.scaled", bnd.bound_scaled, inputs, **scaled)
         out["scaled"] = {
             "bound": res.bound,
             "beta_max_admissible": res.beta_max_admissible,

@@ -246,7 +246,6 @@ class RunResult:
     iters_per_acceptance: List[int]
     final_time: float
     events_processed: int           # calendar events; coefficient deliveries are not events
-    wbar_history: Optional[List[np.ndarray]] = None
     profiling_log: Optional[ProfilingLog] = None
 
 
@@ -269,7 +268,6 @@ class SimulationEngine:
         seed: int,
         eval_every: int = 0,
         eval_weights: Optional[np.ndarray] = None,
-        record_wbar: bool = False,
         enable_profiling: bool = False,
         timer_factor: float = 3.0,
         iteration_hook: Optional[Callable[[int, cw.CoworkerState], None]] = None,
@@ -327,7 +325,6 @@ class SimulationEngine:
         self._coef_log: List[_Coefficients] = []
         self._coef_base = 0              # absolute index of _coef_log[0]
         self._coef_trim_at = _LOG_TRIM_MIN
-        self.wbar_history: Optional[List[np.ndarray]] = [] if record_wbar else None
         self.profiling_log = (
             ProfilingLog(dim=model.dim, w_start=self.w0.copy()) if enable_profiling else None
         )
@@ -505,8 +502,6 @@ class SimulationEngine:
             beta=record.beta, lambda_checksum=checksum,
             fairness_index=record.fairness_index, global_risk=risk, grad_sqnorm=grad_sq,
         ))
-        if self.wbar_history is not None:
-            self.wbar_history.append(server.w_global.copy())
         if self.aggregation_hook is not None:
             self.aggregation_hook(server, record)
         # coefficient broadcast first, then the sender's model downlink
@@ -604,7 +599,6 @@ class SimulationEngine:
             iters_per_acceptance=list(self.iters_per_acceptance),
             final_time=self.now,
             events_processed=self.events_processed,
-            wbar_history=self.wbar_history,
             profiling_log=self.profiling_log,
         )
 

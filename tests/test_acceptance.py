@@ -70,13 +70,15 @@ def test_criterion_01_plain_sgd_reduction():
         arrivals=ArrivalProcess(kind="trace", times=(0.0,) * 16),
         capacity=16, minibatch=16,
     )
+    wbars = []
     eng = SimulationEngine(
         model=model, setups=[setup],
         adaptive=AdaptiveConfig(iter_max=1, eta_min=eta, eta_max=eta),
         mixing=MixingConfig(beta_min=1.0, beta_max=1.0),
-        w0=np.zeros(3), seed=seed, record_wbar=True,
+        w0=np.zeros(3), seed=seed,
+        aggregation_hook=lambda server, record: wbars.append(server.w_global.copy()),
     )
-    res = eng.run(aggregations=steps)
+    eng.run(aggregations=steps)
 
     ref_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0)))
     buf = StreamBuffer(*shard, capacity=16, minibatch_size=16)
@@ -86,7 +88,7 @@ def test_criterion_01_plain_sgd_reduction():
     exact = 0
     for t in range(steps):
         w = w - eta * minibatch_gradient(model, w, *sample_minibatch(buf, ref_rng))
-        exact += int(np.array_equal(w, res.wbar_history[t]))
+        exact += int(np.array_equal(w, wbars[t]))
     ok = exact == steps and np.array_equal(w, eng.server.w_global)
     assert _verdict(1, "plain-SGD reduction, bitwise", ok)
 

@@ -1,15 +1,22 @@
 """Config resolution, data generation, outputs, and the CLI."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import afafed
 from afafed import cli
 from afafed.errors import ConfigError
 from afafed.harness import (
+    CONFIG_SCHEMA,
     CSV_HEADER,
     build_experiment,
     evaluate_bounds,
@@ -35,6 +42,9 @@ def small_doc(**sections):
         ]},
         "data": {"shard_size": 16},
         "buffer": {"capacity": 16, "minibatch": 8},
+        # at the default eta_max 0.5 a coworker whose uplinks keep dropping
+        # can grow its multiplier past the primal step's stability limit
+        "adaptive": {"eta_max": 0.1},
         "model": {"dim": 3},
         "sim": {"T": 10, "seed": 3},
     }
@@ -142,6 +152,18 @@ def test_yaml_unsigned_exponents_build_cleanly(tmp_path):
     assert exp.cfg["sim"]["seed"] == 5
 
 
+def test_stop_conditions_written_as_yaml_strings_run(tmp_path):
+    # YAML reads 1.0e1 as a string; the run must take the checked numbers
+    doc = small_doc()
+    del doc["sim"]
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(doc) + "sim: {T: 1.0e1, horizon: 1.0e3, "
+                    "event_budget: 1.0e5, seed: 3}\n")
+    exp, result, _ = run_experiment(load_config(str(path)))
+    assert result.aggregations == 10
+    assert exp.cfg["sim"] == {"T": 10, "horizon": 1000.0, "event_budget": 100000, "seed": 3}
+
+
 def test_non_numeric_values_name_the_key():
     cfg = resolve_config(small_doc())
     cfg["topology"]["categories"][0]["speed"] = "fast"
@@ -168,6 +190,58 @@ def test_bad_category_speed_names_the_index():
     doc["topology"]["categories"].append({"count": 1, "speed": 0.0, "rate": 1e5})
     with pytest.raises(ConfigError, match=r"topology.categories\[1\].speed"):
         build_experiment(resolve_config(doc))
+
+
+@st.composite
+def small_configs(draw):
+    """Small valid run configs: K <= 6, T <= 30, always an event budget."""
+    counts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)
+                  .filter(lambda c: sum(c) <= 6))
+    beta_min = draw(st.floats(0.001, 0.5))
+    return {
+        "model": {"dim": 3},
+        "topology": {"categories": [
+            {"count": n, "speed": draw(st.sampled_from([2e6, 1e7, 5e7])),
+             "rate": draw(st.sampled_from([1e4, 1e5])), "p_loss": draw(st.floats(0.0, 0.5))}
+            for n in counts
+        ]},
+        "data": {"shard_size": 16},
+        "buffer": {"capacity": 16, "minibatch": 8},
+        # at the default eta_max 0.5 a coworker whose uplinks keep dropping
+        # can grow its multiplier past the primal step's stability limit
+        "adaptive": {"eta_max": 0.1},
+        "arrivals": draw(st.sampled_from([{"kind": "poisson", "rate": 5.0},
+                                          {"kind": "periodic", "interval": 0.2}])),
+        "link": {"p_loss": draw(st.none() | st.floats(0.0, 0.9)),
+                 "downlink_delay": draw(st.floats(0.0, 0.2))},
+        "mixing": {"phi": draw(st.sampled_from(["power", "exponential", "hinge"])),
+                   "beta_min": beta_min, "beta_max": draw(st.floats(beta_min, 1.0))},
+        "sim": {"seed": draw(st.integers(0, 2**16)), "T": draw(st.integers(1, 30)),
+                "event_budget": draw(st.integers(1, 4000))},
+    }
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(small_configs())
+def test_random_valid_configs_keep_the_protocol_invariants(doc):
+    cfg = resolve_config(doc)
+    mixing, sim = cfg["mixing"], cfg["sim"]
+    seen = []
+    exp = build_experiment(cfg, aggregation_hook=lambda server, record: seen.append(
+        (server.lambdas.copy(), record.beta)))
+    result = exp.engine.run(aggregations=sim["T"], event_budget=sim["event_budget"])
+
+    assert result.aggregations == sim["T"] or result.events_processed == sim["event_budget"]
+    assert result.aggregations <= sim["T"] and result.events_processed <= sim["event_budget"]
+    assert len(seen) == result.aggregations
+    for lambdas, beta in seen:
+        assert lambdas.min() >= 0.0 and abs(lambdas.sum() - 1.0) <= 1e-12
+        assert mixing["beta_min"] <= beta <= mixing["beta_max"]
+    times = [r.time for r in result.rows]
+    assert times == sorted(times)
+    assert all(r.age >= 0 for r in result.rows)
+    _, again, _ = run_experiment(cfg)
+    assert metrics_csv_text(again.rows) == metrics_csv_text(result.rows)
 
 
 # ---------------- data generation ---------------- #
@@ -487,16 +561,45 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     ("link: {downlink_delay: null}\n", "link.downlink_delay"),
     ("topology: {categories: [{count: 2, speed: null, rate: 1.0e+5}]}\n",
      "topology.categories[0].speed"),
+    ("arrivals: {kind: periodic, interval: null}\nsim: {T: 3}\n", "arrivals.interval"),
+    ("arrivals: {rate: 0}\nsim: {T: 3}\n", "arrivals.rate"),
+    ("data: {shard_size: 0}\nsim: {T: 3}\n", "data.shard_size"),
+    ("sim: {T: 3, seed: -1}\n", "sim.seed"),
+    ("sim: {T: 3, horizon: -1}\n", "sim.horizon"),
+    ("sim: {T: 3, event_budget: -1}\n", "sim.event_budget"),
+    ("arrivals: {trace: 5}\nsim: {T: 3}\n", "arrivals.trace"),
+    ("sim: {T: 3, TT: 5}\n", "sim.TT"),
+    ("simm: {T: 3}\n", "simm"),
+    ("topology: {categories: [{count: 2, speed: 1.0e+7, rate: 1.0e+5, pl: 0.3}]}\n",
+     "topology.categories[0].pl"),
 ])
 def test_cli_config_faults_exit_2_naming_the_key(tmp_path, capsys, text, key):
-    # each of these once ran to a NaN time, a traceback or forever; the
-    # build must refuse them before the engine starts
+    # each of these once ran to a NaN time, a traceback, forever, or with
+    # the key ignored or misnamed; the build must refuse them before the
+    # engine starts
     path = tmp_path / "cfg.yaml"
     path.write_text(text)
     with pytest.raises(ConfigError, match=re.escape(key)):
         build_experiment(load_config(str(path)))
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
-    assert f"configuration error: {key}:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"configuration error: {key}:")
+
+
+def test_cli_divergence_exits_3_with_one_line(tmp_path):
+    # a child process, so numpy's overflow warnings would reach its stderr
+    path = tmp_path / "cfg.yaml"
+    path.write_text("adaptive: {eta_min: 5.0, eta_max: 10.0, iter_max: 30}\n"
+                    "model: {noise_std: 5}\nsim: {T: 200}\n")
+    src = str(Path(afafed.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "afafed.cli", "run", "--config", str(path),
+         "--out", str(tmp_path / "x")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: coworker ") and "diverged" in proc.stderr
+    assert proc.stderr.count("\n") == 1
 
 
 def test_total_loss_with_a_horizon_still_runs():
@@ -512,6 +615,37 @@ def test_readme_python_example_runs():
     assert blocks, "README has no python example"
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def _schema_keys(table, prefix=""):
+    for name, key in table.items():
+        if isinstance(key.type, dict):
+            yield from _schema_keys(key.type, f"{prefix}{name}.")
+        elif isinstance(key.type, list):
+            yield f"{prefix}{name}"
+            yield from _schema_keys(key.type[0], f"{prefix}{name}[].")
+        else:
+            yield f"{prefix}{name}"
+
+
+def _doc_keys(doc, prefix=""):
+    for name, value in doc.items():
+        if isinstance(value, dict):
+            yield from _doc_keys(value, f"{prefix}{name}.")
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            yield f"{prefix}{name}"
+            for item in value:
+                yield from _doc_keys(item, f"{prefix}{name}[].")
+        else:
+            yield f"{prefix}{name}"
+
+
+def test_readme_config_block_lists_every_schema_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## Configuration.*?```yaml\n(.*?)```", readme, flags=re.S).group(1)
+    doc = yaml.safe_load(block)
+    assert set(_doc_keys(doc)) == set(_schema_keys(CONFIG_SCHEMA))
+    build_experiment(resolve_config(doc))     # and it is a valid config
 
 
 def test_cli_missing_config_exits_2(tmp_path, capsys):
@@ -530,6 +664,25 @@ def test_cli_bound_command(tmp_path, capsys):
     assert "bound_constant_beta=" in stdout
     doc = yaml.safe_load((out / "bounds.yaml").read_text())
     assert doc["beta_max_admissible"] == pytest.approx(0.125)
+
+
+@pytest.mark.parametrize("key, raw, where", [
+    ("zeta", "null", "bound.zeta"),
+    ("zeta", ".nan", "bound.zeta"),
+    ("zeta", "big", "bound.zeta"),
+    ("horizon", "100.7", "bound.horizon"),
+    ("beta", "null", "bound.beta"),
+    ("scaled", "{c0: null, gamma0: 1, a0: 1, sigma_sq_bar: 1, i_bar: 1, i2_bar: 1}",
+     "bound.scaled.c0"),
+])
+def test_cli_bound_faults_exit_2_naming_the_key(tmp_path, capsys, key, raw, where):
+    # these once ended in a traceback, printed nan or truncated the horizon
+    fields = {name: repr(value) for name, value in BOUND_DOC.items()}
+    fields[key] = raw
+    path = tmp_path / "bound.yaml"
+    path.write_text("bound: {" + ", ".join(f"{k}: {v}" for k, v in fields.items()) + "}\n")
+    assert cli.main(["bound", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {where}:")
 
 
 def test_cli_sweep_runs_the_grid(tmp_path):

@@ -180,10 +180,14 @@ def test_first_gradient_row_is_at_the_initial_model():
 
 
 def test_risk_rows_recompute_offline_for_single_coworker():
-    eng = build_engine(k=1, seed=13, eval_every=1, record_wbar=True)
+    wbars = []
+    eng = build_engine(k=1, seed=13, eval_every=1,
+                       aggregation_hook=lambda server, record: wbars.append(
+                           server.w_global.copy()))
     res = eng.run(aggregations=15)
     X, y = eng.runtimes[0].setup.shard
-    for row, wbar in zip(res.rows, res.wbar_history):
+    assert len(wbars) == len(res.rows) == 15
+    for row, wbar in zip(res.rows, wbars):
         direct = risk_arrays(eng.model, wbar, X, y)
         assert row.global_risk == pytest.approx(direct, rel=1e-12)
 
