@@ -141,17 +141,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    commands = {
-        "run": lambda: _cmd_run(args, profiling=False),
-        "profile": lambda: _cmd_run(args, profiling=True),
-        "bound": lambda: _cmd_bound(args),
-        "sweep": lambda: _cmd_sweep(args),
-    }
     try:
         # the overflow on the way to a divergence is reported once, as the
         # NumericDivergenceError, not as one numpy warning per operation
         with np.errstate(over="ignore", invalid="ignore"):
-            return commands[args.command]()
+            if args.command == "run":
+                return _cmd_run(args, profiling=False)
+            if args.command == "profile":
+                return _cmd_run(args, profiling=True)
+            if args.command == "bound":
+                return _cmd_bound(args)
+            if args.command == "sweep":
+                return _cmd_sweep(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -161,6 +162,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (NumericDivergenceError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":
