@@ -25,7 +25,7 @@ import yaml
 from . import bounds as bnd
 from .coworker import AdaptiveConfig
 from .errors import ConfigError
-from .model_core import LossKind, LossModel, uniform_weights
+from .model_core import LossKind, LossModel, global_risk_arrays, uniform_weights
 from .network_sim import (
     ArrivalProcess,
     ComputeModel,
@@ -536,6 +536,19 @@ def _plain(obj: Any) -> Any:
     return obj
 
 
+def _final_risk(exp: Experiment, result: RunResult) -> Optional[float]:
+    """Global risk at the final w̄ under the final λ; None with evaluation off.
+
+    The last row already holds it when that aggregation was due for evaluation.
+    """
+    if exp.engine.eval_every <= 0:
+        return None
+    if result.rows and result.rows[-1].global_risk is not None:
+        return result.rows[-1].global_risk
+    server = exp.engine.server
+    return global_risk_arrays(exp.model, server.w_global, exp.engine.data, server.lambdas)
+
+
 def summarize(exp: Experiment, result: RunResult,
               estimates: Optional[ParameterEstimates]) -> Dict[str, Any]:
     """Assemble the run summary written next to the metrics CSV."""
@@ -546,6 +559,7 @@ def summarize(exp: Experiment, result: RunResult,
     evaluated = [r for r in result.rows if r.grad_sqnorm is not None]
     summary: Dict[str, Any] = {
         "aggregations": result.aggregations,
+        "stop_reason": result.stop_reason,
         "final_time": result.final_time,
         "events_processed": result.events_processed,
         "iterations_total": result.iterations_total,
@@ -564,7 +578,7 @@ def summarize(exp: Experiment, result: RunResult,
             "i2_bar": float((iters**2).mean()) if iters.size else None,
         },
         "lambdas_final": engine.server.lambdas.tolist(),
-        "final_risk": result.rows[-1].global_risk if result.rows else None,
+        "final_risk": _final_risk(exp, result),
         "mean_grad_sqnorm": (
             float(np.mean([r.grad_sqnorm for r in evaluated])) if evaluated else None
         ),

@@ -7,14 +7,17 @@ classification with labels in {0, 1}.  All averages are uniform over the
 examples they range over.
 
 Data are stacked arrays only: a shard is an (m, d) feature matrix X with an
-(m,) target vector y, and the K shards together are one :class:`ShardSet`,
-over which the weighted global risk and gradient take one matrix-vector
-product.
+(m,) target vector y, and the K shards together are one :class:`ShardSet`.
+The weighted global risk and gradient each take one matrix-vector product
+over the stacked rows.  The risk then sums each shard's losses and takes one
+K-length dot with the weights λ_k/n_k; the gradient weights every row of
+shard k by λ_k/n_k before its product with X transposed.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Tuple
 
@@ -49,12 +52,36 @@ class ShardSet(NamedTuple):
             start += n
         return out
 
-    def row_weights(self, weights: np.ndarray) -> np.ndarray:
-        """weights[k] / sizes[k] on every row of shard k, so a weighted sum of
-        per-row values is the weights-weighted sum of per-shard means."""
+    def shard_weights(self, weights: np.ndarray) -> np.ndarray:
+        """weights[k] / sizes[k]: the weight of each row of shard k."""
         if len(weights) != len(self.sizes):
             raise ValueError(f"{len(self.sizes)} shards but {len(weights)} weights")
-        return np.repeat(np.asarray(weights, dtype=np.float64) / self.sizes, self.sizes)
+        return np.asarray(weights, dtype=np.float64) / _layout(self.sizes)[1]
+
+    def row_weights(self, weights: np.ndarray) -> np.ndarray:
+        """:meth:`shard_weights` on every row of its shard, so a weighted sum of
+        per-row values is the weights-weighted sum of per-shard means."""
+        return np.repeat(self.shard_weights(weights), self.sizes)
+
+    def shard_sums(self, values: np.ndarray) -> np.ndarray:
+        """Sum of per-row values over each shard, in shard order."""
+        return np.add.reduceat(values, _layout(self.sizes)[0])
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(sizes: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
+    """Each shard's first row, and its size as a float, for one sizes tuple.
+
+    Cached because every evaluation of a run uses the same shard sizes.  An
+    empty shard has no mean, and np.add.reduceat would silently give it the
+    next shard's first row, so empty shards are refused.
+    """
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"shard sizes {sizes}: every shard needs at least one row")
+    starts = np.cumsum((0,) + sizes[:-1])
+    counts = np.array(sizes, dtype=np.float64)
+    starts.flags.writeable = counts.flags.writeable = False
+    return starts, counts
 
 
 def stack_shards(shards: Sequence[Tuple[np.ndarray, np.ndarray]]) -> ShardSet:
@@ -89,8 +116,10 @@ def _losses(model: LossModel, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     if model.kind is LossKind.QUADRATIC:
         r = z - y
         return 0.5 * (r * r)
-    # -[y log p + (1-y) log(1-p)] written stably as softplus(z) - y z
-    return np.logaddexp(0.0, z) - y * z
+    # -[y log p + (1-y) log(1-p)] written stably as softplus(z) - y z, with
+    # softplus(z) = max(z, 0) + log1p(exp(-|z|)): np.logaddexp(0, z)'s formula,
+    # in whole-array passes; exp never overflows and NaN propagates
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - y * z
 
 
 def _residuals(model: LossModel, z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -121,9 +150,10 @@ def minibatch_gradient(
 def global_risk_arrays(
     model: LossModel, w: np.ndarray, data: ShardSet, weights: np.ndarray
 ) -> float:
-    """Weighted global risk sum_k weights[k] * risk_k, in one pass over the stacked rows."""
+    """Weighted global risk sum_k weights[k] * risk_k, from per-shard sums of the losses."""
     _check_dims(model, w, data.X)
-    return float(data.row_weights(weights) @ _losses(model, data.X @ w, data.y))
+    losses = _losses(model, data.X @ w, data.y)
+    return float(data.shard_weights(weights) @ data.shard_sums(losses))
 
 
 def global_gradient_arrays(
@@ -158,7 +188,7 @@ def check_weights(weights: np.ndarray, tol: float = 1e-12) -> None:
     """Assert the simplex invariant: non-negative entries summing to 1 within tol."""
     if np.any(weights < 0.0):
         raise ValueError("fairness weights must be non-negative")
-    if abs(float(weights.sum()) - 1.0) > tol:
+    if not abs(float(weights.sum()) - 1.0) <= tol:     # NaN fails too
         raise ValueError(f"fairness weights sum to {weights.sum()!r}, expected 1")
 
 

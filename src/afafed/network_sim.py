@@ -38,6 +38,7 @@ from . import server as srv
 from .errors import ProtocolError
 from .model_core import (
     LossModel,
+    check_weights,
     global_gradient_arrays,
     global_risk_arrays,
     minibatch_gradient,
@@ -246,6 +247,7 @@ class RunResult:
     iters_per_acceptance: List[int]
     final_time: float
     events_processed: int           # calendar events; coefficient deliveries are not events
+    stop_reason: str                # T_reached | horizon | budget | drained
     profiling_log: Optional[ProfilingLog] = None
 
 
@@ -288,9 +290,16 @@ class SimulationEngine:
 
         lambdas = uniform_weights(k)
         self.server = srv.ServerState(w_global=np.array(w0, dtype=np.float64), lambdas=lambdas)
-        self.eval_weights = (
-            lambdas.copy() if eval_weights is None else np.asarray(eval_weights, dtype=np.float64)
-        )
+        if eval_weights is None:
+            self.eval_weights = lambdas.copy()
+        else:
+            self.eval_weights = np.asarray(eval_weights, dtype=np.float64)
+            if self.eval_weights.shape != (k,):
+                raise ValueError(
+                    f"eval_weights has shape {self.eval_weights.shape}, need one weight "
+                    f"for each of the {k} coworkers"
+                )
+            check_weights(self.eval_weights)
         # every shard lives once, in the stacked set; each runtime's setup and
         # buffer hold views of its rows
         self.data = stack_shards([s.shard for s in setups])
@@ -546,6 +555,9 @@ class SimulationEngine:
     ) -> RunResult:
         """Process events until T aggregations, the horizon or the budget is hit.
 
+        ``RunResult.stop_reason`` names the condition that ended the run:
+        ``T_reached``, ``horizon``, ``budget``, or ``drained`` when the
+        calendar ran empty first (finite arrival traces, all coworkers idle).
         ``event_budget`` and ``events_processed`` count calendar events only.
         On return every coworker holds the coefficients, and has run the
         iterations, that deliveries up to the stopping point imply.
@@ -565,14 +577,18 @@ class SimulationEngine:
         stop_time, stop_seq = self.now, -1
         while True:
             if aggregations is not None and self.server.t >= aggregations:
+                stop_reason = "T_reached"
                 break
             if event_budget is not None and self.events_processed >= event_budget:
+                stop_reason = "budget"
                 break
             next_time = self.queue.peek_time()
             if next_time is None:
+                stop_reason = "drained"
                 stop_time, stop_seq = math.inf, self.queue.next_seq
                 break
             if horizon is not None and next_time > horizon:
+                stop_reason = "horizon"
                 self.now = horizon
                 stop_time, stop_seq = horizon, self.queue.next_seq
                 break
@@ -599,6 +615,7 @@ class SimulationEngine:
             iters_per_acceptance=list(self.iters_per_acceptance),
             final_time=self.now,
             events_processed=self.events_processed,
+            stop_reason=stop_reason,
             profiling_log=self.profiling_log,
         )
 

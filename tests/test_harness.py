@@ -462,10 +462,41 @@ def test_summary_contents_and_final_risk_recompute():
 
 
 def test_eval_disabled_leaves_risk_columns_empty():
-    _, result, _ = run_experiment(resolve_config(small_doc(eval={"every": 0})))
+    exp, result, _ = run_experiment(resolve_config(small_doc(eval={"every": 0})))
     assert all(r.global_risk is None for r in result.rows)
     text = metrics_csv_text(result.rows)
     assert text.strip().split("\n")[1].endswith(",,")
+    assert summarize(exp, result, None)["final_risk"] is None
+
+
+def test_final_risk_is_taken_at_the_end_when_the_last_row_was_not_due():
+    exp, result, _ = run_experiment(resolve_config(small_doc(eval={"every": 3})))
+    assert [r.t for r in result.rows if r.global_risk is not None] == [3, 6, 9]
+    assert result.rows[-1].t == 10
+    server = exp.engine.server
+    direct = global_risk_arrays(exp.model, server.w_global, exp.engine.data, server.lambdas)
+    assert summarize(exp, result, None)["final_risk"] == direct
+
+
+@pytest.mark.parametrize("sim, reason", [
+    ({"T": 10}, "T_reached"),
+    ({"T": None, "horizon": 0.5}, "horizon"),
+    ({"T": None, "event_budget": 40}, "budget"),
+])
+def test_stop_reason_names_the_condition_that_ended_the_run(sim, reason):
+    exp, result, _ = run_experiment(resolve_config(small_doc(sim=sim)))
+    assert result.stop_reason == reason
+    assert summarize(exp, result, None)["stop_reason"] == reason
+
+
+def test_stop_reason_is_drained_when_a_trace_never_warms_up(tmp_path):
+    # three arrivals cannot fill an 8-row minibatch: no coworker ever starts
+    path = tmp_path / "trace.csv"
+    path.write_text("".join(f"{0.1 * (i + 1)}, 1.0, 0.0, 0.0, 1.0\n" for i in range(3)))
+    doc = small_doc(arrivals={"kind": "trace", "trace": str(path)})
+    exp, result, _ = run_experiment(resolve_config(doc))
+    summary = summarize(exp, result, None)
+    assert (summary["aggregations"], summary["stop_reason"]) == (0, "drained")
 
 
 def test_write_outputs_is_reproducible(tmp_path):

@@ -5,6 +5,7 @@ finite-difference oracle before anything else relies on it.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ import pytest
 from afafed.model_core import (
     LossKind,
     LossModel,
+    ShardSet,
+    _losses,
     check_weights,
     global_gradient_arrays,
     global_risk_arrays,
@@ -130,6 +133,59 @@ def test_global_arrays_match_per_shard_sums():
             assert global_risk_arrays(model, w, data, lam) == pytest.approx(risk, rel=1e-12)
             np.testing.assert_allclose(global_gradient_arrays(model, w, data, lam), grad,
                                        rtol=1e-12, atol=1e-15)
+
+
+# the earlier evaluation formulas, kept as a reference: softplus by
+# np.logaddexp and one dot with per-row weights built by np.repeat
+
+
+def reference_losses(model, z, y):
+    if model.kind is LossKind.QUADRATIC:
+        r = z - y
+        return 0.5 * (r * r)
+    return np.logaddexp(0.0, z) - y * z
+
+
+def reference_global_risk(model, w, data, weights):
+    row_weights = np.repeat(np.asarray(weights, dtype=np.float64) / data.sizes, data.sizes)
+    return float(row_weights @ reference_losses(model, data.X @ w, data.y))
+
+
+def test_global_risk_matches_the_reference_formulas():
+    rng = np.random.default_rng(13)
+    sizes = (1, 17, 1, 6, 40, 1, 3)
+    for kind in (LossKind.QUADRATIC, LossKind.LOGISTIC):
+        model = LossModel(kind, 4)
+        data = stack_shards([make_shard(rng, n, 4, kind) for n in sizes])
+        for scale in (0.1, 1.0, 30.0):          # 30: scores far into both tails
+            for _ in range(10):
+                lam = normalized_weights(rng.uniform(0.0, 1.0, size=len(sizes)))
+                w = scale * rng.standard_normal(4)
+                got = global_risk_arrays(model, w, data, lam)
+                assert got == pytest.approx(reference_global_risk(model, w, data, lam),
+                                            rel=1e-12)
+
+
+def test_logistic_loss_is_finite_and_matches_logaddexp_in_the_tails():
+    model = LossModel(LossKind.LOGISTIC, 1)
+    z = np.array([-800.0, -40.0, 0.0, 40.0, 800.0])
+    for label in (0.0, 1.0):
+        y = np.full(z.shape, label)
+        got = _losses(model, z, y)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, reference_losses(model, z, y), rtol=1e-15, atol=0.0)
+    assert _losses(model, np.zeros(1), np.zeros(1))[0] == math.log(2.0)
+    assert np.isnan(_losses(model, np.array([np.nan]), np.zeros(1))[0])
+
+
+def test_shard_set_with_an_empty_shard_refuses_to_evaluate():
+    model = LossModel(LossKind.QUADRATIC, 2)
+    data = ShardSet(np.ones((3, 2)), np.ones(3), (2, 0, 1))
+    lam = uniform_weights(3)
+    with pytest.raises(ValueError, match="every shard needs at least one row"):
+        global_risk_arrays(model, np.zeros(2), data, lam)
+    with pytest.raises(ValueError, match="every shard needs at least one row"):
+        global_gradient_arrays(model, np.zeros(2), data, lam)
 
 
 def test_stacked_shards_are_views_in_order():

@@ -216,6 +216,17 @@ def test_eval_columns_straddle_the_aggregation():
         w_before = w_after
 
 
+def test_eval_weights_of_the_wrong_length_are_refused_at_construction():
+    with pytest.raises(ValueError, match="eval_weights has shape \\(2,\\).*3 coworkers"):
+        build_engine(k=3, eval_every=1, eval_weights=np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("weights", [[0.5, 0.6, 0.1], [1.5, -0.5, 0.0], [np.nan, 0.5, 0.5]])
+def test_eval_weights_off_the_simplex_are_refused_at_construction(weights):
+    with pytest.raises(ValueError, match="fairness weights"):
+        build_engine(k=3, eval_every=1, eval_weights=np.array(weights))
+
+
 def test_eval_every_spacing():
     res = build_engine(k=1, seed=17, eval_every=5).run(aggregations=20)
     for row in res.rows:
