@@ -25,7 +25,13 @@ import yaml
 from . import bounds as bnd
 from .coworker import AdaptiveConfig
 from .errors import ConfigError
-from .model_core import LossKind, LossModel, global_risk_arrays, uniform_weights
+from .model_core import (
+    LossKind,
+    LossModel,
+    global_risk_arrays,
+    simplex_weights,
+    uniform_weights,
+)
 from .network_sim import (
     ArrivalProcess,
     ComputeModel,
@@ -463,6 +469,9 @@ def build_experiment(
              "sim.T", "unreachable: every coworker has p_loss 1.0; "
              "set sim.horizon or sim.event_budget")
 
+    # a library argument, not a config key: its fault is not a config fault
+    if eval_weights is not None:
+        eval_weights = simplex_weights(eval_weights, k_total)
     # the engine's buffers check capacity and minibatch
     engine = _build(
         "buffer", SimulationEngine,
@@ -536,19 +545,6 @@ def _plain(obj: Any) -> Any:
     return obj
 
 
-def _final_risk(exp: Experiment, result: RunResult) -> Optional[float]:
-    """Global risk at the final w̄ under the final λ; None with evaluation off.
-
-    The last row already holds it when that aggregation was due for evaluation.
-    """
-    if exp.engine.eval_every <= 0:
-        return None
-    if result.rows and result.rows[-1].global_risk is not None:
-        return result.rows[-1].global_risk
-    server = exp.engine.server
-    return global_risk_arrays(exp.model, server.w_global, exp.engine.data, server.lambdas)
-
-
 def summarize(exp: Experiment, result: RunResult,
               estimates: Optional[ParameterEstimates]) -> Dict[str, Any]:
     """Assemble the run summary written next to the metrics CSV."""
@@ -578,7 +574,12 @@ def summarize(exp: Experiment, result: RunResult,
             "i2_bar": float((iters**2).mean()) if iters.size else None,
         },
         "lambdas_final": engine.server.lambdas.tolist(),
-        "final_risk": _final_risk(exp, result),
+        # the global risk at the final w̄ under the final λ
+        "final_risk": (
+            global_risk_arrays(exp.model, engine.server.w_global, engine.data,
+                               engine.server.lambdas)
+            if engine.eval_every > 0 else None
+        ),
         "mean_grad_sqnorm": (
             float(np.mean([r.grad_sqnorm for r in evaluated])) if evaluated else None
         ),

@@ -65,12 +65,17 @@ class ShardSet(NamedTuple):
 
     def shard_sums(self, values: np.ndarray) -> np.ndarray:
         """Sum of per-row values over each shard, in shard order."""
-        return np.add.reduceat(values, _layout(self.sizes)[0])
+        starts, _, rows = _layout(self.sizes)
+        # np.add.reduceat would let the last shard absorb extra rows or stop short
+        if len(values) != rows:
+            raise ValueError(f"shard sizes add up to {rows} rows but got {len(values)} values")
+        return np.add.reduceat(values, starts)
 
 
 @functools.lru_cache(maxsize=16)
-def _layout(sizes: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
-    """Each shard's first row, and its size as a float, for one sizes tuple.
+def _layout(sizes: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Each shard's first row, its size as a float, and the total row count,
+    for one sizes tuple.
 
     Cached because every evaluation of a run uses the same shard sizes.  An
     empty shard has no mean, and np.add.reduceat would silently give it the
@@ -81,7 +86,7 @@ def _layout(sizes: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
     starts = np.cumsum((0,) + sizes[:-1])
     counts = np.array(sizes, dtype=np.float64)
     starts.flags.writeable = counts.flags.writeable = False
-    return starts, counts
+    return starts, counts, sum(sizes)
 
 
 def stack_shards(shards: Sequence[Tuple[np.ndarray, np.ndarray]]) -> ShardSet:
@@ -190,6 +195,18 @@ def check_weights(weights: np.ndarray, tol: float = 1e-12) -> None:
         raise ValueError("fairness weights must be non-negative")
     if not abs(float(weights.sum()) - 1.0) <= tol:     # NaN fails too
         raise ValueError(f"fairness weights sum to {weights.sum()!r}, expected 1")
+
+
+def simplex_weights(weights: np.ndarray, k: int) -> np.ndarray:
+    """``weights`` as a float64 vector of one weight per shard, on the simplex.
+
+    Raises ValueError for a shape other than (k,) or off-simplex entries.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (k,):
+        raise ValueError(f"weights have shape {weights.shape}, need one for each of {k} shards")
+    check_weights(weights)
+    return weights
 
 
 def jain_fairness_index(weights: np.ndarray) -> float:

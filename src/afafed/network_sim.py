@@ -38,11 +38,11 @@ from . import server as srv
 from .errors import ProtocolError
 from .model_core import (
     LossModel,
-    check_weights,
     global_gradient_arrays,
     global_risk_arrays,
     minibatch_gradient,
     risk_arrays,
+    simplex_weights,
     stack_shards,
     uniform_weights,
 )
@@ -290,16 +290,9 @@ class SimulationEngine:
 
         lambdas = uniform_weights(k)
         self.server = srv.ServerState(w_global=np.array(w0, dtype=np.float64), lambdas=lambdas)
-        if eval_weights is None:
-            self.eval_weights = lambdas.copy()
-        else:
-            self.eval_weights = np.asarray(eval_weights, dtype=np.float64)
-            if self.eval_weights.shape != (k,):
-                raise ValueError(
-                    f"eval_weights has shape {self.eval_weights.shape}, need one weight "
-                    f"for each of the {k} coworkers"
-                )
-            check_weights(self.eval_weights)
+        self.eval_weights = (
+            lambdas.copy() if eval_weights is None else simplex_weights(eval_weights, k)
+        )
         # every shard lives once, in the stacked set; each runtime's setup and
         # buffer hold views of its rows
         self.data = stack_shards([s.shard for s in setups])

@@ -459,6 +459,7 @@ def test_summary_contents_and_final_risk_recompute():
         np.asarray(summary["lambdas_final"]),
     )
     assert summary["final_risk"] == pytest.approx(direct, rel=1e-12)
+    assert summary["final_risk"] == result.rows[-1].global_risk    # the last row was due
 
 
 def test_eval_disabled_leaves_risk_columns_empty():
@@ -469,13 +470,23 @@ def test_eval_disabled_leaves_risk_columns_empty():
     assert summarize(exp, result, None)["final_risk"] is None
 
 
-def test_final_risk_is_taken_at_the_end_when_the_last_row_was_not_due():
+def test_final_risk_is_set_when_the_last_row_was_not_due():
     exp, result, _ = run_experiment(resolve_config(small_doc(eval={"every": 3})))
     assert [r.t for r in result.rows if r.global_risk is not None] == [3, 6, 9]
     assert result.rows[-1].t == 10
     server = exp.engine.server
     direct = global_risk_arrays(exp.model, server.w_global, exp.engine.data, server.lambdas)
     assert summarize(exp, result, None)["final_risk"] == direct
+
+
+def test_eval_weights_faults_are_not_reported_as_config_faults():
+    cfg = resolve_config(small_doc())
+    with pytest.raises(ValueError, match=r"^weights have shape \(3,\).*2 shards") as info:
+        build_experiment(cfg, eval_weights=np.full(3, 1.0 / 3.0))
+    assert not isinstance(info.value, ConfigError)
+    with pytest.raises(ValueError, match="^fairness weights sum to") as info:
+        build_experiment(cfg, eval_weights=np.array([0.5, 0.6]))
+    assert not isinstance(info.value, ConfigError)
 
 
 @pytest.mark.parametrize("sim, reason", [

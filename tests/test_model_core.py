@@ -178,7 +178,7 @@ def test_logistic_loss_is_finite_and_matches_logaddexp_in_the_tails():
     assert np.isnan(_losses(model, np.array([np.nan]), np.zeros(1))[0])
 
 
-def test_shard_set_with_an_empty_shard_refuses_to_evaluate():
+def test_shard_set_with_an_empty_shard_or_a_wrong_total_refuses_to_evaluate():
     model = LossModel(LossKind.QUADRATIC, 2)
     data = ShardSet(np.ones((3, 2)), np.ones(3), (2, 0, 1))
     lam = uniform_weights(3)
@@ -186,6 +186,10 @@ def test_shard_set_with_an_empty_shard_refuses_to_evaluate():
         global_risk_arrays(model, np.zeros(2), data, lam)
     with pytest.raises(ValueError, match="every shard needs at least one row"):
         global_gradient_arrays(model, np.zeros(2), data, lam)
+    for sizes in ((1, 1), (2, 2)):          # 2 and 4 rows, over 3
+        data = ShardSet(np.ones((3, 2)), np.ones(3), sizes)
+        with pytest.raises(ValueError, match="shard sizes add up to"):
+            global_risk_arrays(model, np.zeros(2), data, uniform_weights(2))
 
 
 def test_stacked_shards_are_views_in_order():

@@ -217,7 +217,7 @@ def test_eval_columns_straddle_the_aggregation():
 
 
 def test_eval_weights_of_the_wrong_length_are_refused_at_construction():
-    with pytest.raises(ValueError, match="eval_weights has shape \\(2,\\).*3 coworkers"):
+    with pytest.raises(ValueError, match="weights have shape \\(2,\\).*3 shards"):
         build_engine(k=3, eval_every=1, eval_weights=np.array([0.5, 0.5]))
 
 
