@@ -14,10 +14,11 @@ protocol invariant exits with status 3 and a one-line `error:` message.
 from __future__ import annotations
 
 import argparse
+import copy
 import itertools
 import os
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 import yaml
@@ -55,13 +56,16 @@ def _load(path: str, seed: Optional[int]) -> Dict[str, Any]:
     return cfg
 
 
+def _fmt_risk(risk: Optional[float]) -> str:
+    return "n/a" if risk is None else f"{risk:.6g}"
+
+
 def _cmd_run(args: argparse.Namespace, profiling: bool) -> int:
     cfg = _load(args.config, args.seed)
     exp, result, estimates = harness.run_experiment(cfg, enable_profiling=profiling)
     harness.write_outputs(args.out, exp, result, estimates)
-    final = result.rows[-1].global_risk if result.rows else None
     print(f"aggregations={result.aggregations} final_time={result.final_time:.6g} "
-          f"final_risk={'n/a' if final is None else f'{final:.6g}'}")
+          f"final_risk={_fmt_risk(harness.final_risk(exp))}")
     if estimates is not None:
         print(f"estimates: c_hat={estimates.c_hat} gamma_hat={estimates.gamma_hat} "
               f"a_hat={estimates.a_hat} feasible={estimates.feasible}")
@@ -99,44 +103,81 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     sweep = doc.pop("sweep", None)
     if not isinstance(sweep, dict):
         raise ConfigError("sweep: config needs a sweep section with seeds and/or grid")
-    seeds: List[int] = list(sweep.get("seeds", []))
+    seeds = sweep.get("seeds", [])
+    if not isinstance(seeds, list):
+        raise ConfigError(f"sweep.seeds: need a list of seeds, got {seeds!r}")
     if args.seed is not None:
         seeds = [args.seed]
     if not seeds:
         seeds = [harness.resolve_config(doc)["sim"]["seed"]]
     grid: Dict[str, List[Any]] = sweep.get("grid", {}) or {}
+    if not isinstance(grid, dict):
+        raise ConfigError(f"sweep.grid: need a mapping of dotted keys to lists, got {grid!r}")
     for key, values in grid.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.grid.{key}: need a non-empty list of values")
 
-    keys = sorted(grid)
-    cells = list(itertools.product(*(grid[k] for k in keys))) if keys else [()]
+    # every cell is checked before the first one runs, so a bad value
+    # leaves no partial sweep behind
+    cells = [cell for seed in seeds for cell in _sweep_cells(doc, seed, grid)]
     index_rows = []
-    for seed in seeds:
-        for values in cells:
-            cfg = harness.resolve_config(doc)
-            cfg["sim"]["seed"] = seed
-            label_parts = [f"seed{seed}"]
-            for key, value in zip(keys, values):
-                harness.set_by_path(cfg, key, value)
-                label_parts.append(f"{key.split('.')[-1]}{value}")
-            label = "_".join(label_parts)
-            cell_dir = os.path.join(args.out, label)
-            exp, result, estimates = harness.run_experiment(cfg)
-            harness.write_outputs(cell_dir, exp, result, estimates)
-            final = result.rows[-1].global_risk if result.rows else None
-            index_rows.append({
-                "cell": label, "seed": seed,
-                **{k: v for k, v in zip(keys, values)},
-                "aggregations": result.aggregations,
-                "final_risk": final,
-            })
-            print(f"{label}: aggregations={result.aggregations} "
-                  f"final_risk={'n/a' if final is None else f'{final:.6g}'}")
+    for label, seed, values, cfg in cells:
+        exp, result, estimates = harness.run_experiment(cfg)
+        harness.write_outputs(os.path.join(args.out, label), exp, result, estimates)
+        final = harness.final_risk(exp)
+        index_rows.append({
+            "cell": label, "seed": seed, **values,
+            "aggregations": result.aggregations,
+            "final_risk": final,
+        })
+        print(f"{label}: aggregations={result.aggregations} final_risk={_fmt_risk(final)}")
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "sweep.yaml"), "w", encoding="utf-8") as fh:
         yaml.safe_dump(harness._plain(index_rows), fh, sort_keys=True)
     return 0
+
+
+def _sweep_cells(
+    doc: Dict[str, Any], seed: int, grid: Dict[str, List[Any]]
+) -> List[Tuple[str, int, Dict[str, Any], Dict[str, Any]]]:
+    """(label, seed, grid values, resolved config) of every grid cell for one seed.
+
+    Each cell is checked by building its experiment.  A fault that one grid
+    value causes on its own is named by its dotted grid key and index, e.g.
+    ``sweep.grid.mixing.beta_max[1]``; a fault only a combination causes
+    names every grid key of the cell.
+    """
+    base = harness.resolve_config(doc)
+    base["sim"]["seed"] = seed
+
+    def with_values(picks: Dict[str, Any]) -> Dict[str, Any]:
+        cfg = copy.deepcopy(base)
+        for key, value in picks.items():
+            harness.set_by_path(cfg, key, value)
+        return cfg
+
+    def fault(picks: Dict[str, Any]) -> Optional[ConfigError]:
+        try:
+            harness.build_experiment(with_values(picks))
+        except ConfigError as exc:
+            return exc
+        return None
+
+    keys = sorted(grid)
+    cells = []
+    for indices in itertools.product(*(range(len(grid[k])) for k in keys)):
+        values = {k: grid[k][i] for k, i in zip(keys, indices)}
+        exc = fault(values)
+        if exc is not None:
+            where = [f"sweep.grid.{k}[{i}]" for k, i in zip(keys, indices)]
+            if fault({}) is not None:
+                raise exc                  # the config itself is at fault
+            alone = [w for w, k in zip(where, keys) if fault({k: values[k]}) is not None]
+            # a value that fails on its own is named alone, else the combination
+            raise ConfigError(f"{alone[0] if alone else ', '.join(where)}: {exc}")
+        label = "_".join([f"seed{seed}"] + [f"{k.split('.')[-1]}{v}" for k, v in values.items()])
+        cells.append((label, seed, values, with_values(values)))
+    return cells
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -6,13 +6,19 @@ to the server and waits for either a fresh global model or a timeout.  All
 hyper-parameters of the loop (iterations per cluster, both step sizes, and
 the proximity tolerance) are driven by the running average of the local
 Lagrange multiplier, so no per-coworker tuning is required.
+
+A cluster is ``iter_k`` calls of :func:`run_single_iteration` followed by
+one :func:`finalize_cluster`; the event engine makes these calls one
+iteration boundary at a time.  Each iteration does every piece of work once:
+the deviation ``w - w_global_last`` feeds both the dual violation and the
+primal step, and the logarithms of ``omega`` are taken once per config.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,6 +38,9 @@ class AdaptiveConfig:
     gamma: float = 0.1          # proximity tolerance exponent (>= 0)
     eta_min: float = 0.01       # step-size floor
     eta_max: float = 0.5        # step-size ceiling
+    # log(omega_a) and log(iter_max), derived once for omega
+    _log_a: float = field(init=False, repr=False, compare=False)
+    _log_iter_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.iter_max < 1:
@@ -44,6 +53,8 @@ class AdaptiveConfig:
             raise ValueError("b0 and gamma must be non-negative")
         if not 0.0 < self.eta_min <= self.eta_max:
             raise ValueError("need 0 < eta_min <= eta_max")
+        object.__setattr__(self, "_log_a", math.log(self.omega_a))
+        object.__setattr__(self, "_log_iter_max", math.log(self.iter_max))
 
 
 @dataclass
@@ -107,9 +118,9 @@ def omega(mu_bar: float, cfg: AdaptiveConfig) -> float:
     """Cluster-shrinking map: a**(c * mu_bar) clipped into [1, iter_max]."""
     if mu_bar < 0.0:
         raise ValueError("mu_bar must be non-negative")
-    exponent = cfg.omega_c * mu_bar * math.log(cfg.omega_a)
+    exponent = cfg.omega_c * mu_bar * cfg._log_a
     # compare in log space so huge multipliers cannot overflow the power
-    if exponent >= math.log(cfg.iter_max):
+    if exponent >= cfg._log_iter_max:
         return float(cfg.iter_max)
     return max(1.0, math.exp(exponent))
 
@@ -128,21 +139,19 @@ def update_tolerance(mu_bar: float, cfg: AdaptiveConfig) -> float:
     return cfg.b0 * mu_bar**cfg.gamma
 
 
-def _clamp(x: float, lo: float, hi: float) -> float:
-    return min(max(x, lo), hi)
-
-
 def update_step_sizes(
     state: CoworkerState, cfg: AdaptiveConfig, grad: np.ndarray, dev_sq: float
 ) -> tuple[float, float]:
     """Primal/dual step sizes scaled by omega and clipped into [eta_min, eta_max].
 
-    The primal step tracks the stochastic gradient magnitude, the dual step
-    the current constraint violation |dev_sq - tolerance|.
+    The primal step tracks the stochastic gradient norm ||grad||, the dual
+    step the current constraint violation |dev_sq - tolerance|.  The norm is
+    sqrt(grad.grad), the formula np.linalg.norm uses for a 1-D float vector,
+    so the value is the same to the bit.
     """
     om = omega(state.mu_bar, cfg)
-    eta0 = _clamp(om * float(np.linalg.norm(grad)), cfg.eta_min, cfg.eta_max)
-    eta1 = _clamp(om * abs(dev_sq - state.tolerance), cfg.eta_min, cfg.eta_max)
+    eta0 = min(max(om * math.sqrt(grad.dot(grad)), cfg.eta_min), cfg.eta_max)
+    eta1 = min(max(om * abs(dev_sq - state.tolerance), cfg.eta_min), cfg.eta_max)
     state.eta0, state.eta1 = eta0, eta1
     return eta0, eta1
 
@@ -150,16 +159,15 @@ def update_step_sizes(
 # ---------------- primal/dual iteration ---------------- #
 
 
-def primal_step(state: CoworkerState, grad: np.ndarray) -> None:
+def primal_step(state: CoworkerState, grad: np.ndarray, diff: np.ndarray) -> None:
     """Gradient step on the local model, pulled toward the last global model.
 
-    w <- w - eta0 * (lambda_last * grad + mu * (w - w_global_last)); the
-    proximity pull uses the pre-update w, matching a simultaneous update of
-    the primal and dual variables.
+    w <- w - eta0 * (lambda_last * grad + mu * diff), where ``diff`` is the
+    caller's w - w_global_last at the pre-update w, the same deviation the
+    dual step measures; this matches a simultaneous update of the primal and
+    dual variables.
     """
-    state.w = state.w - state.eta0 * (
-        state.lambda_last * grad + state.mu * (state.w - state.w_global_last)
-    )
+    state.w = state.w - state.eta0 * (state.lambda_last * grad + state.mu * diff)
 
 
 def dual_step(state: CoworkerState, dev_sq: float) -> float:
@@ -193,17 +201,26 @@ def run_single_iteration(
         return False
     grad = minibatch_gradient(model, state.w, *batch)
     diff = state.w - state.w_global_last
-    dev_sq = float(diff @ diff)
+    dev_sq = float(diff.dot(diff))
     update_step_sizes(state, cfg, grad, dev_sq)
-    primal_step(state, grad)
+    primal_step(state, grad, diff)
     dual_step(state, dev_sq)
     state.t_local += 1
     update_mu_average(state)
     evict_oldest_if_surplus(state.buffer)
     state.last_grad = grad
-    if not (np.isfinite(state.w).all() and math.isfinite(state.mu)):
+    if not (_all_finite(state.w) and math.isfinite(state.mu)):
         raise NumericDivergenceError(state.id, now)
     return True
+
+
+def _all_finite(v: np.ndarray) -> bool:
+    """Whether every entry of v is finite.
+
+    v.v is finite only when every entry is; the elementwise test settles
+    the rare case of finite entries whose squares overflow.
+    """
+    return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
 
 
 def finalize_cluster(state: CoworkerState, cfg: AdaptiveConfig) -> UplinkPayload:
@@ -220,28 +237,6 @@ def finalize_cluster(state: CoworkerState, cfg: AdaptiveConfig) -> UplinkPayload
     )
     state.iter_k = update_iter_count(state.mu_bar, cfg)
     return payload
-
-
-def run_iteration_cluster(
-    state: CoworkerState,
-    cfg: AdaptiveConfig,
-    model: LossModel,
-    rng: np.random.Generator,
-    now: float = float("nan"),
-) -> Optional[UplinkPayload]:
-    """Run a full cluster of iter_k iterations back to back and emit the payload.
-
-    Returns None without touching state when the buffer is not warm enough to
-    serve the first minibatch.  Used directly by tests and by callers that do
-    not need per-iteration timing; the event-driven engine reproduces exactly
-    this sequence one iteration at a time.
-    """
-    if not state.buffer.ready:
-        return None
-    for _ in range(state.iter_k):
-        if not run_single_iteration(state, cfg, model, rng, now):
-            raise RuntimeError("buffer went below one minibatch mid-cluster")
-    return finalize_cluster(state, cfg)
 
 
 # ---------------- feedback handlers ---------------- #

@@ -545,6 +545,20 @@ def _plain(obj: Any) -> Any:
     return obj
 
 
+def final_risk(exp: Experiment) -> Optional[float]:
+    """The global risk at the final w̄ under the final λ, or None with evaluation off.
+
+    Evaluated at the final model, so it exists whether or not the last
+    metrics row was due; the summary, ``afafed run`` and ``afafed sweep``
+    all report this one value.
+    """
+    engine = exp.engine
+    if engine.eval_every <= 0:
+        return None
+    return global_risk_arrays(exp.model, engine.server.w_global, engine.data,
+                              engine.server.lambdas)
+
+
 def summarize(exp: Experiment, result: RunResult,
               estimates: Optional[ParameterEstimates]) -> Dict[str, Any]:
     """Assemble the run summary written next to the metrics CSV."""
@@ -574,12 +588,7 @@ def summarize(exp: Experiment, result: RunResult,
             "i2_bar": float((iters**2).mean()) if iters.size else None,
         },
         "lambdas_final": engine.server.lambdas.tolist(),
-        # the global risk at the final w̄ under the final λ
-        "final_risk": (
-            global_risk_arrays(exp.model, engine.server.w_global, engine.data,
-                               engine.server.lambdas)
-            if engine.eval_every > 0 else None
-        ),
+        "final_risk": final_risk(exp),
         "mean_grad_sqnorm": (
             float(np.mean([r.grad_sqnorm for r in evaluated])) if evaluated else None
         ),

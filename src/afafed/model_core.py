@@ -146,10 +146,15 @@ def minibatch_gradient(
     """Gradient of ``risk_arrays``: the mean per-example gradient over the rows of (X, y).
 
     Over a sampled minibatch this is the stochastic gradient; over a whole
-    shard it is the exact local gradient.
+    shard it is the exact local gradient.  Shapes are not checked here, as
+    this runs once per local iteration: ``SimulationEngine`` checks w0 and
+    the shard widths once, at construction.  ``ndarray.dot`` has less call
+    overhead than ``@`` and gives the same bits here, which the golden
+    traces pin.
     """
-    _check_dims(model, w, X)
-    return (X.T @ _residuals(model, X @ w, y)) / X.shape[0]
+    g = X.T.dot(_residuals(model, X.dot(w), y))
+    g /= X.shape[0]
+    return g
 
 
 def global_risk_arrays(

@@ -288,8 +288,13 @@ class SimulationEngine:
         self.queue = EventQueue()
         self.now = 0.0
 
+        # the per-iteration gradient does not check shapes: w0 and the shard
+        # widths are checked here, once
+        self.w0 = np.array(w0, dtype=np.float64)
+        if self.w0.shape != (model.dim,):
+            raise ValueError(f"w0 has shape {self.w0.shape}, expected ({model.dim},)")
         lambdas = uniform_weights(k)
-        self.server = srv.ServerState(w_global=np.array(w0, dtype=np.float64), lambdas=lambdas)
+        self.server = srv.ServerState(w_global=self.w0.copy(), lambdas=lambdas)
         self.eval_weights = (
             lambdas.copy() if eval_weights is None else simplex_weights(eval_weights, k)
         )
@@ -300,7 +305,6 @@ class SimulationEngine:
             raise ValueError(
                 f"shards have {self.data.X.shape[1]} features, model.dim is {model.dim}"
             )
-        self.w0 = np.array(w0, dtype=np.float64)
 
         self.runtimes: List[_Runtime] = []
         for cid, (setup, shard) in enumerate(zip(setups, self.data.views())):
@@ -377,17 +381,21 @@ class SimulationEngine:
         coefficient delivered by (now, seq) in calendar order.
         """
         rt = self.runtimes[cid]
-        logged = self._coef_base + len(self._coef_log)
+        log, base = self._coef_log, self._coef_base
+        logged = base + len(log)
         if rt.phase == "computing":
+            state, rng, adaptive, model = rt.state, rt.rng_sample, self.adaptive, self.model
             dur = rt.setup.compute.iteration_duration
+            delay = rt.setup.link.downlink_delay
             while rt.iters_done < rt.iters_total:
                 boundary = rt.cluster_anchor + (rt.iters_done + 1) * dur
                 if boundary > now:
                     break
-                if rt.coef_cursor < logged:
+                # _delivered(cid, boundary, -1) passes the next entry exactly
+                # when it arrived strictly before the boundary
+                if rt.coef_cursor < logged and log[rt.coef_cursor - base].sent + delay < boundary:
                     self._adopt_coefficients(cid, boundary, -1)
-                ok = cw.run_single_iteration(rt.state, self.adaptive, self.model,
-                                             rt.rng_sample, now=boundary)
+                ok = cw.run_single_iteration(state, adaptive, model, rng, now=boundary)
                 if not ok:
                     raise RuntimeError(
                         f"coworker {cid} lost minibatch readiness mid-cluster at {boundary:.6g}"
@@ -396,7 +404,7 @@ class SimulationEngine:
                 rt.iterations += 1
                 self.iterations_total += 1
                 if self.iteration_hook is not None:
-                    self.iteration_hook(cid, rt.state)
+                    self.iteration_hook(cid, state)
         if rt.coef_cursor < logged:
             self._adopt_coefficients(cid, now, seq)
 

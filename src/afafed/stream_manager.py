@@ -90,5 +90,7 @@ def sample_minibatch(
     if buf.count < buf.minibatch_size:
         return None
     idx = rng.choice(buf.count, size=buf.minibatch_size, replace=False)
-    rows = (idx + (buf.next_arrival_index - buf.count)) % len(buf.y)
-    return buf.X[rows], buf.y[rows]
+    # entry i is arrival first + i, i.e. row (first + i) % n; reducing the
+    # shift first keeps every index below count + n, so the wrap is short
+    idx += (buf.next_arrival_index - buf.count) % len(buf.y)
+    return buf.X.take(idx, axis=0, mode="wrap"), buf.y.take(idx, mode="wrap")

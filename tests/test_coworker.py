@@ -1,9 +1,12 @@
 """Coworker-side iteration rules and cluster orchestration.
 
-The composite cluster is checked against a scripted replay of its
-sub-operations; the sub-operations themselves are pinned to hand-computed
-values.
+A cluster runs the way the engine runs it, ``iter_k`` calls of
+``run_single_iteration`` and then ``finalize_cluster``, and is checked bit
+for bit against a scripted replay that spells out the documented rules;
+the sub-operations themselves are pinned to hand-computed values.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -19,21 +22,15 @@ from afafed.coworker import (
     make_coworker,
     omega,
     primal_step,
-    run_iteration_cluster,
     run_single_iteration,
     update_iter_count,
     update_mu_average,
     update_step_sizes,
     update_tolerance,
 )
-from afafed.errors import ProtocolError
+from afafed.errors import NumericDivergenceError, ProtocolError
 from afafed.model_core import LossKind, LossModel, minibatch_gradient
-from afafed.stream_manager import (
-    StreamBuffer,
-    admit,
-    evict_oldest_if_surplus,
-    sample_minibatch,
-)
+from afafed.stream_manager import StreamBuffer, admit, sample_minibatch
 
 
 def warm_buffer(shard, capacity=None, minibatch=None):
@@ -58,6 +55,13 @@ def cold_buffer(capacity, minibatch, d=1):
     return StreamBuffer(np.ones((1, d)), np.ones(1), capacity=capacity, minibatch_size=minibatch)
 
 
+def run_cluster(state, cfg, model, rng):
+    """One cluster on the engine's path: iter_k single iterations, then finalize."""
+    for _ in range(state.iter_k):
+        assert run_single_iteration(state, cfg, model, rng)
+    return finalize_cluster(state, cfg)
+
+
 def fresh_state(**kw):
     defaults = dict(
         id=0,
@@ -76,7 +80,7 @@ def test_primal_step_hand_value():
     # bracket = 0.5*1 + 2*(1-0) = 2.5, step 0.1 -> decrement 0.25
     st = fresh_state(lambda_last=0.5, mu=2.0)
     st.eta0 = 0.1
-    primal_step(st, np.array([1.0]))
+    primal_step(st, np.array([1.0]), st.w - st.w_global_last)
     np.testing.assert_allclose(st.w, [0.75], rtol=0, atol=1e-15)
 
 
@@ -85,14 +89,14 @@ def test_primal_step_reduces_to_sgd_when_unconstrained():
                      lambda_last=1.0, mu=0.0)
     st.eta0 = 0.1
     g = np.array([3.0, -4.0])
-    primal_step(st, g)
+    primal_step(st, g, st.w - st.w_global_last)
     np.testing.assert_array_equal(st.w, np.array([2.0, -1.0]) - 0.1 * g)
 
 
 def test_primal_step_stationary_at_consensus():
     st = fresh_state(w=np.array([0.7]), w_global_last=np.array([0.7]), mu=5.0)
     st.eta0 = 0.3
-    primal_step(st, np.zeros(1))
+    primal_step(st, np.zeros(1), st.w - st.w_global_last)
     np.testing.assert_array_equal(st.w, [0.7])
 
 
@@ -235,59 +239,118 @@ def test_adaptive_config_validation():
 
 
 def scripted_cluster(state, cfg, model, rng):
-    """Reference replay: the documented sub-operation sequence, step by step."""
+    """Reference replay of one cluster, spelled out from the documented rules.
+
+    It calls no library rule: the minibatch is gathered with ``% n`` and
+    fancy indexing, the gradient is ``X.T @ r / m``, the norm is
+    ``np.linalg.norm``, omega takes ``math.log`` on every call, the step
+    sizes are clamped explicitly and the primal step recomputes
+    ``w - w_global_last``.  Only the library's tanh form of the sigmoid is
+    shared, so that the logistic residuals agree to the bit.
+    """
+    def omega_ref(mu_bar):
+        exponent = cfg.omega_c * mu_bar * math.log(cfg.omega_a)
+        if exponent >= math.log(cfg.iter_max):
+            return float(cfg.iter_max)
+        return max(1.0, math.exp(exponent))
+
+    def clamp(x):
+        return min(max(x, cfg.eta_min), cfg.eta_max)
+
+    buf = state.buffer
     for _ in range(state.iter_k):
-        batch = sample_minibatch(state.buffer, rng)
-        assert batch is not None
-        grad = minibatch_gradient(model, state.w, *batch)
+        assert buf.count >= buf.minibatch_size
+        idx = rng.choice(buf.count, size=buf.minibatch_size, replace=False)
+        rows = (idx + (buf.next_arrival_index - buf.count)) % len(buf.y)
+        X, y = buf.X[rows], buf.y[rows]
+        z = X @ state.w
+        if model.kind is LossKind.QUADRATIC:
+            r = z - y
+        else:
+            r = 0.5 * (1.0 + np.tanh(0.5 * z)) - y
+        grad = (X.T @ r) / X.shape[0]
         diff = state.w - state.w_global_last
         dev_sq = float(diff @ diff)
-        update_step_sizes(state, cfg, grad, dev_sq)
-        primal_step(state, grad)
-        dual_step(state, dev_sq)
+        om = omega_ref(state.mu_bar)
+        state.eta0 = clamp(om * float(np.linalg.norm(grad)))
+        state.eta1 = clamp(om * abs(dev_sq - state.tolerance))
+        state.w = state.w - state.eta0 * (
+            state.lambda_last * grad + state.mu * (state.w - state.w_global_last))
+        state.mu = max(0.0, state.mu + state.eta1 * (dev_sq - state.tolerance))
         state.t_local += 1
-        update_mu_average(state)
-        evict_oldest_if_surplus(state.buffer)
+        state.mu_sum += state.mu
+        state.mu_count += 1
+        state.mu_bar = state.mu_sum / state.mu_count
+        if buf.count > buf.minibatch_size:
+            buf.count -= 1
         state.last_grad = grad
     iters = state.iter_k
-    state.tolerance = update_tolerance(state.mu_bar, cfg)
+    state.tolerance = cfg.b0 * state.mu_bar**cfg.gamma if state.mu_bar > 0.0 else 0.0
     payload = dict(w=state.w.copy(), mu_bar=state.mu_bar,
                    timestamp=state.timestamp, iters=iters)
-    state.iter_k = update_iter_count(state.mu_bar, cfg)
+    state.iter_k = max(1, math.ceil(cfg.iter_max / omega_ref(state.mu_bar)))
     return payload
 
 
-def build_pair(seed, iter_max=6):
-    cfg = AdaptiveConfig(iter_max=iter_max, eta_min=0.01, eta_max=0.2)
-    model = LossModel(LossKind.QUADRATIC, 3)
-    data_rng = np.random.default_rng(seed)
-    shard = make_shard(data_rng, 20, 3)
+REPLAY_CASES = [
+    pytest.param(kind, lam, downlink,
+                 id=f"{kind.value}-lam{lam:g}-{'downlink' if downlink else 'w0'}")
+    for kind in LossKind for lam in (1.0, 0.37) for downlink in (False, True)
+]
+
+
+@pytest.mark.parametrize("kind, lambda_last, downlink", REPLAY_CASES)
+def test_cluster_equals_scripted_replay(kind, lambda_last, downlink):
+    d, n, capacity = 3, 9, 8
+    cfg = AdaptiveConfig(iter_max=6, omega_a=1.8, omega_c=0.7, b0=0.4, gamma=0.3,
+                         eta_min=0.01, eta_max=0.2)
+    model = LossModel(kind, d)
+    data_rng = np.random.default_rng(31)
+    X = data_rng.standard_normal((n, d))
+    y = (data_rng.random(n) < 0.5).astype(float) if kind is LossKind.LOGISTIC \
+        else data_rng.standard_normal(n)
+    w_global = data_rng.standard_normal(d)
     states = []
     for _ in range(2):
-        buf = warm_buffer(shard, capacity=20, minibatch=6)
-        states.append(make_coworker(0, np.zeros(3), buf, 1.0, cfg))
-    return cfg, model, states[0], states[1]
-
-
-def test_cluster_equals_scripted_replay():
-    cfg, model, st_a, st_b = build_pair(31)
+        # a shard shorter than the arrivals admitted: the window wraps
+        buf = StreamBuffer(X, y, capacity=capacity, minibatch_size=4)
+        for _ in range(2 * n + 3):
+            admit(buf)
+        st = make_coworker(0, np.zeros(d), buf, 1.0, cfg)
+        handle_fairness_broadcast(st, lambda_last)
+        if downlink:
+            handle_downlink(st, w_global, stamp=5)
+        states.append(st)
+    st_a, st_b = states
+    assert st_a.buffer.next_arrival_index > len(y)
     for round_idx in range(4):
-        payload = run_iteration_cluster(st_a, cfg, model, np.random.default_rng(100 + round_idx))
+        payload = run_cluster(st_a, cfg, model, np.random.default_rng(100 + round_idx))
         ref = scripted_cluster(st_b, cfg, model, np.random.default_rng(100 + round_idx))
         np.testing.assert_array_equal(st_a.w, st_b.w)
+        np.testing.assert_array_equal(st_a.last_grad, st_b.last_grad)
         np.testing.assert_array_equal(payload.w, ref["w"])
         assert payload.mu_bar == ref["mu_bar"]
         assert payload.timestamp == ref["timestamp"]
         assert payload.iters_in_cluster == ref["iters"]
-        assert st_a.mu == st_b.mu
-        assert st_a.mu_bar == st_b.mu_bar
+        assert (st_a.mu, st_a.mu_sum, st_a.mu_count, st_a.mu_bar) == \
+            (st_b.mu, st_b.mu_sum, st_b.mu_count, st_b.mu_bar)
+        assert (st_a.eta0, st_a.eta1) == (st_b.eta0, st_b.eta1)
         assert st_a.t_local == st_b.t_local
         assert st_a.tolerance == st_b.tolerance
         assert st_a.iter_k == st_b.iter_k
+        assert st_a.buffer.count == st_b.buffer.count
         # refill both buffers identically for the next round
-        while st_a.buffer.count < 20:
+        for _ in range(5):
             admit(st_a.buffer)
             admit(st_b.buffer)
+    assert st_a.mu > 0.0              # the proximity pull was exercised
+
+
+def build_state(seed, iter_max=6):
+    cfg = AdaptiveConfig(iter_max=iter_max, eta_min=0.01, eta_max=0.2)
+    model = LossModel(LossKind.QUADRATIC, 3)
+    buf = warm_buffer(make_shard(np.random.default_rng(seed), 20, 3), capacity=20, minibatch=6)
+    return cfg, model, make_coworker(0, np.zeros(3), buf, 1.0, cfg)
 
 
 def test_single_iteration_cluster_advances_clock_by_one():
@@ -297,7 +360,7 @@ def test_single_iteration_cluster_advances_clock_by_one():
     buf = warm_buffer(make_shard(rng, 8, 2), capacity=8, minibatch=4)
     st = make_coworker(3, np.zeros(2), buf, 1.0, cfg)
     st.timestamp = 7
-    payload = run_iteration_cluster(st, cfg, model, rng)
+    payload = run_cluster(st, cfg, model, rng)
     assert st.t_local == 1
     assert payload.sender == 3
     assert payload.iters_in_cluster == 1
@@ -305,12 +368,12 @@ def test_single_iteration_cluster_advances_clock_by_one():
 
 
 def test_clock_advances_by_iter_k_per_cluster():
-    cfg, model, st, _ = build_pair(41, iter_max=5)
+    cfg, model, st = build_state(41, iter_max=5)
     rng = np.random.default_rng(5)
     total = 0
     for _ in range(6):
         planned = st.iter_k
-        payload = run_iteration_cluster(st, cfg, model, rng)
+        payload = run_cluster(st, cfg, model, rng)
         total += payload.iters_in_cluster
         assert payload.iters_in_cluster == planned
         assert st.t_local == total
@@ -325,14 +388,19 @@ def test_cluster_refuses_cold_buffer():
     buf = cold_buffer(capacity=4, minibatch=3)
     admit(buf)
     st = make_coworker(0, np.zeros(1), buf, 1.0, cfg)
-    before = st.t_local
-    assert run_iteration_cluster(st, cfg, model, np.random.default_rng(0)) is None
-    assert st.t_local == before
+    before = (st.t_local, st.iter_k, st.mu)
+    # the engine starts no cluster on a cold buffer, and its first
+    # iteration refuses without drawing from the sampling stream
+    assert not buf.ready
+    rng = np.random.default_rng(0)
+    assert run_single_iteration(st, cfg, model, rng) is False
+    assert (st.t_local, st.iter_k, st.mu) == before
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_payload_is_isolated_from_later_mutation():
-    cfg, model, st, _ = build_pair(43)
-    payload = run_iteration_cluster(st, cfg, model, np.random.default_rng(1))
+    cfg, model, st = build_state(43)
+    payload = run_cluster(st, cfg, model, np.random.default_rng(1))
     snapshot = payload.w.copy()
     st.w += 100.0
     np.testing.assert_array_equal(payload.w, snapshot)
@@ -393,7 +461,7 @@ def test_zero_coefficient_leaves_only_proximity_pull():
     st = fresh_state(w=np.array([3.0]), w_global_last=np.array([1.0]), mu=2.0)
     handle_fairness_broadcast(st, 0.0)
     st.eta0 = 0.25
-    primal_step(st, np.array([1000.0]))      # gradient must be ignored
+    primal_step(st, np.array([1000.0]), st.w - st.w_global_last)   # gradient ignored
     np.testing.assert_allclose(st.w, [3.0 - 0.25 * 2.0 * 2.0])
 
 
@@ -447,3 +515,18 @@ def test_complementary_slackness_time_average():
     peak = np.abs(products).max()
     tail = products[len(products) // 2:]
     assert abs(tail.mean()) <= 0.05 * peak
+
+
+def test_huge_but_finite_model_is_not_a_divergence():
+    # w.w overflows to inf although every entry is finite: the finiteness
+    # check must fall back to the entries and let the iteration stand
+    cfg = AdaptiveConfig(iter_max=1, eta_min=1e-3, eta_max=1e-3)
+    model = LossModel(LossKind.QUADRATIC, 2)
+    buf = warm_buffer((np.full((4, 2), 1e-3), np.zeros(4)), capacity=4, minibatch=2)
+    st = make_coworker(0, np.full(2, 1e200), buf, 1.0, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_single_iteration(st, cfg, model, np.random.default_rng(0))
+        assert np.isfinite(st.w).all() and st.w[0] > 1e199
+        st.w_global_last = np.full(2, -np.inf)    # the deviation diverges the multiplier
+        with pytest.raises(NumericDivergenceError):
+            run_single_iteration(st, cfg, model, np.random.default_rng(0))

@@ -772,6 +772,63 @@ def test_cli_sweep_runs_the_grid(tmp_path):
         assert (out / cell / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("every", [3, 0])
+def test_final_risk_is_one_value_in_stdout_summary_and_sweep(tmp_path, capsys, every):
+    doc = small_doc(eval={"every": every}, sim={"T": 10})
+    assert cli.main(["run", "--config", write_cfg(tmp_path, doc), "--out",
+                     str(tmp_path / "run")]) == 0
+    printed = capsys.readouterr().out.split("final_risk=")[1].split()[0]
+    summary = yaml.safe_load((tmp_path / "run" / "summary.yaml").read_text())
+    doc["sweep"] = {"seeds": [doc["sim"]["seed"]]}
+    assert cli.main(["sweep", "--config", write_cfg(tmp_path, doc, "sweep.yaml"), "--out",
+                     str(tmp_path / "sweep")]) == 0
+    capsys.readouterr()
+    (row,) = yaml.safe_load((tmp_path / "sweep" / "sweep.yaml").read_text())
+    if every:
+        # the last row (t = 10) was not due, yet all three report the final risk
+        assert summary["final_risk"] is not None
+        assert row["final_risk"] == summary["final_risk"]
+        assert printed == f"{summary['final_risk']:.6g}"
+    else:
+        assert summary["final_risk"] is None and row["final_risk"] is None
+        assert printed == "n/a"
+
+
+def test_cli_sweep_checks_every_cell_before_running_any(tmp_path, capsys):
+    doc = small_doc(sim={"T": 5})
+    doc["sweep"] = {"seeds": [1], "grid": {"mixing.beta_max": [0.9, 1.5]}}
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: sweep.grid.mixing.beta_max[1]: ")
+    assert not out.exists()           # no cell directory, no sweep.yaml
+
+
+def test_cli_sweep_names_the_grid_keys_of_a_bad_combination(tmp_path, capsys):
+    doc = small_doc(sim={"T": 5})
+    doc["sweep"] = {"grid": {"mixing.beta_min": [0.2, 0.8], "mixing.beta_max": [0.5]}}
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: "
+                          "sweep.grid.mixing.beta_max[0], sweep.grid.mixing.beta_min[1]: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sweep, key", [
+    ({"seeds": 5}, "sweep.seeds"),
+    ({"grid": [1, 2]}, "sweep.grid"),
+    ({"grid": {"mixing.beta_max": 0.5}}, "sweep.grid.mixing.beta_max"),
+])
+def test_cli_sweep_refuses_malformed_sections(tmp_path, capsys, sweep, key):
+    doc = small_doc(sim={"T": 5})
+    doc["sweep"] = sweep
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {key}: ")
+    assert not out.exists()
+
+
 def test_cli_sweep_needs_a_sweep_section(tmp_path, capsys):
     cfg = write_cfg(tmp_path, small_doc())
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "x")]) == 2

@@ -1,5 +1,7 @@
 """Event engine: determinism, timing, losses, stalls, and broadcast semantics."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,7 @@ def build_engine(
     adaptive_kw=None,
     mixing_kw=None,
     timer_factor=3.0,
+    w0=None,
     **engine_kw,
 ):
     rng = np.random.default_rng(seed + 999)
@@ -65,7 +68,7 @@ def build_engine(
     adaptive = AdaptiveConfig(iter_max=iter_max, **(adaptive_kw or {}))
     mixing = MixingConfig(**(mixing_kw or {}))
     return SimulationEngine(model=model, setups=setups, adaptive=adaptive,
-                            mixing=mixing, w0=np.zeros(2), seed=seed,
+                            mixing=mixing, w0=np.zeros(2) if w0 is None else w0, seed=seed,
                             timer_factor=timer_factor, **engine_kw)
 
 
@@ -214,6 +217,14 @@ def test_eval_columns_straddle_the_aggregation():
         assert row.grad_sqnorm == pytest.approx(float(g @ g), rel=1e-12)
         assert row.global_risk == pytest.approx(risk, rel=1e-12)
         w_before = w_after
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 1)])
+def test_w0_of_the_wrong_shape_is_refused_at_construction(shape):
+    # the per-iteration gradient does not check shapes; construction does
+    expected = rf"w0 has shape {re.escape(str(shape))}, expected \(2,\)"
+    with pytest.raises(ValueError, match=expected):
+        build_engine(w0=np.zeros(shape))
 
 
 def test_eval_weights_of_the_wrong_length_are_refused_at_construction():

@@ -1,0 +1,66 @@
+"""The benchmark tracer still finds every iteration-layer function it wraps.
+
+``perfbench/tracer.py`` wraps library functions by name; a function that is
+renamed or inlined away is only listed in ``Tracer.absent`` and its per-layer
+metrics silently read 0.  This runs a tiny engine under the tracer and checks
+that the iteration layer is still seen, call for call.
+"""
+
+from pathlib import Path
+
+import numpy as np
+
+from afafed.coworker import AdaptiveConfig
+from afafed.model_core import LossKind, LossModel
+from afafed.network_sim import (
+    ArrivalProcess,
+    ComputeModel,
+    CoworkerSetup,
+    LinkModel,
+    SimulationEngine,
+)
+from afafed.server import MixingConfig
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+ITERATION_HOOKS = (
+    "coworker.run_single_iteration",
+    "stream_manager.sample_minibatch",
+    "stream_manager.evict_oldest_if_surplus",
+    "model_core.minibatch_gradient",
+    "coworker.handle_fairness_broadcast",
+)
+
+
+def tiny_engine():
+    rng = np.random.default_rng(5)
+    setups = [
+        CoworkerSetup(
+            shard=(rng.standard_normal((10, 2)), rng.standard_normal(10)),
+            link=LinkModel(p_loss=0.2, rate=100.0, payload_bits=10.0, downlink_delay=0.01),
+            compute=ComputeModel(speed=10.0 * (cid + 1), cycles_per_iteration=10.0),
+            arrivals=ArrivalProcess(kind="poisson", rate=20.0),
+            capacity=8,
+            minibatch=4,
+        )
+        for cid in range(3)
+    ]
+    return SimulationEngine(model=LossModel(LossKind.QUADRATIC, 2), setups=setups,
+                            adaptive=AdaptiveConfig(iter_max=4), mixing=MixingConfig(),
+                            w0=np.zeros(2), seed=7)
+
+
+def test_tracer_sees_every_iteration_layer_call(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    with Tracer() as tracer:
+        result = tiny_engine().run(aggregations=30)
+    missing = [name for name in ITERATION_HOOKS if name in tracer.absent]
+    assert not missing, f"the tracer no longer finds {missing}"
+    metrics = tracer.metrics()
+    assert result.iterations_total > 0
+    assert metrics["coworker.iterations"][0] == result.iterations_total
+    assert metrics["stream_manager.samples"][0] == result.iterations_total
+    assert metrics["model_core.minibatch_grads"][0] == result.iterations_total
+    assert metrics["coworker.broadcasts_applied"][0] > 0
