@@ -27,7 +27,6 @@ from .model_core import (
     global_risk_arrays,
     jain_fairness_index,
     minibatch_gradient,
-    normalized_weights,
     quadratic_global_minimum,
     risk_arrays,
     smoothness_constant,
@@ -87,7 +86,6 @@ __all__ = [
     "jain_fairness_index",
     "make_coworker",
     "minibatch_gradient",
-    "normalized_weights",
     "process_uplink",
     "quadratic_global_minimum",
     "record_aggregation",

@@ -63,9 +63,9 @@ def _fmt_risk(risk: Optional[float]) -> str:
 def _cmd_run(args: argparse.Namespace, profiling: bool) -> int:
     cfg = _load(args.config, args.seed)
     exp, result, estimates = harness.run_experiment(cfg, enable_profiling=profiling)
-    harness.write_outputs(args.out, exp, result, estimates)
+    summary = harness.write_outputs(args.out, exp, result, estimates)
     print(f"aggregations={result.aggregations} final_time={result.final_time:.6g} "
-          f"final_risk={_fmt_risk(harness.final_risk(exp))}")
+          f"final_risk={_fmt_risk(summary['final_risk'])}")
     if estimates is not None:
         print(f"estimates: c_hat={estimates.c_hat} gamma_hat={estimates.gamma_hat} "
               f"a_hat={estimates.a_hat} feasible={estimates.feasible}")
@@ -106,6 +106,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     seeds = sweep.get("seeds", [])
     if not isinstance(seeds, list):
         raise ConfigError(f"sweep.seeds: need a list of seeds, got {seeds!r}")
+    # a bad seed is named by its place in the sweep, not by sim.seed alone
+    seed_key = harness.CONFIG_SCHEMA["sim"].type["seed"]
+    for i, seed in enumerate(seeds):
+        try:
+            harness._value(seed_key, seed, "sim.seed")
+        except ConfigError as exc:
+            raise ConfigError(f"sweep.seeds[{i}]: {exc}") from None
     if args.seed is not None:
         seeds = [args.seed]
     if not seeds:
@@ -123,8 +130,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     index_rows = []
     for label, seed, values, cfg in cells:
         exp, result, estimates = harness.run_experiment(cfg)
-        harness.write_outputs(os.path.join(args.out, label), exp, result, estimates)
-        final = harness.final_risk(exp)
+        summary = harness.write_outputs(os.path.join(args.out, label), exp, result, estimates)
+        final = summary["final_risk"]
         index_rows.append({
             "cell": label, "seed": seed, **values,
             "aggregations": result.aggregations,

@@ -86,7 +86,6 @@ class CoworkerState:
     timestamp: int = 0
     t_local: int = 0
     iter_k: int = 1
-    timer_deadline: Optional[float] = None
     eta0: float = 0.0
     eta1: float = 0.0
     last_grad: Optional[np.ndarray] = None
@@ -243,16 +242,10 @@ def finalize_cluster(state: CoworkerState, cfg: AdaptiveConfig) -> UplinkPayload
 
 
 def handle_downlink(state: CoworkerState, w_global: np.ndarray, stamp: int) -> None:
-    """Adopt a fresh global model: restart from it and disarm the timer."""
+    """Adopt a fresh global model: restart from it."""
     state.timestamp = stamp
     state.w_global_last = w_global.copy()
     state.w = w_global.copy()
-    state.timer_deadline = None
-
-
-def handle_timer_expiry(state: CoworkerState) -> None:
-    """Give up on the pending uplink; the next cluster continues from local state."""
-    state.timer_deadline = None
 
 
 def handle_fairness_broadcast(state: CoworkerState, lambda_k: float) -> None:

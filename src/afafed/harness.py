@@ -385,13 +385,12 @@ def build_experiment(
     cfg: Dict[str, Any],
     enable_profiling: bool = False,
     eval_weights: Optional[np.ndarray] = None,
-    iteration_hook=None,
-    aggregation_hook=None,
 ) -> Experiment:
     """Validate the resolved config and construct the simulation engine.
 
     The config is checked against ``CONFIG_SCHEMA``; ``Experiment.cfg`` is
-    the checked copy, with every number coerced to its key's type.
+    the checked copy, with every number coerced to its key's type.  Hooks
+    attach to ``Experiment.engine`` (``iteration_hook``, ``aggregation_hook``).
     """
     cfg = _check(CONFIG_SCHEMA, cfg, "")
     kind = cfg["model"]["kind"]
@@ -485,8 +484,6 @@ def build_experiment(
         eval_weights=eval_weights,
         enable_profiling=enable_profiling,
         timer_factor=cfg["link"]["timer_factor"],
-        iteration_hook=iteration_hook,
-        aggregation_hook=aggregation_hook,
     )
     return Experiment(cfg=cfg, model=model, engine=engine)
 
@@ -611,12 +608,15 @@ def summarize(exp: Experiment, result: RunResult,
 
 
 def write_outputs(out_dir: str, exp: Experiment, result: RunResult,
-                  estimates: Optional[ParameterEstimates]) -> None:
+                  estimates: Optional[ParameterEstimates]) -> Dict[str, Any]:
+    """Write metrics.csv and summary.yaml; returns the summary it wrote."""
+    summary = summarize(exp, result, estimates)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8") as fh:
         fh.write(metrics_csv_text(result.rows))
     with open(os.path.join(out_dir, "summary.yaml"), "w", encoding="utf-8") as fh:
-        yaml.safe_dump(summarize(exp, result, estimates), fh, sort_keys=True)
+        yaml.safe_dump(summary, fh, sort_keys=True)
+    return summary
 
 
 # ---------------- bound evaluation from a parameter file ---------------- #

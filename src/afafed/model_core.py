@@ -183,17 +183,6 @@ def uniform_weights(k: int) -> np.ndarray:
     return np.full(k, 1.0 / k)
 
 
-def normalized_weights(raw: np.ndarray) -> np.ndarray:
-    """Project raw non-negative weights onto the unit simplex by rescaling."""
-    raw = np.asarray(raw, dtype=np.float64)
-    if np.any(raw < 0.0):
-        raise ValueError("fairness weights must be non-negative")
-    total = raw.sum()
-    if total <= 0.0:
-        raise ValueError("fairness weights sum to zero")
-    return raw / total
-
-
 def check_weights(weights: np.ndarray, tol: float = 1e-12) -> None:
     """Assert the simplex invariant: non-negative entries summing to 1 within tol."""
     if np.any(weights < 0.0):

@@ -6,7 +6,9 @@ with a per-coworker Bernoulli probability and otherwise arrive after a
 rate-derived delay; model downlinks are lossless.  Local iterations are
 timed individually: a cluster occupies a span of virtual time and every
 event addressed to a coworker first advances its cluster to the iteration
-boundary at or before the event.
+boundary at or before the event.  Clusters and timeouts are identified by
+per-coworker tokens: a completion or expiry whose token is no longer current
+is stale and ignored.
 
 Fairness coefficients are not calendar events.  Each coefficient change is
 appended once to a log of (send time, coefficients, queue position) entries,
@@ -58,10 +60,11 @@ class EventKind(enum.Enum):
     TIMER_EXPIRY = "timer_expiry"
 
 
-@dataclass
-class SimEvent:
+class SimEvent(NamedTuple):
+    """A calendar event; it is its own heap entry, ordered by (time, seq)."""
+
     time: float
-    seq: int
+    seq: int                        # insertion sequence: unique, so kind is never compared
     kind: EventKind
     coworker: int
     payload: object = None
@@ -72,25 +75,22 @@ class EventQueue:
     """Priority queue ordered by (time, insertion sequence)."""
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, SimEvent]] = []
+        self._heap: List[SimEvent] = []
         self._seq = 0
 
     def push(
         self, time: float, kind: EventKind, coworker: int, payload: object = None, token: int = -1
-    ) -> SimEvent:
-        ev = SimEvent(time=time, seq=self._seq, kind=kind, coworker=coworker,
-                      payload=payload, token=token)
-        heapq.heappush(self._heap, (time, self._seq, ev))
+    ) -> None:
+        heapq.heappush(self._heap, SimEvent(time, self._seq, kind, coworker, payload, token))
         self._seq += 1
-        return ev
 
     def pop(self) -> Optional[SimEvent]:
         if not self._heap:
             return None
-        return heapq.heappop(self._heap)[2]
+        return heapq.heappop(self._heap)
 
     def peek_time(self) -> Optional[float]:
-        return self._heap[0][0] if self._heap else None
+        return self._heap[0].time if self._heap else None
 
     @property
     def next_seq(self) -> int:
@@ -187,7 +187,12 @@ class CoworkerSetup:
 
 @dataclass
 class _Runtime:
-    """Engine-side bookkeeping for one coworker (not protocol state)."""
+    """Engine-side bookkeeping for one coworker (not protocol state).
+
+    Facts the protocol state already holds are read from it: iterations run
+    (``state.t_local``), arrivals admitted (``state.buffer.next_arrival_index``)
+    and the length of the current cluster (``state.iter_k``).
+    """
 
     state: cw.CoworkerState
     setup: CoworkerSetup
@@ -198,13 +203,9 @@ class _Runtime:
     phase: str = "stalled"          # stalled | computing | waiting
     cluster_token: int = 0
     timer_token: int = 0
-    iters_total: int = 0
     iters_done: int = 0
-    cluster_anchor: float = 0.0
-    arrival_count: int = 0
-    iterations: int = 0
+    cluster_anchor: float = 0.0     # start time of the current cluster
     stalls: int = 0
-    first_ready_time: Optional[float] = None
     coef_cursor: int = 0            # absolute index of the first unapplied log entry
 
 
@@ -258,6 +259,9 @@ class SimulationEngine:
     for one coworker come in its iteration order; calls for different
     coworkers may interleave in any order, because iterations run lazily
     when an event or a coefficient flush reaches their coworker.
+    ``aggregation_hook(server, record)`` runs after every aggregation.  Both
+    are read as attributes when they are due, so they may be set after
+    construction.
     """
 
     def __init__(
@@ -324,7 +328,6 @@ class SimulationEngine:
         self.rows: List[MetricsRow] = []
         self.uplink_attempts = 0
         self.uplink_drops = 0
-        self.iterations_total = 0
         self.accepted_by = np.zeros(k, dtype=np.int64)
         self.iters_per_acceptance: List[int] = []
         self.events_processed = 0
@@ -354,9 +357,10 @@ class SimulationEngine:
         elif proc.kind == "periodic":
             t = now + proc.interval
         else:  # trace: absolute times, finite stream
-            if rt.arrival_count >= len(proc.times):
+            index = rt.state.buffer.next_arrival_index
+            if index >= len(proc.times):
                 return
-            t = proc.times[rt.arrival_count]
+            t = proc.times[index]
         self.queue.push(t, EventKind.DATA_ARRIVAL, cid)
 
     def _start_cluster(self, cid: int, now: float) -> None:
@@ -367,10 +371,9 @@ class SimulationEngine:
             return
         rt.phase = "computing"
         rt.cluster_token += 1
-        rt.iters_total = rt.state.iter_k
         rt.iters_done = 0
         rt.cluster_anchor = now
-        end = now + rt.iters_total * rt.setup.compute.iteration_duration
+        end = now + rt.state.iter_k * rt.setup.compute.iteration_duration
         self.queue.push(end, EventKind.CLUSTER_COMPLETE, cid, token=rt.cluster_token)
 
     def _catch_up(self, cid: int, now: float, seq: int) -> None:
@@ -387,7 +390,7 @@ class SimulationEngine:
             state, rng, adaptive, model = rt.state, rt.rng_sample, self.adaptive, self.model
             dur = rt.setup.compute.iteration_duration
             delay = rt.setup.link.downlink_delay
-            while rt.iters_done < rt.iters_total:
+            while rt.iters_done < state.iter_k:
                 boundary = rt.cluster_anchor + (rt.iters_done + 1) * dur
                 if boundary > now:
                     break
@@ -401,8 +404,6 @@ class SimulationEngine:
                         f"coworker {cid} lost minibatch readiness mid-cluster at {boundary:.6g}"
                     )
                 rt.iters_done += 1
-                rt.iterations += 1
-                self.iterations_total += 1
                 if self.iteration_hook is not None:
                     self.iteration_hook(cid, state)
         if rt.coef_cursor < logged:
@@ -459,9 +460,6 @@ class SimulationEngine:
         rt = self.runtimes[cid]
         self._catch_up(cid, ev.time, ev.seq)
         admit(rt.state.buffer)
-        rt.arrival_count += 1
-        if rt.first_ready_time is None and rt.state.buffer.ready:
-            rt.first_ready_time = ev.time
         self._schedule_next_arrival(cid, ev.time)
         if rt.phase == "stalled" and rt.state.buffer.ready:
             self._start_cluster(cid, ev.time)
@@ -472,7 +470,7 @@ class SimulationEngine:
         if rt.phase != "computing" or ev.token != rt.cluster_token:
             return  # the cluster was aborted by a downlink
         self._catch_up(cid, ev.time, ev.seq)
-        if rt.iters_done != rt.iters_total:
+        if rt.iters_done != rt.state.iter_k:
             raise RuntimeError("cluster completion fired before all iterations elapsed")
         payload = cw.finalize_cluster(rt.state, self.adaptive)
         self.uplink_attempts += 1
@@ -482,8 +480,7 @@ class SimulationEngine:
         else:
             self.queue.push(ev.time + delay, EventKind.UPLINK_DELIVERY, cid, payload=payload)
         rt.timer_token += 1
-        rt.state.timer_deadline = ev.time + rt.timer_duration
-        self.queue.push(rt.state.timer_deadline, EventKind.TIMER_EXPIRY, cid,
+        self.queue.push(ev.time + rt.timer_duration, EventKind.TIMER_EXPIRY, cid,
                         token=rt.timer_token)
         rt.phase = "waiting"
 
@@ -531,19 +528,17 @@ class SimulationEngine:
         w_global, stamp = ev.payload
         cw.handle_downlink(rt.state, w_global, stamp)
         rt.timer_token += 1      # any pending timeout is now stale
-        if rt.phase == "computing":
-            rt.cluster_token += 1    # abort the in-flight cluster and restart fresh
+        # a new cluster aborts an in-flight one (its token changes); a
+        # stalled coworker keeps waiting for buffer warm-up
+        if rt.phase != "stalled":
             self._start_cluster(cid, ev.time)
-        elif rt.phase == "waiting":
-            self._start_cluster(cid, ev.time)
-        # stalled: state refreshed, cluster still waits for buffer warm-up
 
     def _on_timer_expiry(self, ev: SimEvent) -> None:
         cid = ev.coworker
         rt = self.runtimes[cid]
         if ev.token != rt.timer_token or rt.phase != "waiting":
             return
-        cw.handle_timer_expiry(rt.state)
+        # give up on the pending uplink; the next cluster continues from local state
         self._start_cluster(cid, ev.time)
 
     # ---------------- main loop ---------------- #
@@ -603,15 +598,13 @@ class SimulationEngine:
             handlers[ev.kind](ev)
             self.events_processed += 1
         self._flush_coefficients(stop_time, stop_seq)
-        if self.profiling_log is not None:
-            self.profiling_log.w_end = self.server.w_global.copy()
         return RunResult(
             rows=self.rows,
             aggregations=self.server.t,
             uplink_attempts=self.uplink_attempts,
             uplink_drops=self.uplink_drops,
             stall_events=sum(rt.stalls for rt in self.runtimes),
-            iterations_total=self.iterations_total,
+            iterations_total=sum(rt.state.t_local for rt in self.runtimes),
             accepted_by=self.accepted_by.copy(),
             iters_per_acceptance=list(self.iters_per_acceptance),
             final_time=self.now,

@@ -23,7 +23,7 @@ class ProfilingLog:
 
     dim: int
     w_start: np.ndarray
-    w_end: Optional[np.ndarray] = None
+    w_end: Optional[np.ndarray] = None   # set by the engine's profiling epilogue
     g_sum: np.ndarray = None          # type: ignore[assignment]
     g_norm_sum: float = 0.0
     g_sqnorm_sum: float = 0.0

@@ -18,7 +18,6 @@ from afafed.coworker import (
     finalize_cluster,
     handle_downlink,
     handle_fairness_broadcast,
-    handle_timer_expiry,
     make_coworker,
     omega,
     primal_step,
@@ -423,26 +422,14 @@ def test_not_ready_single_iteration_leaves_state_untouched():
 
 def test_downlink_resets_model_and_disarms_timer():
     st = fresh_state(w=np.array([5.0]), mu=1.5)
-    st.timer_deadline = 9.0
     incoming = np.array([2.0])
     handle_downlink(st, incoming, stamp=11)
     assert st.timestamp == 11
     assert np.linalg.norm(st.w - st.w_global_last) == 0.0
     np.testing.assert_array_equal(st.w, [2.0])
-    assert st.timer_deadline is None
     assert st.mu == 1.5                      # multipliers survive a reset
     incoming[0] = 99.0                       # caller's array is not aliased
     np.testing.assert_array_equal(st.w, [2.0])
-
-
-def test_timer_expiry_only_disarms():
-    st = fresh_state(w=np.array([5.0]), mu=2.0)
-    st.timer_deadline = 4.0
-    w_before = st.w.copy()
-    handle_timer_expiry(st)
-    assert st.timer_deadline is None
-    np.testing.assert_array_equal(st.w, w_before)
-    assert st.mu == 2.0
 
 
 def test_fairness_broadcast_bounds():

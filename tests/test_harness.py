@@ -224,8 +224,9 @@ def _run_recording(cfg):
     message (None without one).
     """
     seen = []
-    exp = build_experiment(cfg, aggregation_hook=lambda server, record: seen.append(
-        (server.lambdas.copy(), record.beta)))
+    exp = build_experiment(cfg)
+    exp.engine.aggregation_hook = lambda server, record: seen.append(
+        (server.lambdas.copy(), record.beta))
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             result = exp.engine.run(aggregations=cfg["sim"]["T"],
@@ -794,6 +795,22 @@ def test_final_risk_is_one_value_in_stdout_summary_and_sweep(tmp_path, capsys, e
         assert printed == "n/a"
 
 
+def test_cli_run_evaluates_the_final_risk_once(tmp_path, monkeypatch):
+    # the engine evaluates due rows through its own binding; every call of
+    # the harness binding is a final-risk evaluation
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return global_risk_arrays(*args, **kwargs)
+
+    monkeypatch.setattr("afafed.harness.global_risk_arrays", counted)
+    doc = small_doc(eval={"every": 3}, sim={"T": 10})
+    assert cli.main(["run", "--config", write_cfg(tmp_path, doc), "--out",
+                     str(tmp_path / "run")]) == 0
+    assert len(calls) == 1
+
+
 def test_cli_sweep_checks_every_cell_before_running_any(tmp_path, capsys):
     doc = small_doc(sim={"T": 5})
     doc["sweep"] = {"seeds": [1], "grid": {"mixing.beta_max": [0.9, 1.5]}}
@@ -819,6 +836,8 @@ def test_cli_sweep_names_the_grid_keys_of_a_bad_combination(tmp_path, capsys):
     ({"seeds": 5}, "sweep.seeds"),
     ({"grid": [1, 2]}, "sweep.grid"),
     ({"grid": {"mixing.beta_max": 0.5}}, "sweep.grid.mixing.beta_max"),
+    ({"seeds": ["x"]}, "sweep.seeds[0]: sim.seed"),
+    ({"seeds": [1, -1], "grid": {"mixing.beta_max": [0.9]}}, "sweep.seeds[1]: sim.seed"),
 ])
 def test_cli_sweep_refuses_malformed_sections(tmp_path, capsys, sweep, key):
     doc = small_doc(sim={"T": 5})
@@ -826,6 +845,16 @@ def test_cli_sweep_refuses_malformed_sections(tmp_path, capsys, sweep, key):
     out = tmp_path / "sweep"
     assert cli.main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"configuration error: {key}: ")
+    assert not out.exists()
+
+
+def test_cli_sweep_names_a_bad_seed_by_its_place_with_the_schema_message(tmp_path, capsys):
+    doc = small_doc(sim={"T": 5})
+    doc["sweep"] = {"seeds": [2, "x"]}
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: sweep.seeds[1]: sim.seed: expected a number, got 'x'\n")
     assert not out.exists()
 
 

@@ -20,7 +20,6 @@ from afafed.model_core import (
     global_risk_arrays,
     jain_fairness_index,
     minibatch_gradient,
-    normalized_weights,
     quadratic_global_minimum,
     risk_arrays,
     shard_smoothness,
@@ -126,7 +125,8 @@ def test_global_arrays_match_per_shard_sums():
         arrays = [make_shard(rng, n, 4, kind) for n in (9, 1, 23, 5)]
         data = stack_shards(arrays)
         for _ in range(10):
-            lam = normalized_weights(rng.uniform(0.1, 1.0, size=4))
+            raw = rng.uniform(0.1, 1.0, size=4)
+            lam = raw / raw.sum()
             w = rng.standard_normal(4)
             risk = sum(l * risk_arrays(model, w, X, y) for l, (X, y) in zip(lam, arrays))
             grad = sum(l * minibatch_gradient(model, w, X, y) for l, (X, y) in zip(lam, arrays))
@@ -159,7 +159,8 @@ def test_global_risk_matches_the_reference_formulas():
         data = stack_shards([make_shard(rng, n, 4, kind) for n in sizes])
         for scale in (0.1, 1.0, 30.0):          # 30: scores far into both tails
             for _ in range(10):
-                lam = normalized_weights(rng.uniform(0.0, 1.0, size=len(sizes)))
+                raw = rng.uniform(0.0, 1.0, size=len(sizes))
+                lam = raw / raw.sum()
                 w = scale * rng.standard_normal(4)
                 got = global_risk_arrays(model, w, data, lam)
                 assert got == pytest.approx(reference_global_risk(model, w, data, lam),
@@ -282,7 +283,8 @@ def test_quadratic_global_minimum_is_stationary_and_minimal():
     rng = np.random.default_rng(51)
     model = LossModel(LossKind.QUADRATIC, 4)
     data = stack_shards([make_shard(rng, n, 4, LossKind.QUADRATIC) for n in (20, 12, 31)])
-    lam = normalized_weights(rng.uniform(0.2, 1.0, size=3))
+    raw = rng.uniform(0.2, 1.0, size=3)
+    lam = raw / raw.sum()
     w_star, f_star = quadratic_global_minimum(data, lam)
     g = global_gradient_arrays(model, w_star, data, lam)
     assert np.linalg.norm(g) <= 1e-10
@@ -321,12 +323,6 @@ def test_weight_helpers():
     u = uniform_weights(4)
     check_weights(u)
     np.testing.assert_allclose(u, 0.25)
-    n = normalized_weights(np.array([2.0, 6.0]))
-    np.testing.assert_allclose(n, [0.25, 0.75])
-    with pytest.raises(ValueError):
-        normalized_weights(np.array([1.0, -0.1]))
-    with pytest.raises(ValueError):
-        normalized_weights(np.zeros(2))
     with pytest.raises(ValueError):
         check_weights(np.array([0.6, 0.6]))
     with pytest.raises(ValueError):

@@ -20,6 +20,8 @@ from afafed.network_sim import (
     ArrivalProcess,
     ComputeModel,
     CoworkerSetup,
+    EventKind,
+    EventQueue,
     LinkModel,
     SimulationEngine,
 )
@@ -70,6 +72,53 @@ def build_engine(
     return SimulationEngine(model=model, setups=setups, adaptive=adaptive,
                             mixing=mixing, w0=np.zeros(2) if w0 is None else w0, seed=seed,
                             timer_factor=timer_factor, **engine_kw)
+
+
+# ---------------- event queue ---------------- #
+
+
+def test_event_queue_pops_ties_in_push_order_across_kinds():
+    q = EventQueue()
+    q.push(1.0, EventKind.TIMER_EXPIRY, 2, token=7)
+    q.push(0.5, EventKind.UPLINK_DELIVERY, 0, payload="p")
+    q.push(1.0, EventKind.DATA_ARRIVAL, 1)
+    q.push(1.0, EventKind.CLUSTER_COMPLETE, 0, token=3)
+    popped = [q.pop() for _ in range(4)]
+    assert [(e.time, e.seq, e.kind) for e in popped] == [
+        (0.5, 1, EventKind.UPLINK_DELIVERY),
+        (1.0, 0, EventKind.TIMER_EXPIRY),
+        (1.0, 2, EventKind.DATA_ARRIVAL),
+        (1.0, 3, EventKind.CLUSTER_COMPLETE),
+    ]
+    assert q.pop() is None
+
+
+def test_event_queue_peek_and_next_seq_track_pushes_and_pops():
+    q = EventQueue()
+    assert (q.peek_time(), q.next_seq, len(q)) == (None, 0, 0)
+    q.push(2.0, EventKind.DATA_ARRIVAL, 0)
+    q.push(1.5, EventKind.DOWNLINK_DELIVERY, 1)
+    assert (q.peek_time(), q.next_seq, len(q)) == (1.5, 2, 2)
+    q.pop()
+    assert (q.peek_time(), q.next_seq, len(q)) == (2.0, 2, 1)
+    q.pop()
+    assert (q.peek_time(), q.next_seq, len(q)) == (None, 2, 0)
+    q.push(0.0, EventKind.DATA_ARRIVAL, 0)
+    assert q.pop().seq == 2
+
+
+def test_popped_event_exposes_the_fields_handlers_read():
+    q = EventQueue()
+    payload = object()
+    q.push(3.25, EventKind.DOWNLINK_DELIVERY, 4, payload=payload, token=9)
+    q.push(4.0, EventKind.TIMER_EXPIRY, 1)
+    ev = q.pop()
+    assert (ev.time, ev.seq, ev.kind, ev.coworker, ev.token) == (
+        3.25, 0, EventKind.DOWNLINK_DELIVERY, 4, 9)
+    assert ev.payload is payload
+    assert ev.kind.value == "downlink_delivery"
+    ev = q.pop()
+    assert (ev.payload, ev.token) == (None, -1)
 
 
 # ---------------- determinism and termination ---------------- #
@@ -253,7 +302,7 @@ def test_periodic_arrival_count():
     arrivals = ArrivalProcess(kind="periodic", interval=1.0)
     eng = build_engine(k=1, arrivals=arrivals, capacity=4, minibatch=4)
     eng.run(horizon=10.25)
-    assert eng.runtimes[0].arrival_count == 10
+    assert eng.runtimes[0].state.buffer.next_arrival_index == 10
 
 
 def test_poisson_arrival_count_confidence():
@@ -262,7 +311,7 @@ def test_poisson_arrival_count_confidence():
     eng = build_engine(k=1, seed=23, arrivals=arrivals, capacity=4, minibatch=4,
                        speed=0.001)      # effectively no compute in the window
     eng.run(horizon=100.0)
-    n = eng.runtimes[0].arrival_count
+    n = eng.runtimes[0].state.buffer.next_arrival_index
     assert abs(n - 10_000) <= 4 * np.sqrt(10_000)
 
 
@@ -271,11 +320,11 @@ def test_trace_arrivals_replay_exactly():
     arrivals = ArrivalProcess(kind="trace", times=times)
     eng = build_engine(k=1, arrivals=arrivals, capacity=4, minibatch=4)
     eng.run(horizon=10.0)
-    assert eng.runtimes[0].arrival_count == len(times)
+    assert eng.runtimes[0].state.buffer.next_arrival_index == len(times)
     # a horizon inside the trace admits only the earlier entries
     eng2 = build_engine(k=1, arrivals=arrivals, capacity=4, minibatch=4)
     eng2.run(horizon=1.9)
-    assert eng2.runtimes[0].arrival_count == 3
+    assert eng2.runtimes[0].state.buffer.next_arrival_index == 3
 
 
 def test_arrival_process_validation():
@@ -373,7 +422,7 @@ def test_starved_coworker_never_aggregates():
     assert res.aggregations == 25
     assert res.accepted_by[1] == 0
     assert res.stall_events >= 1
-    assert eng.runtimes[1].iterations == 0
+    assert eng.runtimes[1].state.t_local == 0
 
 
 def test_midcluster_broadcast_applies_at_next_iteration_boundary():
@@ -465,7 +514,7 @@ def test_coefficient_change_reaches_events_queued_before_it_only_after_them():
                            w0=np.zeros(2), seed=61)
     slow = eng.runtimes[1]
     budget = 0
-    while slow.arrival_count < 6:
+    while slow.state.buffer.next_arrival_index < 6:
         budget += 1
         eng.run(event_budget=budget)
     assert eng.now == 0.75 and eng.server.t == 1
