@@ -16,6 +16,7 @@ import csv
 import io
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
@@ -329,34 +330,59 @@ def generate_shards(cfg: Dict[str, Any]) -> List[Shard]:
 def read_arrival_trace(path: str) -> Tuple[Tuple[float, ...], Shard]:
     """Parse an arrival trace: one `time,x1,..,xd,label` line per example.
 
-    Every line must have as many fields as the first one.
+    One ``np.loadtxt`` call parses the file.  Empty lines and text from a
+    ``#`` to the end of its line are skipped; a line holding only whitespace
+    (before any ``#``) is refused.  Every line must have as many fields as
+    the first one, each field must be a plain ASCII number (``1_0`` and
+    non-ASCII digits are refused), and every value must be finite.  A
+    refused file is scanned line by line, so the error names the line.
     """
-    values: List[float] = []
+    try:
+        with warnings.catch_warnings():
+            # an empty file is refused below; numpy would also warn about it
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(path, delimiter=",", comments="#", ndmin=2, encoding="utf-8")
+    except ValueError as exc:
+        raise _trace_fault(path, str(exc)) from None
+    if rows.shape[1] < 3 or not np.isfinite(rows).all():     # an empty file reads (0, 1)
+        raise _trace_fault(path, "times, features and labels must be finite")
+    return tuple(rows[:, 0].tolist()), (rows[:, 1:-1].copy(), rows[:, -1].copy())
+
+
+def _trace_fault(path: str, fallback: str) -> ConfigError:
+    """The first faulty line of a trace that numpy refused or that failed a
+    check, as ``path:line``; else ``path: fallback``.
+
+    Lines are skipped and split as ``np.loadtxt`` does in
+    :func:`read_arrival_trace`, and converted with ``float()``.
+    """
     width = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+            text = line.split("#", 1)[0].rstrip("\n")
+            if not text:
                 continue
-            fields = line.split(",")
+            where = f"{path}:{lineno}"
+            if not text.strip():
+                return ConfigError(f"{where}: a line holding only whitespace; "
+                                   f"leave it empty or start it with '#'")
+            fields = text.split(",")
             if len(fields) < 3:
-                raise ConfigError(
-                    f"{path}:{lineno}: need arrival_time, at least one feature, and a label"
-                )
+                return ConfigError(f"{where}: need arrival_time, at least one feature, and a label")
             if not width:
                 width = len(fields)
             elif len(fields) != width:
-                raise ConfigError(
-                    f"{path}:{lineno}: {len(fields)} fields, but the first example has {width}"
-                )
+                return ConfigError(
+                    f"{where}: {len(fields)} fields, but the first example has {width}")
             try:
-                values.extend([float(f) for f in fields])
+                values = [float(f) for f in fields]
             except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
-    if not values:
-        raise ConfigError(f"{path}: trace file holds no examples")
-    rows = np.array(values).reshape(-1, width)
-    return tuple(rows[:, 0].tolist()), (rows[:, 1:-1].copy(), rows[:, -1].copy())
+                return ConfigError(f"{where}: {exc}")
+            if not all(map(math.isfinite, values)):
+                return ConfigError(f"{where}: times, features and labels must be finite")
+    if not width:
+        return ConfigError(f"{path}: trace file holds no examples")
+    return ConfigError(f"{path}: {fallback}")
 
 
 # ---------------- experiment assembly ---------------- #
@@ -422,13 +448,19 @@ def build_experiment(
             trace_paths = [trace_paths] * k_total
         _require(len(trace_paths) == k_total, "arrivals.trace",
                  f"need {k_total} paths, got {len(trace_paths)}")
-        trace_data = [read_arrival_trace(p) for p in trace_paths]
-        for path, (_, (X, _)) in zip(trace_paths, trace_data):
+        trace_data = [_build("arrivals.trace", read_arrival_trace, p) for p in trace_paths]
+        for path, (_, (X, y)) in zip(trace_paths, trace_data):
             _require(X.shape[1] == dim, "arrivals.trace",
                      f"{path} has {X.shape[1]} features per example, but model.dim is {dim}")
+            if kind == "logistic":
+                # the logistic loss is unbounded below for labels above 1
+                bad = np.flatnonzero((y != 0.0) & (y != 1.0))
+                if len(bad):
+                    raise ConfigError(f"arrivals.trace: {path}: logistic labels must be 0 or 1, "
+                                      f"but example {bad[0]} has label {y[bad[0]]}")
         shards = [shard for _, shard in trace_data]
-        laws = [_build("arrivals.trace", ArrivalProcess, kind="trace", times=times)
-                for times, _ in trace_data]
+        laws = [_build(f"arrivals.trace: {path}", ArrivalProcess, kind="trace", times=times)
+                for path, (times, _) in zip(trace_paths, trace_data)]
     else:
         shards = generate_shards(cfg)
         # a law's fault is about its one parameter, or else its kind

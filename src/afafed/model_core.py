@@ -7,11 +7,15 @@ classification with labels in {0, 1}.  All averages are uniform over the
 examples they range over.
 
 Data are stacked arrays only: a shard is an (m, d) feature matrix X with an
-(m,) target vector y, and the K shards together are one :class:`ShardSet`.
-The weighted global risk and gradient each take one matrix-vector product
-over the stacked rows.  The risk then sums each shard's losses and takes one
-K-length dot with the weights λ_k/n_k; the gradient weights every row of
-shard k by λ_k/n_k before its product with X transposed.
+(m,) target vector y, and the K shards together are one read-only
+:class:`ShardSet`.  The weighted global risk and gradient each take one
+matrix-vector product for the scores.  The risk then sums each shard's
+losses and takes one K-length dot with the weights λ_k/n_k; the gradient
+weights every row of shard k by λ_k/n_k before its product with the
+features transposed.  Both products run over ``ShardSet.XT``, a
+feature-major (d, n) copy kept beside the row-major X, because a
+matrix-vector product over n rows of d = 5 features is about three times
+faster that way; per-shard views and minibatch gathers keep using X.
 """
 
 from __future__ import annotations
@@ -38,11 +42,16 @@ class LossModel:
 
 
 class ShardSet(NamedTuple):
-    """The K local data sets stacked into one (X, y); shard k holds the next sizes[k] rows."""
+    """The K local data sets stacked into one (X, y); shard k holds the next sizes[k] rows.
+
+    XT is a C-contiguous copy of X.T, the layout the global evaluation's
+    matrix-vector products run over.
+    """
 
     X: np.ndarray
     y: np.ndarray
     sizes: Tuple[int, ...]
+    XT: np.ndarray
 
     def views(self) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Per-shard (X, y) views into the stacked arrays, in shard order."""
@@ -90,7 +99,10 @@ def _layout(sizes: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray, int]:
 
 
 def stack_shards(shards: Sequence[Tuple[np.ndarray, np.ndarray]]) -> ShardSet:
-    """Concatenate per-shard (X, y) pairs into one :class:`ShardSet`."""
+    """Concatenate per-shard (X, y) pairs into one :class:`ShardSet`.
+
+    Its arrays are read-only, so X and its feature-major copy XT cannot drift apart.
+    """
     if len(shards) == 0:
         raise ValueError("need at least one shard")
     for k, (X, y) in enumerate(shards):
@@ -101,7 +113,9 @@ def stack_shards(shards: Sequence[Tuple[np.ndarray, np.ndarray]]) -> ShardSet:
             )
     X = np.concatenate([X for X, _ in shards], dtype=np.float64)
     y = np.concatenate([y for _, y in shards], dtype=np.float64)
-    return ShardSet(X, y, tuple(len(y) for _, y in shards))
+    XT = np.ascontiguousarray(X.T)
+    X.flags.writeable = y.flags.writeable = XT.flags.writeable = False
+    return ShardSet(X, y, tuple(len(y) for _, y in shards), XT)
 
 
 def _check_dims(model: LossModel, w: np.ndarray, X: np.ndarray) -> None:
@@ -111,27 +125,43 @@ def _check_dims(model: LossModel, w: np.ndarray, X: np.ndarray) -> None:
         raise ValueError(f"feature matrix has shape {X.shape}, expected (m, {model.dim})")
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # tanh form is stable for large |z|
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
-
-
 def _losses(model: LossModel, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Each example's loss given its score z = x.w."""
+    """Each example's loss given its score z = x.w, in a fresh array; z is not written.
+
+    Each formula runs its ufuncs in the order of its one-line form, but on
+    reused buffers, so the bits are the same.
+    """
     if model.kind is LossKind.QUADRATIC:
-        r = z - y
-        return 0.5 * (r * r)
+        out = z - y                     # 0.5 * (r * r), r = z - y
+        out *= out
+        out *= 0.5
+        return out
     # -[y log p + (1-y) log(1-p)] written stably as softplus(z) - y z, with
     # softplus(z) = max(z, 0) + log1p(exp(-|z|)): np.logaddexp(0, z)'s formula,
     # in whole-array passes; exp never overflows and NaN propagates
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - y * z
+    out = np.maximum(z, 0.0)
+    t = np.abs(z)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    out += t
+    np.multiply(y, z, out=t)
+    out -= t
+    return out
 
 
 def _residuals(model: LossModel, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Derivative of each example's loss with respect to its score z = x.w."""
+    """Derivative of each example's loss with respect to its score z = x.w,
+    in a fresh array the caller may write; z is not written."""
     if model.kind is LossKind.QUADRATIC:
         return z - y
-    return _sigmoid(z) - y
+    # sigmoid(z) - y, with sigmoid(z) = 0.5 * (1 + tanh(z / 2)): stable for large |z|
+    r = 0.5 * z
+    np.tanh(r, out=r)
+    r += 1.0
+    r *= 0.5
+    r -= y
+    return r
 
 
 def risk_arrays(model: LossModel, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
@@ -162,7 +192,7 @@ def global_risk_arrays(
 ) -> float:
     """Weighted global risk sum_k weights[k] * risk_k, from per-shard sums of the losses."""
     _check_dims(model, w, data.X)
-    losses = _losses(model, data.X @ w, data.y)
+    losses = _losses(model, data.XT.T @ w, data.y)
     return float(data.shard_weights(weights) @ data.shard_sums(losses))
 
 
@@ -171,7 +201,9 @@ def global_gradient_arrays(
 ) -> np.ndarray:
     """Gradient of :func:`global_risk_arrays` with respect to w."""
     _check_dims(model, w, data.X)
-    return data.X.T @ (data.row_weights(weights) * _residuals(model, data.X @ w, data.y))
+    r = _residuals(model, data.XT.T @ w, data.y)
+    r *= data.row_weights(weights)
+    return data.XT @ r
 
 
 # ---------------- fairness weights ---------------- #

@@ -169,7 +169,12 @@ class ArrivalProcess:
         if self.kind == "trace":
             if not self.times:
                 raise ValueError("trace arrivals need at least one arrival time")
-            if any(b < a for a, b in zip(self.times, self.times[1:])):
+            t = np.asarray(self.times, dtype=np.float64)
+            bad = np.flatnonzero(~(t >= 0.0) | np.isinf(t))     # NaN fails >= 0
+            if len(bad):
+                raise ValueError(f"trace arrival times must be finite and non-negative, "
+                                 f"but arrival {bad[0]} is at {t[bad[0]]}")
+            if np.any(t[1:] < t[:-1]):
                 raise ValueError("trace arrival times must be non-decreasing")
 
 

@@ -112,6 +112,7 @@ def _bound_workload(seed: int, minibatch: int, profiling: bool):
     return exp, grads, estimates
 
 
+@pytest.mark.slow
 def test_criterion_02_convergence_bound_dominates():
     # eight coworkers, constant admissible beta; the seed-averaged running
     # mean of the global gradient sqnorm must sit below the rate bound built
@@ -144,6 +145,7 @@ def test_criterion_02_convergence_bound_dominates():
     assert _verdict(2, "rate bound dominates measured gradient decay", ok)
 
 
+@pytest.mark.slow
 def test_criterion_03_one_over_t_decay():
     # full-shard minibatches remove the sampling-noise floor; the running
     # mean must then contract like 1/T: value(1000) <= value(250)/4 * 1.2
@@ -159,6 +161,7 @@ def test_criterion_03_one_over_t_decay():
 # ---------------------------------------------------------------- criterion 4
 
 
+@pytest.mark.slow
 def test_criterion_04_packet_loss_scaling_law():
     # homogeneous loss probability p: acceptance ratio tracks (1 - p) and the
     # aggregation count under a fixed horizon tracks the effective horizon
@@ -233,6 +236,7 @@ def test_criterion_05_fairness_mechanics():
 # ---------------------------------------------------------------- criterion 6
 
 
+@pytest.mark.slow
 def test_criterion_06_throughput_maximization():
     # arrivals at a tenth of the iteration rate with capacity 2|MB|: after
     # the initial warmup there are no not-ready stalls, and per-coworker

@@ -32,6 +32,7 @@ from afafed.harness import (
     write_outputs,
 )
 from afafed.model_core import global_risk_arrays
+from afafed.network_sim import ArrivalProcess
 
 
 def small_doc(**sections):
@@ -382,6 +383,104 @@ def test_trace_ragged_row_reports_position(tmp_path):
     ragged.write_text("# t,x1,x2,label\n0.5, 1.0, 2.0, 1.0\n\n0.7, 1.0, 2.0, 3.0, 1.0\n")
     with pytest.raises(ConfigError, match="ragged.csv:4: 5 fields, but the first example has 4"):
         read_arrival_trace(str(ragged))
+
+
+def test_trace_comment_after_data_is_skipped(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("0.5, 1.0, 2.0, 1.0  # first\n0.75, 3.0, 4.0, 0.0#second\n")
+    times, (X, y) = read_arrival_trace(str(path))
+    assert times == (0.5, 0.75)
+    np.testing.assert_array_equal(X, [[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(y, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("field", ["1_0", "\u0661"])     # Arabic-Indic digit one
+def test_trace_numbers_only_python_reads_are_refused_with_numpys_message(tmp_path, field):
+    # float() accepts both, so the line scan finds no fault and numpy's message stands
+    assert float(field) in (10.0, 1.0)
+    path = tmp_path / "trace.csv"
+    path.write_text(f"0.5, 1.0, 2.0, 1.0\n0.7, {field}, 2.0, 1.0\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: could not convert string")):
+        read_arrival_trace(str(path))
+
+
+def test_trace_whitespace_only_line_reports_position(tmp_path):
+    path = tmp_path / "trace.csv"
+    for blank in ("  ", "\t", "  # indented comment"):
+        path.write_text(f"0.5, 1.0, 2.0, 1.0\n{blank}\n0.7, 1.0, 2.0, 1.0\n")
+        with pytest.raises(ConfigError, match="trace.csv:2: a line holding only whitespace"):
+            read_arrival_trace(str(path))
+
+
+@pytest.mark.parametrize("lineno, column, value", [
+    (1, 0, "nan"), (20, 0, "inf"), (6, 1, "nan"), (3, 3, "-inf"),
+])
+def test_trace_non_finite_values_report_position(tmp_path, lineno, column, value):
+    lines = [[f"{0.1 * (i + 1)}", "1.0", "2.0", "0.0"] for i in range(20)]
+    lines[lineno - 1][column] = value
+    path = tmp_path / "trace.csv"
+    path.write_text("".join(", ".join(fields) + "\n" for fields in lines))
+    with pytest.raises(ConfigError, match=f"trace.csv:{lineno}: times, features and labels "
+                                          f"must be finite"):
+        read_arrival_trace(str(path))
+
+
+def test_trace_times_must_be_finite_and_non_negative():
+    for times in ((float("nan"), 1.0), (0.0, float("inf")), (-1.0, 0.0)):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            ArrivalProcess(kind="trace", times=times)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        ArrivalProcess(kind="trace", times=(0.0, 2.0, 1.0))
+    assert ArrivalProcess(kind="trace", times=(0.0, 0.0)).times == (0.0, 0.0)
+
+
+def _trace_config(tmp_path, kind, edit):
+    """A 2-coworker trace config over 20 examples, the lines changed by ``edit``."""
+    lines = [[f"{0.05 * (i + 1)}", f"{(-1.0) ** i}", "0.5", f"{float(i % 2)}"]
+             for i in range(20)]
+    edit(lines)
+    trace = tmp_path / "trace.csv"
+    trace.write_text("".join(",".join(fields) + "\n" for fields in lines))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"model: {{kind: {kind}, dim: 2}}\n"
+                   f"arrivals: {{kind: trace, trace: {trace}}}\n"
+                   "topology: {categories: [{count: 2, speed: 1.0e+7, rate: 1.0e+5}]}\n"
+                   "buffer: {capacity: 8, minibatch: 4}\nsim: {T: 5}\n")
+    return cfg
+
+
+def _set(row, column, value):
+    return lambda lines: lines[row].__setitem__(column, value)
+
+
+def _relabel(lines):
+    for fields in lines:
+        fields[-1] = "2.0"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set(0, 0, "nan"), "trace.csv:1: times, features"),
+    (_set(19, 0, "inf"), "trace.csv:20: times, features"),
+    (_set(0, 0, "-1.0"), "trace.csv: trace arrival times must be finite and non-negative, "
+                         "but arrival 0 is at -1.0"),
+    (_set(4, 2, "nan"), "trace.csv:5: times, features"),
+    (_relabel, "trace.csv: logistic labels must be 0 or 1, but example 0 has label 2.0"),
+], ids=["nan-time", "inf-last-time", "negative-time", "nan-feature", "label-2"])
+def test_cli_refuses_trace_values_the_simulator_cannot_use(tmp_path, capsys, edit, message):
+    # each of these once ran with a NaN-time event on the calendar, ended as a
+    # protocol error or a divergence, or minimised a loss unbounded below
+    cfg = _trace_config(tmp_path, "logistic", edit)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build_experiment(load_config(str(cfg)))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: arrivals.trace: ") and message in err
+
+
+def test_quadratic_trace_labels_are_not_restricted(tmp_path):
+    cfg = _trace_config(tmp_path, "quadratic", _relabel)
+    _, y = build_experiment(load_config(str(cfg))).engine.runtimes[0].setup.shard
+    np.testing.assert_array_equal(y, 2.0)
 
 
 def test_trace_feature_count_must_match_model_dim(tmp_path, capsys):

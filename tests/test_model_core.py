@@ -15,6 +15,7 @@ from afafed.model_core import (
     LossModel,
     ShardSet,
     _losses,
+    _residuals,
     check_weights,
     global_gradient_arrays,
     global_risk_arrays,
@@ -151,6 +152,28 @@ def reference_global_risk(model, w, data, weights):
     return float(row_weights @ reference_losses(model, data.X @ w, data.y))
 
 
+# the earlier one-line kernels, kept as a reference for the buffer-reusing ones
+
+
+def reference_residuals(model, z, y):
+    if model.kind is LossKind.QUADRATIC:
+        return z - y
+    return 0.5 * (1.0 + np.tanh(0.5 * z)) - y
+
+
+def reference_one_line_losses(model, z, y):
+    if model.kind is LossKind.QUADRATIC:
+        r = z - y
+        return 0.5 * (r * r)
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - y * z
+
+
+def reference_global_gradient(model, w, data, weights):
+    # row-major products, every row weighted by its shard's weight / size
+    row_weights = np.repeat(np.asarray(weights, dtype=np.float64) / data.sizes, data.sizes)
+    return data.X.T @ (row_weights * reference_residuals(model, data.X @ w, data.y))
+
+
 def test_global_risk_matches_the_reference_formulas():
     rng = np.random.default_rng(13)
     sizes = (1, 17, 1, 6, 40, 1, 3)
@@ -167,6 +190,39 @@ def test_global_risk_matches_the_reference_formulas():
                                             rel=1e-12)
 
 
+def test_global_gradient_matches_the_reference_formulas():
+    # the feature-major products sum in another order than the row-major ones
+    rng = np.random.default_rng(14)
+    sizes = (1, 17, 1, 6, 40, 1, 3)
+    for kind in (LossKind.QUADRATIC, LossKind.LOGISTIC):
+        model = LossModel(kind, 4)
+        data = stack_shards([make_shard(rng, n, 4, kind) for n in sizes])
+        for scale in (0.1, 1.0, 30.0):
+            for _ in range(10):
+                raw = rng.uniform(0.0, 1.0, size=len(sizes))
+                lam = raw / raw.sum()
+                w = scale * rng.standard_normal(4)
+                np.testing.assert_allclose(global_gradient_arrays(model, w, data, lam),
+                                           reference_global_gradient(model, w, data, lam),
+                                           rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", [LossKind.QUADRATIC, LossKind.LOGISTIC])
+@pytest.mark.parametrize("n", [1, 64, 4000])
+def test_loss_kernels_equal_their_one_line_forms_bit_for_bit(kind, n):
+    rng = np.random.default_rng(n)
+    model = LossModel(kind, 1)
+    z = 30.0 * rng.standard_normal(n)
+    z[rng.integers(0, n, size=3)] = (800.0, -800.0, np.nan)
+    y = rng.integers(0, 2, size=n).astype(np.float64)
+    z_before = z.copy()
+    assert np.array_equal(_losses(model, z, y), reference_one_line_losses(model, z, y),
+                          equal_nan=True)
+    assert np.array_equal(_residuals(model, z, y), reference_residuals(model, z, y),
+                          equal_nan=True)
+    assert np.array_equal(z, z_before, equal_nan=True)
+
+
 def test_logistic_loss_is_finite_and_matches_logaddexp_in_the_tails():
     model = LossModel(LossKind.LOGISTIC, 1)
     z = np.array([-800.0, -40.0, 0.0, 40.0, 800.0])
@@ -181,14 +237,14 @@ def test_logistic_loss_is_finite_and_matches_logaddexp_in_the_tails():
 
 def test_shard_set_with_an_empty_shard_or_a_wrong_total_refuses_to_evaluate():
     model = LossModel(LossKind.QUADRATIC, 2)
-    data = ShardSet(np.ones((3, 2)), np.ones(3), (2, 0, 1))
+    data = ShardSet(np.ones((3, 2)), np.ones(3), (2, 0, 1), np.ones((2, 3)))
     lam = uniform_weights(3)
     with pytest.raises(ValueError, match="every shard needs at least one row"):
         global_risk_arrays(model, np.zeros(2), data, lam)
     with pytest.raises(ValueError, match="every shard needs at least one row"):
         global_gradient_arrays(model, np.zeros(2), data, lam)
     for sizes in ((1, 1), (2, 2)):          # 2 and 4 rows, over 3
-        data = ShardSet(np.ones((3, 2)), np.ones(3), sizes)
+        data = ShardSet(np.ones((3, 2)), np.ones(3), sizes, np.ones((2, 3)))
         with pytest.raises(ValueError, match="shard sizes add up to"):
             global_risk_arrays(model, np.zeros(2), data, uniform_weights(2))
 
@@ -206,6 +262,19 @@ def test_stacked_shards_are_views_in_order():
                                [0.05] * 4 + [0.1] * 7 + [0.05] * 2)
     with pytest.raises(ValueError):
         data.row_weights(np.array([0.5, 0.5]))
+
+
+def test_stacked_shards_keep_a_read_only_feature_major_copy():
+    rng = np.random.default_rng(15)
+    data = stack_shards([make_shard(rng, n, 3, LossKind.QUADRATIC) for n in (4, 7, 2)])
+    np.testing.assert_array_equal(data.XT, data.X.T)
+    assert data.XT.shape == (3, 13) and data.XT.flags.c_contiguous
+    assert not np.shares_memory(data.XT, data.X)
+    for arr in (data.X, data.y, data.XT):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    for Xv, yv in data.views():
+        assert np.shares_memory(Xv, data.X) and np.shares_memory(yv, data.y)
 
 
 def test_convexity_midpoint():
