@@ -232,7 +232,7 @@ def finalize_cluster(state: CoworkerState, cfg: AdaptiveConfig) -> UplinkPayload
         mu_bar=state.mu_bar,
         timestamp=state.timestamp,
         iters_in_cluster=iters,
-        last_grad=None if state.last_grad is None else state.last_grad.copy(),
+        last_grad=state.last_grad,
     )
     state.iter_k = update_iter_count(state.mu_bar, cfg)
     return payload

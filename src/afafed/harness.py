@@ -17,7 +17,7 @@ import io
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
@@ -26,13 +26,7 @@ import yaml
 from . import bounds as bnd
 from .coworker import AdaptiveConfig
 from .errors import ConfigError
-from .model_core import (
-    LossKind,
-    LossModel,
-    global_risk_arrays,
-    simplex_weights,
-    uniform_weights,
-)
+from .model_core import LossKind, LossModel, global_risk_arrays
 from .network_sim import (
     ArrivalProcess,
     ComputeModel,
@@ -335,7 +329,8 @@ def read_arrival_trace(path: str) -> Tuple[Tuple[float, ...], Shard]:
     (before any ``#``) is refused.  Every line must have as many fields as
     the first one, each field must be a plain ASCII number (``1_0`` and
     non-ASCII digits are refused), and every value must be finite.  A
-    refused file is scanned line by line, so the error names the line.
+    refused file is scanned line by line, so the error names the line; a
+    path that cannot be opened is refused with the system's reason.
     """
     try:
         with warnings.catch_warnings():
@@ -344,6 +339,8 @@ def read_arrival_trace(path: str) -> Tuple[Tuple[float, ...], Shard]:
             rows = np.loadtxt(path, delimiter=",", comments="#", ndmin=2, encoding="utf-8")
     except ValueError as exc:
         raise _trace_fault(path, str(exc)) from None
+    except OSError as exc:      # numpy's own not-found error carries no strerror
+        raise ConfigError(f"{path}: {exc.strerror or 'No such file or directory'}") from None
     if rows.shape[1] < 3 or not np.isfinite(rows).all():     # an empty file reads (0, 1)
         raise _trace_fault(path, "times, features and labels must be finite")
     return tuple(rows[:, 0].tolist()), (rows[:, 1:-1].copy(), rows[:, -1].copy())
@@ -390,10 +387,9 @@ def _trace_fault(path: str, fallback: str) -> ConfigError:
 
 @dataclass
 class Experiment:
-    """A fully wired engine plus the pieces needed for summaries."""
+    """A fully wired engine plus the checked config it was built from."""
 
     cfg: Dict[str, Any]
-    model: LossModel
     engine: SimulationEngine
 
 
@@ -407,11 +403,7 @@ def _per_coworker_loss(override: Any, cats: List[Dict[str, Any]]) -> List[float]
     return override
 
 
-def build_experiment(
-    cfg: Dict[str, Any],
-    enable_profiling: bool = False,
-    eval_weights: Optional[np.ndarray] = None,
-) -> Experiment:
+def build_experiment(cfg: Dict[str, Any], enable_profiling: bool = False) -> Experiment:
     """Validate the resolved config and construct the simulation engine.
 
     The config is checked against ``CONFIG_SCHEMA``; ``Experiment.cfg`` is
@@ -500,9 +492,6 @@ def build_experiment(
              "sim.T", "unreachable: every coworker has p_loss 1.0; "
              "set sim.horizon or sim.event_budget")
 
-    # a library argument, not a config key: its fault is not a config fault
-    if eval_weights is not None:
-        eval_weights = simplex_weights(eval_weights, k_total)
     # the engine's buffers check capacity and minibatch
     engine = _build(
         "buffer", SimulationEngine,
@@ -513,11 +502,10 @@ def build_experiment(
         w0=np.zeros(dim),
         seed=sim["seed"],
         eval_every=cfg["eval"]["every"],
-        eval_weights=eval_weights,
         enable_profiling=enable_profiling,
         timer_factor=cfg["link"]["timer_factor"],
     )
-    return Experiment(cfg=cfg, model=model, engine=engine)
+    return Experiment(cfg=cfg, engine=engine)
 
 
 def run_experiment(
@@ -531,7 +519,7 @@ def run_experiment(
         aggregations=sim["T"], horizon=sim["horizon"], event_budget=sim["event_budget"],
     )
     estimates = None
-    if enable_profiling and result.profiling_log is not None and result.profiling_log.samples > 0:
+    if result.profiling_log is not None and result.profiling_log.samples > 0:
         exp.engine.run_profiling_epilogue()
         estimates = finalize(result.profiling_log, exp.engine.server.lambdas)
     return exp, result, estimates
@@ -584,7 +572,7 @@ def final_risk(exp: Experiment) -> Optional[float]:
     engine = exp.engine
     if engine.eval_every <= 0:
         return None
-    return global_risk_arrays(exp.model, engine.server.w_global, engine.data,
+    return global_risk_arrays(engine.model, engine.server.w_global, engine.data,
                               engine.server.lambdas)
 
 
@@ -625,17 +613,7 @@ def summarize(exp: Experiment, result: RunResult,
         "config": exp.cfg,
     }
     if estimates is not None:
-        summary["estimates"] = {
-            "c_hat": estimates.c_hat,
-            "gamma_hat": estimates.gamma_hat,
-            "a_hat": estimates.a_hat,
-            "k0": estimates.k0,
-            "feasible": list(estimates.feasible),
-            "samples": estimates.samples,
-            "f0_hat": estimates.f0_hat,
-            "f_star_hat": estimates.f_star_hat,
-            "zeta_hat": estimates.zeta_hat,
-        }
+        summary["estimates"] = asdict(estimates)
     return _plain(summary)
 
 
@@ -671,10 +649,6 @@ def evaluate_bounds(doc: Dict[str, Any]) -> Dict[str, Any]:
         out["constant"] = None
         out["constant_refused"] = str(exc)
     if scaled is not None:
-        res = _build("bound.scaled", bnd.bound_scaled, inputs, **scaled)
-        out["scaled"] = {
-            "bound": res.bound,
-            "beta_max_admissible": res.beta_max_admissible,
-            "c": res.c, "gamma": res.gamma, "a": res.a,
-        }
+        out["scaled"] = asdict(
+            _build("bound.scaled", bnd.bound_scaled, inputs, **scaled))
     return _plain(out)

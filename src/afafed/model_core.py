@@ -215,24 +215,12 @@ def uniform_weights(k: int) -> np.ndarray:
     return np.full(k, 1.0 / k)
 
 
-def check_weights(weights: np.ndarray, tol: float = 1e-12) -> None:
-    """Assert the simplex invariant: non-negative entries summing to 1 within tol."""
+def check_weights(weights: np.ndarray) -> None:
+    """Assert the simplex invariant: non-negative entries summing to 1 within 1e-12."""
     if np.any(weights < 0.0):
         raise ValueError("fairness weights must be non-negative")
-    if not abs(float(weights.sum()) - 1.0) <= tol:     # NaN fails too
+    if not abs(float(weights.sum()) - 1.0) <= 1e-12:     # NaN fails too
         raise ValueError(f"fairness weights sum to {weights.sum()!r}, expected 1")
-
-
-def simplex_weights(weights: np.ndarray, k: int) -> np.ndarray:
-    """``weights`` as a float64 vector of one weight per shard, on the simplex.
-
-    Raises ValueError for a shape other than (k,) or off-simplex entries.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (k,):
-        raise ValueError(f"weights have shape {weights.shape}, need one for each of {k} shards")
-    check_weights(weights)
-    return weights
 
 
 def jain_fairness_index(weights: np.ndarray) -> float:

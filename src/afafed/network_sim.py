@@ -44,7 +44,6 @@ from .model_core import (
     global_risk_arrays,
     minibatch_gradient,
     risk_arrays,
-    simplex_weights,
     stack_shards,
     uniform_weights,
 )
@@ -278,7 +277,6 @@ class SimulationEngine:
         w0: np.ndarray,
         seed: int,
         eval_every: int = 0,
-        eval_weights: Optional[np.ndarray] = None,
         enable_profiling: bool = False,
         timer_factor: float = 3.0,
         iteration_hook: Optional[Callable[[int, cw.CoworkerState], None]] = None,
@@ -304,9 +302,7 @@ class SimulationEngine:
             raise ValueError(f"w0 has shape {self.w0.shape}, expected ({model.dim},)")
         lambdas = uniform_weights(k)
         self.server = srv.ServerState(w_global=self.w0.copy(), lambdas=lambdas)
-        self.eval_weights = (
-            lambdas.copy() if eval_weights is None else simplex_weights(eval_weights, k)
-        )
+        self.eval_weights = lambdas.copy()      # grad_sqnorm weighs coworkers uniformly
         # every shard lives once, in the stacked set; each runtime's setup and
         # buffer hold views of its rows
         self.data = stack_shards([s.shard for s in setups])
@@ -339,9 +335,7 @@ class SimulationEngine:
         self._coef_log: List[_Coefficients] = []
         self._coef_base = 0              # absolute index of _coef_log[0]
         self._coef_trim_at = _LOG_TRIM_MIN
-        self.profiling_log = (
-            ProfilingLog(dim=model.dim, w_start=self.w0.copy()) if enable_profiling else None
-        )
+        self.profiling_log = ProfilingLog(self.w0.copy()) if enable_profiling else None
 
         # seed the calendar: first arrivals, then the first cluster attempts
         for cid, rt in enumerate(self.runtimes):
@@ -492,7 +486,7 @@ class SimulationEngine:
     def _on_uplink_delivery(self, ev: SimEvent) -> None:
         payload: cw.UplinkPayload = ev.payload
         server = self.server
-        if self.profiling_log is not None and payload.last_grad is not None:
+        if self.profiling_log is not None:
             record_aggregation(self.profiling_log, server.w_global - payload.w,
                                payload.last_grad)
         due = self.eval_every > 0 and (server.t + 1) % self.eval_every == 0
@@ -503,7 +497,7 @@ class SimulationEngine:
             grad_sq = float(g @ g)
         record = srv.process_uplink(server, payload, self.mixing)
         self.accepted_by[payload.sender] += 1
-        self.iters_per_acceptance.append(record.iters_in_cluster)
+        self.iters_per_acceptance.append(payload.iters_in_cluster)
         risk = None
         if due:
             risk = global_risk_arrays(self.model, server.w_global, self.data,
@@ -630,13 +624,13 @@ class SimulationEngine:
         log = self.profiling_log
         if log is None:
             raise RuntimeError("profiling was not enabled for this run")
-        log.w_end = self.server.w_global.copy()
-        displacement = float(np.linalg.norm(log.w_end - log.w_start))
+        w_end = self.server.w_global
+        displacement = float(np.linalg.norm(w_end - log.w_start))
         log.coworker_stats = []
         for cid, rt in enumerate(self.runtimes):
             X, y = rt.setup.shard
             f_first = risk_arrays(self.model, log.w_start, X, y)
-            f_last = risk_arrays(self.model, log.w_end, X, y)
+            f_last = risk_arrays(self.model, w_end, X, y)
             zeta_hat = None
             batch = sample_minibatch(rt.state.buffer, self._rng(3, cid))
             if batch is not None and displacement > 0.0:

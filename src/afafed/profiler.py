@@ -21,28 +21,27 @@ import numpy as np
 class ProfilingLog:
     """Running sums accumulated server-side, one sample per accepted uplink."""
 
-    dim: int
     w_start: np.ndarray
-    w_end: Optional[np.ndarray] = None   # set by the engine's profiling epilogue
-    g_sum: np.ndarray = None          # type: ignore[assignment]
-    g_norm_sum: float = 0.0
-    g_sqnorm_sum: float = 0.0
-    grad_sum: np.ndarray = None       # type: ignore[assignment]
-    samples: int = 0
-    coworker_stats: List[Tuple[float, float, Optional[float]]] = field(default_factory=list)
+    g_sum: np.ndarray = field(init=False)
+    g_norm_sum: float = field(init=False, default=0.0)
+    g_sqnorm_sum: float = field(init=False, default=0.0)
+    grad_sum: np.ndarray = field(init=False)
+    samples: int = field(init=False, default=0)
+    # per coworker: risks at w_start and at the final model, secant or None
+    coworker_stats: List[Tuple[float, float, Optional[float]]] = field(
+        init=False, default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.g_sum is None:
-            self.g_sum = np.zeros(self.dim)
-        if self.grad_sum is None:
-            self.grad_sum = np.zeros(self.dim)
+        self.g_sum = np.zeros(self.w_start.shape)
+        self.grad_sum = np.zeros(self.w_start.shape)
 
 
 def record_aggregation(log: ProfilingLog, g_hat: np.ndarray, local_grad: np.ndarray) -> None:
     """Fold one aggregation's update direction and sender gradient into the sums."""
-    if g_hat.shape != (log.dim,) or local_grad.shape != (log.dim,):
+    shape = log.w_start.shape
+    if g_hat.shape != shape or local_grad.shape != shape:
         raise ValueError(
-            f"expected vectors of shape ({log.dim},), got {g_hat.shape} and {local_grad.shape}"
+            f"expected vectors of shape {shape}, got {g_hat.shape} and {local_grad.shape}"
         )
     log.g_sum += g_hat
     norm = float(np.linalg.norm(g_hat))

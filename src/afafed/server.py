@@ -73,8 +73,6 @@ class AggregationRecord:
     beta: float
     lambda_changed: bool
     fairness_index: float
-    mu_bar: float
-    iters_in_cluster: int
 
 
 def update_fairness_stats(state: ServerState, mu_bar: float) -> tuple[float, float]:
@@ -192,6 +190,4 @@ def process_uplink(
         beta=beta,
         lambda_changed=changed,
         fairness_index=jain_fairness_index(state.lambdas),
-        mu_bar=payload.mu_bar,
-        iters_in_cluster=payload.iters_in_cluster,
     )

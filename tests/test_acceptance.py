@@ -129,8 +129,8 @@ def test_criterion_02_convergence_bound_dominates():
         g_hats.append(est.gamma_hat)
         a_hats.append(0.0 if est.a_hat is None else est.a_hat)
         uw = uniform_weights(len(exp.engine.runtimes))
-        zetas.append(smoothness_constant(exp.model, exp.engine.data))
-        f0s.append(global_risk_arrays(exp.model, np.zeros(5), exp.engine.data, uw))
+        zetas.append(smoothness_constant(exp.engine.model, exp.engine.data))
+        f0s.append(global_risk_arrays(exp.engine.model, np.zeros(5), exp.engine.data, uw))
         fstars.append(quadratic_global_minimum(exp.engine.data, uw)[1])
 
     base = dict(zeta=float(np.mean(zetas)), f0=float(np.mean(f0s)),
@@ -282,7 +282,7 @@ def _spiky_trace(bias: float, samples: int, seed: int) -> ProfilingLog:
     g = np.zeros(d)
     g[0] = 0.02
     rng = np.random.default_rng(seed)
-    log = ProfilingLog(dim=d, w_start=np.zeros(d))
+    log = ProfilingLog(np.zeros(d))
     for _ in range(samples):
         noise = np.zeros(d)
         if rng.random() < p_spike:
@@ -300,7 +300,7 @@ def test_criterion_07_profiler_fidelity():
     unbiased = finalize(_spiky_trace(bias=1.0, samples=10_000, seed=915))
     ok = ok and unbiased.c_hat is not None and abs(unbiased.c_hat - 1.0) <= 0.05
 
-    anti = ProfilingLog(dim=2, w_start=np.zeros(2))
+    anti = ProfilingLog(np.zeros(2))
     g = np.array([1.0, 0.0])
     for _ in range(50):
         record_aggregation(anti, -g, g)

@@ -1,5 +1,6 @@
 """Config resolution, data generation, outputs, and the CLI."""
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -33,6 +34,7 @@ from afafed.harness import (
 )
 from afafed.model_core import global_risk_arrays
 from afafed.network_sim import ArrivalProcess
+from afafed.profiler import ParameterEstimates
 
 
 def small_doc(**sections):
@@ -517,6 +519,21 @@ def test_trace_kind_requires_a_path():
         build_experiment(resolve_config(doc))
 
 
+# the directory's reason is the operating system's wording
+@pytest.mark.parametrize("name, reason", [("missing.csv", "No such file or directory"),
+                                          ("a_directory", ".+")], ids=["missing", "directory"])
+def test_a_trace_path_that_cannot_be_opened_is_a_fault_of_arrivals_trace(
+        tmp_path, capsys, name, reason):
+    (tmp_path / "a_directory").mkdir()
+    path = str(tmp_path / name)
+    doc = small_doc(arrivals={"kind": "trace", "trace": path})
+    with pytest.raises(ConfigError, match=rf"^arrivals\.trace: {re.escape(path)}: {reason}$"):
+        build_experiment(resolve_config(doc))
+    rc = cli.main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: arrivals.trace: {path}: ")
+
+
 # ---------------- experiment wiring and outputs ---------------- #
 
 
@@ -555,7 +572,7 @@ def test_summary_contents_and_final_risk_recompute():
     assert sum(summary["per_coworker"]["access_prob"]) == pytest.approx(1.0)
     assert summary["config"]["sim"]["seed"] == 3
     direct = global_risk_arrays(
-        exp.model, exp.engine.server.w_global, exp.engine.data,
+        exp.engine.model, exp.engine.server.w_global, exp.engine.data,
         np.asarray(summary["lambdas_final"]),
     )
     assert summary["final_risk"] == pytest.approx(direct, rel=1e-12)
@@ -575,18 +592,9 @@ def test_final_risk_is_set_when_the_last_row_was_not_due():
     assert [r.t for r in result.rows if r.global_risk is not None] == [3, 6, 9]
     assert result.rows[-1].t == 10
     server = exp.engine.server
-    direct = global_risk_arrays(exp.model, server.w_global, exp.engine.data, server.lambdas)
+    direct = global_risk_arrays(exp.engine.model, server.w_global, exp.engine.data,
+                                server.lambdas)
     assert summarize(exp, result, None)["final_risk"] == direct
-
-
-def test_eval_weights_faults_are_not_reported_as_config_faults():
-    cfg = resolve_config(small_doc())
-    with pytest.raises(ValueError, match=r"^weights have shape \(3,\).*2 shards") as info:
-        build_experiment(cfg, eval_weights=np.full(3, 1.0 / 3.0))
-    assert not isinstance(info.value, ConfigError)
-    with pytest.raises(ValueError, match="^fairness weights sum to") as info:
-        build_experiment(cfg, eval_weights=np.array([0.5, 0.6]))
-    assert not isinstance(info.value, ConfigError)
 
 
 @pytest.mark.parametrize("sim, reason", [
@@ -629,6 +637,16 @@ def test_profiled_run_emits_estimates():
     assert estimates.samples == 10
     assert estimates.f0_hat is not None
     assert estimates.zeta_hat is None or estimates.zeta_hat >= 0.0
+
+
+def test_summary_estimates_hold_exactly_the_estimate_fields():
+    exp, result, estimates = run_experiment(resolve_config(small_doc()),
+                                            enable_profiling=True)
+    block = summarize(exp, result, estimates)["estimates"]
+    assert set(block) == {f.name for f in dataclasses.fields(ParameterEstimates)}
+    feasible = block["feasible"]
+    assert type(feasible) is list and len(feasible) == 3
+    assert all(type(flag) is bool for flag in feasible)
 
 
 # ---------------- bound evaluation ---------------- #
@@ -674,6 +692,13 @@ def test_evaluate_bounds_scaled_block():
     doc["scaled"]["i2_bar"] = 0.5  # violates Jensen
     with pytest.raises(ConfigError, match="bound.scaled"):
         evaluate_bounds(doc)
+
+
+def test_evaluate_bounds_scaled_block_holds_exactly_the_scaled_result():
+    doc = dict(BOUND_DOC, scaled={"c0": 0.5, "gamma0": 1.0, "a0": 1.0,
+                                  "sigma_sq_bar": 1.0, "i_bar": 1.0, "i2_bar": 1.0})
+    scaled = evaluate_bounds(doc)["scaled"]
+    assert list(scaled) == ["bound", "beta_max_admissible", "c", "gamma", "a"]
 
 
 # ---------------- command line ---------------- #
@@ -824,7 +849,7 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
     rc = cli.main(["run", "--config", str(tmp_path / "nope.yaml"),
                    "--out", str(tmp_path / "x")])
     assert rc == 2
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_bound_command(tmp_path, capsys):

@@ -246,12 +246,10 @@ def test_risk_rows_recompute_offline_for_single_coworker():
 
 def test_eval_columns_straddle_the_aggregation():
     # grad_sqnorm is taken before the aggregation, at the model the uplink
-    # meets, with the fixed eval_weights; global_risk after it, at the new
-    # model, with the coefficients the aggregation left
-    eval_weights = np.array([0.1, 0.6, 0.3])
+    # meets, with uniform weights; global_risk after it, at the new model,
+    # with the coefficients the aggregation left
     seen = []
-    eng = build_engine(k=3, seed=29, eval_every=1, eval_weights=eval_weights,
-                       speed=[10.0, 20.0, 40.0],
+    eng = build_engine(k=3, seed=29, eval_every=1, speed=[10.0, 20.0, 40.0],
                        aggregation_hook=lambda server, record: seen.append(
                            (server.w_global.copy(), server.lambdas.copy())))
     res = eng.run(aggregations=40)
@@ -259,8 +257,7 @@ def test_eval_columns_straddle_the_aggregation():
     shards = [rt.setup.shard for rt in eng.runtimes]
     w_before = np.zeros(2)
     for row, (w_after, lam) in zip(res.rows, seen):
-        g = sum(e * (X.T @ (X @ w_before - y)) / len(y)
-                for e, (X, y) in zip(eval_weights, shards))
+        g = sum((X.T @ (X @ w_before - y)) / len(y) for X, y in shards) / 3
         risk = sum(l * 0.5 * np.mean((X @ w_after - y) ** 2)
                    for l, (X, y) in zip(lam, shards))
         assert row.grad_sqnorm == pytest.approx(float(g @ g), rel=1e-12)
@@ -274,17 +271,6 @@ def test_w0_of_the_wrong_shape_is_refused_at_construction(shape):
     expected = rf"w0 has shape {re.escape(str(shape))}, expected \(2,\)"
     with pytest.raises(ValueError, match=expected):
         build_engine(w0=np.zeros(shape))
-
-
-def test_eval_weights_of_the_wrong_length_are_refused_at_construction():
-    with pytest.raises(ValueError, match="weights have shape \\(2,\\).*3 shards"):
-        build_engine(k=3, eval_every=1, eval_weights=np.array([0.5, 0.5]))
-
-
-@pytest.mark.parametrize("weights", [[0.5, 0.6, 0.1], [1.5, -0.5, 0.0], [np.nan, 0.5, 0.5]])
-def test_eval_weights_off_the_simplex_are_refused_at_construction(weights):
-    with pytest.raises(ValueError, match="fairness weights"):
-        build_engine(k=3, eval_every=1, eval_weights=np.array(weights))
 
 
 def test_eval_every_spacing():

@@ -12,7 +12,7 @@ from afafed.profiler import (
 
 
 def make_log(dim=3):
-    return ProfilingLog(dim=dim, w_start=np.zeros(dim))
+    return ProfilingLog(np.zeros(dim))
 
 
 # ---------------- recording ---------------- #
