@@ -8,12 +8,13 @@ examples they range over.
 
 Data are stacked arrays only: a shard is an (m, d) feature matrix X with an
 (m,) target vector y, and the K shards together are one read-only
-:class:`ShardSet`.  The weighted global risk and gradient each take one
-matrix-vector product for the scores.  The risk then sums each shard's
-losses and takes one K-length dot with the weights λ_k/n_k; the gradient
-weights every row of shard k by λ_k/n_k before its product with the
-features transposed.  Both products run over ``ShardSet.XT``, a
-feature-major (d, n) copy kept beside the row-major X, because a
+:class:`ShardSet`.  :func:`global_evaluation` takes the weighted global
+risk, its gradient or both from one matrix-vector product for the scores.
+The risk then sums each shard's losses and takes one K-length dot with the
+weights λ_k/n_k; the gradient weights every row of shard k by λ_k/n_k
+before its product with the features transposed.  Both products run over
+``ShardSet.XT``, a feature-major (d, n) copy of X that
+:func:`feature_major` builds for the sets that are evaluated, because a
 matrix-vector product over n rows of d = 5 features is about three times
 faster that way; per-shard views and minibatch gathers keep using X.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,14 +45,14 @@ class LossModel:
 class ShardSet(NamedTuple):
     """The K local data sets stacked into one (X, y); shard k holds the next sizes[k] rows.
 
-    XT is a C-contiguous copy of X.T, the layout the global evaluation's
-    matrix-vector products run over.
+    XT is None, or a C-contiguous copy of X.T, the layout the global
+    evaluation's matrix-vector products run over (see :func:`feature_major`).
     """
 
     X: np.ndarray
     y: np.ndarray
     sizes: Tuple[int, ...]
-    XT: np.ndarray
+    XT: Optional[np.ndarray]
 
     def views(self) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Per-shard (X, y) views into the stacked arrays, in shard order."""
@@ -99,10 +100,8 @@ def _layout(sizes: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray, int]:
 
 
 def stack_shards(shards: Sequence[Tuple[np.ndarray, np.ndarray]]) -> ShardSet:
-    """Concatenate per-shard (X, y) pairs into one :class:`ShardSet`.
-
-    Its arrays are read-only, so X and its feature-major copy XT cannot drift apart.
-    """
+    """Concatenate per-shard (X, y) pairs into one read-only :class:`ShardSet`
+    without the feature-major copy XT, which only evaluation reads."""
     if len(shards) == 0:
         raise ValueError("need at least one shard")
     for k, (X, y) in enumerate(shards):
@@ -113,9 +112,20 @@ def stack_shards(shards: Sequence[Tuple[np.ndarray, np.ndarray]]) -> ShardSet:
             )
     X = np.concatenate([X for X, _ in shards], dtype=np.float64)
     y = np.concatenate([y for _, y in shards], dtype=np.float64)
-    XT = np.ascontiguousarray(X.T)
-    X.flags.writeable = y.flags.writeable = XT.flags.writeable = False
-    return ShardSet(X, y, tuple(len(y) for _, y in shards), XT)
+    X.flags.writeable = y.flags.writeable = False
+    return ShardSet(X, y, tuple(len(y) for _, y in shards), None)
+
+
+def feature_major(data: ShardSet) -> ShardSet:
+    """data with its read-only feature-major copy XT: data itself when it has one.
+
+    X is read-only too, so the two cannot drift apart.
+    """
+    if data.XT is not None:
+        return data
+    XT = np.ascontiguousarray(data.X.T)
+    XT.flags.writeable = False
+    return data._replace(XT=XT)
 
 
 def _check_dims(model: LossModel, w: np.ndarray, X: np.ndarray) -> None:
@@ -187,23 +197,48 @@ def minibatch_gradient(
     return g
 
 
+def global_evaluation(
+    model: LossModel,
+    w: np.ndarray,
+    data: ShardSet,
+    risk_weights: Optional[np.ndarray],
+    grad_weights: Optional[np.ndarray],
+) -> Tuple[Optional[float], Optional[np.ndarray]]:
+    """(risk, gradient) at w from one score product; either part is None when
+    its weights are None.
+
+    The risk is sum_k risk_weights[k] * risk_k, from per-shard sums of the
+    losses; the gradient is that of sum_k grad_weights[k] * risk_k.  At most
+    three n-row arrays are alive at once: the scores go as soon as the
+    residuals exist.
+    """
+    _check_dims(model, w, data.X)
+    data = feature_major(data)
+    z = data.XT.T @ w
+    risk = grad = None
+    if risk_weights is not None:
+        losses = data.shard_sums(_losses(model, z, data.y))    # K sums; no n-row array kept
+        risk = float(data.shard_weights(risk_weights) @ losses)
+    if grad_weights is not None:
+        r = _residuals(model, z, data.y)
+        del z
+        r *= data.row_weights(grad_weights)
+        grad = data.XT @ r
+    return risk, grad
+
+
 def global_risk_arrays(
     model: LossModel, w: np.ndarray, data: ShardSet, weights: np.ndarray
 ) -> float:
-    """Weighted global risk sum_k weights[k] * risk_k, from per-shard sums of the losses."""
-    _check_dims(model, w, data.X)
-    losses = _losses(model, data.XT.T @ w, data.y)
-    return float(data.shard_weights(weights) @ data.shard_sums(losses))
+    """Weighted global risk sum_k weights[k] * risk_k."""
+    return global_evaluation(model, w, data, weights, None)[0]
 
 
 def global_gradient_arrays(
     model: LossModel, w: np.ndarray, data: ShardSet, weights: np.ndarray
 ) -> np.ndarray:
     """Gradient of :func:`global_risk_arrays` with respect to w."""
-    _check_dims(model, w, data.X)
-    r = _residuals(model, data.XT.T @ w, data.y)
-    r *= data.row_weights(weights)
-    return data.XT @ r
+    return global_evaluation(model, w, data, None, weights)[1]
 
 
 # ---------------- fairness weights ---------------- #

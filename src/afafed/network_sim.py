@@ -40,8 +40,8 @@ from . import server as srv
 from .errors import ProtocolError
 from .model_core import (
     LossModel,
-    global_gradient_arrays,
-    global_risk_arrays,
+    feature_major,
+    global_evaluation,
     minibatch_gradient,
     risk_arrays,
     stack_shards,
@@ -120,8 +120,18 @@ class LinkModel:
         if not 0.0 <= self.rate_jitter < 1.0:
             raise ValueError("rate_jitter must lie in [0, 1)")
 
-    def uplink_attempt(self, rng: np.random.Generator) -> Optional[float]:
-        """Transmission delay for one attempt, or None when the packet drops."""
+    @property
+    def draws(self) -> bool:
+        """Whether an uplink attempt draws from the link's random stream."""
+        return self.p_loss > 0.0 or self.rate_jitter > 0.0
+
+    def uplink_attempt(self, rng: Optional[np.random.Generator]) -> Optional[float]:
+        """Transmission delay for one attempt, or None when the packet drops.
+
+        rng may be None when the link does not draw.
+        """
+        if not self.draws:
+            return self.payload_bits / self.rate
         if self.p_loss > 0.0 and rng.random() < self.p_loss:
             return None
         rate = self.rate
@@ -176,6 +186,11 @@ class ArrivalProcess:
             if np.any(t[1:] < t[:-1]):
                 raise ValueError("trace arrival times must be non-decreasing")
 
+    @property
+    def draws(self) -> bool:
+        """Whether scheduling an arrival draws from the arrival stream."""
+        return self.kind == "poisson"
+
 
 @dataclass
 class CoworkerSetup:
@@ -201,8 +216,8 @@ class _Runtime:
     state: cw.CoworkerState
     setup: CoworkerSetup
     rng_sample: np.random.Generator
-    rng_link: np.random.Generator
-    rng_arrival: np.random.Generator
+    rng_link: Optional[np.random.Generator]         # None when the link does not draw
+    rng_arrival: Optional[np.random.Generator]      # None when the arrival law does not draw
     timer_duration: float
     phase: str = "stalled"          # stalled | computing | waiting
     cluster_token: int = 0
@@ -303,6 +318,10 @@ class SimulationEngine:
         lambdas = uniform_weights(k)
         self.server = srv.ServerState(w_global=self.w0.copy(), lambdas=lambdas)
         self.eval_weights = lambdas.copy()      # grad_sqnorm weighs coworkers uniformly
+        self._ranks = np.arange(1, k + 1)       # lambda_checksum = ranks @ lambdas
+        # squared norm of the gradient at the current w̄, kept for the next
+        # row between the aggregation that evaluated it and that row
+        self._next_grad_sq: Optional[float] = None
         # every shard lives once, in the stacked set; each runtime's setup and
         # buffer hold views of its rows
         self.data = stack_shards([s.shard for s in setups])
@@ -310,6 +329,8 @@ class SimulationEngine:
             raise ValueError(
                 f"shards have {self.data.X.shape[1]} features, model.dim is {model.dim}"
             )
+        if eval_every > 0:
+            self.data = feature_major(self.data)
 
         self.runtimes: List[_Runtime] = []
         for cid, (setup, shard) in enumerate(zip(setups, self.data.views())):
@@ -320,8 +341,8 @@ class SimulationEngine:
                 state=state,
                 setup=setup,
                 rng_sample=self._rng(0, cid),
-                rng_link=self._rng(1, cid),
-                rng_arrival=self._rng(2, cid),
+                rng_link=self._rng(1, cid) if setup.link.draws else None,
+                rng_arrival=self._rng(2, cid) if setup.arrivals.draws else None,
                 timer_duration=timer_factor * setup.link.mean_rtt(),
             )
             self.runtimes.append(rt)
@@ -489,20 +510,21 @@ class SimulationEngine:
         if self.profiling_log is not None:
             record_aggregation(self.profiling_log, server.w_global - payload.w,
                                payload.last_grad)
-        due = self.eval_every > 0 and (server.t + 1) % self.eval_every == 0
+        # row t takes its gradient before this aggregation and its risk after
+        # it; one evaluation after aggregation t serves row t and row t + 1
+        t, every = server.t + 1, self.eval_every
+        due = every > 0 and t % every == 0
+        next_due = every > 0 and (t + 1) % every == 0
         grad_sq = None
         if due:
-            g = global_gradient_arrays(self.model, server.w_global, self.data,
-                                       self.eval_weights)
-            grad_sq = float(g @ g)
+            if self._next_grad_sq is None:      # row 1: no aggregation evaluated w0
+                self._evaluate(False, True)
+            grad_sq, self._next_grad_sq = self._next_grad_sq, None
         record = srv.process_uplink(server, payload, self.mixing)
         self.accepted_by[payload.sender] += 1
         self.iters_per_acceptance.append(payload.iters_in_cluster)
-        risk = None
-        if due:
-            risk = global_risk_arrays(self.model, server.w_global, self.data,
-                                      server.lambdas)
-        checksum = float(np.arange(1, len(server.lambdas) + 1) @ server.lambdas)
+        risk = self._evaluate(due, next_due) if due or next_due else None
+        checksum = float(self._ranks @ server.lambdas)
         self.rows.append(MetricsRow(
             t=record.t, time=ev.time, sender=record.sender, age=record.age,
             beta=record.beta, lambda_checksum=checksum,
@@ -539,6 +561,21 @@ class SimulationEngine:
             return
         # give up on the pending uplink; the next cluster continues from local state
         self._start_cluster(cid, ev.time)
+
+    def _evaluate(self, risk_due: bool, grad_due: bool) -> Optional[float]:
+        """One score product at the current w̄.
+
+        Returns the global risk under the current λ when risk_due; when
+        grad_due, keeps the squared norm of the uniformly weighted gradient
+        for the next row.
+        """
+        server = self.server
+        risk, g = global_evaluation(self.model, server.w_global, self.data,
+                                    server.lambdas if risk_due else None,
+                                    self.eval_weights if grad_due else None)
+        if grad_due:
+            self._next_grad_sq = float(g @ g)
+        return risk
 
     # ---------------- main loop ---------------- #
 

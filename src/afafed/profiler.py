@@ -11,6 +11,7 @@ models plus a secant estimate of the smoothness constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -44,7 +45,7 @@ def record_aggregation(log: ProfilingLog, g_hat: np.ndarray, local_grad: np.ndar
             f"expected vectors of shape {shape}, got {g_hat.shape} and {local_grad.shape}"
         )
     log.g_sum += g_hat
-    norm = float(np.linalg.norm(g_hat))
+    norm = math.sqrt(g_hat.dot(g_hat))      # np.linalg.norm's formula for a 1-D float vector
     log.g_norm_sum += norm
     log.g_sqnorm_sum += norm * norm
     log.grad_sum += local_grad

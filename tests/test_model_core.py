@@ -17,6 +17,8 @@ from afafed.model_core import (
     _losses,
     _residuals,
     check_weights,
+    feature_major,
+    global_evaluation,
     global_gradient_arrays,
     global_risk_arrays,
     jain_fairness_index,
@@ -265,8 +267,13 @@ def test_stacked_shards_are_views_in_order():
 
 
 def test_stacked_shards_keep_a_read_only_feature_major_copy():
+    # stacking builds no XT; feature_major builds it once, for evaluation
     rng = np.random.default_rng(15)
-    data = stack_shards([make_shard(rng, n, 3, LossKind.QUADRATIC) for n in (4, 7, 2)])
+    plain = stack_shards([make_shard(rng, n, 3, LossKind.QUADRATIC) for n in (4, 7, 2)])
+    assert plain.XT is None
+    data = feature_major(plain)
+    assert feature_major(data) is data
+    assert data.X is plain.X and data.y is plain.y and data.sizes == plain.sizes
     np.testing.assert_array_equal(data.XT, data.X.T)
     assert data.XT.shape == (3, 13) and data.XT.flags.c_contiguous
     assert not np.shares_memory(data.XT, data.X)
@@ -275,6 +282,23 @@ def test_stacked_shards_keep_a_read_only_feature_major_copy():
             arr[0] = 1.0
     for Xv, yv in data.views():
         assert np.shares_memory(Xv, data.X) and np.shares_memory(yv, data.y)
+
+
+def test_one_evaluation_gives_both_parts_bit_for_bit():
+    # the risk and the gradient from one score product equal the one-part calls
+    rng = np.random.default_rng(16)
+    for kind in (LossKind.QUADRATIC, LossKind.LOGISTIC):
+        model = LossModel(kind, 4)
+        data = feature_major(stack_shards([make_shard(rng, n, 4, kind) for n in (9, 1, 23)]))
+        w = rng.standard_normal(4)
+        lam, uniform = np.array([0.5, 0.2, 0.3]), uniform_weights(3)
+        risk, grad = global_evaluation(model, w, data, lam, uniform)
+        assert risk == global_risk_arrays(model, w, data, lam)
+        np.testing.assert_array_equal(grad, global_gradient_arrays(model, w, data, uniform))
+        assert global_evaluation(model, w, data, lam, None)[1] is None
+        assert global_evaluation(model, w, data, None, uniform)[0] is None
+        # a set without XT evaluates through a transient copy, to the same bits
+        assert global_evaluation(model, w, data._replace(XT=None), lam, None)[0] == risk
 
 
 def test_convexity_midpoint():

@@ -52,15 +52,19 @@ def build_engine(
     mixing_kw=None,
     timer_factor=3.0,
     w0=None,
+    kind=LossKind.QUADRATIC,
     **engine_kw,
 ):
     rng = np.random.default_rng(seed + 999)
-    model = LossModel(LossKind.QUADRATIC, 2)
+    model = LossModel(kind, 2)
     speeds = speed if isinstance(speed, (list, tuple)) else [speed] * k
     setups = []
     for cid in range(k):
+        X, y = quad_shard(rng)
+        if kind is LossKind.LOGISTIC:
+            y = (y > 0.0).astype(np.float64)
         setups.append(CoworkerSetup(
-            shard=quad_shard(rng),
+            shard=(X, y),
             link=LinkModel(p_loss=p_loss, rate=rate, payload_bits=payload_bits),
             compute=ComputeModel(speed=speeds[cid], cycles_per_iteration=10.0),
             arrivals=arrivals or ArrivalProcess(kind="poisson", rate=20.0),
@@ -244,25 +248,65 @@ def test_risk_rows_recompute_offline_for_single_coworker():
         assert row.global_risk == pytest.approx(direct, rel=1e-12)
 
 
-def test_eval_columns_straddle_the_aggregation():
+def _loss_grad_and_risk(kind, X, y, w):
+    """Mean gradient and mean loss of one shard at w, from the textbook formulas."""
+    z = X @ w
+    if kind is LossKind.QUADRATIC:
+        return X.T @ (z - y) / len(y), 0.5 * np.mean((z - y) ** 2)
+    p = 1.0 / (1.0 + np.exp(-z))
+    return X.T @ (p - y) / len(y), np.mean(np.logaddexp(0.0, z) - y * z)
+
+
+@pytest.mark.parametrize("resumed", [False, True], ids=["one_run", "resumed"])
+@pytest.mark.parametrize("every", [1, 2, 3])
+@pytest.mark.parametrize("kind", [LossKind.QUADRATIC, LossKind.LOGISTIC],
+                         ids=lambda kind: kind.value)
+def test_eval_columns_straddle_the_aggregation(kind, every, resumed):
     # grad_sqnorm is taken before the aggregation, at the model the uplink
     # meets, with uniform weights; global_risk after it, at the new model,
-    # with the coefficients the aggregation left
+    # with the coefficients the aggregation left; rows that are not due have
+    # neither, and a second run() call picks up where the first stopped
     seen = []
-    eng = build_engine(k=3, seed=29, eval_every=1, speed=[10.0, 20.0, 40.0],
+    eng = build_engine(k=3, seed=29, eval_every=every, speed=[10.0, 20.0, 40.0], kind=kind,
                        aggregation_hook=lambda server, record: seen.append(
                            (server.w_global.copy(), server.lambdas.copy())))
+    if resumed:
+        assert eng.run(aggregations=7).aggregations == 7
     res = eng.run(aggregations=40)
+    assert len(res.rows) == len(seen) == 40
     assert any(not np.allclose(lam, lam[0]) for _, lam in seen)   # lambda moved
     shards = [rt.setup.shard for rt in eng.runtimes]
     w_before = np.zeros(2)
     for row, (w_after, lam) in zip(res.rows, seen):
-        g = sum((X.T @ (X @ w_before - y)) / len(y) for X, y in shards) / 3
-        risk = sum(l * 0.5 * np.mean((X @ w_after - y) ** 2)
-                   for l, (X, y) in zip(lam, shards))
-        assert row.grad_sqnorm == pytest.approx(float(g @ g), rel=1e-12)
-        assert row.global_risk == pytest.approx(risk, rel=1e-12)
+        if row.t % every:
+            assert row.grad_sqnorm is None and row.global_risk is None
+        else:
+            g = sum(_loss_grad_and_risk(kind, X, y, w_before)[0] for X, y in shards) / 3
+            risk = sum(l * _loss_grad_and_risk(kind, X, y, w_after)[1]
+                       for l, (X, y) in zip(lam, shards))
+            assert row.grad_sqnorm == pytest.approx(float(g @ g), rel=1e-12)
+            assert row.global_risk == pytest.approx(risk, rel=1e-12)
         w_before = w_after
+
+
+def test_random_streams_exist_only_for_laws_that_draw():
+    periodic = ArrivalProcess(kind="periodic", interval=0.1)
+    quiet = build_engine(k=2, arrivals=periodic).runtimes
+    assert all(rt.rng_link is None and rt.rng_arrival is None for rt in quiet)
+    noisy = build_engine(k=2, p_loss=0.1).runtimes
+    assert all(rt.rng_link is not None and rt.rng_arrival is not None for rt in noisy)
+    assert not LinkModel().draws and not periodic.draws
+    assert LinkModel(rate_jitter=0.1).draws and LinkModel(p_loss=0.1).draws
+    assert ArrivalProcess(kind="poisson", rate=1.0).draws
+    assert not ArrivalProcess(kind="trace", times=(1.0,)).draws
+    # a link that does not draw needs no stream
+    assert LinkModel(rate=50.0, payload_bits=10.0).uplink_attempt(None) == 0.2
+
+
+def test_only_an_evaluating_engine_builds_the_feature_major_copy():
+    assert build_engine(k=2, eval_every=0).data.XT is None
+    data = build_engine(k=2, eval_every=3).data
+    np.testing.assert_array_equal(data.XT, data.X.T)
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 1)])

@@ -3,7 +3,8 @@
 ``perfbench/tracer.py`` wraps library functions by name; a function that is
 renamed or inlined away is only listed in ``Tracer.absent`` and its per-layer
 metrics silently read 0.  This runs a tiny engine under the tracer and checks
-that the iteration layer is still seen, call for call.
+that the iteration layer is still seen, call for call, and that the only
+functions the tracer misses are the two it is known to miss.
 """
 
 from pathlib import Path
@@ -31,8 +32,11 @@ ITERATION_HOOKS = (
     "coworker.handle_fairness_broadcast",
 )
 
+# wrapped by the tracer but deleted from the library (see ROADMAP, benchmark upkeep)
+KNOWN_ABSENT = {"coworker.handle_timer_expiry", "model_core.stack_examples"}
 
-def tiny_engine():
+
+def tiny_engine(eval_every=0):
     rng = np.random.default_rng(5)
     setups = [
         CoworkerSetup(
@@ -47,7 +51,7 @@ def tiny_engine():
     ]
     return SimulationEngine(model=LossModel(LossKind.QUADRATIC, 2), setups=setups,
                             adaptive=AdaptiveConfig(iter_max=4), mixing=MixingConfig(),
-                            w0=np.zeros(2), seed=7)
+                            w0=np.zeros(2), seed=7, eval_every=eval_every)
 
 
 def test_tracer_sees_every_iteration_layer_call(monkeypatch):
@@ -64,3 +68,13 @@ def test_tracer_sees_every_iteration_layer_call(monkeypatch):
     assert metrics["stream_manager.samples"][0] == result.iterations_total
     assert metrics["model_core.minibatch_grads"][0] == result.iterations_total
     assert metrics["coworker.broadcasts_applied"][0] > 0
+
+
+def test_tracer_misses_only_the_known_absent_functions(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    with Tracer() as tracer:
+        result = tiny_engine(eval_every=1).run(aggregations=10)
+    assert all(row.global_risk is not None for row in result.rows)
+    assert set(tracer.absent) == KNOWN_ABSENT
