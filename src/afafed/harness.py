@@ -187,9 +187,9 @@ def _require(cond: bool, key: str, message: str) -> None:
 def _check(table: Dict[str, Key], node: Any, path: str) -> Dict[str, Any]:
     """A copy of mapping ``node`` with every value checked against ``table``.
 
-    Refuses unknown and missing keys, disallowed nulls, non-finite numbers
-    and values under a key's bound; errors name the dotted key.  Keys left
-    out of ``node`` stay out of the copy.
+    Refuses unknown and missing keys, disallowed nulls, non-finite numbers,
+    integers outside 64 bits and values under a key's bound; errors name the
+    dotted key.  Keys left out of ``node`` stay out of the copy.
     """
     _require(isinstance(node, dict), path or "config", "must be a mapping")
     out = {}
@@ -232,6 +232,8 @@ def _scalar(key: Key, value: Any, dotted: str) -> Any:
     if key.type is int:
         _require(out.is_integer(), dotted, f"expected an integer, got {value!r}")
         out = int(out)
+        # numpy sizes and indices are 64-bit: a larger size fails deep inside numpy
+        _require(-2**63 <= out < 2**63, dotted, f"expected a 64-bit integer, got {value!r}")
     _require(key.ge is None or out >= key.ge, dotted, f"must be >= {key.ge}")
     _require(key.gt is None or out > key.gt, dotted, f"must be > {key.gt}")
     return out

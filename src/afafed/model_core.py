@@ -8,21 +8,36 @@ examples they range over.
 
 Data are stacked arrays only: a shard is an (m, d) feature matrix X with an
 (m,) target vector y, and the K shards together are one read-only
-:class:`ShardSet`.  :func:`global_evaluation` takes the weighted global
+:class:`ShardSet`.  A :class:`GlobalEvaluator` takes the weighted global
 risk, its gradient or both from one matrix-vector product for the scores.
-The risk then sums each shard's losses and takes one K-length dot with the
-weights λ_k/n_k; the gradient weights every row of shard k by λ_k/n_k
+The risk sums each shard's losses and takes one K-length dot with the
+weights λ_k/n_k; the gradient weights every row of shard k by ρ = g_k/n_k
 before its product with the features transposed.  Both products run over
 ``ShardSet.XT``, a feature-major (d, n) copy of X that
 :func:`feature_major` builds for the sets that are evaluated, because a
 matrix-vector product over n rows of d = 5 features is about three times
-faster that way; per-shard views and minibatch gathers keep using X.
+faster that way; per-shard views and minibatch gathers keep using X.  The
+evaluator builds XT, ρ and the logistic label signs once, so a run that
+evaluates many models pays for them once; :func:`global_evaluation` builds
+one for a single call.
+
+The logistic evaluation needs labels in {0, 1}.  With s = 1 - 2y and
+h = tanh(z / 2), one tanh per row serves both parts:
+sigmoid(z) - y = (h + s) / 2, and the loss softplus(s z) is
+relu(s z) + ln 2 - ln(1 + |h|), whose last term each shard sums as the log
+of products over 64-row blocks.  No exp or log1p runs per row.  Each row's
+loss then carries an absolute error of up to about 5e-16, a few units in
+the last place of ln 2, so a row classified with a margin, whose loss is
+far below that, is not resolved relative to its own size.  The
+per-iteration ``minibatch_gradient`` and ``risk_arrays`` keep the
+softplus(z) - y z form.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -197,6 +212,109 @@ def minibatch_gradient(
     return g
 
 
+_BLOCK = 64     # rows per product of 1 + |h| in the logistic risk; each lies in [1, 2]
+
+
+@functools.lru_cache(maxsize=16)
+def _blocks(sizes: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
+    """The first row of every _BLOCK-row block inside each shard, and the
+    index of each shard's first block, for one sizes tuple.
+
+    A product of 64 factors in [1, 2] is at most 2**64, so it can neither
+    overflow nor underflow.  Cached because every evaluation of a run uses
+    the same shard sizes.
+    """
+    starts = _layout(sizes)[0]
+    rows = np.concatenate([np.arange(s, s + n, _BLOCK) for s, n in zip(starts, sizes)])
+    counts = [-(-n // _BLOCK) for n in sizes]
+    first = np.cumsum([0] + counts[:-1])
+    rows.flags.writeable = first.flags.writeable = False
+    return rows, first
+
+
+class GlobalEvaluator:
+    """The weighted global risk and its gradient over one :class:`ShardSet`,
+    at any w, with every array that does not depend on w built once.
+
+    Construction builds the feature-major copy XT (:func:`feature_major`),
+    the per-row gradient weights rho (``grad_weights[k] / sizes[k]`` on each
+    row of shard k; none when grad_weights is None) and, for the logistic
+    loss, the label signs s = 1 - 2y.  A run builds one evaluator, and only
+    when it evaluates.
+    """
+
+    def __init__(self, model: LossModel, data: ShardSet,
+                 grad_weights: Optional[np.ndarray]) -> None:
+        self.model = model
+        self.data = feature_major(data)
+        self.rho = None if grad_weights is None else data.row_weights(grad_weights)
+        self.signs = None
+        if model.kind is LossKind.LOGISTIC:
+            y = data.y
+            if not ((y == 0.0) | (y == 1.0)).all():         # NaN fails too
+                raise ValueError("the logistic loss needs every label in {0, 1}")
+            self.signs = np.multiply(y, -2.0)
+            self.signs += 1.0
+            self._ln2_counts = math.log(2.0) * _layout(data.sizes)[1]
+
+    def __call__(self, w: np.ndarray, risk_weights: Optional[np.ndarray],
+                 grad: bool) -> Tuple[Optional[float], Optional[np.ndarray]]:
+        """(risk, gradient) at w from one score product: the risk
+        sum_k risk_weights[k] * risk_k when risk_weights is not None, and the
+        gradient of sum_k grad_weights[k] * risk_k when grad is true.
+
+        At most three n-row arrays are alive at once.
+        """
+        model, data = self.model, self.data
+        _check_dims(model, w, data.X)
+        if grad and self.rho is None:
+            raise ValueError("this evaluator was built without gradient weights")
+        if model.kind is LossKind.LOGISTIC:
+            return self._logistic(w, risk_weights, grad)
+        z = w @ data.XT
+        risk = g = None
+        if risk_weights is not None:
+            losses = data.shard_sums(_losses(model, z, data.y))    # K sums; no n-row array kept
+            risk = float(data.shard_weights(risk_weights) @ losses)
+        if grad:
+            r = _residuals(model, z, data.y)
+            del z
+            r *= self.rho
+            g = data.XT @ r
+        return risk, g
+
+    def _logistic(self, w: np.ndarray, risk_weights: Optional[np.ndarray],
+                  grad: bool) -> Tuple[Optional[float], Optional[np.ndarray]]:
+        # with h = tanh(z / 2) and labels y in {0, 1}, s = 1 - 2y:
+        #   sigmoid(z) - y = (h + s) / 2
+        #   softplus(s z) = relu(s z) + ln 2 - ln(1 + |h|)
+        # so one tanh per row serves both; the last sum is the log of
+        # products over _BLOCK-row blocks.  u = z / 2 comes from (w / 2) @ XT,
+        # exactly half of w @ XT, so 2 relu(s u) is relu(s z) to the bit.
+        data, s = self.data, self.signs
+        u = (0.5 * w) @ data.XT
+        risk = g = None
+        if risk_weights is not None:
+            buf = s * u
+            np.maximum(buf, 0.0, out=buf)
+            relu = data.shard_sums(buf)
+        np.tanh(u, out=u)
+        if risk_weights is not None:
+            np.abs(u, out=buf)
+            buf += 1.0
+            blocks, first = _blocks(data.sizes)
+            logs = np.log(np.multiply.reduceat(buf, blocks))
+            del buf
+            losses = 2.0 * relu + self._ln2_counts - np.add.reduceat(logs, first)
+            risk = float(data.shard_weights(risk_weights) @ losses)
+        if grad:
+            u += s
+            u *= self.rho
+            g = data.XT @ u
+            g *= 0.5
+        return risk, g
+
+
 def global_evaluation(
     model: LossModel,
     w: np.ndarray,
@@ -208,23 +326,12 @@ def global_evaluation(
     its weights are None.
 
     The risk is sum_k risk_weights[k] * risk_k, from per-shard sums of the
-    losses; the gradient is that of sum_k grad_weights[k] * risk_k.  At most
-    three n-row arrays are alive at once: the scores go as soon as the
-    residuals exist.
+    losses; the gradient is that of sum_k grad_weights[k] * risk_k.  Builds a
+    :class:`GlobalEvaluator` for this one call; a caller that evaluates many
+    models over the same data keeps one instead.
     """
-    _check_dims(model, w, data.X)
-    data = feature_major(data)
-    z = data.XT.T @ w
-    risk = grad = None
-    if risk_weights is not None:
-        losses = data.shard_sums(_losses(model, z, data.y))    # K sums; no n-row array kept
-        risk = float(data.shard_weights(risk_weights) @ losses)
-    if grad_weights is not None:
-        r = _residuals(model, z, data.y)
-        del z
-        r *= data.row_weights(grad_weights)
-        grad = data.XT @ r
-    return risk, grad
+    evaluate = GlobalEvaluator(model, data, grad_weights)
+    return evaluate(w, risk_weights, grad_weights is not None)
 
 
 def global_risk_arrays(

@@ -39,9 +39,8 @@ from . import coworker as cw
 from . import server as srv
 from .errors import ProtocolError
 from .model_core import (
+    GlobalEvaluator,
     LossModel,
-    feature_major,
-    global_evaluation,
     minibatch_gradient,
     risk_arrays,
     stack_shards,
@@ -317,7 +316,6 @@ class SimulationEngine:
             raise ValueError(f"w0 has shape {self.w0.shape}, expected ({model.dim},)")
         lambdas = uniform_weights(k)
         self.server = srv.ServerState(w_global=self.w0.copy(), lambdas=lambdas)
-        self.eval_weights = lambdas.copy()      # grad_sqnorm weighs coworkers uniformly
         self._ranks = np.arange(1, k + 1)       # lambda_checksum = ranks @ lambdas
         # squared norm of the gradient at the current w̄, kept for the next
         # row between the aggregation that evaluated it and that row
@@ -329,8 +327,11 @@ class SimulationEngine:
             raise ValueError(
                 f"shards have {self.data.X.shape[1]} features, model.dim is {model.dim}"
             )
+        # built only when something evaluates; grad_sqnorm weighs coworkers uniformly
+        self.evaluator: Optional[GlobalEvaluator] = None
         if eval_every > 0:
-            self.data = feature_major(self.data)
+            self.evaluator = GlobalEvaluator(model, self.data, uniform_weights(k))
+            self.data = self.evaluator.data
 
         self.runtimes: List[_Runtime] = []
         for cid, (setup, shard) in enumerate(zip(setups, self.data.views())):
@@ -570,9 +571,8 @@ class SimulationEngine:
         for the next row.
         """
         server = self.server
-        risk, g = global_evaluation(self.model, server.w_global, self.data,
-                                    server.lambdas if risk_due else None,
-                                    self.eval_weights if grad_due else None)
+        risk, g = self.evaluator(server.w_global, server.lambdas if risk_due else None,
+                                 grad_due)
         if grad_due:
             self._next_grad_sq = float(g @ g)
         return risk

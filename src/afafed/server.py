@@ -153,8 +153,13 @@ def compute_beta(state: ServerState, k: int, age: int, cfg: MixingConfig) -> flo
 
     Raw value: the sender's current fairness coefficient, discounted by the
     staleness profile and by an optional power-law decay in the server clock.
+    A decay past the float range means a raw weight of 0, so beta_min.
     """
-    raw = state.lambdas[k] * phi(age, cfg) / (1.0 + state.t) ** cfg.de
+    try:
+        decay = (1.0 + state.t) ** cfg.de
+    except OverflowError:
+        return cfg.beta_min
+    raw = state.lambdas[k] * phi(age, cfg) / decay
     return min(max(raw, cfg.beta_min), cfg.beta_max)
 
 

@@ -1,5 +1,6 @@
 """Config resolution, data generation, outputs, and the CLI."""
 
+import csv
 import dataclasses
 import os
 import re
@@ -769,6 +770,10 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     ("simm: {T: 3}\n", "simm"),
     ("topology: {categories: [{count: 2, speed: 1.0e+7, rate: 1.0e+5, pl: 0.3}]}\n",
      "topology.categories[0].pl"),
+    # integers numpy cannot index; refused before anything is allocated
+    ("data: {shard_size: 1.0e+30}\nsim: {T: 3}\n", "data.shard_size"),
+    ("model: {dim: 1.0e+30}\nsim: {T: 3}\n", "model.dim"),
+    ("buffer: {capacity: 9223372036854775808}\nsim: {T: 3}\n", "buffer.capacity"),
 ])
 def test_cli_config_faults_exit_2_naming_the_key(tmp_path, capsys, text, key):
     # each of these once ran to a NaN time, a traceback, forever, or with
@@ -797,6 +802,19 @@ def test_cli_divergence_exits_3_with_one_line(tmp_path):
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: coworker ") and "diverged" in proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("de", [1000, 1000000])
+def test_cli_run_with_an_overflowing_decay_mixes_at_beta_min(tmp_path, de):
+    # (1 + t) ** de leaves the float range within two aggregations; a decay
+    # past the range means a raw weight of 0, so the clamp gives beta_min
+    doc = small_doc(mixing={"de": de}, sim={"T": 5})
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+    with open(out / "metrics.csv", newline="") as fh:
+        betas = [float(row["beta"]) for row in csv.DictReader(fh)]
+    assert len(betas) == 5
+    assert betas[1:] == [presets()["table_a1_small"]["mixing"]["beta_min"]] * 4
 
 
 def test_total_loss_with_a_horizon_still_runs():

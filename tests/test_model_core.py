@@ -9,8 +9,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from afafed.model_core import (
+    GlobalEvaluator,
     LossKind,
     LossModel,
     ShardSet,
@@ -299,6 +303,137 @@ def test_one_evaluation_gives_both_parts_bit_for_bit():
         assert global_evaluation(model, w, data, None, uniform)[0] is None
         # a set without XT evaluates through a transient copy, to the same bits
         assert global_evaluation(model, w, data._replace(XT=None), lam, None)[0] == risk
+
+
+# The logistic evaluation computes each row's loss as relu(s z) + ln 2 -
+# ln(1 + |tanh(z / 2)|), so a row whose loss is tiny carries an absolute
+# error of a few units in the last place of ln 2, not a relative one.
+LOSS_ABS_FLOOR = 5e-16
+
+
+def reference_row_losses(z, y):
+    return np.logaddexp(0.0, (1.0 - 2.0 * y) * z)     # softplus(s z), s = 1 - 2y
+
+
+def logistic_shards(rng, sizes, d=3):
+    return stack_shards([make_shard(rng, n, d, LossKind.LOGISTIC) for n in sizes])
+
+
+def test_logistic_evaluation_at_scores_of_plus_and_minus_800():
+    # tanh(400) is exactly 1: correct rows lose 0 and wrong ones 800, with
+    # no overflow warning (pytest turns warnings into errors)
+    model = LossModel(LossKind.LOGISTIC, 1)
+    X = np.array([[800.0], [800.0], [-800.0], [-800.0]])
+    data = stack_shards([(X, np.array([0.0, 1.0, 0.0, 1.0]))])
+    risk, grad = global_evaluation(model, np.ones(1), data, np.ones(1), np.ones(1))
+    assert risk == 400.0
+    np.testing.assert_array_equal(grad, [400.0])      # mean of x (sigmoid(z) - y)
+
+
+def test_correctly_classified_rows_have_an_absolute_error_floor():
+    rng = np.random.default_rng(40)
+    model = LossModel(LossKind.LOGISTIC, 3)
+    w = 30.0 * rng.standard_normal(3)
+    X = rng.standard_normal((600, 3))
+    X = X[np.abs(X @ w) > 20.0][:300]             # every row classified with a margin
+    y = (X @ w > 0.0).astype(np.float64)
+    expected = reference_row_losses(X @ w, y)
+    assert len(X) == 300 and expected.max() < 1e-8 and expected.min() < 1e-50
+    # each row as its own shard, picked out by one-hot weights
+    rows = stack_shards([(X[i:i + 1], y[i:i + 1]) for i in range(300)])
+    evaluate = GlobalEvaluator(model, rows, None)
+    got = np.array([evaluate(w, np.eye(300)[i], False)[0] for i in range(300)])
+    assert np.max(np.abs(got - expected)) <= LOSS_ABS_FLOOR
+    # and as one shard, whose 300 rows share five products of 1 + |h|
+    one = stack_shards([(X, y)])
+    risk = global_evaluation(model, w, one, np.ones(1), None)[0]
+    assert abs(risk - expected.mean()) <= LOSS_ABS_FLOOR
+
+
+def test_a_nan_score_gives_a_nan_risk_and_gradient():
+    model = LossModel(LossKind.LOGISTIC, 2)
+    X = np.array([[1.0, 2.0], [np.nan, 0.5], [-1.0, 0.0]])
+    data = stack_shards([(X[:2], np.array([0.0, 1.0])), (X[2:], np.array([1.0]))])
+    risk, grad = global_evaluation(model, np.ones(2), data, np.full(2, 0.5), np.full(2, 0.5))
+    assert math.isnan(risk)
+    assert np.all(np.isnan(grad))
+
+
+@pytest.mark.parametrize("label", [0.5, -1.0, 2.0, np.nan])
+def test_logistic_evaluation_refuses_labels_outside_0_and_1(label):
+    # its loss and residual take s = 1 - 2y as a sign
+    model = LossModel(LossKind.LOGISTIC, 1)
+    data = stack_shards([(np.ones((2, 1)), np.array([1.0, label]))])
+    with pytest.raises(ValueError, match="every label in"):
+        global_evaluation(model, np.ones(1), data, np.ones(1), None)
+
+
+@pytest.mark.parametrize("kind", [LossKind.QUADRATIC, LossKind.LOGISTIC])
+def test_an_evaluator_gives_the_parts_of_one_call_bit_for_bit(kind):
+    # risk-only and gradient-only calls of a reused evaluator equal the
+    # one-off calls; an evaluator built without gradient weights refuses a
+    # gradient
+    rng = np.random.default_rng(41)
+    model = LossModel(kind, 4)
+    data = stack_shards([make_shard(rng, n, 4, kind) for n in (70, 1, 130)])
+    lam, uniform = np.array([0.5, 0.2, 0.3]), uniform_weights(3)
+    both = GlobalEvaluator(model, data, uniform)
+    risk_only = GlobalEvaluator(model, data, None)
+    assert both.data.XT is not None and risk_only.rho is None
+    assert (both.signs is None) == (kind is LossKind.QUADRATIC)
+    for _ in range(5):
+        w = rng.standard_normal(4)
+        risk, grad = global_evaluation(model, w, data, lam, uniform)
+        assert both(w, lam, True)[0] == risk == risk_only(w, lam, False)[0]
+        got_risk, got_grad = both(w, None, True)
+        assert got_risk is None
+        np.testing.assert_array_equal(got_grad, grad)
+        assert both(w, lam, False)[1] is None
+    with pytest.raises(ValueError, match="without gradient weights"):
+        risk_only(w, lam, True)
+
+
+@pytest.mark.parametrize("sizes", [(1,), (63,), (64,), (65,), (129,), (1, 63, 64, 65, 129)])
+def test_logistic_evaluation_around_the_block_length(sizes):
+    # the loss takes products of 1 + |h| over 64-row blocks inside each shard
+    rng = np.random.default_rng(sum(sizes))
+    model = LossModel(LossKind.LOGISTIC, 3)
+    data = logistic_shards(rng, sizes)
+    raw = rng.uniform(0.1, 1.0, size=len(sizes))
+    lam = raw / raw.sum()
+    for scale in (0.1, 1.0, 30.0):
+        w = scale * rng.standard_normal(3)
+        risk, grad = global_evaluation(model, w, data, lam, lam)
+        assert risk == pytest.approx(reference_global_risk(model, w, data, lam),
+                                     rel=1e-12, abs=LOSS_ABS_FLOOR)
+        np.testing.assert_allclose(grad, reference_global_gradient(model, w, data, lam),
+                                   rtol=1e-12, atol=1e-15)
+
+
+@st.composite
+def logistic_problems(draw):
+    sizes = draw(st.lists(st.integers(1, 200), min_size=1, max_size=5))
+    n, d = sum(sizes), 3
+    labels = draw(hnp.arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0])))
+    weights = draw(hnp.arrays(np.float64, len(sizes), elements=st.floats(0.0, 1.0)))
+    direction = draw(hnp.arrays(np.float64, d, elements=st.floats(-1.0, 1.0)))
+    scale = draw(st.floats(0.1, 30.0))
+    X = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, d))
+    starts = np.cumsum([0] + sizes)
+    data = stack_shards([(X[a:b], labels[a:b]) for a, b in zip(starts[:-1], starts[1:])])
+    return data, weights, scale * direction
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(logistic_problems())
+def test_logistic_evaluation_matches_the_logaddexp_reference(problem):
+    data, weights, w = problem
+    model = LossModel(LossKind.LOGISTIC, 3)
+    risk, grad = global_evaluation(model, w, data, weights, weights)
+    assert risk == pytest.approx(reference_global_risk(model, w, data, weights),
+                                 rel=1e-12, abs=LOSS_ABS_FLOOR)
+    np.testing.assert_allclose(grad, reference_global_gradient(model, w, data, weights),
+                               rtol=1e-12, atol=1e-15)
 
 
 def test_convexity_midpoint():

@@ -304,9 +304,20 @@ def test_random_streams_exist_only_for_laws_that_draw():
 
 
 def test_only_an_evaluating_engine_builds_the_feature_major_copy():
-    assert build_engine(k=2, eval_every=0).data.XT is None
-    data = build_engine(k=2, eval_every=3).data
-    np.testing.assert_array_equal(data.XT, data.X.T)
+    # nor the evaluator's label signs and per-row gradient weights
+    for kind in (LossKind.QUADRATIC, LossKind.LOGISTIC):
+        quiet = build_engine(k=2, eval_every=0, kind=kind)
+        assert quiet.data.XT is None and quiet.evaluator is None
+        engine = build_engine(k=2, eval_every=3, kind=kind)
+        data, evaluator = engine.data, engine.evaluator
+        np.testing.assert_array_equal(data.XT, data.X.T)
+        assert evaluator.data is data
+        np.testing.assert_array_equal(evaluator.rho, np.repeat(0.5 / np.array(data.sizes),
+                                                               data.sizes))
+        if kind is LossKind.LOGISTIC:
+            np.testing.assert_array_equal(evaluator.signs, 1.0 - 2.0 * data.y)
+        else:
+            assert evaluator.signs is None
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 1)])
