@@ -359,7 +359,7 @@ def uniform_weights(k: int) -> np.ndarray:
 
 def check_weights(weights: np.ndarray) -> None:
     """Assert the simplex invariant: non-negative entries summing to 1 within 1e-12."""
-    if np.any(weights < 0.0):
+    if (weights < 0.0).any():
         raise ValueError("fairness weights must be non-negative")
     if not abs(float(weights.sum()) - 1.0) <= 1e-12:     # NaN fails too
         raise ValueError(f"fairness weights sum to {weights.sum()!r}, expected 1")
@@ -367,11 +367,12 @@ def check_weights(weights: np.ndarray) -> None:
 
 def jain_fairness_index(weights: np.ndarray) -> float:
     """Jain's index (sum w)^2 / (K * sum w^2); 1/K for one-hot, 1 for uniform."""
+    # np.add.reduce is the sum np.sum runs, without its dispatch layers
     w = np.asarray(weights, dtype=np.float64)
-    sq = float(np.sum(w * w))
+    sq = float(np.add.reduce(w * w))
     if sq == 0.0:
         raise ValueError("fairness index undefined for an all-zero vector")
-    s = float(np.sum(w))
+    s = float(np.add.reduce(w))
     return s * s / (len(w) * sq)
 
 

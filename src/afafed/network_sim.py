@@ -237,11 +237,19 @@ class _Coefficients(NamedTuple):
 
 # the log is trimmed once it holds this many entries (or twice its last size)
 _LOG_TRIM_MIN = 64
+# due evaluations wait until this many models are pending, then run back to
+# back, while the evaluator's arrays are still in cache from the previous one
+_EVAL_CHUNK = 64
 
 
 @dataclass
 class MetricsRow:
-    """One row of the per-aggregation metrics stream."""
+    """One row of the per-aggregation metrics stream.
+
+    The engine fills global_risk and grad_sqnorm of due rows in chunks of
+    evaluations (see SimulationEngine); they stay None in rows that are not
+    due, and until their chunk runs.
+    """
 
     t: int
     time: float
@@ -256,6 +264,8 @@ class MetricsRow:
 
 @dataclass
 class RunResult:
+    """What one run() call leaves; every due row has its evaluation columns."""
+
     rows: List[MetricsRow]
     aggregations: int
     uplink_attempts: int
@@ -280,6 +290,12 @@ class SimulationEngine:
     ``aggregation_hook(server, record)`` runs after every aggregation.  Both
     are read as attributes when they are due, so they may be set after
     construction.
+
+    With ``eval_every`` > 0 the global evaluations are not run on the
+    aggregation's path: each due model is queued and evaluated, in order,
+    when _EVAL_CHUNK (64) are pending, and when run() returns or raises.  A
+    hook may see None in the evaluation columns of rows that are still
+    pending; ``rows`` is complete whenever run() returns or raises.
     """
 
     def __init__(
@@ -317,8 +333,12 @@ class SimulationEngine:
         lambdas = uniform_weights(k)
         self.server = srv.ServerState(w_global=self.w0.copy(), lambdas=lambdas)
         self._ranks = np.arange(1, k + 1)       # lambda_checksum = ranks @ lambdas
-        # squared norm of the gradient at the current w̄, kept for the next
-        # row between the aggregation that evaluated it and that row
+        # models whose evaluation is due: (w̄, λ or None, risk row, gradient
+        # row), evaluated in chunks of _EVAL_CHUNK (see _flush_evaluations)
+        self._pending_evals: List[Tuple[np.ndarray, Optional[np.ndarray],
+                                        Optional[int], Optional[int]]] = []
+        # squared norm of an evaluated gradient whose row does not exist yet;
+        # the next row takes it
         self._next_grad_sq: Optional[float] = None
         # every shard lives once, in the stacked set; each runtime's setup and
         # buffer hold views of its rows
@@ -516,21 +536,22 @@ class SimulationEngine:
         t, every = server.t + 1, self.eval_every
         due = every > 0 and t % every == 0
         next_due = every > 0 and (t + 1) % every == 0
-        grad_sq = None
-        if due:
-            if self._next_grad_sq is None:      # row 1: no aggregation evaluated w0
-                self._evaluate(False, True)
-            grad_sq, self._next_grad_sq = self._next_grad_sq, None
+        if due and t == 1:          # row 1: no aggregation evaluated w0
+            self._defer_evaluation(None, None, 0)
         record = srv.process_uplink(server, payload, self.mixing)
         self.accepted_by[payload.sender] += 1
         self.iters_per_acceptance.append(payload.iters_in_cluster)
-        risk = self._evaluate(due, next_due) if due or next_due else None
+        # set only for a due row, when a chunk evaluated its gradient before it existed
+        grad_sq, self._next_grad_sq = self._next_grad_sq, None
         checksum = float(self._ranks @ server.lambdas)
         self.rows.append(MetricsRow(
             t=record.t, time=ev.time, sender=record.sender, age=record.age,
             beta=record.beta, lambda_checksum=checksum,
-            fairness_index=record.fairness_index, global_risk=risk, grad_sqnorm=grad_sq,
+            fairness_index=record.fairness_index, grad_sqnorm=grad_sq,
         ))
+        if due or next_due:
+            self._defer_evaluation(server.lambdas.copy() if due else None,
+                                   t - 1 if due else None, t if next_due else None)
         if self.aggregation_hook is not None:
             self.aggregation_hook(server, record)
         # coefficient broadcast first, then the sender's model downlink
@@ -563,19 +584,36 @@ class SimulationEngine:
         # give up on the pending uplink; the next cluster continues from local state
         self._start_cluster(cid, ev.time)
 
-    def _evaluate(self, risk_due: bool, grad_due: bool) -> Optional[float]:
-        """One score product at the current w̄.
+    def _defer_evaluation(self, lambdas: Optional[np.ndarray], risk_row: Optional[int],
+                          grad_row: Optional[int]) -> None:
+        """Queue an evaluation at the current w̄; a full chunk is evaluated at once.
 
-        Returns the global risk under the current λ when risk_due; when
-        grad_due, keeps the squared norm of the uniformly weighted gradient
-        for the next row.
+        The risk under lambdas goes to rows[risk_row] and the squared norm of
+        the uniformly weighted gradient to rows[grad_row]; either may be None.
         """
-        server = self.server
-        risk, g = self.evaluator(server.w_global, server.lambdas if risk_due else None,
-                                 grad_due)
-        if grad_due:
-            self._next_grad_sq = float(g @ g)
-        return risk
+        self._pending_evals.append((self.server.w_global.copy(), lambdas, risk_row, grad_row))
+        if len(self._pending_evals) >= _EVAL_CHUNK:
+            self._flush_evaluations()
+
+    def _flush_evaluations(self) -> None:
+        """Evaluate every pending model back to back and fill in its rows.
+
+        Each model gets the evaluator call it would have got right after its
+        aggregation, so the columns do not depend on when the flush runs.  A
+        gradient for a row that does not exist yet waits in _next_grad_sq.
+        """
+        pending, self._pending_evals = self._pending_evals, []
+        rows = self.rows
+        for w, lambdas, risk_row, grad_row in pending:
+            risk, g = self.evaluator(w, lambdas, grad_row is not None)
+            if risk_row is not None:
+                rows[risk_row].global_risk = risk
+            if grad_row is None:
+                continue
+            if grad_row < len(rows):
+                rows[grad_row].grad_sqnorm = float(g @ g)
+            else:
+                self._next_grad_sq = float(g @ g)
 
     # ---------------- main loop ---------------- #
 
@@ -592,7 +630,8 @@ class SimulationEngine:
         calendar ran empty first (finite arrival traces, all coworkers idle).
         ``event_budget`` and ``events_processed`` count calendar events only.
         On return every coworker holds the coefficients, and has run the
-        iterations, that deliveries up to the stopping point imply.
+        iterations, that deliveries up to the stopping point imply.  Whether
+        run returns or raises, every due row has its evaluation columns.
         """
         if aggregations is None and horizon is None and event_budget is None:
             raise ValueError("need at least one stopping condition")
@@ -607,32 +646,36 @@ class SimulationEngine:
         # reach their coworkers before run returns; an earlier stop of this
         # engine already delivered those up to (now, -1)
         stop_time, stop_seq = self.now, -1
-        while True:
-            if aggregations is not None and self.server.t >= aggregations:
-                stop_reason = "T_reached"
-                break
-            if event_budget is not None and self.events_processed >= event_budget:
-                stop_reason = "budget"
-                break
-            next_time = self.queue.peek_time()
-            if next_time is None:
-                stop_reason = "drained"
-                stop_time, stop_seq = math.inf, self.queue.next_seq
-                break
-            if horizon is not None and next_time > horizon:
-                stop_reason = "horizon"
-                self.now = horizon
-                stop_time, stop_seq = horizon, self.queue.next_seq
-                break
-            ev = self.queue.pop()
-            if ev.time < self.now:
-                raise ProtocolError(
-                    f"event at {ev.time!r} precedes current time {self.now!r}"
-                )
-            self.now = ev.time
-            stop_time, stop_seq = ev.time, ev.seq
-            handlers[ev.kind](ev)
-            self.events_processed += 1
+        try:
+            while True:
+                if aggregations is not None and self.server.t >= aggregations:
+                    stop_reason = "T_reached"
+                    break
+                if event_budget is not None and self.events_processed >= event_budget:
+                    stop_reason = "budget"
+                    break
+                next_time = self.queue.peek_time()
+                if next_time is None:
+                    stop_reason = "drained"
+                    stop_time, stop_seq = math.inf, self.queue.next_seq
+                    break
+                if horizon is not None and next_time > horizon:
+                    stop_reason = "horizon"
+                    self.now = horizon
+                    stop_time, stop_seq = horizon, self.queue.next_seq
+                    break
+                ev = self.queue.pop()
+                if ev.time < self.now:
+                    raise ProtocolError(
+                        f"event at {ev.time!r} precedes current time {self.now!r}"
+                    )
+                self.now = ev.time
+                stop_time, stop_seq = ev.time, ev.seq
+                handlers[ev.kind](ev)
+                self.events_processed += 1
+        finally:
+            # the rows are complete whenever run returns or raises
+            self._flush_evaluations()
         self._flush_coefficients(stop_time, stop_seq)
         return RunResult(
             rows=self.rows,

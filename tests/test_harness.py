@@ -33,7 +33,7 @@ from afafed.harness import (
     summarize,
     write_outputs,
 )
-from afafed.model_core import global_risk_arrays
+from afafed.model_core import global_gradient_arrays, global_risk_arrays, uniform_weights
 from afafed.network_sim import ArrivalProcess
 from afafed.profiler import ParameterEstimates
 
@@ -277,6 +277,28 @@ def test_random_valid_configs_keep_the_protocol_invariants(doc):
     _, again, _, diverged_again = _run_recording(cfg)
     assert metrics_csv_text(again) == metrics_csv_text(rows)
     assert diverged_again == diverged
+
+
+def test_rows_recorded_before_a_divergence_keep_their_eval_columns():
+    # the engine evaluates in chunks; the flush when run() raises fills the
+    # rows that were still pending
+    cfg = resolve_config({**DIVERGING_DOC, "eval": {"every": 1}})
+    engine = build_experiment(cfg).engine
+    models = []
+    engine.aggregation_hook = lambda server, record: models.append(
+        (server.w_global.copy(), server.lambdas.copy()))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericDivergenceError):
+        engine.run(aggregations=cfg["sim"]["T"], event_budget=cfg["sim"]["event_budget"])
+    assert 0 < len(engine.rows) == len(models)
+    uniform = uniform_weights(len(engine.runtimes))
+    w_before = engine.w0
+    for row, (w_after, lambdas) in zip(engine.rows, models):
+        g = global_gradient_arrays(engine.model, w_before, engine.data, uniform)
+        risk = global_risk_arrays(engine.model, w_after, engine.data, lambdas)
+        assert row.grad_sqnorm == pytest.approx(float(g @ g), rel=1e-12)
+        assert row.global_risk == pytest.approx(risk, rel=1e-12)
+        w_before = w_after
 
 
 # ---------------- data generation ---------------- #

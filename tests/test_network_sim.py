@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from afafed import network_sim
 from afafed.coworker import AdaptiveConfig
 from afafed.errors import ProtocolError
 from afafed.model_core import (
@@ -287,6 +288,82 @@ def test_eval_columns_straddle_the_aggregation(kind, every, resumed):
             assert row.grad_sqnorm == pytest.approx(float(g @ g), rel=1e-12)
             assert row.global_risk == pytest.approx(risk, rel=1e-12)
         w_before = w_after
+
+
+def chunked_engine(monkeypatch, chunk, every, kind=LossKind.LOGISTIC):
+    """An engine that evaluates in chunks of `chunk` models, with a hook that
+    records (w̄, λ), the evaluator's own values there and the pending count."""
+    monkeypatch.setattr(network_sim, "_EVAL_CHUNK", chunk)
+    seen = []
+
+    def hook(server, record):
+        assert len(eng._pending_evals) < chunk       # a full chunk runs at once
+        risk, g = eng.evaluator(server.w_global, server.lambdas, True)
+        seen.append((server.w_global.copy(), server.lambdas.copy(), risk, float(g @ g),
+                     len(eng._pending_evals)))
+
+    eng = build_engine(k=3, seed=29, eval_every=every, speed=[10.0, 20.0, 40.0], kind=kind,
+                       aggregation_hook=hook)
+    return eng, seen
+
+
+def assert_eval_columns(eng, every, seen):
+    """Every row against the two-pass reference at the hook-recorded (w̄, λ),
+    and bit for bit against the evaluator called right after its aggregation."""
+    rows, kind = eng.rows, eng.model.kind
+    assert len(rows) == len(seen)
+    shards = [rt.setup.shard for rt in eng.runtimes]
+    w_before = np.zeros(2)
+    g0 = eng.evaluator(w_before, None, True)[1]
+    grad_sq_before = float(g0 @ g0)
+    for row, (w_after, lam, risk_now, grad_sq_now, _) in zip(rows, seen):
+        if row.t % every:
+            assert row.grad_sqnorm is None and row.global_risk is None
+        else:
+            g = sum(_loss_grad_and_risk(kind, X, y, w_before)[0] for X, y in shards) / 3
+            risk = sum(l * _loss_grad_and_risk(kind, X, y, w_after)[1]
+                       for l, (X, y) in zip(lam, shards))
+            assert row.grad_sqnorm == pytest.approx(float(g @ g), rel=1e-12)
+            assert row.global_risk == pytest.approx(risk, rel=1e-12)
+            assert row.grad_sqnorm == grad_sq_before and row.global_risk == risk_now
+        w_before, grad_sq_before = w_after, grad_sq_now
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("every", [1, 2, 3])
+@pytest.mark.parametrize("kind", [LossKind.QUADRATIC, LossKind.LOGISTIC],
+                         ids=lambda kind: kind.value)
+def test_chunked_eval_columns_match_the_reference(monkeypatch, kind, every, chunk):
+    # 40 aggregations are not a multiple of the chunk, so run() returns with
+    # models pending and its final flush fills them
+    eng, seen = chunked_engine(monkeypatch, chunk, every, kind)
+    assert eng.run(aggregations=40).aggregations == 40
+    assert_eval_columns(eng, every, seen)
+    assert not eng._pending_evals
+    if chunk > 1:
+        assert seen[-1][-1] > 0                 # the last aggregation left models pending
+
+
+@pytest.mark.parametrize("every", [1, 2, 3])
+def test_a_resumed_run_carries_the_pending_gradient(monkeypatch, every):
+    # after the first run() every row is complete; a gradient evaluated for
+    # row 8 waits for it and the second run() puts it there
+    eng, seen = chunked_engine(monkeypatch, 3, every)
+    eng.run(aggregations=7)
+    assert all((row.global_risk is None) == bool(row.t % every) for row in eng.rows)
+    assert (eng._next_grad_sq is not None) == (8 % every == 0)
+    eng.run(aggregations=40)
+    assert_eval_columns(eng, every, seen)
+
+
+@pytest.mark.parametrize("stop", ["horizon", "budget"])
+def test_a_stop_in_the_middle_of_a_chunk_leaves_no_row_pending(monkeypatch, stop):
+    eng, seen = chunked_engine(monkeypatch, 3, 1)
+    limit = {"horizon": 1.0, "budget": 200}[stop]
+    res = eng.run(horizon=limit) if stop == "horizon" else eng.run(event_budget=limit)
+    assert res.stop_reason == stop and 0 < res.aggregations < 40
+    assert seen[-1][-1] > 0                     # the last aggregation left models pending
+    assert_eval_columns(eng, 1, seen)
 
 
 def test_random_streams_exist_only_for_laws_that_draw():
