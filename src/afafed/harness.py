@@ -26,7 +26,7 @@ import yaml
 from . import bounds as bnd
 from .coworker import AdaptiveConfig
 from .errors import ConfigError
-from .model_core import LossKind, LossModel, global_risk_arrays
+from .model_core import LossKind, LossModel
 from .network_sim import (
     ArrivalProcess,
     ComputeModel,
@@ -567,15 +567,14 @@ def _plain(obj: Any) -> Any:
 def final_risk(exp: Experiment) -> Optional[float]:
     """The global risk at the final w̄ under the final λ, or None with evaluation off.
 
-    Evaluated at the final model, so it exists whether or not the last
-    metrics row was due; the summary, ``afafed run`` and ``afafed sweep``
-    all report this one value.
+    Evaluated at the final model by the engine's own evaluator, so it exists
+    whether or not the last metrics row was due; the summary, ``afafed run``
+    and ``afafed sweep`` all report this one value.
     """
     engine = exp.engine
-    if engine.eval_every <= 0:
+    if engine.evaluator is None:
         return None
-    return global_risk_arrays(engine.model, engine.server.w_global, engine.data,
-                              engine.server.lambdas)
+    return engine.evaluator(engine.server.w_global, engine.server.lambdas, False)[0]
 
 
 def summarize(exp: Experiment, result: RunResult,

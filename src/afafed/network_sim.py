@@ -22,6 +22,18 @@ arrival time, exactly as a broadcast event pushed at send time would be.
 When a run stops, each coworker is advanced to the newest entry such an
 event would already have delivered, and the prefix of the log that every
 cursor has passed is dropped.
+
+Data arrivals are calendar events only while a coworker's buffer warms up:
+its first ``minibatch`` arrivals, the last of which wakes the stalled
+coworker.  A ready buffer stays ready (neither eviction takes it below one
+minibatch), so after that an arrival only moves the buffer's window, and
+the catch-up admits it lazily from the coworker's next arrival time: every
+arrival strictly before a boundary goes in before that boundary's
+iteration, and every arrival at or before the catch-up's time goes in at
+its end.  The buffer each iteration samples is the one arrival events
+would have built.  When a run stops, each coworker with a ready buffer is
+caught up to its last arrival at or before the stopping instant; an arrival
+at exactly the instant of a ``T`` or budget stop counts as admitted.
 """
 
 from __future__ import annotations
@@ -51,6 +63,8 @@ from .stream_manager import StreamBuffer, admit, sample_minibatch
 
 
 class EventKind(enum.Enum):
+    """What a calendar event is; DATA_ARRIVAL covers buffer warm-up arrivals only."""
+
     DATA_ARRIVAL = "data_arrival"
     CLUSTER_COMPLETE = "cluster_complete"
     UPLINK_DELIVERY = "uplink_delivery"
@@ -209,7 +223,10 @@ class _Runtime:
 
     Facts the protocol state already holds are read from it: iterations run
     (``state.t_local``), arrivals admitted (``state.buffer.next_arrival_index``)
-    and the length of the current cluster (``state.iter_k``).
+    and the length of the current cluster (``state.iter_k``).  Once the
+    buffer is ready, ``next_arrival`` is the time of the first arrival not
+    yet admitted; it is inf while the buffer warms up (those arrivals are
+    calendar events) and once a trace is exhausted.
     """
 
     state: cw.CoworkerState
@@ -225,6 +242,7 @@ class _Runtime:
     cluster_anchor: float = 0.0     # start time of the current cluster
     stalls: int = 0
     coef_cursor: int = 0            # absolute index of the first unapplied log entry
+    next_arrival: float = math.inf  # first arrival that _catch_up has not admitted
 
 
 class _Coefficients(NamedTuple):
@@ -275,7 +293,8 @@ class RunResult:
     accepted_by: np.ndarray
     iters_per_acceptance: List[int]
     final_time: float
-    events_processed: int           # calendar events; coefficient deliveries are not events
+    events_processed: int           # calendar events: warm-up arrivals, cluster ends,
+                                    # uplinks, downlinks and timers
     stop_reason: str                # T_reached | horizon | budget | drained
     profiling_log: Optional[ProfilingLog] = None
 
@@ -390,19 +409,30 @@ class SimulationEngine:
 
     # ---------------- scheduling helpers ---------------- #
 
-    def _schedule_next_arrival(self, cid: int, now: float) -> None:
-        rt = self.runtimes[cid]
+    @staticmethod
+    def _arrival_after(rt: _Runtime, now: float) -> float:
+        """Time of the arrival after the one at now; inf once a trace is exhausted."""
         proc = rt.setup.arrivals
         if proc.kind == "poisson":
-            t = now + rt.rng_arrival.exponential(1.0 / proc.rate)
-        elif proc.kind == "periodic":
-            t = now + proc.interval
-        else:  # trace: absolute times, finite stream
-            index = rt.state.buffer.next_arrival_index
-            if index >= len(proc.times):
-                return
-            t = proc.times[index]
-        self.queue.push(t, EventKind.DATA_ARRIVAL, cid)
+            return now + rt.rng_arrival.exponential(1.0 / proc.rate)
+        if proc.kind == "periodic":
+            return now + proc.interval
+        # trace: absolute times, finite stream
+        index = rt.state.buffer.next_arrival_index
+        return proc.times[index] if index < len(proc.times) else math.inf
+
+    def _schedule_next_arrival(self, cid: int, now: float) -> None:
+        """Draw the arrival after the one at now.
+
+        While the buffer warms up it is a calendar event; once the buffer is
+        ready it goes to rt.next_arrival, which _catch_up admits.
+        """
+        rt = self.runtimes[cid]
+        t = self._arrival_after(rt, now)
+        if rt.state.buffer.ready:
+            rt.next_arrival = t
+        elif t < math.inf:
+            self.queue.push(t, EventKind.DATA_ARRIVAL, cid)
 
     def _start_cluster(self, cid: int, now: float) -> None:
         rt = self.runtimes[cid]
@@ -420,11 +450,14 @@ class SimulationEngine:
     def _catch_up(self, cid: int, now: float, seq: int) -> None:
         """Execute every pending iteration whose boundary lies at or before now.
 
-        Each iteration first adopts the newest coefficient that arrived
-        strictly before its boundary.  Afterwards the coworker adopts every
-        coefficient delivered by (now, seq) in calendar order.
+        Each iteration first admits the arrivals strictly before its
+        boundary and adopts the newest coefficient that arrived strictly
+        before it.  Afterwards the coworker admits every arrival at or before
+        now and adopts every coefficient delivered by (now, seq) in calendar
+        order.
         """
         rt = self.runtimes[cid]
+        buf = rt.state.buffer
         log, base = self._coef_log, self._coef_base
         logged = base + len(log)
         if rt.phase == "computing":
@@ -435,6 +468,9 @@ class SimulationEngine:
                 boundary = rt.cluster_anchor + (rt.iters_done + 1) * dur
                 if boundary > now:
                     break
+                while rt.next_arrival < boundary:
+                    admit(buf)
+                    rt.next_arrival = self._arrival_after(rt, rt.next_arrival)
                 # _delivered(cid, boundary, -1) passes the next entry exactly
                 # when it arrived strictly before the boundary
                 if rt.coef_cursor < logged and log[rt.coef_cursor - base].sent + delay < boundary:
@@ -447,6 +483,9 @@ class SimulationEngine:
                 rt.iters_done += 1
                 if self.iteration_hook is not None:
                     self.iteration_hook(cid, state)
+        while rt.next_arrival <= now:
+            admit(buf)
+            rt.next_arrival = self._arrival_after(rt, rt.next_arrival)
         if rt.coef_cursor < logged:
             self._adopt_coefficients(cid, now, seq)
 
@@ -497,6 +536,7 @@ class SimulationEngine:
     # ---------------- event handlers ---------------- #
 
     def _on_data_arrival(self, ev: SimEvent) -> None:
+        """A warm-up arrival; the one that makes the buffer ready wakes the coworker."""
         cid = ev.coworker
         rt = self.runtimes[cid]
         self._catch_up(cid, ev.time, ev.seq)
@@ -628,10 +668,13 @@ class SimulationEngine:
         ``RunResult.stop_reason`` names the condition that ended the run:
         ``T_reached``, ``horizon``, ``budget``, or ``drained`` when the
         calendar ran empty first (finite arrival traces, all coworkers idle).
-        ``event_budget`` and ``events_processed`` count calendar events only.
-        On return every coworker holds the coefficients, and has run the
-        iterations, that deliveries up to the stopping point imply.  Whether
-        run returns or raises, every due row has its evaluation columns.
+        ``event_budget`` and ``events_processed`` count calendar events only:
+        warm-up arrivals, cluster completions, uplink and downlink deliveries
+        and timer expiries.  On return every coworker holds the coefficients,
+        and has run the iterations, that deliveries up to the stopping point
+        imply; a coworker with a ready buffer has also admitted every
+        arrival at or before the stopping instant.  Whether run returns or
+        raises, every due row has its evaluation columns.
         """
         if aggregations is None and horizon is None and event_budget is None:
             raise ValueError("need at least one stopping condition")
@@ -676,6 +719,11 @@ class SimulationEngine:
         finally:
             # the rows are complete whenever run returns or raises
             self._flush_evaluations()
+        # an arrival at the stopping instant counts as admitted, together
+        # with the iterations before it
+        for cid, rt in enumerate(self.runtimes):
+            while rt.next_arrival <= self.now:
+                self._catch_up(cid, rt.next_arrival, -1)
         self._flush_coefficients(stop_time, stop_seq)
         return RunResult(
             rows=self.rows,

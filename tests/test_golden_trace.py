@@ -155,8 +155,9 @@ BUDGET_700_SHA256 = "2433e33bc50b27fcd1d270ac51fdfc6b1bffefbee930d661b10d83edb1d
 
 
 def test_event_budget_counts_calendar_events_only():
-    # coefficient deliveries no longer spend the budget, so the same budget
-    # reaches further along the very same trajectory
+    # neither coefficient deliveries nor the arrivals of warm buffers spend
+    # the budget, so the same budget reaches further along the very same
+    # trajectory
     _, result, _ = run_experiment(resolve_config({"sim": {"T": None, "event_budget": 700}}))
     assert result.events_processed == 700
     assert len(result.rows) > BUDGET_700_ROWS

@@ -33,8 +33,13 @@ from afafed.harness import (
     summarize,
     write_outputs,
 )
-from afafed.model_core import global_gradient_arrays, global_risk_arrays, uniform_weights
-from afafed.network_sim import ArrivalProcess
+from afafed.model_core import (
+    GlobalEvaluator,
+    global_gradient_arrays,
+    global_risk_arrays,
+    uniform_weights,
+)
+from afafed.network_sim import ArrivalProcess, SimulationEngine
 from afafed.profiler import ParameterEstimates
 
 
@@ -960,19 +965,29 @@ def test_final_risk_is_one_value_in_stdout_summary_and_sweep(tmp_path, capsys, e
 
 
 def test_cli_run_evaluates_the_final_risk_once(tmp_path, monkeypatch):
-    # the engine evaluates due rows through its own binding; every call of
-    # the harness binding is a final-risk evaluation
-    calls = []
+    # the engine's evaluator fills the due rows inside run(); every call
+    # after run() returns is a final-risk evaluation
+    log = []
+    evaluate, run = GlobalEvaluator.__call__, SimulationEngine.run
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return global_risk_arrays(*args, **kwargs)
+    def counted(self, *args):
+        log.append(self)
+        return evaluate(self, *args)
 
-    monkeypatch.setattr("afafed.harness.global_risk_arrays", counted)
+    def logged(self, *args, **kwargs):
+        result = run(self, *args, **kwargs)
+        log.append("run returned")
+        return result
+
+    monkeypatch.setattr(GlobalEvaluator, "__call__", counted)
+    monkeypatch.setattr(SimulationEngine, "run", logged)
     doc = small_doc(eval={"every": 3}, sim={"T": 10})
     assert cli.main(["run", "--config", write_cfg(tmp_path, doc), "--out",
                      str(tmp_path / "run")]) == 0
-    assert len(calls) == 1
+    returned = log.index("run returned")
+    assert log.count("run returned") == 1 and returned > 0
+    # one call, on the evaluator that filled the rows
+    assert log[returned + 1:] == [log[0]]
 
 
 def test_cli_sweep_checks_every_cell_before_running_any(tmp_path, capsys):

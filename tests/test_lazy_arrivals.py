@@ -1,0 +1,165 @@
+"""Lazy arrival admission against a calendar of arrival events.
+
+Once a coworker's buffer is ready, the engine admits its data arrivals
+inside the catch-up instead of as calendar events.  ``CalendarEngine`` keeps
+every arrival an event, as the engine did before, and the differential test
+runs both over small configs built for exact time ties: every duration lies
+on a 1/8 grid, and so do periodic and trace arrival times.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from afafed import harness
+from afafed.coworker import AdaptiveConfig
+from afafed.harness import resolve_config, run_experiment
+from afafed.model_core import LossKind, LossModel
+from afafed.network_sim import (
+    ArrivalProcess,
+    ComputeModel,
+    CoworkerSetup,
+    EventKind,
+    LinkModel,
+    SimulationEngine,
+)
+from afafed.server import MixingConfig
+
+
+class CalendarEngine(SimulationEngine):
+    """The engine with every data arrival a calendar event, warm buffer or not."""
+
+    def _schedule_next_arrival(self, cid, now):
+        t = self._arrival_after(self.runtimes[cid], now)
+        if t < math.inf:
+            self.queue.push(t, EventKind.DATA_ARRIVAL, cid)
+
+
+GRID = 0.125
+
+
+def on_grid(lo, hi):
+    return st.integers(lo, hi).map(lambda m: m * GRID)
+
+
+@st.composite
+def arrival_laws(draw):
+    kind = draw(st.sampled_from(["periodic", "trace", "poisson"]))
+    if kind == "periodic":
+        return ArrivalProcess(kind="periodic", interval=draw(on_grid(1, 4)))
+    if kind == "poisson":
+        return ArrivalProcess(kind="poisson", rate=draw(st.sampled_from([2.0, 8.0])))
+    # repeated times are ties between a coworker's own arrivals
+    times = draw(st.lists(on_grid(0, 48), min_size=1, max_size=40))
+    return ArrivalProcess(kind="trace", times=tuple(sorted(times)))
+
+
+@st.composite
+def tie_configs(draw):
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    minibatch = draw(st.integers(1, 3))
+    capacity = minibatch + draw(st.integers(0, 3))
+    delay = draw(st.sampled_from([0.0, GRID]))
+    setups = [
+        CoworkerSetup(
+            shard=(rng.standard_normal((6, 2)), rng.standard_normal(6)),
+            # payload_bits / rate and cycles / speed are multiples of 1/8
+            link=LinkModel(p_loss=draw(st.sampled_from([0.0, 0.25])), rate=8.0,
+                           payload_bits=float(draw(st.integers(1, 4))), downlink_delay=delay),
+            compute=ComputeModel(speed=8.0, cycles_per_iteration=float(draw(st.integers(1, 4)))),
+            arrivals=draw(arrival_laws()),
+            capacity=capacity,
+            minibatch=minibatch,
+        )
+        for _ in range(k)
+    ]
+    stop = draw(st.one_of(st.builds(dict, aggregations=st.integers(1, 30)),
+                          st.builds(dict, horizon=on_grid(0, 64))))
+    kwargs = dict(setups=setups, adaptive=AdaptiveConfig(iter_max=draw(st.integers(1, 3)),
+                                                         eta_max=0.1),
+                  seed=draw(st.integers(0, 3)), eval_every=draw(st.integers(0, 2)))
+    return kwargs, stop
+
+
+def run(cls, kwargs, stop):
+    engine = cls(model=LossModel(LossKind.QUADRATIC, 2), mixing=MixingConfig(), w0=np.zeros(2),
+                 **kwargs)
+    return engine, engine.run(**stop)
+
+
+def pending_arrivals_at(engine, time):
+    """Arrival events on the calendar at time."""
+    return sum(ev.time == time and ev.kind is EventKind.DATA_ARRIVAL for ev in engine.queue._heap)
+
+
+def rows(result):
+    return [(r.t, r.time, r.sender, r.age, r.beta, r.lambda_checksum, r.fairness_index,
+             r.global_risk, r.grad_sqnorm) for r in result.rows]
+
+
+def post_run_state(engine):
+    return [(rt.state.w.tolist(), rt.state.mu, rt.state.mu_bar, rt.state.lambda_last,
+             rt.state.t_local, rt.state.buffer.next_arrival_index, rt.state.buffer.count,
+             rt.stalls) for rt in engine.runtimes]
+
+
+def assert_same_run(lazy, got, calendar, want):
+    assert rows(got) == rows(want)
+    for name in ("aggregations", "uplink_attempts", "uplink_drops", "stall_events",
+                 "iters_per_acceptance", "final_time", "stop_reason"):
+        assert getattr(got, name) == getattr(want, name), name
+    np.testing.assert_array_equal(got.accepted_by, want.accepted_by)
+    # an arrival event at the instant of a T stop that the calendar never
+    # reached counts as admitted by the lazy engine, with the iterations
+    # before it (test_an_arrival_at_the_stopping_instant_counts_as_admitted)
+    t_stop_tie = got.stop_reason == "T_reached" and (
+        pending_arrivals_at(calendar, want.final_time) > pending_arrivals_at(lazy, got.final_time))
+    if not t_stop_tie:
+        assert got.iterations_total == want.iterations_total
+        assert post_run_state(lazy) == post_run_state(calendar)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tie_configs(), st.integers(1, 20))
+def test_lazy_admission_matches_a_calendar_of_arrival_events(config, more):
+    kwargs, stop = config
+    lazy, got = run(SimulationEngine, kwargs, stop)
+    calendar, want = run(CalendarEngine, kwargs, stop)
+    assert_same_run(lazy, got, calendar, want)
+    # a second run() resumes both engines from where they stopped
+    resume = dict(aggregations=got.aggregations + more, horizon=got.final_time + 8.0)
+    assert_same_run(lazy, lazy.run(**resume), calendar, calendar.run(**resume))
+
+
+# two fast and two slow coworkers on a 1/8 grid: the 37th aggregation lands
+# at 21.0, the instant of every coworker's 84th periodic arrival
+TIE_DOC = {
+    "topology": {"categories": [{"count": 2, "speed": 4e7, "rate": 1792, "p_loss": 0.0},
+                                {"count": 2, "speed": 2e7, "rate": 1792, "p_loss": 0.0}]},
+    "link": {"downlink_delay": 0.125, "payload_bits": 448},
+    "arrivals": {"kind": "periodic", "interval": 0.25},
+    "buffer": {"capacity": 8, "minibatch": 4},
+    "data": {"shard_size": 8},
+    "eval": {"every": 0},
+    "sim": {"T": 37, "seed": 3},
+}
+
+
+def test_an_arrival_at_the_stopping_instant_counts_as_admitted(monkeypatch):
+    exp, result, _ = run_experiment(resolve_config(TIE_DOC))
+    assert (result.stop_reason, result.final_time) == ("T_reached", 21.0)
+    assert [rt.state.buffer.next_arrival_index for rt in exp.engine.runtimes] == [84] * 4
+    assert [rt.state.t_local for rt in exp.engine.runtimes] == [62, 62, 35, 35]
+    assert result.iterations_total == 194
+    # the calendar stopped before its arrival events at 21.0, and before the
+    # fast coworkers' iterations at that boundary
+    monkeypatch.setattr(harness, "SimulationEngine", CalendarEngine)
+    exp_cal, calendar, _ = run_experiment(resolve_config(TIE_DOC))
+    assert rows(calendar) == rows(result)
+    assert [rt.state.buffer.next_arrival_index for rt in exp_cal.engine.runtimes] == [83] * 4
+    assert calendar.iterations_total == 192

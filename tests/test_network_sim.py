@@ -359,7 +359,8 @@ def test_a_resumed_run_carries_the_pending_gradient(monkeypatch, every):
 @pytest.mark.parametrize("stop", ["horizon", "budget"])
 def test_a_stop_in_the_middle_of_a_chunk_leaves_no_row_pending(monkeypatch, stop):
     eng, seen = chunked_engine(monkeypatch, 3, 1)
-    limit = {"horizon": 1.0, "budget": 200}[stop]
+    # budget 100 stops after 22 aggregations, with models pending
+    limit = {"horizon": 1.0, "budget": 100}[stop]
     res = eng.run(horizon=limit) if stop == "horizon" else eng.run(event_budget=limit)
     assert res.stop_reason == stop and 0 < res.aggregations < 40
     assert seen[-1][-1] > 0                     # the last aggregation left models pending
