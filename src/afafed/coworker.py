@@ -12,6 +12,13 @@ one :func:`finalize_cluster`; the event engine makes these calls one
 iteration boundary at a time.  Each iteration does every piece of work once:
 the deviation ``w - w_global_last`` feeds both the dual violation and the
 primal step, and the logarithms of ``omega`` are taken once per config.
+
+The model has d entries, a handful in practice, so an iteration is bound by
+call overhead, not arithmetic.  A numpy ufunc on a 5-vector costs about
+0.44 µs with an array operand but 0.8 µs with a Python float one, so the
+primal step, whose operands are three scalars and three vectors, runs its
+multiplies, adds and subtracts on Python floats instead: the same IEEE
+operations in the same order, neither side fusing any, so the same bits.
 """
 
 from __future__ import annotations
@@ -158,15 +165,20 @@ def update_step_sizes(
 # ---------------- primal/dual iteration ---------------- #
 
 
-def primal_step(state: CoworkerState, grad: np.ndarray, diff: np.ndarray) -> None:
+def primal_step(state: CoworkerState, grad: np.ndarray, diff: np.ndarray) -> bool:
     """Gradient step on the local model, pulled toward the last global model.
 
     w <- w - eta0 * (lambda_last * grad + mu * diff), where ``diff`` is the
     caller's w - w_global_last at the pre-update w, the same deviation the
     dual step measures; this matches a simultaneous update of the primal and
-    dual variables.
+    dual variables.  Computed entry by entry on Python floats, with the bits
+    of the vector form.  Returns whether every entry of the new w is finite.
     """
-    state.w = state.w - state.eta0 * (state.lambda_last * grad + state.mu * diff)
+    eta0, lam, mu = state.eta0, state.lambda_last, state.mu
+    w = [wi - eta0 * (lam * gi + mu * di)
+         for wi, gi, di in zip(state.w.tolist(), grad.tolist(), diff.tolist())]
+    state.w = np.array(w)
+    return all(map(math.isfinite, w))
 
 
 def dual_step(state: CoworkerState, dev_sq: float) -> float:
@@ -202,24 +214,15 @@ def run_single_iteration(
     diff = state.w - state.w_global_last
     dev_sq = float(diff.dot(diff))
     update_step_sizes(state, cfg, grad, dev_sq)
-    primal_step(state, grad, diff)
+    finite = primal_step(state, grad, diff)
     dual_step(state, dev_sq)
     state.t_local += 1
     update_mu_average(state)
     evict_oldest_if_surplus(state.buffer)
     state.last_grad = grad
-    if not (_all_finite(state.w) and math.isfinite(state.mu)):
+    if not (finite and math.isfinite(state.mu)):
         raise NumericDivergenceError(state.id, now)
     return True
-
-
-def _all_finite(v: np.ndarray) -> bool:
-    """Whether every entry of v is finite.
-
-    v.v is finite only when every entry is; the elementwise test settles
-    the rare case of finite entries whose squares overflow.
-    """
-    return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
 
 
 def finalize_cluster(state: CoworkerState, cfg: AdaptiveConfig) -> UplinkPayload:

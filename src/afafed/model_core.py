@@ -177,16 +177,21 @@ def _losses(model: LossModel, z: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _residuals(model: LossModel, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Derivative of each example's loss with respect to its score z = x.w,
-    in a fresh array the caller may write; z is not written."""
+    written over z, which is returned; the caller passes a fresh score array.
+
+    Each formula runs its ufuncs in the order of its one-line form, so the
+    bits are those of a fresh-array version.
+    """
     if model.kind is LossKind.QUADRATIC:
-        return z - y
+        z -= y
+        return z
     # sigmoid(z) - y, with sigmoid(z) = 0.5 * (1 + tanh(z / 2)): stable for large |z|
-    r = 0.5 * z
-    np.tanh(r, out=r)
-    r += 1.0
-    r *= 0.5
-    r -= y
-    return r
+    z *= 0.5
+    np.tanh(z, out=z)
+    z += 1.0
+    z *= 0.5
+    z -= y
+    return z
 
 
 def risk_arrays(model: LossModel, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
@@ -206,9 +211,18 @@ def minibatch_gradient(
     the shard widths once, at construction.  ``ndarray.dot`` has less call
     overhead than ``@`` and gives the same bits here, which the golden
     traces pin.
+
+    On minibatch shapes every numpy call is mostly overhead, and a Python
+    scalar operand adds to it: a ufunc on a 5-vector costs about 0.44 µs
+    with an array operand, 0.8 µs with a float and 1.1-1.5 µs with an int.
+    So the residuals overwrite the fresh score array, the product with the
+    features is taken as ``r.dot(X)``, which skips the transposed view and
+    gives the bits of ``X.T.dot(r)`` (checked on 3,000 random shapes), and
+    the mean divides by the row count as a float, which rounds the same as
+    the int.
     """
-    g = X.T.dot(_residuals(model, X.dot(w), y))
-    g /= X.shape[0]
+    g = _residuals(model, X.dot(w), y).dot(X)
+    g /= float(X.shape[0])
     return g
 
 
@@ -277,8 +291,7 @@ class GlobalEvaluator:
             losses = data.shard_sums(_losses(model, z, data.y))    # K sums; no n-row array kept
             risk = float(data.shard_weights(risk_weights) @ losses)
         if grad:
-            r = _residuals(model, z, data.y)
-            del z
+            r = _residuals(model, z, data.y)        # overwrites z
             r *= self.rho
             g = data.XT @ r
         return risk, g

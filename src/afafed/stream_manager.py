@@ -10,11 +10,22 @@ Arrival ``a`` of a coworker's stream is row ``a % n`` of its n-row shard,
 and both evictions drop the oldest entry, so the buffer always holds the
 last ``count`` arrivals.  It is therefore a window over the shard: two
 integers, with no per-example storage.
+
+The window's rows are a slice of a read-only ring of row numbers,
+``arange(n + capacity - 1) % n``, one per distinct (n, capacity) and shared by
+every buffer of that shape.  A minibatch passes that slice to ``rng.choice``,
+which draws positions from its length exactly as it would from the integer
+``count`` and returns the rows at them, so the sampling stream and the rows
+are those of an integer draw.  The ring spares the per-iteration numpy calls
+with a Python scalar operand (an offset add and a ``mode="wrap"`` gather):
+on a small index array such a call costs about 0.8 µs with a float operand
+and 1.1-1.5 µs with an int one, against 0.44 µs for an array operand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -30,6 +41,8 @@ class StreamBuffer:
     minibatch_size: int
     next_arrival_index: int = 0
     count: int = 0
+    # the shared ring of row numbers every window of this shape is a slice of
+    _ring: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -40,6 +53,7 @@ class StreamBuffer:
             )
         if len(self.y) == 0:
             raise ValueError("the stream's shard is empty")
+        self._ring = _row_ring(len(self.y), self.capacity)
 
     @property
     def ready(self) -> bool:
@@ -47,9 +61,23 @@ class StreamBuffer:
 
     @property
     def rows(self) -> np.ndarray:
-        """Shard rows of the stored arrivals, oldest first."""
-        first = self.next_arrival_index - self.count
-        return (first + np.arange(self.count)) % len(self.y)
+        """Shard rows of the stored arrivals, oldest first, as a read-only view."""
+        first = (self.next_arrival_index - self.count) % len(self.y)
+        return self._ring[first:first + self.count]
+
+
+@functools.lru_cache(maxsize=16)
+def _row_ring(n: int, capacity: int) -> np.ndarray:
+    """Read-only row numbers ``arange(n + capacity - 1) % n``.
+
+    A window of ``count <= capacity`` arrivals whose oldest is row
+    ``first < n`` is the slice ``[first, first + count)``; the largest,
+    ``first = n - 1`` and ``count = capacity``, ends on the last slot.
+    Cached because the buffers of a run share a few shapes.
+    """
+    ring = np.arange(n + capacity - 1) % n
+    ring.flags.writeable = False
+    return ring
 
 
 def admit(buf: StreamBuffer) -> Optional[int]:
@@ -89,8 +117,5 @@ def sample_minibatch(
     """
     if buf.count < buf.minibatch_size:
         return None
-    idx = rng.choice(buf.count, size=buf.minibatch_size, replace=False)
-    # entry i is arrival first + i, i.e. row (first + i) % n; reducing the
-    # shift first keeps every index below count + n, so the wrap is short
-    idx += (buf.next_arrival_index - buf.count) % len(buf.y)
-    return buf.X.take(idx, axis=0, mode="wrap"), buf.y.take(idx, mode="wrap")
+    rows = rng.choice(buf.rows, size=buf.minibatch_size, replace=False)
+    return buf.X.take(rows, axis=0), buf.y.take(rows)

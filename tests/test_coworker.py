@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from afafed.coworker import (
     AdaptiveConfig,
@@ -97,6 +99,35 @@ def test_primal_step_stationary_at_consensus():
     st.eta0 = 0.3
     primal_step(st, np.zeros(1), st.w - st.w_global_last)
     np.testing.assert_array_equal(st.w, [0.7])
+
+
+# every float, with the IEEE edge cases drawn often: signed zeros,
+# subnormals, values near the ends of the range, infinities and NaN
+EDGE_FLOATS = hst.one_of(
+    hst.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    hst.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, -1e-300,
+                     1e300, -1e300, 1.7e308, math.inf, -math.inf, math.nan]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.integers(1, 8).flatmap(lambda d: hst.tuples(
+    *[hst.lists(EDGE_FLOATS, min_size=d, max_size=d) for _ in range(3)])),
+    EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS)
+# finite entries whose sum overflows: the model is still finite
+@example(([1.7e308, 1.7e308], [0.0, 0.0], [0.0, 0.0]), 0.1, 1.0, 1.0)
+def test_primal_step_on_floats_equals_the_vector_form_bit_for_bit(vectors, eta0, lam, mu):
+    w, grad, diff = (np.array(v) for v in vectors)
+    state = fresh_state(w=w, w_global_last=np.zeros(len(w)), lambda_last=lam, mu=mu)
+    state.eta0 = eta0
+    finite = primal_step(state, grad, diff)
+    with np.errstate(all="ignore"):
+        want = w - eta0 * (lam * grad + mu * diff)
+    assert state.w.dtype == np.float64 and state.w.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(state.w), nan)           # NaN payloads may differ
+    assert np.array_equal(state.w.view(np.int64)[~nan], want.view(np.int64)[~nan])
+    assert finite == bool(np.isfinite(state.w).all())
 
 
 def test_dual_step_with_tolerance():

@@ -224,9 +224,11 @@ def test_loss_kernels_equal_their_one_line_forms_bit_for_bit(kind, n):
     z_before = z.copy()
     assert np.array_equal(_losses(model, z, y), reference_one_line_losses(model, z, y),
                           equal_nan=True)
-    assert np.array_equal(_residuals(model, z, y), reference_residuals(model, z, y),
-                          equal_nan=True)
-    assert np.array_equal(z, z_before, equal_nan=True)
+    assert np.array_equal(z, z_before, equal_nan=True)     # the losses leave z alone
+    scores = z.copy()
+    r = _residuals(model, scores, y)                       # the residuals overwrite it
+    assert r is scores
+    assert np.array_equal(r, reference_residuals(model, z, y), equal_nan=True)
 
 
 def test_logistic_loss_is_finite_and_matches_logaddexp_in_the_tails():

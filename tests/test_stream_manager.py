@@ -173,6 +173,9 @@ def buffer_runs(draw):
 @given(buffer_runs())
 # a 7-slot window over a 3-row shard: repeated rows, straddling the wrap
 @example((3, 7, 2, ["admit"] * 11 + ["sample", "evict", "sample", "admit", "sample"], 5))
+# a full 7-slot window whose oldest row is the shard's last (first = n - 1):
+# the sampled slice ends on the last slot of the shared ring of row numbers
+@example((3, 7, 2, ["admit"] * 9 + ["sample"], 6))
 def test_window_matches_a_fifo_of_arrivals(run):
     # the reference stores arrival indices in a deque, as the buffer once
     # stored examples; arrival a is row a % n of the shard
