@@ -6,9 +6,11 @@ Subcommands:
   bound    evaluate the convergence-rate bounds from a parameter file
   sweep    run a seed x parameter grid, one output directory per cell
 
-Configuration errors exit with status 2 and name the offending key; a
-missing file also exits 2.  A run that diverges numerically or breaks a
-protocol invariant exits with status 3 and a one-line `error:` message.
+Configuration errors exit with status 2 and name the offending key.  A
+missing or unreadable config file (malformed YAML, not UTF-8, a directory)
+and an ``--out`` that cannot be a directory also exit 2, before any run.
+A run that diverges numerically or breaks a protocol invariant exits with
+status 3 and a one-line `error:` message.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import sys
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
-import yaml
 
 from . import harness
 from .errors import ConfigError, NumericDivergenceError, ProtocolError
@@ -73,11 +74,7 @@ def _cmd_run(args: argparse.Namespace, profiling: bool) -> int:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh) or {}
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{args.config}: top level must be a mapping")
-    out = harness.evaluate_bounds(doc)
+    out = harness.evaluate_bounds(harness.read_yaml(args.config))
     print(f"beta_max_admissible={out['beta_max_admissible']:.12g}")
     if out.get("constant") is not None:
         print(f"bound_constant_beta={out['constant']:.12g} (beta={out['constant_beta']:.12g})")
@@ -90,16 +87,12 @@ def _cmd_bound(args: argparse.Namespace) -> int:
               f"A={out['scaled']['a']:.6g})")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "bounds.yaml"), "w", encoding="utf-8") as fh:
-            yaml.safe_dump(out, fh, sort_keys=True)
+        harness.write_yaml(os.path.join(args.out, "bounds.yaml"), out)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh) or {}
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{args.config}: top level must be a mapping")
+    doc = harness.read_yaml(args.config)
     sweep = doc.pop("sweep", None)
     if not isinstance(sweep, dict):
         raise ConfigError("sweep: config needs a sweep section with seeds and/or grid")
@@ -139,8 +132,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         })
         print(f"{label}: aggregations={result.aggregations} final_risk={_fmt_risk(final)}")
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "sweep.yaml"), "w", encoding="utf-8") as fh:
-        yaml.safe_dump(harness._plain(index_rows), fh, sort_keys=True)
+    harness.write_yaml(os.path.join(args.out, "sweep.yaml"), harness._plain(index_rows))
     return 0
 
 
@@ -187,9 +179,21 @@ def _sweep_cells(
     return cells
 
 
+def _check_out(path: str) -> None:
+    """Refuse an ``--out`` that cannot become a directory, before anything runs."""
+    full = probe = os.path.abspath(path)
+    while not os.path.exists(probe):       # the nearest part of the path that exists
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        what = "exists" if probe == full else f"lies under {probe}, which exists"
+        raise ConfigError(f"--out: {path}: {what} and is not a directory")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.out is not None:
+            _check_out(args.out)
         # the overflow on the way to a divergence is reported once, as the
         # NumericDivergenceError, not as one numpy warning per operation
         with np.errstate(over="ignore", invalid="ignore"):

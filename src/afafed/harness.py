@@ -169,14 +169,53 @@ def resolve_config(doc: Optional[Dict[str, Any]]) -> Dict[str, Any]:
     return resolved
 
 
-def load_config(path: str) -> Dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+# libyaml's loader and dumper where PyYAML was built with it, several times
+# faster than the pure-Python ones (see write_yaml for the bytes they write)
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
+def read_yaml(path: str) -> Dict[str, Any]:
+    """The YAML mapping in the file at ``path``; an empty file reads ``{}``.
+
+    A file that is not a YAML mapping, is not UTF-8 text or is a directory
+    is a ConfigError naming the path, and a YAML syntax error also names
+    its line and column.  A missing file raises FileNotFoundError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()        # decoded in one piece, so a fault's offset is the file's
+        doc = yaml.load(text, Loader=_YAML_LOADER)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f"{path}: line {mark.line + 1}, column {mark.column + 1}" if mark else path
+        reason = getattr(exc, "problem", None) or str(exc)
+        raise ConfigError(f"{where}: {' '.join(reason.split())}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except IsADirectoryError:
+        raise ConfigError(f"{path}: is a directory, not a file") from None
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    return resolve_config(doc)
+    return doc
+
+
+def write_yaml(path: str, doc: Any) -> None:
+    """Write ``doc`` as ``yaml.safe_dump(doc, sort_keys=True)`` writes it.
+
+    libyaml's dumper writes the same bytes, except that it folds a
+    double-quoted string (one holding a tab, a control or a non-ASCII
+    character) that runs past 80 columns at other places; the string loads
+    back the same.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        yaml.dump(doc, fh, Dumper=_YAML_DUMPER, sort_keys=True)
+
+
+def load_config(path: str) -> Dict[str, Any]:
+    return resolve_config(read_yaml(path))
 
 
 def _require(cond: bool, key: str, message: str) -> None:
@@ -625,8 +664,7 @@ def write_outputs(out_dir: str, exp: Experiment, result: RunResult,
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8") as fh:
         fh.write(metrics_csv_text(result.rows))
-    with open(os.path.join(out_dir, "summary.yaml"), "w", encoding="utf-8") as fh:
-        yaml.safe_dump(summary, fh, sort_keys=True)
+    write_yaml(os.path.join(out_dir, "summary.yaml"), summary)
     return summary
 
 

@@ -372,10 +372,12 @@ def uniform_weights(k: int) -> np.ndarray:
 
 def check_weights(weights: np.ndarray) -> None:
     """Assert the simplex invariant: non-negative entries summing to 1 within 1e-12."""
-    if (weights < 0.0).any():
+    # the reductions .any() and .sum() run, without numpy's _methods layer
+    if np.logical_or.reduce(weights < 0.0):
         raise ValueError("fairness weights must be non-negative")
-    if not abs(float(weights.sum()) - 1.0) <= 1e-12:     # NaN fails too
-        raise ValueError(f"fairness weights sum to {weights.sum()!r}, expected 1")
+    total = np.add.reduce(weights)
+    if not abs(float(total) - 1.0) <= 1e-12:     # NaN fails too
+        raise ValueError(f"fairness weights sum to {total!r}, expected 1")
 
 
 def jain_fairness_index(weights: np.ndarray) -> float:

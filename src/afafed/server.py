@@ -119,7 +119,7 @@ def apply_fairness_update(state: ServerState, k: int, mu_bar: float) -> bool:
         return False
     lam = state.lambdas.copy()
     lam[k] *= factor
-    state.lambdas = lam / lam.sum()
+    state.lambdas = lam / np.add.reduce(lam)      # lam.sum() without numpy's _methods layer
     check_weights(state.lambdas)
     return True
 

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import afafed
-from afafed import cli
+from afafed import cli, harness
 from afafed.errors import ConfigError, NumericDivergenceError
 from afafed.harness import (
     CONFIG_SCHEMA,
@@ -895,6 +895,77 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
                    "--out", str(tmp_path / "x")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _unreadable_config(tmp_path, fault):
+    """A --config path holding the named fault."""
+    path = tmp_path / "cfg.yaml"
+    if fault == "malformed":
+        path.write_text("model: {dim: [\n")
+    elif fault == "not_utf8":
+        path.write_bytes(b"model: {dim: 3}\n# caf\xe9\n")
+    else:
+        path.mkdir()
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["run", "profile", "bound", "sweep"])
+@pytest.mark.parametrize("fault, message", [
+    ("malformed", "cfg.yaml: line 2, column 1: did not find expected node content"),
+    ("not_utf8", "cfg.yaml: not UTF-8 text (invalid continuation byte at byte 21)"),
+    ("directory", "cfg.yaml: is a directory, not a file"),
+])
+def test_cli_unreadable_config_exits_2_naming_the_file(tmp_path, capsys, command, fault, message):
+    # each of these once ended in a raw traceback with exit status 1
+    cfg = _unreadable_config(tmp_path, fault)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {tmp_path}/{message}\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "profile", "bound", "sweep"])
+@pytest.mark.parametrize("below", [False, True])
+def test_cli_out_that_is_a_file_exits_2_before_any_run(tmp_path, capsys, monkeypatch,
+                                                      command, below):
+    # a file at --out (or above it) once failed only after the whole run
+    doc = small_doc() if command != "bound" else {"bound": BOUND_DOC}
+    if command == "sweep":
+        doc["sweep"] = {"seeds": [1]}
+    cfg = write_cfg(tmp_path, doc)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / "sub" if below else taken
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "run_experiment", refuse)
+    monkeypatch.setattr(harness, "evaluate_bounds", refuse)
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    what = f"lies under {taken}, which exists" if below else "exists"
+    assert err == f"configuration error: --out: {out}: {what} and is not a directory\n"
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_write_yaml_writes_the_bytes_of_safe_dump(tmp_path):
+    # libyaml's dumper, where present, must write what yaml.safe_dump writes
+    # for the documents the CLI writes, awkward values included
+    summary = summarize(*run_experiment(resolve_config(small_doc(sim={"T": 5})),
+                                        enable_profiling=True))
+    awkward = {
+        "paths": ["/" + "/".join(f"segment{i}" for i in range(40)) + ".csv", "a b: c", "#x"],
+        "floats": [float("inf"), float("-inf"), float("nan"), -0.0, 1e-300, 5e-324, 1e16],
+        "strings": ["1.0e7", "yes", "no", "null", "~", "", " lead", "0x1f", "1_000"],
+        "text": " ".join(f"word{i}" for i in range(60)),
+        "nested": [{"cell": "seed1_beta_max0.5", "final_risk": None, "seed": 1}],
+    }
+    for name, doc in [("summary", summary), ("awkward", awkward),
+                      ("bounds", evaluate_bounds({"bound": dict(BOUND_DOC, beta=0.5)}))]:
+        path = tmp_path / f"{name}.yaml"
+        harness.write_yaml(str(path), doc)
+        assert path.read_text() == yaml.safe_dump(doc, sort_keys=True), name
 
 
 def test_cli_bound_command(tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afafed.stream_manager import (
+    DrawSize,
     StreamBuffer,
     admit,
     evict_oldest_if_surplus,
@@ -213,3 +214,65 @@ def test_window_matches_a_fifo_of_arrivals(run):
         assert buf.rows.tolist() == [a % n for a in ref]
         assert buf.ready == (len(ref) >= minibatch)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# ---------------- the draw size against a plain int ---------------- #
+
+
+@st.composite
+def draw_windows(draw):
+    capacity = draw(st.integers(1, 40))
+    n = draw(st.one_of(st.integers(1, capacity), st.integers(capacity, 3 * capacity)))
+    count = draw(st.integers(1, capacity))
+    minibatch = draw(st.integers(1, count))
+    first = draw(st.integers(0, n - 1))             # the window's oldest row
+    return n, capacity, count, minibatch, first, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(draw_windows())
+# a full window whose oldest row is the shard's last: the ring's last slot
+@example((3, 7, 7, 7, 2, 0))
+def test_draw_size_draws_what_the_plain_int_draws(window):
+    n, capacity, count, minibatch, first, seed = window
+    tags = np.arange(n, dtype=np.float64)
+    buf = StreamBuffer(tags[:, None], tags, capacity=capacity, minibatch_size=minibatch)
+    buf.next_arrival_index, buf.count = first + count, count
+    size = buf._draw_size
+    assert type(size) is DrawSize and size == minibatch
+    assert type(buf.minibatch_size) is int
+
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = rng.choice(buf.rows, size=size, replace=False)
+    want = ref_rng.choice(buf.rows, size=minibatch, replace=False)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    # the protocol answers np.prod with numpy's own value and type
+    for kwargs in ({}, {"dtype": np.intp}):
+        answer, numpys = np.prod(size, **kwargs), np.prod(minibatch, **kwargs)
+        assert type(answer) is type(numpys) and answer == numpys
+    # functions it does not answer see plain ints, also inside a sequence
+    for call in (lambda m: np.sum(m), lambda m: np.prod(m, dtype=np.float64),
+                 lambda m: np.atleast_1d(m), lambda m: np.stack([m, 2])):
+        answer, numpys = call(size), call(minibatch)
+        assert type(answer) is type(numpys)
+        np.testing.assert_array_equal(answer, numpys)
+        assert np.asarray(answer).dtype == np.asarray(numpys).dtype
+
+
+def test_sample_minibatch_draws_with_the_buffers_one_size_object():
+    # built once per buffer, not once per draw
+    buf = make_buffer(capacity=8, minibatch_size=5)
+    fill(buf, 8)
+    sizes = []
+
+    class Recorder:
+        def choice(self, rows, size, replace):
+            sizes.append(size)
+            return np.random.default_rng(0).choice(rows, size=size, replace=replace)
+
+    for _ in range(3):
+        sample_minibatch(buf, Recorder())
+    assert len(sizes) == 3 and all(size is buf._draw_size for size in sizes)
