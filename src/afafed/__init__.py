@@ -24,10 +24,6 @@ from .model_core import (
     LossKind,
     LossModel,
     ShardSet,
-    feature_major,
-    global_evaluation,
-    global_gradient_arrays,
-    global_risk_arrays,
     jain_fairness_index,
     minibatch_gradient,
     quadratic_global_minimum,
@@ -83,11 +79,7 @@ __all__ = [
     "bound_scaled",
     "effective_horizon",
     "ensemble_averages",
-    "feature_major",
     "finalize",
-    "global_evaluation",
-    "global_gradient_arrays",
-    "global_risk_arrays",
     "gradient_variance_bound",
     "jain_fairness_index",
     "make_coworker",

@@ -137,12 +137,19 @@ def update_iter_count(mu_bar: float, cfg: AdaptiveConfig) -> int:
 
 
 def update_tolerance(mu_bar: float, cfg: AdaptiveConfig) -> float:
-    """Proximity tolerance b0 * mu_bar**gamma; vanishes at the origin."""
+    """Proximity tolerance b0 * mu_bar**gamma; vanishes at the origin.
+
+    A power past the float range means an unbounded tolerance, or 0 when b0 is 0.
+    """
     if mu_bar < 0.0:
         raise ValueError("mu_bar must be non-negative")
     if mu_bar == 0.0:
         return 0.0
-    return cfg.b0 * mu_bar**cfg.gamma
+    try:
+        power = mu_bar**cfg.gamma
+    except OverflowError:
+        return math.inf if cfg.b0 > 0.0 else 0.0
+    return cfg.b0 * power
 
 
 def update_step_sizes(

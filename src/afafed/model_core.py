@@ -8,18 +8,17 @@ examples they range over.
 
 Data are stacked arrays only: a shard is an (m, d) feature matrix X with an
 (m,) target vector y, and the K shards together are one read-only
-:class:`ShardSet`.  A :class:`GlobalEvaluator` takes the weighted global
-risk, its gradient or both from one matrix-vector product for the scores.
-The risk sums each shard's losses and takes one K-length dot with the
-weights λ_k/n_k; the gradient weights every row of shard k by ρ = g_k/n_k
-before its product with the features transposed.  Both products run over
-``ShardSet.XT``, a feature-major (d, n) copy of X that
-:func:`feature_major` builds for the sets that are evaluated, because a
-matrix-vector product over n rows of d = 5 features is about three times
-faster that way; per-shard views and minibatch gathers keep using X.  The
-evaluator builds XT, ρ and the logistic label signs once, so a run that
-evaluates many models pays for them once; :func:`global_evaluation` builds
-one for a single call.
+:class:`ShardSet`.  A :class:`GlobalEvaluator` is the one path to the
+weighted global risk and its gradient: it takes either or both from one
+matrix-vector product for the scores.  The risk sums each shard's losses
+and takes one K-length dot with the weights λ_k/n_k; the gradient weights
+every row of shard k by ρ = g_k/n_k before its product with the features
+transposed.  Both products run over the evaluator's own XT, a read-only
+feature-major (d, n) copy of X, because a matrix-vector product over n rows
+of d = 5 features is about three times faster that way; per-shard views and
+minibatch gathers keep using X.  The evaluator builds XT, ρ and the
+logistic label signs once, so a run that evaluates many models pays for
+them once.
 
 The logistic evaluation needs labels in {0, 1}.  With s = 1 - 2y and
 h = tanh(z / 2), one tanh per row serves both parts:
@@ -58,16 +57,11 @@ class LossModel:
 
 
 class ShardSet(NamedTuple):
-    """The K local data sets stacked into one (X, y); shard k holds the next sizes[k] rows.
-
-    XT is None, or a C-contiguous copy of X.T, the layout the global
-    evaluation's matrix-vector products run over (see :func:`feature_major`).
-    """
+    """The K local data sets stacked into one (X, y); shard k holds the next sizes[k] rows."""
 
     X: np.ndarray
     y: np.ndarray
     sizes: Tuple[int, ...]
-    XT: Optional[np.ndarray]
 
     def views(self) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Per-shard (X, y) views into the stacked arrays, in shard order."""
@@ -115,8 +109,7 @@ def _layout(sizes: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray, int]:
 
 
 def stack_shards(shards: Sequence[Tuple[np.ndarray, np.ndarray]]) -> ShardSet:
-    """Concatenate per-shard (X, y) pairs into one read-only :class:`ShardSet`
-    without the feature-major copy XT, which only evaluation reads."""
+    """Concatenate per-shard (X, y) pairs into one read-only :class:`ShardSet`."""
     if len(shards) == 0:
         raise ValueError("need at least one shard")
     for k, (X, y) in enumerate(shards):
@@ -128,19 +121,7 @@ def stack_shards(shards: Sequence[Tuple[np.ndarray, np.ndarray]]) -> ShardSet:
     X = np.concatenate([X for X, _ in shards], dtype=np.float64)
     y = np.concatenate([y for _, y in shards], dtype=np.float64)
     X.flags.writeable = y.flags.writeable = False
-    return ShardSet(X, y, tuple(len(y) for _, y in shards), None)
-
-
-def feature_major(data: ShardSet) -> ShardSet:
-    """data with its read-only feature-major copy XT: data itself when it has one.
-
-    X is read-only too, so the two cannot drift apart.
-    """
-    if data.XT is not None:
-        return data
-    XT = np.ascontiguousarray(data.X.T)
-    XT.flags.writeable = False
-    return data._replace(XT=XT)
+    return ShardSet(X, y, tuple(len(y) for _, y in shards))
 
 
 def _check_dims(model: LossModel, w: np.ndarray, X: np.ndarray) -> None:
@@ -250,18 +231,20 @@ class GlobalEvaluator:
     """The weighted global risk and its gradient over one :class:`ShardSet`,
     at any w, with every array that does not depend on w built once.
 
-    Construction builds the feature-major copy XT (:func:`feature_major`),
-    the per-row gradient weights rho (``grad_weights[k] / sizes[k]`` on each
-    row of shard k; none when grad_weights is None) and, for the logistic
-    loss, the label signs s = 1 - 2y.  A run builds one evaluator, and only
-    when it evaluates.
+    Construction builds XT, a read-only C-contiguous copy of ``data.X.T``
+    that both products run over; the per-row gradient weights rho
+    (``grad_weights[k] / sizes[k]`` on each row of shard k); and, for the
+    logistic loss, the label signs s = 1 - 2y.  X is read-only too, so X and
+    XT cannot drift apart.  A run builds one evaluator, and only when it
+    evaluates.
     """
 
-    def __init__(self, model: LossModel, data: ShardSet,
-                 grad_weights: Optional[np.ndarray]) -> None:
+    def __init__(self, model: LossModel, data: ShardSet, grad_weights: np.ndarray) -> None:
         self.model = model
-        self.data = feature_major(data)
-        self.rho = None if grad_weights is None else data.row_weights(grad_weights)
+        self.data = data
+        self.XT = np.ascontiguousarray(data.X.T)
+        self.XT.flags.writeable = False
+        self.rho = data.row_weights(grad_weights)
         self.signs = None
         if model.kind is LossKind.LOGISTIC:
             y = data.y
@@ -281,11 +264,9 @@ class GlobalEvaluator:
         """
         model, data = self.model, self.data
         _check_dims(model, w, data.X)
-        if grad and self.rho is None:
-            raise ValueError("this evaluator was built without gradient weights")
         if model.kind is LossKind.LOGISTIC:
             return self._logistic(w, risk_weights, grad)
-        z = w @ data.XT
+        z = w @ self.XT
         risk = g = None
         if risk_weights is not None:
             losses = data.shard_sums(_losses(model, z, data.y))    # K sums; no n-row array kept
@@ -293,7 +274,7 @@ class GlobalEvaluator:
         if grad:
             r = _residuals(model, z, data.y)        # overwrites z
             r *= self.rho
-            g = data.XT @ r
+            g = self.XT @ r
         return risk, g
 
     def _logistic(self, w: np.ndarray, risk_weights: Optional[np.ndarray],
@@ -305,7 +286,7 @@ class GlobalEvaluator:
         # products over _BLOCK-row blocks.  u = z / 2 comes from (w / 2) @ XT,
         # exactly half of w @ XT, so 2 relu(s u) is relu(s z) to the bit.
         data, s = self.data, self.signs
-        u = (0.5 * w) @ data.XT
+        u = (0.5 * w) @ self.XT
         risk = g = None
         if risk_weights is not None:
             buf = s * u
@@ -323,42 +304,9 @@ class GlobalEvaluator:
         if grad:
             u += s
             u *= self.rho
-            g = data.XT @ u
+            g = self.XT @ u
             g *= 0.5
         return risk, g
-
-
-def global_evaluation(
-    model: LossModel,
-    w: np.ndarray,
-    data: ShardSet,
-    risk_weights: Optional[np.ndarray],
-    grad_weights: Optional[np.ndarray],
-) -> Tuple[Optional[float], Optional[np.ndarray]]:
-    """(risk, gradient) at w from one score product; either part is None when
-    its weights are None.
-
-    The risk is sum_k risk_weights[k] * risk_k, from per-shard sums of the
-    losses; the gradient is that of sum_k grad_weights[k] * risk_k.  Builds a
-    :class:`GlobalEvaluator` for this one call; a caller that evaluates many
-    models over the same data keeps one instead.
-    """
-    evaluate = GlobalEvaluator(model, data, grad_weights)
-    return evaluate(w, risk_weights, grad_weights is not None)
-
-
-def global_risk_arrays(
-    model: LossModel, w: np.ndarray, data: ShardSet, weights: np.ndarray
-) -> float:
-    """Weighted global risk sum_k weights[k] * risk_k."""
-    return global_evaluation(model, w, data, weights, None)[0]
-
-
-def global_gradient_arrays(
-    model: LossModel, w: np.ndarray, data: ShardSet, weights: np.ndarray
-) -> np.ndarray:
-    """Gradient of :func:`global_risk_arrays` with respect to w."""
-    return global_evaluation(model, w, data, None, weights)[1]
 
 
 # ---------------- fairness weights ---------------- #
@@ -419,4 +367,4 @@ def quadratic_global_minimum(data: ShardSet, weights: np.ndarray) -> tuple[np.nd
     b = data.X.T @ (c * data.y)
     w_star = np.linalg.solve(H, b)
     model = LossModel(LossKind.QUADRATIC, data.X.shape[1])
-    return w_star, global_risk_arrays(model, w_star, data, weights)
+    return w_star, GlobalEvaluator(model, data, weights)(w_star, weights, False)[0]

@@ -370,7 +370,6 @@ class SimulationEngine:
         self.evaluator: Optional[GlobalEvaluator] = None
         if eval_every > 0:
             self.evaluator = GlobalEvaluator(model, self.data, uniform_weights(k))
-            self.data = self.evaluator.data
 
         self.runtimes: List[_Runtime] = []
         for cid, (setup, shard) in enumerate(zip(setups, self.data.views())):

@@ -21,7 +21,6 @@ from afafed.harness import metrics_csv_text, resolve_config, run_experiment
 from afafed.model_core import (
     LossKind,
     LossModel,
-    global_risk_arrays,
     minibatch_gradient,
     quadratic_global_minimum,
     risk_arrays,
@@ -38,6 +37,7 @@ from afafed.network_sim import (
 from afafed.profiler import ProfilingLog, finalize, record_aggregation
 from afafed.server import MixingConfig, ServerState, process_uplink
 from afafed.stream_manager import StreamBuffer, admit, sample_minibatch
+from reference_evaluation import reference_global_risk
 
 
 def _verdict(n: int, name: str, ok: bool) -> bool:
@@ -130,7 +130,7 @@ def test_criterion_02_convergence_bound_dominates():
         a_hats.append(0.0 if est.a_hat is None else est.a_hat)
         uw = uniform_weights(len(exp.engine.runtimes))
         zetas.append(smoothness_constant(exp.engine.model, exp.engine.data))
-        f0s.append(global_risk_arrays(exp.engine.model, np.zeros(5), exp.engine.data, uw))
+        f0s.append(reference_global_risk(exp.engine.model, np.zeros(5), exp.engine.data, uw))
         fstars.append(quadratic_global_minimum(exp.engine.data, uw)[1])
 
     base = dict(zeta=float(np.mean(zetas)), f0=float(np.mean(f0s)),

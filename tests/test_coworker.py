@@ -222,6 +222,18 @@ def test_tolerance_values():
         update_tolerance(-1.0, cfg)
 
 
+def test_an_overflowing_tolerance_is_unbounded_or_zero():
+    # 2.0 ** 2000 leaves the float range: an unbounded tolerance, or none
+    # when b0 is 0; the step sizes and the multiplier stay finite
+    assert update_tolerance(2.0, AdaptiveConfig(b0=1.0, gamma=2000.0)) == math.inf
+    assert update_tolerance(2.0, AdaptiveConfig(b0=0.0, gamma=2000.0)) == 0.0
+    cfg = AdaptiveConfig(eta_min=0.01, eta_max=0.5)
+    st = fresh_state(mu=3.0)
+    st.tolerance = math.inf
+    assert update_step_sizes(st, cfg, np.array([0.1]), dev_sq=1.0)[1] == cfg.eta_max
+    assert dual_step(st, dev_sq=1.0) == 0.0
+
+
 def test_step_sizes_hand_value_and_clips():
     cfg = AdaptiveConfig(iter_max=30, omega_a=2.0, omega_c=1.0,
                          eta_min=0.01, eta_max=0.5)

@@ -16,6 +16,10 @@ def test_every_exported_name_resolves_once():
 @pytest.mark.parametrize("module, name", [
     ("coworker", "handle_timer_expiry"),
     ("model_core", "normalized_weights"),
+    ("model_core", "global_evaluation"),
+    ("model_core", "global_risk_arrays"),
+    ("model_core", "global_gradient_arrays"),
+    ("model_core", "feature_major"),
 ])
 def test_deleted_names_cannot_be_imported(module, name):
     assert name not in afafed.__all__

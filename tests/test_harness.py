@@ -33,14 +33,10 @@ from afafed.harness import (
     summarize,
     write_outputs,
 )
-from afafed.model_core import (
-    GlobalEvaluator,
-    global_gradient_arrays,
-    global_risk_arrays,
-    uniform_weights,
-)
+from afafed.model_core import GlobalEvaluator, uniform_weights
 from afafed.network_sim import ArrivalProcess, SimulationEngine
 from afafed.profiler import ParameterEstimates
+from reference_evaluation import reference_global_gradient, reference_global_risk
 
 
 def small_doc(**sections):
@@ -299,8 +295,8 @@ def test_rows_recorded_before_a_divergence_keep_their_eval_columns():
     uniform = uniform_weights(len(engine.runtimes))
     w_before = engine.w0
     for row, (w_after, lambdas) in zip(engine.rows, models):
-        g = global_gradient_arrays(engine.model, w_before, engine.data, uniform)
-        risk = global_risk_arrays(engine.model, w_after, engine.data, lambdas)
+        g = reference_global_gradient(engine.model, w_before, engine.data, uniform)
+        risk = reference_global_risk(engine.model, w_after, engine.data, lambdas)
         assert row.grad_sqnorm == pytest.approx(float(g @ g), rel=1e-12)
         assert row.global_risk == pytest.approx(risk, rel=1e-12)
         w_before = w_after
@@ -599,7 +595,7 @@ def test_summary_contents_and_final_risk_recompute():
     assert sum(summary["per_coworker"]["accepted"]) == 10
     assert sum(summary["per_coworker"]["access_prob"]) == pytest.approx(1.0)
     assert summary["config"]["sim"]["seed"] == 3
-    direct = global_risk_arrays(
+    direct = reference_global_risk(
         exp.engine.model, exp.engine.server.w_global, exp.engine.data,
         np.asarray(summary["lambdas_final"]),
     )
@@ -619,10 +615,13 @@ def test_final_risk_is_set_when_the_last_row_was_not_due():
     exp, result, _ = run_experiment(resolve_config(small_doc(eval={"every": 3})))
     assert [r.t for r in result.rows if r.global_risk is not None] == [3, 6, 9]
     assert result.rows[-1].t == 10
-    server = exp.engine.server
-    direct = global_risk_arrays(exp.engine.model, server.w_global, exp.engine.data,
-                                server.lambdas)
+    # bit for bit: the final risk is the engine's own evaluator at the final model
+    engine = exp.engine
+    server = engine.server
+    direct = engine.evaluator(server.w_global, server.lambdas, False)[0]
     assert summarize(exp, result, None)["final_risk"] == direct
+    assert direct == pytest.approx(reference_global_risk(
+        engine.model, server.w_global, engine.data, server.lambdas), rel=1e-12)
 
 
 @pytest.mark.parametrize("sim, reason", [
@@ -842,6 +841,16 @@ def test_cli_run_with_an_overflowing_decay_mixes_at_beta_min(tmp_path, de):
         betas = [float(row["beta"]) for row in csv.DictReader(fh)]
     assert len(betas) == 5
     assert betas[1:] == [presets()["table_a1_small"]["mixing"]["beta_min"]] * 4
+
+
+def test_cli_run_with_an_overflowing_tolerance_runs_to_t(tmp_path):
+    # mu_bar ** 1e5 leaves the float range once mu_bar > 1, which once ended
+    # in a raw OverflowError
+    doc = {"sim": {"T": 200}, "adaptive": {"gamma": 1.0e+5}, "link": {"p_loss": 0.9}}
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+    summary = yaml.safe_load((out / "summary.yaml").read_text())
+    assert (summary["aggregations"], summary["stop_reason"]) == (200, "T_reached")
 
 
 def test_total_loss_with_a_horizon_still_runs():

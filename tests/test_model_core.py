@@ -21,10 +21,6 @@ from afafed.model_core import (
     _losses,
     _residuals,
     check_weights,
-    feature_major,
-    global_evaluation,
-    global_gradient_arrays,
-    global_risk_arrays,
     jain_fairness_index,
     minibatch_gradient,
     quadratic_global_minimum,
@@ -35,6 +31,13 @@ from afafed.model_core import (
     uniform_weights,
 )
 from afafed.stream_manager import StreamBuffer, admit, sample_minibatch
+from reference_evaluation import (
+    LOSS_ABS_FLOOR,
+    reference_global_gradient,
+    reference_global_risk,
+    reference_losses,
+    reference_residuals,
+)
 
 
 def fd_gradient(model, w, X, y):
@@ -118,8 +121,8 @@ def test_global_risk_weighted_combination():
     # shard risks at w=0: mean of 0.5*y^2, over shards of 1 and 2 rows
     shard_a = (np.array([[1.0]]), np.array([np.sqrt(2.0)]))          # risk 1
     shard_b = (np.array([[1.0], [3.0]]), np.array([2.0, 2.0]))       # risk 2
-    w = np.zeros(1)
-    got = global_risk_arrays(model, w, stack_shards([shard_a, shard_b]), np.array([0.3, 0.7]))
+    lam = np.array([0.3, 0.7])
+    got = GlobalEvaluator(model, stack_shards([shard_a, shard_b]), lam)(np.zeros(1), lam, False)[0]
     assert got == pytest.approx(0.3 * 1.0 + 0.7 * 2.0, rel=1e-12)
 
 
@@ -137,34 +140,12 @@ def test_global_arrays_match_per_shard_sums():
             w = rng.standard_normal(4)
             risk = sum(l * risk_arrays(model, w, X, y) for l, (X, y) in zip(lam, arrays))
             grad = sum(l * minibatch_gradient(model, w, X, y) for l, (X, y) in zip(lam, arrays))
-            assert global_risk_arrays(model, w, data, lam) == pytest.approx(risk, rel=1e-12)
-            np.testing.assert_allclose(global_gradient_arrays(model, w, data, lam), grad,
-                                       rtol=1e-12, atol=1e-15)
+            got_risk, got_grad = GlobalEvaluator(model, data, lam)(w, lam, True)
+            assert got_risk == pytest.approx(risk, rel=1e-12)
+            np.testing.assert_allclose(got_grad, grad, rtol=1e-12, atol=1e-15)
 
 
-# the earlier evaluation formulas, kept as a reference: softplus by
-# np.logaddexp and one dot with per-row weights built by np.repeat
-
-
-def reference_losses(model, z, y):
-    if model.kind is LossKind.QUADRATIC:
-        r = z - y
-        return 0.5 * (r * r)
-    return np.logaddexp(0.0, z) - y * z
-
-
-def reference_global_risk(model, w, data, weights):
-    row_weights = np.repeat(np.asarray(weights, dtype=np.float64) / data.sizes, data.sizes)
-    return float(row_weights @ reference_losses(model, data.X @ w, data.y))
-
-
-# the earlier one-line kernels, kept as a reference for the buffer-reusing ones
-
-
-def reference_residuals(model, z, y):
-    if model.kind is LossKind.QUADRATIC:
-        return z - y
-    return 0.5 * (1.0 + np.tanh(0.5 * z)) - y
+# the earlier one-line loss kernel, kept as a reference for the buffer-reusing one
 
 
 def reference_one_line_losses(model, z, y):
@@ -172,12 +153,6 @@ def reference_one_line_losses(model, z, y):
         r = z - y
         return 0.5 * (r * r)
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - y * z
-
-
-def reference_global_gradient(model, w, data, weights):
-    # row-major products, every row weighted by its shard's weight / size
-    row_weights = np.repeat(np.asarray(weights, dtype=np.float64) / data.sizes, data.sizes)
-    return data.X.T @ (row_weights * reference_residuals(model, data.X @ w, data.y))
 
 
 def test_global_risk_matches_the_reference_formulas():
@@ -191,7 +166,7 @@ def test_global_risk_matches_the_reference_formulas():
                 raw = rng.uniform(0.0, 1.0, size=len(sizes))
                 lam = raw / raw.sum()
                 w = scale * rng.standard_normal(4)
-                got = global_risk_arrays(model, w, data, lam)
+                got = GlobalEvaluator(model, data, lam)(w, lam, False)[0]
                 assert got == pytest.approx(reference_global_risk(model, w, data, lam),
                                             rel=1e-12)
 
@@ -208,7 +183,7 @@ def test_global_gradient_matches_the_reference_formulas():
                 raw = rng.uniform(0.0, 1.0, size=len(sizes))
                 lam = raw / raw.sum()
                 w = scale * rng.standard_normal(4)
-                np.testing.assert_allclose(global_gradient_arrays(model, w, data, lam),
+                np.testing.assert_allclose(GlobalEvaluator(model, data, lam)(w, None, True)[1],
                                            reference_global_gradient(model, w, data, lam),
                                            rtol=1e-12, atol=1e-15)
 
@@ -244,17 +219,17 @@ def test_logistic_loss_is_finite_and_matches_logaddexp_in_the_tails():
 
 
 def test_shard_set_with_an_empty_shard_or_a_wrong_total_refuses_to_evaluate():
+    # an empty shard is refused when the evaluator weighs its rows; a wrong
+    # total when a risk sums them
     model = LossModel(LossKind.QUADRATIC, 2)
-    data = ShardSet(np.ones((3, 2)), np.ones(3), (2, 0, 1), np.ones((2, 3)))
-    lam = uniform_weights(3)
+    data = ShardSet(np.ones((3, 2)), np.ones(3), (2, 0, 1))
     with pytest.raises(ValueError, match="every shard needs at least one row"):
-        global_risk_arrays(model, np.zeros(2), data, lam)
-    with pytest.raises(ValueError, match="every shard needs at least one row"):
-        global_gradient_arrays(model, np.zeros(2), data, lam)
+        GlobalEvaluator(model, data, uniform_weights(3))
     for sizes in ((1, 1), (2, 2)):          # 2 and 4 rows, over 3
-        data = ShardSet(np.ones((3, 2)), np.ones(3), sizes, np.ones((2, 3)))
+        data = ShardSet(np.ones((3, 2)), np.ones(3), sizes)
+        evaluate = GlobalEvaluator(model, data, uniform_weights(2))
         with pytest.raises(ValueError, match="shard sizes add up to"):
-            global_risk_arrays(model, np.zeros(2), data, uniform_weights(2))
+            evaluate(np.zeros(2), uniform_weights(2), False)
 
 
 def test_stacked_shards_are_views_in_order():
@@ -272,18 +247,16 @@ def test_stacked_shards_are_views_in_order():
         data.row_weights(np.array([0.5, 0.5]))
 
 
-def test_stacked_shards_keep_a_read_only_feature_major_copy():
-    # stacking builds no XT; feature_major builds it once, for evaluation
+def test_the_evaluator_keeps_a_read_only_xt():
+    # the evaluator builds XT once, for its products; the set keeps only X
     rng = np.random.default_rng(15)
-    plain = stack_shards([make_shard(rng, n, 3, LossKind.QUADRATIC) for n in (4, 7, 2)])
-    assert plain.XT is None
-    data = feature_major(plain)
-    assert feature_major(data) is data
-    assert data.X is plain.X and data.y is plain.y and data.sizes == plain.sizes
-    np.testing.assert_array_equal(data.XT, data.X.T)
-    assert data.XT.shape == (3, 13) and data.XT.flags.c_contiguous
-    assert not np.shares_memory(data.XT, data.X)
-    for arr in (data.X, data.y, data.XT):
+    data = stack_shards([make_shard(rng, n, 3, LossKind.QUADRATIC) for n in (4, 7, 2)])
+    evaluate = GlobalEvaluator(LossModel(LossKind.QUADRATIC, 3), data, uniform_weights(3))
+    assert evaluate.data is data
+    np.testing.assert_array_equal(evaluate.XT, data.X.T)
+    assert evaluate.XT.shape == (3, 13) and evaluate.XT.flags.c_contiguous
+    assert not np.shares_memory(evaluate.XT, data.X)
+    for arr in (data.X, data.y, evaluate.XT):
         with pytest.raises(ValueError):
             arr[0] = 1.0
     for Xv, yv in data.views():
@@ -295,22 +268,16 @@ def test_one_evaluation_gives_both_parts_bit_for_bit():
     rng = np.random.default_rng(16)
     for kind in (LossKind.QUADRATIC, LossKind.LOGISTIC):
         model = LossModel(kind, 4)
-        data = feature_major(stack_shards([make_shard(rng, n, 4, kind) for n in (9, 1, 23)]))
+        data = stack_shards([make_shard(rng, n, 4, kind) for n in (9, 1, 23)])
         w = rng.standard_normal(4)
         lam, uniform = np.array([0.5, 0.2, 0.3]), uniform_weights(3)
-        risk, grad = global_evaluation(model, w, data, lam, uniform)
-        assert risk == global_risk_arrays(model, w, data, lam)
-        np.testing.assert_array_equal(grad, global_gradient_arrays(model, w, data, uniform))
-        assert global_evaluation(model, w, data, lam, None)[1] is None
-        assert global_evaluation(model, w, data, None, uniform)[0] is None
-        # a set without XT evaluates through a transient copy, to the same bits
-        assert global_evaluation(model, w, data._replace(XT=None), lam, None)[0] == risk
-
-
-# The logistic evaluation computes each row's loss as relu(s z) + ln 2 -
-# ln(1 + |tanh(z / 2)|), so a row whose loss is tiny carries an absolute
-# error of a few units in the last place of ln 2, not a relative one.
-LOSS_ABS_FLOOR = 5e-16
+        evaluate = GlobalEvaluator(model, data, uniform)
+        risk, grad = evaluate(w, lam, True)
+        risk_only, no_grad = evaluate(w, lam, False)
+        no_risk, grad_only = evaluate(w, None, True)
+        assert risk == risk_only and no_grad is None
+        np.testing.assert_array_equal(grad, grad_only)
+        assert no_risk is None
 
 
 def reference_row_losses(z, y):
@@ -327,7 +294,7 @@ def test_logistic_evaluation_at_scores_of_plus_and_minus_800():
     model = LossModel(LossKind.LOGISTIC, 1)
     X = np.array([[800.0], [800.0], [-800.0], [-800.0]])
     data = stack_shards([(X, np.array([0.0, 1.0, 0.0, 1.0]))])
-    risk, grad = global_evaluation(model, np.ones(1), data, np.ones(1), np.ones(1))
+    risk, grad = GlobalEvaluator(model, data, np.ones(1))(np.ones(1), np.ones(1), True)
     assert risk == 400.0
     np.testing.assert_array_equal(grad, [400.0])      # mean of x (sigmoid(z) - y)
 
@@ -343,12 +310,12 @@ def test_correctly_classified_rows_have_an_absolute_error_floor():
     assert len(X) == 300 and expected.max() < 1e-8 and expected.min() < 1e-50
     # each row as its own shard, picked out by one-hot weights
     rows = stack_shards([(X[i:i + 1], y[i:i + 1]) for i in range(300)])
-    evaluate = GlobalEvaluator(model, rows, None)
+    evaluate = GlobalEvaluator(model, rows, uniform_weights(300))
     got = np.array([evaluate(w, np.eye(300)[i], False)[0] for i in range(300)])
     assert np.max(np.abs(got - expected)) <= LOSS_ABS_FLOOR
     # and as one shard, whose 300 rows share five products of 1 + |h|
     one = stack_shards([(X, y)])
-    risk = global_evaluation(model, w, one, np.ones(1), None)[0]
+    risk = GlobalEvaluator(model, one, np.ones(1))(w, np.ones(1), False)[0]
     assert abs(risk - expected.mean()) <= LOSS_ABS_FLOOR
 
 
@@ -356,7 +323,8 @@ def test_a_nan_score_gives_a_nan_risk_and_gradient():
     model = LossModel(LossKind.LOGISTIC, 2)
     X = np.array([[1.0, 2.0], [np.nan, 0.5], [-1.0, 0.0]])
     data = stack_shards([(X[:2], np.array([0.0, 1.0])), (X[2:], np.array([1.0]))])
-    risk, grad = global_evaluation(model, np.ones(2), data, np.full(2, 0.5), np.full(2, 0.5))
+    half = np.full(2, 0.5)
+    risk, grad = GlobalEvaluator(model, data, half)(np.ones(2), half, True)
     assert math.isnan(risk)
     assert np.all(np.isnan(grad))
 
@@ -367,32 +335,27 @@ def test_logistic_evaluation_refuses_labels_outside_0_and_1(label):
     model = LossModel(LossKind.LOGISTIC, 1)
     data = stack_shards([(np.ones((2, 1)), np.array([1.0, label]))])
     with pytest.raises(ValueError, match="every label in"):
-        global_evaluation(model, np.ones(1), data, np.ones(1), None)
+        GlobalEvaluator(model, data, np.ones(1))
 
 
 @pytest.mark.parametrize("kind", [LossKind.QUADRATIC, LossKind.LOGISTIC])
 def test_an_evaluator_gives_the_parts_of_one_call_bit_for_bit(kind):
     # risk-only and gradient-only calls of a reused evaluator equal the
-    # one-off calls; an evaluator built without gradient weights refuses a
-    # gradient
+    # calls of an evaluator built for each model: no call leaves state behind
     rng = np.random.default_rng(41)
     model = LossModel(kind, 4)
     data = stack_shards([make_shard(rng, n, 4, kind) for n in (70, 1, 130)])
     lam, uniform = np.array([0.5, 0.2, 0.3]), uniform_weights(3)
-    both = GlobalEvaluator(model, data, uniform)
-    risk_only = GlobalEvaluator(model, data, None)
-    assert both.data.XT is not None and risk_only.rho is None
-    assert (both.signs is None) == (kind is LossKind.QUADRATIC)
+    reused = GlobalEvaluator(model, data, uniform)
+    assert (reused.signs is None) == (kind is LossKind.QUADRATIC)
     for _ in range(5):
         w = rng.standard_normal(4)
-        risk, grad = global_evaluation(model, w, data, lam, uniform)
-        assert both(w, lam, True)[0] == risk == risk_only(w, lam, False)[0]
-        got_risk, got_grad = both(w, None, True)
+        risk, grad = GlobalEvaluator(model, data, uniform)(w, lam, True)
+        assert reused(w, lam, True)[0] == risk == reused(w, lam, False)[0]
+        got_risk, got_grad = reused(w, None, True)
         assert got_risk is None
         np.testing.assert_array_equal(got_grad, grad)
-        assert both(w, lam, False)[1] is None
-    with pytest.raises(ValueError, match="without gradient weights"):
-        risk_only(w, lam, True)
+        assert reused(w, lam, False)[1] is None
 
 
 @pytest.mark.parametrize("sizes", [(1,), (63,), (64,), (65,), (129,), (1, 63, 64, 65, 129)])
@@ -405,7 +368,7 @@ def test_logistic_evaluation_around_the_block_length(sizes):
     lam = raw / raw.sum()
     for scale in (0.1, 1.0, 30.0):
         w = scale * rng.standard_normal(3)
-        risk, grad = global_evaluation(model, w, data, lam, lam)
+        risk, grad = GlobalEvaluator(model, data, lam)(w, lam, True)
         assert risk == pytest.approx(reference_global_risk(model, w, data, lam),
                                      rel=1e-12, abs=LOSS_ABS_FLOOR)
         np.testing.assert_allclose(grad, reference_global_gradient(model, w, data, lam),
@@ -431,7 +394,7 @@ def logistic_problems(draw):
 def test_logistic_evaluation_matches_the_logaddexp_reference(problem):
     data, weights, w = problem
     model = LossModel(LossKind.LOGISTIC, 3)
-    risk, grad = global_evaluation(model, w, data, weights, weights)
+    risk, grad = GlobalEvaluator(model, data, weights)(w, weights, True)
     assert risk == pytest.approx(reference_global_risk(model, w, data, weights),
                                  rel=1e-12, abs=LOSS_ABS_FLOOR)
     np.testing.assert_allclose(grad, reference_global_gradient(model, w, data, weights),
@@ -516,11 +479,12 @@ def test_quadratic_global_minimum_is_stationary_and_minimal():
     raw = rng.uniform(0.2, 1.0, size=3)
     lam = raw / raw.sum()
     w_star, f_star = quadratic_global_minimum(data, lam)
-    g = global_gradient_arrays(model, w_star, data, lam)
+    assert f_star == pytest.approx(reference_global_risk(model, w_star, data, lam), rel=1e-12)
+    g = reference_global_gradient(model, w_star, data, lam)
     assert np.linalg.norm(g) <= 1e-10
     for _ in range(20):
         w = w_star + rng.standard_normal(4)
-        assert global_risk_arrays(model, w, data, lam) >= f_star - 1e-12
+        assert reference_global_risk(model, w, data, lam) >= f_star - 1e-12
 
 
 # ---------------- fairness weights ---------------- #
@@ -578,4 +542,4 @@ def test_stack_and_dimension_checks():
     with pytest.raises(ValueError):
         risk_arrays(model, np.zeros(2), np.zeros((4, 3)), np.zeros(4))
     with pytest.raises(ValueError):
-        global_risk_arrays(model, np.zeros(3), data, np.ones(1))
+        GlobalEvaluator(model, data, np.ones(1))(np.zeros(3), np.ones(1), False)

@@ -11,8 +11,6 @@ from afafed.errors import ProtocolError
 from afafed.model_core import (
     LossKind,
     LossModel,
-    global_gradient_arrays,
-    global_risk_arrays,
     risk_arrays,
     stack_shards,
     uniform_weights,
@@ -27,6 +25,7 @@ from afafed.network_sim import (
     SimulationEngine,
 )
 from afafed.server import MixingConfig
+from reference_evaluation import reference_global_gradient
 
 
 def quad_shard(rng, n=12, d=2):
@@ -232,7 +231,7 @@ def test_first_gradient_row_is_at_the_initial_model():
     eng = build_engine(k=2, seed=9, eval_every=1)
     res = eng.run(aggregations=1)
     data = stack_shards([rt.setup.shard for rt in eng.runtimes])
-    g = global_gradient_arrays(eng.model, np.zeros(2), data, uniform_weights(2))
+    g = reference_global_gradient(eng.model, np.zeros(2), data, uniform_weights(2))
     assert res.rows[0].grad_sqnorm == pytest.approx(float(g @ g), rel=1e-12)
 
 
@@ -381,15 +380,14 @@ def test_random_streams_exist_only_for_laws_that_draw():
     assert LinkModel(rate=50.0, payload_bits=10.0).uplink_attempt(None) == 0.2
 
 
-def test_only_an_evaluating_engine_builds_the_feature_major_copy():
-    # nor the evaluator's label signs and per-row gradient weights
+def test_only_an_evaluating_engine_builds_the_evaluator_arrays():
+    # its feature-major copy XT, per-row gradient weights and label signs
     for kind in (LossKind.QUADRATIC, LossKind.LOGISTIC):
-        quiet = build_engine(k=2, eval_every=0, kind=kind)
-        assert quiet.data.XT is None and quiet.evaluator is None
+        assert build_engine(k=2, eval_every=0, kind=kind).evaluator is None
         engine = build_engine(k=2, eval_every=3, kind=kind)
         data, evaluator = engine.data, engine.evaluator
-        np.testing.assert_array_equal(data.XT, data.X.T)
         assert evaluator.data is data
+        np.testing.assert_array_equal(evaluator.XT, data.X.T)
         np.testing.assert_array_equal(evaluator.rho, np.repeat(0.5 / np.array(data.sizes),
                                                                data.sizes))
         if kind is LossKind.LOGISTIC:
