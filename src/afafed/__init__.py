@@ -36,6 +36,7 @@ from .network_sim import (
     ArrivalProcess,
     ComputeModel,
     CoworkerSetup,
+    Evaluation,
     LinkModel,
     MetricsRow,
     RunResult,
@@ -56,6 +57,7 @@ __all__ = [
     "ConfigError",
     "CoworkerSetup",
     "CoworkerState",
+    "Evaluation",
     "GlobalEvaluator",
     "LinkModel",
     "LossKind",

@@ -31,6 +31,7 @@ from .network_sim import (
     ArrivalProcess,
     ComputeModel,
     CoworkerSetup,
+    Evaluation,
     LinkModel,
     RunResult,
     SimulationEngine,
@@ -432,6 +433,7 @@ class Experiment:
 
     cfg: Dict[str, Any]
     engine: SimulationEngine
+    evaluation: Optional[Evaluation] = None     # the engine's observer; None with eval off
 
 
 def _per_coworker_loss(override: Any, cats: List[Dict[str, Any]]) -> List[float]:
@@ -448,8 +450,8 @@ def build_experiment(cfg: Dict[str, Any], enable_profiling: bool = False) -> Exp
     """Validate the resolved config and construct the simulation engine.
 
     The config is checked against ``CONFIG_SCHEMA``; ``Experiment.cfg`` is
-    the checked copy, with every number coerced to its key's type.  Hooks
-    attach to ``Experiment.engine`` (``iteration_hook``, ``aggregation_hook``).
+    the checked copy, with every number coerced to its key's type.  Observers
+    go on ``engine.observers``; ``evaluation`` is the first, with eval on.
     """
     cfg = _check(CONFIG_SCHEMA, cfg, "")
     kind = cfg["model"]["kind"]
@@ -542,11 +544,14 @@ def build_experiment(cfg: Dict[str, Any], enable_profiling: bool = False) -> Exp
         mixing=mixing,
         w0=np.zeros(dim),
         seed=sim["seed"],
-        eval_every=cfg["eval"]["every"],
         enable_profiling=enable_profiling,
         timer_factor=cfg["link"]["timer_factor"],
     )
-    return Experiment(cfg=cfg, engine=engine)
+    exp = Experiment(cfg=cfg, engine=engine)
+    if cfg["eval"]["every"] > 0:
+        exp.evaluation = Evaluation(engine, cfg["eval"]["every"])
+        engine.observers.append(exp.evaluation)
+    return exp
 
 
 def run_experiment(
@@ -606,14 +611,14 @@ def _plain(obj: Any) -> Any:
 def final_risk(exp: Experiment) -> Optional[float]:
     """The global risk at the final w̄ under the final λ, or None with evaluation off.
 
-    Evaluated at the final model by the engine's own evaluator, so it exists
-    whether or not the last metrics row was due; the summary, ``afafed run``
-    and ``afafed sweep`` all report this one value.
+    Evaluated at the final model by the evaluator that filled the rows, so it
+    exists whether or not the last metrics row was due; the summary,
+    ``afafed run`` and ``afafed sweep`` all report this one value.
     """
-    engine = exp.engine
-    if engine.evaluator is None:
+    if exp.evaluation is None:
         return None
-    return engine.evaluator(engine.server.w_global, engine.server.lambdas, False)[0]
+    server = exp.engine.server
+    return exp.evaluation.evaluator(server.w_global, server.lambdas, False)[0]
 
 
 def summarize(exp: Experiment, result: RunResult,

@@ -16,13 +16,13 @@ every row of shard k by ρ = g_k/n_k before its product with the features
 transposed.  Both products run over the evaluator's own XT, a read-only
 feature-major (d, n) copy of X, because a matrix-vector product over n rows
 of d = 5 features is about three times faster that way; per-shard views and
-minibatch gathers keep using X.  The evaluator builds XT, ρ and the
-logistic label signs once, so a run that evaluates many models pays for
-them once.
+minibatch gathers keep using X.  The evaluator builds XT and ρ once, so a
+run that evaluates many models pays for them once.
 
-The logistic evaluation needs labels in {0, 1}.  With s = 1 - 2y and
-h = tanh(z / 2), one tanh per row serves both parts:
-sigmoid(z) - y = (h + s) / 2, and the loss softplus(s z) is
+The logistic evaluation needs labels in {0, 1}.  Its XT scales each row's
+column by the row's label sign s = 1 - 2y, so its product gives s z.  With
+h = tanh(s z / 2), one tanh per row serves both parts:
+s (sigmoid(z) - y) = (h + 1) / 2, and the loss softplus(s z) is
 relu(s z) + ln 2 - ln(1 + |h|), whose last term each shard sums as the log
 of products over 64-row blocks.  No exp or log1p runs per row.  Each row's
 loss then carries an absolute error of up to about 5e-16, a few units in
@@ -232,27 +232,30 @@ class GlobalEvaluator:
     at any w, with every array that does not depend on w built once.
 
     Construction builds XT, a read-only C-contiguous copy of ``data.X.T``
-    that both products run over; the per-row gradient weights rho
-    (``grad_weights[k] / sizes[k]`` on each row of shard k); and, for the
-    logistic loss, the label signs s = 1 - 2y.  X is read-only too, so X and
-    XT cannot drift apart.  A run builds one evaluator, and only when it
-    evaluates.
+    that both products run over, with each column scaled by its label sign
+    s = 1 - 2y for the logistic loss; and the per-row gradient weights rho
+    (``grad_weights[k] / sizes[k]`` on each row of shard k).  X is read-only
+    too, so X and XT cannot drift apart.  A run builds one evaluator, and
+    only when it evaluates.
     """
 
     def __init__(self, model: LossModel, data: ShardSet, grad_weights: np.ndarray) -> None:
+        rows = _layout(data.sizes)[2]
+        if not rows == len(data.X) == len(data.y):
+            raise ValueError(f"shard sizes add up to {rows} rows, "
+                             f"but X has {len(data.X)} and y {len(data.y)}")
         self.model = model
         self.data = data
-        self.XT = np.ascontiguousarray(data.X.T)
-        self.XT.flags.writeable = False
-        self.rho = data.row_weights(grad_weights)
-        self.signs = None
+        XT = data.X.T
         if model.kind is LossKind.LOGISTIC:
             y = data.y
             if not ((y == 0.0) | (y == 1.0)).all():         # NaN fails too
                 raise ValueError("the logistic loss needs every label in {0, 1}")
-            self.signs = np.multiply(y, -2.0)
-            self.signs += 1.0
+            XT = np.multiply(XT, 1.0 - 2.0 * y, order="C")
             self._ln2_counts = math.log(2.0) * _layout(data.sizes)[1]
+        self.XT = np.ascontiguousarray(XT)
+        self.XT.flags.writeable = False
+        self.rho = data.row_weights(grad_weights)
 
     def __call__(self, w: np.ndarray, risk_weights: Optional[np.ndarray],
                  grad: bool) -> Tuple[Optional[float], Optional[np.ndarray]]:
@@ -279,18 +282,17 @@ class GlobalEvaluator:
 
     def _logistic(self, w: np.ndarray, risk_weights: Optional[np.ndarray],
                   grad: bool) -> Tuple[Optional[float], Optional[np.ndarray]]:
-        # with h = tanh(z / 2) and labels y in {0, 1}, s = 1 - 2y:
-        #   sigmoid(z) - y = (h + s) / 2
-        #   softplus(s z) = relu(s z) + ln 2 - ln(1 + |h|)
+        # XT carries s = 1 - 2y, so u = (w / 2) @ XT is s z / 2.  With
+        # h = tanh(u), s (sigmoid(z) - y) = (h + 1) / 2 and
+        #   softplus(s z) = 2 relu(u) + ln 2 - ln(1 + |h|)
         # so one tanh per row serves both; the last sum is the log of
-        # products over _BLOCK-row blocks.  u = z / 2 comes from (w / 2) @ XT,
-        # exactly half of w @ XT, so 2 relu(s u) is relu(s z) to the bit.
-        data, s = self.data, self.signs
+        # products over _BLOCK-row blocks.  The gradient's product with XT
+        # multiplies by s again, and a sign flip rounds exactly.
+        data = self.data
         u = (0.5 * w) @ self.XT
         risk = g = None
         if risk_weights is not None:
-            buf = s * u
-            np.maximum(buf, 0.0, out=buf)
+            buf = np.maximum(u, 0.0)
             relu = data.shard_sums(buf)
         np.tanh(u, out=u)
         if risk_weights is not None:
@@ -302,7 +304,7 @@ class GlobalEvaluator:
             losses = 2.0 * relu + self._ln2_counts - np.add.reduceat(logs, first)
             risk = float(data.shard_weights(risk_weights) @ losses)
         if grad:
-            u += s
+            u += 1.0
             u *= self.rho
             g = self.XT @ u
             g *= 0.5

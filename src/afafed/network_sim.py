@@ -43,7 +43,7 @@ import enum
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -264,9 +264,9 @@ _EVAL_CHUNK = 64
 class MetricsRow:
     """One row of the per-aggregation metrics stream.
 
-    The engine fills global_risk and grad_sqnorm of due rows in chunks of
-    evaluations (see SimulationEngine); they stay None in rows that are not
-    due, and until their chunk runs.
+    An :class:`Evaluation` observer fills global_risk and grad_sqnorm of due
+    rows in chunks of evaluations; they stay None in rows that are not due,
+    until their chunk runs, and in every row of an engine without one.
     """
 
     t: int
@@ -280,9 +280,58 @@ class MetricsRow:
     grad_sqnorm: Optional[float] = None
 
 
+class Evaluation:
+    """Observer that fills the evaluation columns of every ``every``-th row.
+
+    Row t takes the uniformly weighted gradient before aggregation t and the
+    λ-weighted risk after it, so one evaluator call at the model aggregation
+    t left serves row t and row t + 1.  Due models are evaluated in order,
+    when _EVAL_CHUNK (64) are pending and on stop, so an ``on_aggregation``
+    observer may see None in pending rows.  Attach it before the first run().
+    """
+
+    def __init__(self, engine: SimulationEngine, every: int) -> None:
+        if every < 1:
+            raise ValueError(f"every must be at least 1, got {every}")
+        self.every = every
+        self.evaluator = GlobalEvaluator(engine.model, engine.data,
+                                         uniform_weights(len(engine.runtimes)))
+        self._pending: List[tuple] = []     # due models: (w̄, λ or None, risk row, grad row)
+        # the squared gradient norm of a row that does not exist yet; the next row takes it
+        self._next_grad_sq: Optional[float] = None
+
+    def on_aggregation(self, engine: SimulationEngine, record: srv.AggregationRecord) -> None:
+        rows, server, t = engine.rows, engine.server, engine.server.t
+        if self._next_grad_sq is not None:
+            rows[-1].grad_sqnorm, self._next_grad_sq = self._next_grad_sq, None
+        due, next_due = t % self.every == 0, (t + 1) % self.every == 0
+        if due and t == 1:          # row 1: no aggregation evaluated w0
+            self._pending.append((engine.w0, None, None, 0))
+        if due or next_due:
+            self._pending.append((server.w_global.copy(), server.lambdas.copy() if due else None,
+                                  t - 1 if due else None, t if next_due else None))
+            if len(self._pending) >= _EVAL_CHUNK:
+                self._flush(rows)
+
+    def on_stop(self, engine: SimulationEngine) -> None:
+        self._flush(engine.rows)
+
+    def _flush(self, rows: List[MetricsRow]) -> None:
+        """Evaluate the pending models back to back, each as right after its aggregation."""
+        pending, self._pending = self._pending, []
+        for w, lambdas, risk_row, grad_row in pending:
+            risk, g = self.evaluator(w, lambdas, grad_row is not None)
+            if risk_row is not None:
+                rows[risk_row].global_risk = risk
+            if grad_row is not None and grad_row < len(rows):
+                rows[grad_row].grad_sqnorm = float(g @ g)
+            elif grad_row is not None:
+                self._next_grad_sq = float(g @ g)
+
+
 @dataclass
 class RunResult:
-    """What one run() call leaves; every due row has its evaluation columns."""
+    """What one run() call leaves; an attached Evaluation has filled every due row."""
 
     rows: List[MetricsRow]
     aggregations: int
@@ -302,19 +351,15 @@ class RunResult:
 class SimulationEngine:
     """Event-driven run of K coworkers against one aggregation server.
 
-    ``iteration_hook(cid, state)`` runs after every local iteration.  Calls
-    for one coworker come in its iteration order; calls for different
-    coworkers may interleave in any order, because iterations run lazily
-    when an event or a coefficient flush reaches their coworker.
-    ``aggregation_hook(server, record)`` runs after every aggregation.  Both
-    are read as attributes when they are due, so they may be set after
-    construction.
-
-    With ``eval_every`` > 0 the global evaluations are not run on the
-    aggregation's path: each due model is queued and evaluated, in order,
-    when _EVAL_CHUNK (64) are pending, and when run() returns or raises.  A
-    hook may see None in the evaluation columns of rows that are still
-    pending; ``rows`` is complete whenever run() returns or raises.
+    ``observers`` is a plain list, read once per run().  An observer is any
+    object; the engine calls whichever of these methods it defines, in list
+    order.  ``on_iteration(cid, state)`` runs after every local iteration:
+    calls for one coworker come in its iteration order, but calls for
+    different coworkers may interleave, because iterations run lazily when
+    an event or a coefficient flush reaches their coworker.
+    ``on_aggregation(engine, record)`` runs after every aggregation, once its
+    row is appended.  ``on_stop(engine)`` runs last in every run() whose
+    event loop starts, whether it returns or raises.
     """
 
     def __init__(
@@ -325,11 +370,8 @@ class SimulationEngine:
         mixing: srv.MixingConfig,
         w0: np.ndarray,
         seed: int,
-        eval_every: int = 0,
         enable_profiling: bool = False,
         timer_factor: float = 3.0,
-        iteration_hook: Optional[Callable[[int, cw.CoworkerState], None]] = None,
-        aggregation_hook: Optional[Callable[[srv.ServerState, srv.AggregationRecord], None]] = None,
     ) -> None:
         if not setups:
             raise ValueError("need at least one coworker")
@@ -338,9 +380,8 @@ class SimulationEngine:
         self.adaptive = adaptive
         self.mixing = mixing
         self.seed = seed
-        self.eval_every = eval_every
-        self.iteration_hook = iteration_hook
-        self.aggregation_hook = aggregation_hook
+        self.observers: List[object] = []
+        self._on_iteration = self._on_aggregation = ()     # bound methods, set by run()
         self.queue = EventQueue()
         self.now = 0.0
 
@@ -352,13 +393,6 @@ class SimulationEngine:
         lambdas = uniform_weights(k)
         self.server = srv.ServerState(w_global=self.w0.copy(), lambdas=lambdas)
         self._ranks = np.arange(1, k + 1)       # lambda_checksum = ranks @ lambdas
-        # models whose evaluation is due: (w̄, λ or None, risk row, gradient
-        # row), evaluated in chunks of _EVAL_CHUNK (see _flush_evaluations)
-        self._pending_evals: List[Tuple[np.ndarray, Optional[np.ndarray],
-                                        Optional[int], Optional[int]]] = []
-        # squared norm of an evaluated gradient whose row does not exist yet;
-        # the next row takes it
-        self._next_grad_sq: Optional[float] = None
         # every shard lives once, in the stacked set; each runtime's setup and
         # buffer hold views of its rows
         self.data = stack_shards([s.shard for s in setups])
@@ -366,10 +400,6 @@ class SimulationEngine:
             raise ValueError(
                 f"shards have {self.data.X.shape[1]} features, model.dim is {model.dim}"
             )
-        # built only when something evaluates; grad_sqnorm weighs coworkers uniformly
-        self.evaluator: Optional[GlobalEvaluator] = None
-        if eval_every > 0:
-            self.evaluator = GlobalEvaluator(model, self.data, uniform_weights(k))
 
         self.runtimes: List[_Runtime] = []
         for cid, (setup, shard) in enumerate(zip(setups, self.data.views())):
@@ -461,6 +491,7 @@ class SimulationEngine:
         logged = base + len(log)
         if rt.phase == "computing":
             state, rng, adaptive, model = rt.state, rt.rng_sample, self.adaptive, self.model
+            observers = self._on_iteration
             dur = rt.setup.compute.iteration_duration
             delay = rt.setup.link.downlink_delay
             while rt.iters_done < state.iter_k:
@@ -480,8 +511,8 @@ class SimulationEngine:
                         f"coworker {cid} lost minibatch readiness mid-cluster at {boundary:.6g}"
                     )
                 rt.iters_done += 1
-                if self.iteration_hook is not None:
-                    self.iteration_hook(cid, state)
+                for observe in observers:
+                    observe(cid, state)
         while rt.next_arrival <= now:
             admit(buf)
             rt.next_arrival = self._arrival_after(rt, rt.next_arrival)
@@ -570,29 +601,17 @@ class SimulationEngine:
         if self.profiling_log is not None:
             record_aggregation(self.profiling_log, server.w_global - payload.w,
                                payload.last_grad)
-        # row t takes its gradient before this aggregation and its risk after
-        # it; one evaluation after aggregation t serves row t and row t + 1
-        t, every = server.t + 1, self.eval_every
-        due = every > 0 and t % every == 0
-        next_due = every > 0 and (t + 1) % every == 0
-        if due and t == 1:          # row 1: no aggregation evaluated w0
-            self._defer_evaluation(None, None, 0)
         record = srv.process_uplink(server, payload, self.mixing)
         self.accepted_by[payload.sender] += 1
         self.iters_per_acceptance.append(payload.iters_in_cluster)
-        # set only for a due row, when a chunk evaluated its gradient before it existed
-        grad_sq, self._next_grad_sq = self._next_grad_sq, None
         checksum = float(self._ranks @ server.lambdas)
         self.rows.append(MetricsRow(
             t=record.t, time=ev.time, sender=record.sender, age=record.age,
             beta=record.beta, lambda_checksum=checksum,
-            fairness_index=record.fairness_index, grad_sqnorm=grad_sq,
+            fairness_index=record.fairness_index,
         ))
-        if due or next_due:
-            self._defer_evaluation(server.lambdas.copy() if due else None,
-                                   t - 1 if due else None, t if next_due else None)
-        if self.aggregation_hook is not None:
-            self.aggregation_hook(server, record)
+        for observe in self._on_aggregation:
+            observe(self, record)
         # coefficient broadcast first, then the sender's model downlink
         if record.lambda_changed:
             self._coef_log.append(_Coefficients(ev.time, server.lambdas.copy(),
@@ -623,37 +642,6 @@ class SimulationEngine:
         # give up on the pending uplink; the next cluster continues from local state
         self._start_cluster(cid, ev.time)
 
-    def _defer_evaluation(self, lambdas: Optional[np.ndarray], risk_row: Optional[int],
-                          grad_row: Optional[int]) -> None:
-        """Queue an evaluation at the current w̄; a full chunk is evaluated at once.
-
-        The risk under lambdas goes to rows[risk_row] and the squared norm of
-        the uniformly weighted gradient to rows[grad_row]; either may be None.
-        """
-        self._pending_evals.append((self.server.w_global.copy(), lambdas, risk_row, grad_row))
-        if len(self._pending_evals) >= _EVAL_CHUNK:
-            self._flush_evaluations()
-
-    def _flush_evaluations(self) -> None:
-        """Evaluate every pending model back to back and fill in its rows.
-
-        Each model gets the evaluator call it would have got right after its
-        aggregation, so the columns do not depend on when the flush runs.  A
-        gradient for a row that does not exist yet waits in _next_grad_sq.
-        """
-        pending, self._pending_evals = self._pending_evals, []
-        rows = self.rows
-        for w, lambdas, risk_row, grad_row in pending:
-            risk, g = self.evaluator(w, lambdas, grad_row is not None)
-            if risk_row is not None:
-                rows[risk_row].global_risk = risk
-            if grad_row is None:
-                continue
-            if grad_row < len(rows):
-                rows[grad_row].grad_sqnorm = float(g @ g)
-            else:
-                self._next_grad_sq = float(g @ g)
-
     # ---------------- main loop ---------------- #
 
     def run(
@@ -672,8 +660,8 @@ class SimulationEngine:
         and timer expiries.  On return every coworker holds the coefficients,
         and has run the iterations, that deliveries up to the stopping point
         imply; a coworker with a ready buffer has also admitted every
-        arrival at or before the stopping instant.  Whether run returns or
-        raises, every due row has its evaluation columns.
+        arrival at or before the stopping instant.  Every observer's
+        ``on_stop`` runs last, whether run returns or raises.
         """
         if aggregations is None and horizon is None and event_budget is None:
             raise ValueError("need at least one stopping condition")
@@ -684,6 +672,9 @@ class SimulationEngine:
             EventKind.DOWNLINK_DELIVERY: self._on_downlink_delivery,
             EventKind.TIMER_EXPIRY: self._on_timer_expiry,
         }
+        self._on_iteration, self._on_aggregation, on_stop = (
+            tuple(getattr(o, method) for o in self.observers if hasattr(o, method))
+            for method in ("on_iteration", "on_aggregation", "on_stop"))
         # coefficients delivered by (stop_time, stop_seq) in calendar order
         # reach their coworkers before run returns; an earlier stop of this
         # engine already delivered those up to (now, -1)
@@ -715,15 +706,15 @@ class SimulationEngine:
                 stop_time, stop_seq = ev.time, ev.seq
                 handlers[ev.kind](ev)
                 self.events_processed += 1
+            # an arrival at the stopping instant counts as admitted, together
+            # with the iterations before it
+            for cid, rt in enumerate(self.runtimes):
+                while rt.next_arrival <= self.now:
+                    self._catch_up(cid, rt.next_arrival, -1)
+            self._flush_coefficients(stop_time, stop_seq)
         finally:
-            # the rows are complete whenever run returns or raises
-            self._flush_evaluations()
-        # an arrival at the stopping instant counts as admitted, together
-        # with the iterations before it
-        for cid, rt in enumerate(self.runtimes):
-            while rt.next_arrival <= self.now:
-                self._catch_up(cid, rt.next_arrival, -1)
-        self._flush_coefficients(stop_time, stop_seq)
+            for observe in on_stop:
+                observe(self)
         return RunResult(
             rows=self.rows,
             aggregations=self.server.t,

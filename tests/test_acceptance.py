@@ -5,6 +5,8 @@ prints `criterion N [...]: PASS` (or FAIL) so the suite doubles as a release
 checklist.  Tolerances are fixed here, not computed from the run.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -76,8 +78,9 @@ def test_criterion_01_plain_sgd_reduction():
         adaptive=AdaptiveConfig(iter_max=1, eta_min=eta, eta_max=eta),
         mixing=MixingConfig(beta_min=1.0, beta_max=1.0),
         w0=np.zeros(3), seed=seed,
-        aggregation_hook=lambda server, record: wbars.append(server.w_global.copy()),
     )
+    eng.observers.append(SimpleNamespace(
+        on_aggregation=lambda engine, record: wbars.append(engine.server.w_global.copy())))
     eng.run(aggregations=steps)
 
     ref_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0)))
@@ -204,9 +207,9 @@ def test_criterion_05_fairness_mechanics():
     # the upper threshold and must gain weight monotonically
     checks = {"events": 0, "ok": True}
 
-    def watch(server, record):
+    def watch(engine, record):
         checks["events"] += 1
-        lam = server.lambdas
+        lam = engine.server.lambdas
         checks["ok"] &= abs(lam.sum() - 1.0) <= 1e-12
         k = lam.size
         checks["ok"] &= 1.0 / k - 1e-12 <= record.fairness_index <= 1.0 + 1e-12
@@ -215,7 +218,7 @@ def test_criterion_05_fairness_mechanics():
                                                            "event_budget": 10_000}})
     from afafed.harness import build_experiment
     exp = build_experiment(cfg)
-    exp.engine.aggregation_hook = watch
+    exp.engine.observers.append(SimpleNamespace(on_aggregation=watch))
     exp.engine.run(event_budget=10_000)
     fuzz_ok = checks["ok"] and checks["events"] > 100
 
@@ -261,7 +264,7 @@ def test_criterion_06_throughput_maximization():
         if state.t_local == 1:
             first_ready[cid] = eng.runtimes[cid].cluster_anchor
 
-    eng.iteration_hook = first_cluster_start
+    eng.observers.append(SimpleNamespace(on_iteration=first_cluster_start))
     res = eng.run(horizon=horizon)
     ok = res.iterations_total >= 100_000
     for cid, rt in enumerate(eng.runtimes):

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -230,8 +231,8 @@ def _run_recording(cfg):
     """
     seen = []
     exp = build_experiment(cfg)
-    exp.engine.aggregation_hook = lambda server, record: seen.append(
-        (server.lambdas.copy(), record.beta))
+    exp.engine.observers.append(SimpleNamespace(on_aggregation=lambda engine, record: seen.append(
+        (engine.server.lambdas.copy(), record.beta))))
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             result = exp.engine.run(aggregations=cfg["sim"]["T"],
@@ -286,8 +287,8 @@ def test_rows_recorded_before_a_divergence_keep_their_eval_columns():
     cfg = resolve_config({**DIVERGING_DOC, "eval": {"every": 1}})
     engine = build_experiment(cfg).engine
     models = []
-    engine.aggregation_hook = lambda server, record: models.append(
-        (server.w_global.copy(), server.lambdas.copy()))
+    engine.observers.append(SimpleNamespace(on_aggregation=lambda engine, record: models.append(
+        (engine.server.w_global.copy(), engine.server.lambdas.copy()))))
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericDivergenceError):
         engine.run(aggregations=cfg["sim"]["T"], event_budget=cfg["sim"]["event_budget"])
@@ -615,10 +616,10 @@ def test_final_risk_is_set_when_the_last_row_was_not_due():
     exp, result, _ = run_experiment(resolve_config(small_doc(eval={"every": 3})))
     assert [r.t for r in result.rows if r.global_risk is not None] == [3, 6, 9]
     assert result.rows[-1].t == 10
-    # bit for bit: the final risk is the engine's own evaluator at the final model
+    # bit for bit: the final risk is the run's own evaluator at the final model
     engine = exp.engine
     server = engine.server
-    direct = engine.evaluator(server.w_global, server.lambdas, False)[0]
+    direct = exp.evaluation.evaluator(server.w_global, server.lambdas, False)[0]
     assert summarize(exp, result, None)["final_risk"] == direct
     assert direct == pytest.approx(reference_global_risk(
         engine.model, server.w_global, engine.data, server.lambdas), rel=1e-12)
@@ -1045,7 +1046,7 @@ def test_final_risk_is_one_value_in_stdout_summary_and_sweep(tmp_path, capsys, e
 
 
 def test_cli_run_evaluates_the_final_risk_once(tmp_path, monkeypatch):
-    # the engine's evaluator fills the due rows inside run(); every call
+    # the Evaluation's evaluator fills the due rows inside run(); every call
     # after run() returns is a final-risk evaluation
     log = []
     evaluate, run = GlobalEvaluator.__call__, SimulationEngine.run

@@ -219,17 +219,26 @@ def test_logistic_loss_is_finite_and_matches_logaddexp_in_the_tails():
 
 
 def test_shard_set_with_an_empty_shard_or_a_wrong_total_refuses_to_evaluate():
-    # an empty shard is refused when the evaluator weighs its rows; a wrong
-    # total when a risk sums them
+    # an empty shard is refused when the evaluator is built; a wrong total
+    # when a set sums per-row values over its shards
     model = LossModel(LossKind.QUADRATIC, 2)
     data = ShardSet(np.ones((3, 2)), np.ones(3), (2, 0, 1))
     with pytest.raises(ValueError, match="every shard needs at least one row"):
         GlobalEvaluator(model, data, uniform_weights(3))
     for sizes in ((1, 1), (2, 2)):          # 2 and 4 rows, over 3
         data = ShardSet(np.ones((3, 2)), np.ones(3), sizes)
-        evaluate = GlobalEvaluator(model, data, uniform_weights(2))
-        with pytest.raises(ValueError, match="shard sizes add up to"):
-            evaluate(np.zeros(2), uniform_weights(2), False)
+        with pytest.raises(ValueError, match=f"shard sizes add up to {sum(sizes)} rows but got 3"):
+            data.shard_sums(np.ones(3))
+
+
+@pytest.mark.parametrize("kind", [LossKind.QUADRATIC, LossKind.LOGISTIC])
+@pytest.mark.parametrize("n_y, sizes", [(3, (1, 1)), (3, (2, 2)), (4, (1, 2))])
+def test_an_evaluator_refuses_a_wrong_shard_total_at_construction(kind, n_y, sizes):
+    # not at its first gradient call, with a numpy broadcast error
+    data = ShardSet(np.ones((3, 2)), np.zeros(n_y), sizes)
+    with pytest.raises(ValueError, match=rf"shard sizes add up to {sum(sizes)} rows, "
+                                         rf"but X has 3 and y {n_y}$"):
+        GlobalEvaluator(LossModel(kind, 2), data, uniform_weights(len(sizes)))
 
 
 def test_stacked_shards_are_views_in_order():
@@ -347,7 +356,8 @@ def test_an_evaluator_gives_the_parts_of_one_call_bit_for_bit(kind):
     data = stack_shards([make_shard(rng, n, 4, kind) for n in (70, 1, 130)])
     lam, uniform = np.array([0.5, 0.2, 0.3]), uniform_weights(3)
     reused = GlobalEvaluator(model, data, uniform)
-    assert (reused.signs is None) == (kind is LossKind.QUADRATIC)
+    signs = 1.0 - 2.0 * data.y if kind is LossKind.LOGISTIC else 1.0
+    np.testing.assert_array_equal(reused.XT, data.X.T * signs)   # logistic label signs fold in
     for _ in range(5):
         w = rng.standard_normal(4)
         risk, grad = GlobalEvaluator(model, data, uniform)(w, lam, True)

@@ -1,13 +1,15 @@
 """Event engine: determinism, timing, losses, stalls, and broadcast semantics."""
 
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from afafed import network_sim
 from afafed.coworker import AdaptiveConfig
-from afafed.errors import ProtocolError
+from afafed.errors import NumericDivergenceError, ProtocolError
+from afafed.harness import build_experiment, resolve_config
 from afafed.model_core import (
     LossKind,
     LossModel,
@@ -19,6 +21,7 @@ from afafed.network_sim import (
     ArrivalProcess,
     ComputeModel,
     CoworkerSetup,
+    Evaluation,
     EventKind,
     EventQueue,
     LinkModel,
@@ -53,8 +56,11 @@ def build_engine(
     timer_factor=3.0,
     w0=None,
     kind=LossKind.QUADRATIC,
+    eval_every=0,
+    observers=(),
     **engine_kw,
 ):
+    """A small engine; an Evaluation every eval_every rows comes first, then observers."""
     rng = np.random.default_rng(seed + 999)
     model = LossModel(kind, 2)
     speeds = speed if isinstance(speed, (list, tuple)) else [speed] * k
@@ -73,9 +79,19 @@ def build_engine(
         ))
     adaptive = AdaptiveConfig(iter_max=iter_max, **(adaptive_kw or {}))
     mixing = MixingConfig(**(mixing_kw or {}))
-    return SimulationEngine(model=model, setups=setups, adaptive=adaptive,
-                            mixing=mixing, w0=np.zeros(2) if w0 is None else w0, seed=seed,
-                            timer_factor=timer_factor, **engine_kw)
+    engine = SimulationEngine(model=model, setups=setups, adaptive=adaptive,
+                              mixing=mixing, w0=np.zeros(2) if w0 is None else w0, seed=seed,
+                              timer_factor=timer_factor, **engine_kw)
+    if eval_every:
+        engine.observers.append(Evaluation(engine, eval_every))
+    engine.observers.extend(observers)
+    return engine
+
+
+def evaluation_of(engine):
+    """The engine's one Evaluation observer."""
+    (evaluation,) = [o for o in engine.observers if isinstance(o, Evaluation)]
+    return evaluation
 
 
 # ---------------- event queue ---------------- #
@@ -237,9 +253,8 @@ def test_first_gradient_row_is_at_the_initial_model():
 
 def test_risk_rows_recompute_offline_for_single_coworker():
     wbars = []
-    eng = build_engine(k=1, seed=13, eval_every=1,
-                       aggregation_hook=lambda server, record: wbars.append(
-                           server.w_global.copy()))
+    eng = build_engine(k=1, seed=13, eval_every=1, observers=[SimpleNamespace(
+        on_aggregation=lambda engine, record: wbars.append(engine.server.w_global.copy()))])
     res = eng.run(aggregations=15)
     X, y = eng.runtimes[0].setup.shard
     assert len(wbars) == len(res.rows) == 15
@@ -267,9 +282,10 @@ def test_eval_columns_straddle_the_aggregation(kind, every, resumed):
     # with the coefficients the aggregation left; rows that are not due have
     # neither, and a second run() call picks up where the first stopped
     seen = []
+    recorder = SimpleNamespace(on_aggregation=lambda engine, record: seen.append(
+        (engine.server.w_global.copy(), engine.server.lambdas.copy())))
     eng = build_engine(k=3, seed=29, eval_every=every, speed=[10.0, 20.0, 40.0], kind=kind,
-                       aggregation_hook=lambda server, record: seen.append(
-                           (server.w_global.copy(), server.lambdas.copy())))
+                       observers=[recorder])
     if resumed:
         assert eng.run(aggregations=7).aggregations == 7
     res = eng.run(aggregations=40)
@@ -290,19 +306,21 @@ def test_eval_columns_straddle_the_aggregation(kind, every, resumed):
 
 
 def chunked_engine(monkeypatch, chunk, every, kind=LossKind.LOGISTIC):
-    """An engine that evaluates in chunks of `chunk` models, with a hook that
-    records (w̄, λ), the evaluator's own values there and the pending count."""
+    """An engine that evaluates in chunks of `chunk` models, with an observer
+    after the Evaluation that records (w̄, λ), the evaluator's own values
+    there and the pending count."""
     monkeypatch.setattr(network_sim, "_EVAL_CHUNK", chunk)
     seen = []
 
-    def hook(server, record):
-        assert len(eng._pending_evals) < chunk       # a full chunk runs at once
-        risk, g = eng.evaluator(server.w_global, server.lambdas, True)
+    def on_aggregation(engine, record):
+        evaluation, server = evaluation_of(engine), engine.server
+        assert len(evaluation._pending) < chunk       # a full chunk runs at once
+        risk, g = evaluation.evaluator(server.w_global, server.lambdas, True)
         seen.append((server.w_global.copy(), server.lambdas.copy(), risk, float(g @ g),
-                     len(eng._pending_evals)))
+                     len(evaluation._pending)))
 
     eng = build_engine(k=3, seed=29, eval_every=every, speed=[10.0, 20.0, 40.0], kind=kind,
-                       aggregation_hook=hook)
+                       observers=[SimpleNamespace(on_aggregation=on_aggregation)])
     return eng, seen
 
 
@@ -313,7 +331,7 @@ def assert_eval_columns(eng, every, seen):
     assert len(rows) == len(seen)
     shards = [rt.setup.shard for rt in eng.runtimes]
     w_before = np.zeros(2)
-    g0 = eng.evaluator(w_before, None, True)[1]
+    g0 = evaluation_of(eng).evaluator(w_before, None, True)[1]
     grad_sq_before = float(g0 @ g0)
     for row, (w_after, lam, risk_now, grad_sq_now, _) in zip(rows, seen):
         if row.t % every:
@@ -338,7 +356,7 @@ def test_chunked_eval_columns_match_the_reference(monkeypatch, kind, every, chun
     eng, seen = chunked_engine(monkeypatch, chunk, every, kind)
     assert eng.run(aggregations=40).aggregations == 40
     assert_eval_columns(eng, every, seen)
-    assert not eng._pending_evals
+    assert not evaluation_of(eng)._pending
     if chunk > 1:
         assert seen[-1][-1] > 0                 # the last aggregation left models pending
 
@@ -350,7 +368,7 @@ def test_a_resumed_run_carries_the_pending_gradient(monkeypatch, every):
     eng, seen = chunked_engine(monkeypatch, 3, every)
     eng.run(aggregations=7)
     assert all((row.global_risk is None) == bool(row.t % every) for row in eng.rows)
-    assert (eng._next_grad_sq is not None) == (8 % every == 0)
+    assert (evaluation_of(eng)._next_grad_sq is not None) == (8 % every == 0)
     eng.run(aggregations=40)
     assert_eval_columns(eng, every, seen)
 
@@ -381,19 +399,18 @@ def test_random_streams_exist_only_for_laws_that_draw():
 
 
 def test_only_an_evaluating_engine_builds_the_evaluator_arrays():
-    # its feature-major copy XT, per-row gradient weights and label signs
+    # its feature-major copy XT, with the logistic label signs s = 1 - 2y
+    # folded into its columns, and its per-row gradient weights
     for kind in (LossKind.QUADRATIC, LossKind.LOGISTIC):
-        assert build_engine(k=2, eval_every=0, kind=kind).evaluator is None
+        assert build_engine(k=2, kind=kind).observers == []
         engine = build_engine(k=2, eval_every=3, kind=kind)
-        data, evaluator = engine.data, engine.evaluator
+        data, evaluator = engine.data, evaluation_of(engine).evaluator
         assert evaluator.data is data
-        np.testing.assert_array_equal(evaluator.XT, data.X.T)
+        signs = 1.0 - 2.0 * data.y if kind is LossKind.LOGISTIC else 1.0
+        np.testing.assert_array_equal(evaluator.XT, data.X.T * signs)
         np.testing.assert_array_equal(evaluator.rho, np.repeat(0.5 / np.array(data.sizes),
                                                                data.sizes))
-        if kind is LossKind.LOGISTIC:
-            np.testing.assert_array_equal(evaluator.signs, 1.0 - 2.0 * data.y)
-        else:
-            assert evaluator.signs is None
+        assert not hasattr(evaluator, "signs")
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 1)])
@@ -410,6 +427,134 @@ def test_eval_every_spacing():
         has_eval = row.global_risk is not None
         assert has_eval == (row.t % 5 == 0)
         assert (row.grad_sqnorm is not None) == has_eval
+
+
+# ---------------- observers ---------------- #
+
+
+class Recorder:
+    """Logs every observer call; on stop, whether each due row has both columns."""
+
+    def __init__(self, every=1):
+        self.every, self.calls, self.complete_at_stop = every, [], []
+
+    def on_iteration(self, cid, state):
+        self.calls.append(("iteration", cid))
+
+    def on_aggregation(self, engine, record):
+        self.calls.append(("aggregation", record.t))
+
+    def on_stop(self, engine):
+        self.calls.append(("stop",))
+        self.complete_at_stop.append(all(
+            row.global_risk is not None and row.grad_sqnorm is not None
+            for row in engine.rows if row.t % self.every == 0))
+
+
+@pytest.mark.parametrize("stop, reason", [
+    ({"aggregations": 12}, "T_reached"),
+    ({"horizon": 1.5}, "horizon"),
+    ({"event_budget": 70}, "budget"),
+])
+def test_on_stop_runs_once_per_run_after_every_due_row_is_filled(stop, reason):
+    # chunks of 64 never fill here: every due row waits for the flush on stop
+    recorder = Recorder(every=2)
+    eng = build_engine(k=3, seed=5, p_loss=0.1, eval_every=2, observers=[recorder])
+    for runs in (1, 2):
+        res = eng.run(**{key: runs * limit for key, limit in stop.items()})
+        assert res.stop_reason == reason
+        assert recorder.calls.count(("stop",)) == runs and recorder.calls[-1] == ("stop",)
+    assert recorder.complete_at_stop == [True, True] and 2 <= res.aggregations
+    aggregations = [call[1] for call in recorder.calls if call[0] == "aggregation"]
+    assert aggregations == list(range(1, res.aggregations + 1))
+
+
+def test_on_stop_runs_once_when_the_calendar_drains():
+    recorder = Recorder()
+    arrivals = ArrivalProcess(kind="trace", times=(0.1, 0.2))
+    eng = build_engine(k=1, arrivals=arrivals, eval_every=1, observers=[recorder])
+    assert eng.run(aggregations=5).stop_reason == "drained"
+    assert recorder.calls == [("stop",)] and recorder.complete_at_stop == [True]
+
+
+def test_on_stop_runs_once_when_run_raises_with_every_due_row_filled():
+    # a lone coworker that loses most uplinks diverges at the default eta_max
+    cfg = resolve_config({
+        "model": {"dim": 3},
+        "topology": {"categories": [{"count": 1, "speed": 1e7, "rate": 1e4}]},
+        "data": {"shard_size": 16}, "buffer": {"capacity": 16, "minibatch": 8},
+        "link": {"p_loss": 0.75}, "mixing": {"beta_min": 0.5, "beta_max": 1.0},
+        "eval": {"every": 1}, "sim": {"seed": 7, "T": 50},
+    })
+    engine = build_experiment(cfg).engine
+    recorder = Recorder()
+    engine.observers.append(recorder)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericDivergenceError):
+        engine.run(aggregations=50)
+    assert recorder.calls.count(("stop",)) == 1 and recorder.calls[-1] == ("stop",)
+    assert 0 < len(engine.rows) < 50 and recorder.complete_at_stop == [True]
+
+
+def test_an_iteration_observer_sees_the_iterations_run_after_the_stop():
+    # at this T stop the engine admits the arrivals at the stopping instant
+    # after the event loop, with the iterations before them
+    doc = {
+        "topology": {"categories": [{"count": 2, "speed": 4e7, "rate": 1792, "p_loss": 0.0},
+                                    {"count": 2, "speed": 2e7, "rate": 1792, "p_loss": 0.0}]},
+        "link": {"downlink_delay": 0.125, "payload_bits": 448},
+        "arrivals": {"kind": "periodic", "interval": 0.25},
+        "buffer": {"capacity": 8, "minibatch": 4}, "data": {"shard_size": 8},
+        "eval": {"every": 0}, "sim": {"T": 37, "seed": 3},
+    }
+    engine = build_experiment(resolve_config(doc)).engine
+    seen = []                   # events processed at each iteration, then "stop"
+    engine.observers.append(SimpleNamespace(        # after construction
+        on_iteration=lambda cid, state: seen.append(engine.events_processed),
+        on_stop=lambda engine: seen.append("stop")))
+    res = engine.run(aggregations=37)
+    assert seen.index("stop") == len(seen) - 1 == res.iterations_total == 194
+    # the last event is counted once its handler returns: four iterations
+    # run after the event loop, and the observer sees each before on_stop
+    assert seen[:-1].count(res.events_processed) == 4
+
+
+def test_an_engine_without_observers_leaves_the_eval_columns_empty():
+    eng = build_engine(k=2, seed=3)
+    assert eng.observers == []
+    res = eng.run(aggregations=10)
+    assert all(r.global_risk is None and r.grad_sqnorm is None for r in res.rows)
+
+
+@pytest.mark.parametrize("every", [1, 3])
+def test_an_evaluation_attached_by_hand_matches_the_harness_path(every):
+    doc = {"model": {"kind": "logistic"}, "sim": {"T": 40, "seed": 4}}
+    exp = build_experiment(resolve_config({**doc, "eval": {"every": every}}))
+    assert exp.engine.observers == [exp.evaluation]
+    want = exp.engine.run(aggregations=40)
+    engine = build_experiment(resolve_config({**doc, "eval": {"every": 0}})).engine
+    engine.observers.append(Evaluation(engine, every))
+    got = engine.run(aggregations=40)
+    assert sum(r.global_risk is not None for r in got.rows) == 40 // every
+    assert rows_as_tuples(got) == rows_as_tuples(want)
+
+
+def test_the_engine_takes_no_evaluation_or_hook_arguments():
+    setup = CoworkerSetup(shard=quad_shard(np.random.default_rng(0)), link=LinkModel(),
+                          compute=ComputeModel(speed=10.0, cycles_per_iteration=10.0),
+                          arrivals=ArrivalProcess(kind="periodic", interval=0.1),
+                          capacity=8, minibatch=4)
+    kwargs = dict(model=LossModel(LossKind.QUADRATIC, 2), setups=[setup],
+                  adaptive=AdaptiveConfig(), mixing=MixingConfig(), w0=np.zeros(2), seed=0)
+    for removed in ("eval_every", "iteration_hook", "aggregation_hook"):
+        with pytest.raises(TypeError, match=removed):
+            SimulationEngine(**kwargs, **{removed: 1})
+    engine = SimulationEngine(**kwargs)
+    for gone in ("evaluator", "eval_every", "_pending_evals", "_next_grad_sq",
+                 "iteration_hook", "aggregation_hook"):
+        assert not hasattr(engine, gone)
+    with pytest.raises(ValueError, match="every must be at least 1, got 0"):
+        Evaluation(engine, 0)
 
 
 # ---------------- arrival processes ---------------- #
@@ -552,7 +697,8 @@ def test_midcluster_broadcast_applies_at_next_iteration_boundary():
         k=2, seed=37, speed=[10.0 / 0.12, 10.0], iter_max=10,
         arrivals=arrivals, capacity=4, minibatch=4,
         rate=1000.0, payload_bits=10.0,
-        iteration_hook=lambda cid, st: trace.append((cid, st.t_local, st.lambda_last)),
+        observers=[SimpleNamespace(
+            on_iteration=lambda cid, st: trace.append((cid, st.t_local, st.lambda_last)))],
     )
     eng.run(horizon=11.0)
     slow_first_cluster = [lam for cid, t_local, lam in trace
@@ -585,11 +731,13 @@ def coefficient_timing_run(slow_downlink_delay):
     eng = SimulationEngine(
         model=LossModel(LossKind.QUADRATIC, 2), setups=setups,
         adaptive=AdaptiveConfig(iter_max=2), mixing=MixingConfig(), w0=np.zeros(2), seed=59,
-        iteration_hook=lambda cid, st: used.append(st.lambda_last) if cid == 1 else None,
-        aggregation_hook=lambda server, rec: sent.append(
-            (eng.now + slow_downlink_delay, float(server.lambdas[1])))
-        if rec.lambda_changed else None,
     )
+    eng.observers.append(SimpleNamespace(
+        on_iteration=lambda cid, st: used.append(st.lambda_last) if cid == 1 else None,
+        on_aggregation=lambda engine, rec: sent.append(
+            (engine.now + slow_downlink_delay, float(engine.server.lambdas[1])))
+        if rec.lambda_changed else None,
+    ))
     eng.run(horizon=2.0)
     assert sent[0][0] == 0.75 + slow_downlink_delay
 

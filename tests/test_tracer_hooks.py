@@ -17,6 +17,7 @@ from afafed.network_sim import (
     ArrivalProcess,
     ComputeModel,
     CoworkerSetup,
+    Evaluation,
     LinkModel,
     SimulationEngine,
 )
@@ -43,7 +44,8 @@ KNOWN_ABSENT = {
 }
 
 
-def tiny_engine(eval_every=0):
+def tiny_engine(every=0):
+    """A three-coworker engine, with an Evaluation of every ``every``-th row if every > 0."""
     rng = np.random.default_rng(5)
     setups = [
         CoworkerSetup(
@@ -56,9 +58,12 @@ def tiny_engine(eval_every=0):
         )
         for cid in range(3)
     ]
-    return SimulationEngine(model=LossModel(LossKind.QUADRATIC, 2), setups=setups,
-                            adaptive=AdaptiveConfig(iter_max=4), mixing=MixingConfig(),
-                            w0=np.zeros(2), seed=7, eval_every=eval_every)
+    engine = SimulationEngine(model=LossModel(LossKind.QUADRATIC, 2), setups=setups,
+                              adaptive=AdaptiveConfig(iter_max=4), mixing=MixingConfig(),
+                              w0=np.zeros(2), seed=7)
+    if every:
+        engine.observers.append(Evaluation(engine, every))
+    return engine
 
 
 def test_tracer_sees_every_iteration_layer_call(monkeypatch):
@@ -82,6 +87,6 @@ def test_tracer_misses_only_the_known_absent_functions(monkeypatch):
     from tracer import Tracer
 
     with Tracer() as tracer:
-        result = tiny_engine(eval_every=1).run(aggregations=10)
+        result = tiny_engine(every=1).run(aggregations=10)
     assert all(row.global_risk is not None for row in result.rows)
     assert set(tracer.absent) == KNOWN_ABSENT
