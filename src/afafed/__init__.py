@@ -38,7 +38,6 @@ from .network_sim import (
     CoworkerSetup,
     Evaluation,
     LinkModel,
-    MetricsRow,
     RunResult,
     SimulationEngine,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "LinkModel",
     "LossKind",
     "LossModel",
-    "MetricsRow",
     "MixingConfig",
     "NumericDivergenceError",
     "ParameterEstimates",

@@ -35,6 +35,7 @@ from .network_sim import (
     LinkModel,
     RunResult,
     SimulationEngine,
+    random_stream,
 )
 from .profiler import ParameterEstimates, finalize
 from .server import MixingConfig
@@ -53,7 +54,7 @@ class Key(NamedTuple):
     ``type`` is int, float or str; a table (a dict of Keys) for a mapping; or
     ``[table]`` for a non-empty list of mappings.  ``default`` is the value
     the presets start from.  A ``per_coworker`` key also takes a list with
-    one value per coworker.  ``ge``/``gt`` bound the keys that no
+    one value per coworker.  ``ge``/``gt``/``le`` bound the keys that no
     constructor checks.
     """
 
@@ -62,6 +63,7 @@ class Key(NamedTuple):
     nullable: bool = False
     ge: Optional[float] = None
     gt: Optional[float] = None
+    le: Optional[float] = None
     per_coworker: bool = False
 
 
@@ -73,7 +75,7 @@ _CATEGORY = {
     "count": Key(type=int, ge=1),
     "speed": Key(gt=0),
     "rate": Key(gt=0),
-    "p_loss": Key(_OPTIONAL),
+    "p_loss": Key(_OPTIONAL, ge=0, le=1),
 }
 
 # every key of a run config, written once; null keys mean no such stop
@@ -276,6 +278,7 @@ def _scalar(key: Key, value: Any, dotted: str) -> Any:
         _require(-2**63 <= out < 2**63, dotted, f"expected a 64-bit integer, got {value!r}")
     _require(key.ge is None or out >= key.ge, dotted, f"must be >= {key.ge}")
     _require(key.gt is None or out > key.gt, dotted, f"must be > {key.gt}")
+    _require(key.le is None or out <= key.le, dotted, f"must be <= {key.le}")
     return out
 
 
@@ -306,10 +309,6 @@ def set_by_path(doc: Dict[str, Any], dotted: str, value: Any) -> None:
 # ---------------- data generation ---------------- #
 
 
-def _data_rng(seed: int, domain: int, cid: int = 0) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(domain, cid)))
-
-
 Shard = Tuple[np.ndarray, np.ndarray]     # (X, y): (m, d) features, (m,) targets
 
 
@@ -333,11 +332,11 @@ def generate_shards(cfg: Dict[str, Any]) -> List[Shard]:
     if kind == "quadratic":
         _require(partition == "iid", "data.partition",
                  "label_skew requires the logistic model (regression has no classes)")
-        w_true = _data_rng(seed, 11).standard_normal(dim)
+        w_true = random_stream(seed, 11, 0).standard_normal(dim)
         noise = cfg["model"]["noise_std"]
         shards = []
         for cid in range(k_total):
-            rng = _data_rng(seed, 10, cid)
+            rng = random_stream(seed, 10, cid)
             X = rng.standard_normal((n, dim))
             y = X @ w_true + noise * rng.standard_normal(n)
             shards.append((X, y))
@@ -345,14 +344,14 @@ def generate_shards(cfg: Dict[str, Any]) -> List[Shard]:
 
     # logistic: two Gaussian clusters split by a shared direction
     sep = cfg["model"]["class_sep"]
-    direction = _data_rng(seed, 11).standard_normal(dim)
+    direction = random_stream(seed, 11, 0).standard_normal(dim)
     direction /= np.linalg.norm(direction)
     classes = cfg["data"]["classes_per_coworker"]
     _require(1 <= classes <= 2, "data.classes_per_coworker",
              f"binary model has 2 classes, got {classes}")
     shards = []
     for cid in range(k_total):
-        rng = _data_rng(seed, 10, cid)
+        rng = random_stream(seed, 10, cid)
         if partition == "iid" or classes == 2:
             labels = rng.integers(0, 2, size=n)
         else:

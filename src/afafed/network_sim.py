@@ -62,6 +62,16 @@ from .profiler import ProfilingLog, record_aggregation
 from .stream_manager import StreamBuffer, admit, sample_minibatch
 
 
+def random_stream(seed: int, domain: int, cid: int) -> np.random.Generator:
+    """The stream of one domain and coworker; every draw of a run comes from one.
+
+    Domains: 0 minibatch sampling, 1 uplink loss and rate jitter, 2 Poisson
+    arrivals, 3 the profiling epilogue, 10 a coworker's synthetic shard, and
+    11 the shared ground truth or class direction (cid 0).
+    """
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(domain, cid)))
+
+
 class EventKind(enum.Enum):
     """What a calendar event is; DATA_ARRIVAL covers buffer warm-up arrivals only."""
 
@@ -260,33 +270,14 @@ _LOG_TRIM_MIN = 64
 _EVAL_CHUNK = 64
 
 
-@dataclass
-class MetricsRow:
-    """One row of the per-aggregation metrics stream.
-
-    An :class:`Evaluation` observer fills global_risk and grad_sqnorm of due
-    rows in chunks of evaluations; they stay None in rows that are not due,
-    until their chunk runs, and in every row of an engine without one.
-    """
-
-    t: int
-    time: float
-    sender: int
-    age: int
-    beta: float
-    lambda_checksum: float
-    fairness_index: float
-    global_risk: Optional[float] = None
-    grad_sqnorm: Optional[float] = None
-
-
 class Evaluation:
     """Observer that fills the evaluation columns of every ``every``-th row.
 
-    Row t takes the uniformly weighted gradient before aggregation t and the
-    λ-weighted risk after it, so one evaluator call at the model aggregation
-    t left serves row t and row t + 1.  Due models are evaluated in order,
-    when _EVAL_CHUNK (64) are pending and on stop, so an ``on_aggregation``
+    The rows are the engine's aggregation records.  Row t takes the
+    uniformly weighted gradient before aggregation t and the λ-weighted risk
+    after it, so one evaluator call at the model aggregation t left serves
+    row t and row t + 1.  Due models are evaluated in order, when
+    _EVAL_CHUNK (64) are pending and on stop, so an ``on_aggregation``
     observer may see None in pending rows.  Attach it before the first run().
     """
 
@@ -301,9 +292,9 @@ class Evaluation:
         self._next_grad_sq: Optional[float] = None
 
     def on_aggregation(self, engine: SimulationEngine, record: srv.AggregationRecord) -> None:
-        rows, server, t = engine.rows, engine.server, engine.server.t
+        server, t = engine.server, record.t
         if self._next_grad_sq is not None:
-            rows[-1].grad_sqnorm, self._next_grad_sq = self._next_grad_sq, None
+            record.grad_sqnorm, self._next_grad_sq = self._next_grad_sq, None
         due, next_due = t % self.every == 0, (t + 1) % self.every == 0
         if due and t == 1:          # row 1: no aggregation evaluated w0
             self._pending.append((engine.w0, None, None, 0))
@@ -311,12 +302,12 @@ class Evaluation:
             self._pending.append((server.w_global.copy(), server.lambdas.copy() if due else None,
                                   t - 1 if due else None, t if next_due else None))
             if len(self._pending) >= _EVAL_CHUNK:
-                self._flush(rows)
+                self._flush(engine.rows)
 
     def on_stop(self, engine: SimulationEngine) -> None:
         self._flush(engine.rows)
 
-    def _flush(self, rows: List[MetricsRow]) -> None:
+    def _flush(self, rows: List[srv.AggregationRecord]) -> None:
         """Evaluate the pending models back to back, each as right after its aggregation."""
         pending, self._pending = self._pending, []
         for w, lambdas, risk_row, grad_row in pending:
@@ -331,9 +322,13 @@ class Evaluation:
 
 @dataclass
 class RunResult:
-    """What one run() call leaves; an attached Evaluation has filled every due row."""
+    """What one run() call leaves; an attached Evaluation has filled every due row.
 
-    rows: List[MetricsRow]
+    ``rows`` holds the engine's aggregation records of every run() so far;
+    ``accepted_by`` and ``iters_per_acceptance`` are counted from them.
+    """
+
+    rows: List[srv.AggregationRecord]
     aggregations: int
     uplink_attempts: int
     uplink_drops: int
@@ -357,9 +352,9 @@ class SimulationEngine:
     calls for one coworker come in its iteration order, but calls for
     different coworkers may interleave, because iterations run lazily when
     an event or a coefficient flush reaches their coworker.
-    ``on_aggregation(engine, record)`` runs after every aggregation, once its
-    row is appended.  ``on_stop(engine)`` runs last in every run() whose
-    event loop starts, whether it returns or raises.
+    ``on_aggregation(engine, record)`` runs after every aggregation; the
+    record is the row just appended to ``rows``.  ``on_stop(engine)`` runs
+    last in every run() whose event loop starts, whether it returns or raises.
     """
 
     def __init__(
@@ -392,7 +387,6 @@ class SimulationEngine:
             raise ValueError(f"w0 has shape {self.w0.shape}, expected ({model.dim},)")
         lambdas = uniform_weights(k)
         self.server = srv.ServerState(w_global=self.w0.copy(), lambdas=lambdas)
-        self._ranks = np.arange(1, k + 1)       # lambda_checksum = ranks @ lambdas
         # every shard lives once, in the stacked set; each runtime's setup and
         # buffer hold views of its rows
         self.data = stack_shards([s.shard for s in setups])
@@ -409,18 +403,16 @@ class SimulationEngine:
             rt = _Runtime(
                 state=state,
                 setup=setup,
-                rng_sample=self._rng(0, cid),
-                rng_link=self._rng(1, cid) if setup.link.draws else None,
-                rng_arrival=self._rng(2, cid) if setup.arrivals.draws else None,
+                rng_sample=random_stream(seed, 0, cid),
+                rng_link=random_stream(seed, 1, cid) if setup.link.draws else None,
+                rng_arrival=random_stream(seed, 2, cid) if setup.arrivals.draws else None,
                 timer_duration=timer_factor * setup.link.mean_rtt(),
             )
             self.runtimes.append(rt)
 
-        self.rows: List[MetricsRow] = []
+        self.rows: List[srv.AggregationRecord] = []
         self.uplink_attempts = 0
         self.uplink_drops = 0
-        self.accepted_by = np.zeros(k, dtype=np.int64)
-        self.iters_per_acceptance: List[int] = []
         self.events_processed = 0
         self._coef_log: List[_Coefficients] = []
         self._coef_base = 0              # absolute index of _coef_log[0]
@@ -432,9 +424,6 @@ class SimulationEngine:
             self._schedule_next_arrival(cid, 0.0)
         for cid in range(k):
             self._start_cluster(cid, 0.0)
-
-    def _rng(self, domain: int, cid: int) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(domain, cid)))
 
     # ---------------- scheduling helpers ---------------- #
 
@@ -601,15 +590,8 @@ class SimulationEngine:
         if self.profiling_log is not None:
             record_aggregation(self.profiling_log, server.w_global - payload.w,
                                payload.last_grad)
-        record = srv.process_uplink(server, payload, self.mixing)
-        self.accepted_by[payload.sender] += 1
-        self.iters_per_acceptance.append(payload.iters_in_cluster)
-        checksum = float(self._ranks @ server.lambdas)
-        self.rows.append(MetricsRow(
-            t=record.t, time=ev.time, sender=record.sender, age=record.age,
-            beta=record.beta, lambda_checksum=checksum,
-            fairness_index=record.fairness_index,
-        ))
+        record = srv.process_uplink(server, payload, self.mixing, ev.time)
+        self.rows.append(record)
         for observe in self._on_aggregation:
             observe(self, record)
         # coefficient broadcast first, then the sender's model downlink
@@ -722,8 +704,8 @@ class SimulationEngine:
             uplink_drops=self.uplink_drops,
             stall_events=sum(rt.stalls for rt in self.runtimes),
             iterations_total=sum(rt.state.t_local for rt in self.runtimes),
-            accepted_by=self.accepted_by.copy(),
-            iters_per_acceptance=list(self.iters_per_acceptance),
+            accepted_by=np.bincount([r.sender for r in self.rows], minlength=len(self.runtimes)),
+            iters_per_acceptance=[r.iters for r in self.rows],
             final_time=self.now,
             events_processed=self.events_processed,
             stop_reason=stop_reason,
@@ -750,7 +732,7 @@ class SimulationEngine:
             f_first = risk_arrays(self.model, log.w_start, X, y)
             f_last = risk_arrays(self.model, w_end, X, y)
             zeta_hat = None
-            batch = sample_minibatch(rt.state.buffer, self._rng(3, cid))
+            batch = sample_minibatch(rt.state.buffer, random_stream(self.seed, 3, cid))
             if batch is not None and displacement > 0.0:
                 g_last = minibatch_gradient(self.model, rt.state.w, *batch)
                 g_first = minibatch_gradient(self.model, log.w_start, *batch)

@@ -11,7 +11,8 @@ convex combination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -61,18 +62,32 @@ class ServerState:
     mu_dev: float = 0.0       # running mean absolute deviation of the same stream
     th_upper: float = 0.0
     th_lower: float = 0.0
+    ranks: np.ndarray = field(init=False, repr=False)     # int64 1..K, for lambda_checksum
+
+    def __post_init__(self) -> None:
+        self.ranks = np.arange(1, len(self.lambdas) + 1, dtype=np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass
 class AggregationRecord:
-    """What one acceptance produced, for metrics and scheduling."""
+    """One accepted uplink: what the server did, and the engine's metrics row.
+
+    The fields up to fairness_index are the trajectory columns of
+    metrics.csv.  An ``Evaluation`` observer fills global_risk and
+    grad_sqnorm of due rows; they stay None until it does.
+    """
 
     t: int                    # server clock after this acceptance
+    time: float               # virtual time of the delivery
     sender: int
     age: int
     beta: float
-    lambda_changed: bool
-    fairness_index: float
+    lambda_checksum: float    # ranks @ lambdas after this acceptance
+    fairness_index: float     # Jain index of the same coefficients
+    lambda_changed: bool      # a coefficient change is due to every coworker
+    iters: int                # local iterations in the sender's cluster
+    global_risk: Optional[float] = None
+    grad_sqnorm: Optional[float] = None
 
 
 def update_fairness_stats(state: ServerState, mu_bar: float) -> tuple[float, float]:
@@ -173,14 +188,14 @@ def aggregate(state: ServerState, w_k: np.ndarray, beta: float) -> np.ndarray:
 
 
 def process_uplink(
-    state: ServerState, payload: UplinkPayload, cfg: MixingConfig
+    state: ServerState, payload: UplinkPayload, cfg: MixingConfig, time: float
 ) -> AggregationRecord:
-    """Full acceptance path for one delivered uplink.
+    """Full acceptance path for one uplink delivered at virtual ``time``.
 
     Threshold comparison and the boost factor both use the statistics as they
     stood before this sample; the sample is folded in afterwards, the mixing
     weight is computed from the post-update coefficient, and the clock ticks
-    once.
+    once.  The record returned is the aggregation's metrics row.
     """
     update_thresholds(state, cfg)
     changed = apply_fairness_update(state, payload.sender, payload.mu_bar)
@@ -190,9 +205,12 @@ def process_uplink(
     aggregate(state, payload.w, beta)
     return AggregationRecord(
         t=state.t,
+        time=time,
         sender=payload.sender,
         age=age,
         beta=beta,
-        lambda_changed=changed,
+        lambda_checksum=float(state.ranks @ state.lambdas),
         fairness_index=jain_fairness_index(state.lambdas),
+        lambda_changed=changed,
+        iters=payload.iters_in_cluster,
     )

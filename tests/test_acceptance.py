@@ -229,7 +229,7 @@ def test_criterion_05_fairness_mechanics():
         payload = UplinkPayload(sender=0, w=np.zeros(2),
                                 mu_bar=10.0 ** (round_idx + 1),
                                 timestamp=server.t, iters_in_cluster=1)
-        process_uplink(server, payload, mixing)
+        process_uplink(server, payload, mixing, float(round_idx))
         lam0_path.append(server.lambdas[0])
     rigged_ok = all(b > a for a, b in zip(lam0_path, lam0_path[1:]))
     rigged_ok = rigged_ok and lam0_path[-1] < 1.0

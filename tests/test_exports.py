@@ -20,6 +20,7 @@ def test_every_exported_name_resolves_once():
     ("model_core", "global_risk_arrays"),
     ("model_core", "global_gradient_arrays"),
     ("model_core", "feature_major"),
+    ("network_sim", "MetricsRow"),
 ])
 def test_deleted_names_cannot_be_imported(module, name):
     assert name not in afafed.__all__

@@ -122,6 +122,13 @@ def test_set_by_path():
     ({"buffer": {"minibatch": 32}}, "buffer"),          # exceeds capacity 16
     ({"link": {"p_loss": 1.5}}, r"link.p_loss\[0\]"),
     ({"link": {"p_loss": [0.1, 0.2, 0.3]}}, "link.p_loss"),
+    # categories of 2 and 1 coworkers: the fault is named by the key the config sets
+    ({"topology": {"categories": [{"count": 2, "speed": 1e7, "rate": 1e5, "p_loss": 0.0},
+                                  {"count": 1, "speed": 1e7, "rate": 1e5, "p_loss": -0.2}]}},
+     r"topology.categories\[1\].p_loss: must be >= 0"),
+    ({"topology": {"categories": [{"count": 2, "speed": 1e7, "rate": 1e5, "p_loss": 1.5},
+                                  {"count": 1, "speed": 1e7, "rate": 1e5}]}},
+     r"topology.categories\[0\].p_loss: must be <= 1"),
     ({"data": {"partition": "label_skew"}}, "data.partition"),
     ({"data": {"partition": "dirichlet"}}, "data.partition"),
     ({"topology": {"K": 5}}, "topology.K"),

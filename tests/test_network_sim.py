@@ -539,6 +539,26 @@ def test_an_evaluation_attached_by_hand_matches_the_harness_path(every):
     assert rows_as_tuples(got) == rows_as_tuples(want)
 
 
+def test_an_aggregation_observer_receives_the_row_just_appended():
+    seen = []
+
+    def on_aggregation(engine, record):
+        seen.append(record is engine.rows[-1] and len(engine.rows) == record.t)
+
+    eng = build_engine(k=3, seed=5, p_loss=0.2, iter_max=3,
+                       observers=[SimpleNamespace(on_aggregation=on_aggregation)])
+    for runs in (1, 2):
+        res = eng.run(aggregations=15 * runs)
+        assert res.rows is eng.rows and len(seen) == len(res.rows) == 15 * runs
+        assert all(seen)
+        # the tallies are taken from the rows, over every run so far
+        senders = [r.sender for r in res.rows]
+        assert res.accepted_by.dtype == np.int64 and len(res.accepted_by) == 3
+        assert res.accepted_by.tolist() == [senders.count(cid) for cid in range(3)]
+        assert res.iters_per_acceptance == [r.iters for r in res.rows]
+    assert res.rows[-1].lambda_checksum == float(np.arange(1, 4) @ eng.server.lambdas)
+
+
 def test_the_engine_takes_no_evaluation_or_hook_arguments():
     setup = CoworkerSetup(shard=quad_shard(np.random.default_rng(0)), link=LinkModel(),
                           compute=ComputeModel(speed=10.0, cycles_per_iteration=10.0),

@@ -261,7 +261,7 @@ def test_first_positive_sample_triggers_scale_up():
     # band makes any positive first multiplier an outlier
     st = make_server(k=2)
     cfg = MixingConfig()
-    rec = process_uplink(st, payload(0, [1.0], mu_bar=0.7, timestamp=0), cfg)
+    rec = process_uplink(st, payload(0, [1.0], mu_bar=0.7, timestamp=0), cfg, 0.0)
     assert rec.lambda_changed is True
     assert st.lambdas[0] > st.lambdas[1]
     assert st.t == 1 and rec.t == 1
@@ -271,7 +271,7 @@ def test_first_positive_sample_triggers_scale_up():
 
 def test_first_zero_sample_stays_in_band():
     st = make_server(k=2)
-    rec = process_uplink(st, payload(1, [1.0], mu_bar=0.0), MixingConfig())
+    rec = process_uplink(st, payload(1, [1.0], mu_bar=0.0), MixingConfig(), 0.0)
     assert rec.lambda_changed is False
     np.testing.assert_array_equal(st.lambdas, [0.5, 0.5])
 
@@ -280,11 +280,11 @@ def test_scale_factor_uses_pre_sample_mean():
     # second uplink compared against the mean of the first only
     st = make_server(k=2)
     cfg = MixingConfig()
-    process_uplink(st, payload(0, [0.0], mu_bar=1.0), cfg)
+    process_uplink(st, payload(0, [0.0], mu_bar=1.0), cfg, 0.0)
     lam_before = st.lambdas.copy()
     # band after one sample: TH_U = TH_L = 1; mu_bar = 3 exceeds it;
     # psi = 1 + ln(1 + |3-1|/(1+1)) = 1 + ln 2
-    process_uplink(st, payload(1, [0.0], mu_bar=3.0, timestamp=1), cfg)
+    process_uplink(st, payload(1, [0.0], mu_bar=3.0, timestamp=1), cfg, 1.0)
     psi = 1.0 + math.log(2.0)
     expected = lam_before * np.array([1.0, psi])
     expected /= expected.sum()
@@ -296,7 +296,8 @@ def test_clock_counts_accepted_uplinks():
     cfg = MixingConfig()
     for i in range(7):
         stamp = max(0, st.t - 1)
-        rec = process_uplink(st, payload(i % 3, [0.5], mu_bar=0.0, timestamp=stamp), cfg)
+        rec = process_uplink(st, payload(i % 3, [0.5], mu_bar=0.0, timestamp=stamp), cfg,
+                             float(i))
         assert st.t == i + 1
         assert isinstance(rec, AggregationRecord)
         assert cfg.beta_min <= rec.beta <= cfg.beta_max
@@ -311,7 +312,7 @@ def test_alternating_coworkers_age_trace():
     for i in range(8):
         sender = i % 2
         rec = process_uplink(st, payload(sender, [1.0], mu_bar=0.0,
-                                         timestamp=stamps[sender]), cfg)
+                                         timestamp=stamps[sender]), cfg, float(i))
         ages.append(rec.age)
         stamps[sender] = st.t          # downlink stamped with the new clock
     assert ages == [0, 1, 1, 1, 1, 1, 1, 1]
@@ -319,5 +320,16 @@ def test_alternating_coworkers_age_trace():
 
 def test_record_carries_fairness_index():
     st = make_server(k=4)
-    rec = process_uplink(st, payload(2, [0.0], mu_bar=0.0), MixingConfig())
+    rec = process_uplink(st, payload(2, [0.0], mu_bar=0.0), MixingConfig(), 0.0)
     assert rec.fairness_index == pytest.approx(1.0)       # still uniform
+
+
+def test_record_is_the_metrics_row():
+    st = make_server(k=4)
+    rec = process_uplink(st, payload(2, [0.0], mu_bar=0.5, iters=3), MixingConfig(), 1.25)
+    assert (rec.t, rec.time, rec.sender, rec.iters) == (1, 1.25, 2, 3)
+    assert rec.lambda_changed and rec.lambda_checksum == float(np.arange(1, 5) @ st.lambdas)
+    assert rec.lambda_checksum > 2.5        # the sender's rank is above the uniform mean
+    assert rec.global_risk is None and rec.grad_sqnorm is None
+    rec.global_risk = 0.5                   # an Evaluation fills the row in place
+    assert st.ranks.dtype == np.int64
