@@ -105,7 +105,7 @@ CONFIG_SCHEMA: Dict[str, Key] = {
     "mixing": _section(beta_min=Key(0.001), beta_max=Key(0.9), de=Key(0.0),
                        phi=Key("power", str), alpha=Key(0.5), hinge_b=Key(4),
                        fairness_margin=Key(4.0)),
-    "link": _section(p_loss=Key(None, nullable=True, per_coworker=True),
+    "link": _section(p_loss=Key(None, nullable=True, ge=0, le=1, per_coworker=True),
                      downlink_delay=Key(0.0), payload_bits=Key(None, nullable=True),
                      timer_factor=Key(3.0, gt=0), rate_jitter=Key(0.0)),
     "sim": _section(seed=Key(1, int, ge=0), T=Key(200, int, nullable=True, ge=0),
@@ -467,8 +467,6 @@ def build_experiment(cfg: Dict[str, Any], enable_profiling: bool = False) -> Exp
                  f"declared {declared} but categories sum to {k_total}")
 
     losses = _per_coworker_loss(cfg["link"]["p_loss"], cats)
-    for i, p in enumerate(losses):
-        _require(0.0 <= p <= 1.0, f"link.p_loss[{i}]", "must lie in [0, 1]")
 
     payload_bits = cfg["link"]["payload_bits"]
     if payload_bits is None:

@@ -8,16 +8,17 @@ examples they range over.
 
 Data are stacked arrays only: a shard is an (m, d) feature matrix X with an
 (m,) target vector y, and the K shards together are one read-only
-:class:`ShardSet`.  A :class:`GlobalEvaluator` is the one path to the
-weighted global risk and its gradient: it takes either or both from one
-matrix-vector product for the scores.  The risk sums each shard's losses
-and takes one K-length dot with the weights λ_k/n_k; the gradient weights
-every row of shard k by ρ = g_k/n_k before its product with the features
-transposed.  Both products run over the evaluator's own XT, a read-only
-feature-major (d, n) copy of X, because a matrix-vector product over n rows
-of d = 5 features is about three times faster that way; per-shard views and
-minibatch gathers keep using X.  The evaluator builds XT and ρ once, so a
-run that evaluates many models pays for them once.
+:class:`ShardSet` of X, y and the shard sizes.  A :class:`GlobalEvaluator`
+is the one path to the weighted global risk and its gradient, and the one
+owner of the shard layout: it takes either or both from one matrix-vector
+product for the scores.  The risk sums each shard's losses and takes one
+K-length dot with the weights λ_k/n_k; the gradient weights every row of
+shard k by ρ = g_k/n_k before its product with the features transposed.
+Both products run over the evaluator's own XT, a read-only feature-major
+(d, n) copy of X, because a matrix-vector product over n rows of d = 5
+features is about three times faster that way; per-shard views and
+minibatch gathers keep using X.  The evaluator builds the shard offsets,
+XT and ρ once, so a run that evaluates many models pays for them once.
 
 The logistic evaluation needs labels in {0, 1}.  Its XT scales each row's
 column by the row's label sign s = 1 - 2y, so its product gives s z.  With
@@ -35,7 +36,6 @@ softplus(z) - y z form.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -70,42 +70,6 @@ class ShardSet(NamedTuple):
             out.append((self.X[start:start + n], self.y[start:start + n]))
             start += n
         return out
-
-    def shard_weights(self, weights: np.ndarray) -> np.ndarray:
-        """weights[k] / sizes[k]: the weight of each row of shard k."""
-        if len(weights) != len(self.sizes):
-            raise ValueError(f"{len(self.sizes)} shards but {len(weights)} weights")
-        return np.asarray(weights, dtype=np.float64) / _layout(self.sizes)[1]
-
-    def row_weights(self, weights: np.ndarray) -> np.ndarray:
-        """:meth:`shard_weights` on every row of its shard, so a weighted sum of
-        per-row values is the weights-weighted sum of per-shard means."""
-        return np.repeat(self.shard_weights(weights), self.sizes)
-
-    def shard_sums(self, values: np.ndarray) -> np.ndarray:
-        """Sum of per-row values over each shard, in shard order."""
-        starts, _, rows = _layout(self.sizes)
-        # np.add.reduceat would let the last shard absorb extra rows or stop short
-        if len(values) != rows:
-            raise ValueError(f"shard sizes add up to {rows} rows but got {len(values)} values")
-        return np.add.reduceat(values, starts)
-
-
-@functools.lru_cache(maxsize=16)
-def _layout(sizes: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Each shard's first row, its size as a float, and the total row count,
-    for one sizes tuple.
-
-    Cached because every evaluation of a run uses the same shard sizes.  An
-    empty shard has no mean, and np.add.reduceat would silently give it the
-    next shard's first row, so empty shards are refused.
-    """
-    if not sizes or min(sizes) < 1:
-        raise ValueError(f"shard sizes {sizes}: every shard needs at least one row")
-    starts = np.cumsum((0,) + sizes[:-1])
-    counts = np.array(sizes, dtype=np.float64)
-    starts.flags.writeable = counts.flags.writeable = False
-    return starts, counts, sum(sizes)
 
 
 def stack_shards(shards: Sequence[Tuple[np.ndarray, np.ndarray]]) -> ShardSet:
@@ -210,52 +174,58 @@ def minibatch_gradient(
 _BLOCK = 64     # rows per product of 1 + |h| in the logistic risk; each lies in [1, 2]
 
 
-@functools.lru_cache(maxsize=16)
-def _blocks(sizes: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
-    """The first row of every _BLOCK-row block inside each shard, and the
-    index of each shard's first block, for one sizes tuple.
-
-    A product of 64 factors in [1, 2] is at most 2**64, so it can neither
-    overflow nor underflow.  Cached because every evaluation of a run uses
-    the same shard sizes.
-    """
-    starts = _layout(sizes)[0]
-    rows = np.concatenate([np.arange(s, s + n, _BLOCK) for s, n in zip(starts, sizes)])
-    counts = [-(-n // _BLOCK) for n in sizes]
-    first = np.cumsum([0] + counts[:-1])
-    rows.flags.writeable = first.flags.writeable = False
-    return rows, first
-
-
 class GlobalEvaluator:
     """The weighted global risk and its gradient over one :class:`ShardSet`,
     at any w, with every array that does not depend on w built once.
 
-    Construction builds XT, a read-only C-contiguous copy of ``data.X.T``
-    that both products run over, with each column scaled by its label sign
-    s = 1 - 2y for the logistic loss; and the per-row gradient weights rho
+    Construction lays out the shards: each shard's first row and its size
+    as a float, and for the logistic loss the first row of every
+    _BLOCK-row block inside each shard and each shard's first block.  It
+    builds XT, a read-only C-contiguous copy of ``data.X.T`` that both
+    products run over, with each column scaled by its label sign s = 1 - 2y
+    for the logistic loss; and the per-row gradient weights rho
     (``grad_weights[k] / sizes[k]`` on each row of shard k).  X is read-only
-    too, so X and XT cannot drift apart.  A run builds one evaluator, and
-    only when it evaluates.
+    too, so X and XT cannot drift apart.  A set with an empty shard, with
+    sizes that do not add up to its rows, or with a grad_weights count other
+    than K is refused here.  A run builds one evaluator, and only when it
+    evaluates.
     """
 
     def __init__(self, model: LossModel, data: ShardSet, grad_weights: np.ndarray) -> None:
-        rows = _layout(data.sizes)[2]
+        sizes = data.sizes
+        # an empty shard has no mean, and np.add.reduceat would silently
+        # give it the next shard's first row
+        if not sizes or min(sizes) < 1:
+            raise ValueError(f"shard sizes {sizes}: every shard needs at least one row")
+        rows = sum(sizes)
         if not rows == len(data.X) == len(data.y):
             raise ValueError(f"shard sizes add up to {rows} rows, "
                              f"but X has {len(data.X)} and y {len(data.y)}")
         self.model = model
         self.data = data
+        self._starts = np.cumsum((0,) + sizes[:-1])
+        self._counts = np.array(sizes, dtype=np.float64)
         XT = data.X.T
         if model.kind is LossKind.LOGISTIC:
             y = data.y
             if not ((y == 0.0) | (y == 1.0)).all():         # NaN fails too
                 raise ValueError("the logistic loss needs every label in {0, 1}")
             XT = np.multiply(XT, 1.0 - 2.0 * y, order="C")
-            self._ln2_counts = math.log(2.0) * _layout(data.sizes)[1]
+            self._ln2_counts = math.log(2.0) * self._counts
+            # a product of 64 factors in [1, 2] is at most 2**64, so it can
+            # neither overflow nor underflow
+            self._blocks = np.concatenate(
+                [np.arange(s, s + n, _BLOCK) for s, n in zip(self._starts, sizes)])
+            self._first_block = np.cumsum([0] + [-(-n // _BLOCK) for n in sizes[:-1]])
         self.XT = np.ascontiguousarray(XT)
         self.XT.flags.writeable = False
-        self.rho = data.row_weights(grad_weights)
+        self.rho = np.repeat(self._shard_weights(grad_weights), sizes)
+
+    def _shard_weights(self, weights: np.ndarray) -> np.ndarray:
+        """weights[k] / sizes[k]: the weight of each row of shard k."""
+        if len(weights) != len(self._counts):
+            raise ValueError(f"{len(self._counts)} shards but {len(weights)} weights")
+        return weights / self._counts
 
     def __call__(self, w: np.ndarray, risk_weights: Optional[np.ndarray],
                  grad: bool) -> Tuple[Optional[float], Optional[np.ndarray]]:
@@ -272,8 +242,9 @@ class GlobalEvaluator:
         z = w @ self.XT
         risk = g = None
         if risk_weights is not None:
-            losses = data.shard_sums(_losses(model, z, data.y))    # K sums; no n-row array kept
-            risk = float(data.shard_weights(risk_weights) @ losses)
+            # K sums; no n-row array kept
+            losses = np.add.reduceat(_losses(model, z, data.y), self._starts)
+            risk = float(self._shard_weights(risk_weights) @ losses)
         if grad:
             r = _residuals(model, z, data.y)        # overwrites z
             r *= self.rho
@@ -288,21 +259,19 @@ class GlobalEvaluator:
         # so one tanh per row serves both; the last sum is the log of
         # products over _BLOCK-row blocks.  The gradient's product with XT
         # multiplies by s again, and a sign flip rounds exactly.
-        data = self.data
         u = (0.5 * w) @ self.XT
         risk = g = None
         if risk_weights is not None:
             buf = np.maximum(u, 0.0)
-            relu = data.shard_sums(buf)
+            relu = np.add.reduceat(buf, self._starts)
         np.tanh(u, out=u)
         if risk_weights is not None:
             np.abs(u, out=buf)
             buf += 1.0
-            blocks, first = _blocks(data.sizes)
-            logs = np.log(np.multiply.reduceat(buf, blocks))
+            logs = np.log(np.multiply.reduceat(buf, self._blocks))
             del buf
-            losses = 2.0 * relu + self._ln2_counts - np.add.reduceat(logs, first)
-            risk = float(data.shard_weights(risk_weights) @ losses)
+            losses = 2.0 * relu + self._ln2_counts - np.add.reduceat(logs, self._first_block)
+            risk = float(self._shard_weights(risk_weights) @ losses)
         if grad:
             u += 1.0
             u *= self.rho
@@ -364,9 +333,9 @@ def quadratic_global_minimum(data: ShardSet, weights: np.ndarray) -> tuple[np.nd
     Solves the weighted normal equations; only meaningful for the quadratic
     loss, where the global risk is an exact quadratic form.
     """
-    c = data.row_weights(weights)
+    evaluate = GlobalEvaluator(LossModel(LossKind.QUADRATIC, data.X.shape[1]), data, weights)
+    c = evaluate.rho
     H = data.X.T @ (c[:, None] * data.X)
     b = data.X.T @ (c * data.y)
     w_star = np.linalg.solve(H, b)
-    model = LossModel(LossKind.QUADRATIC, data.X.shape[1])
-    return w_star, GlobalEvaluator(model, data, weights)(w_star, weights, False)[0]
+    return w_star, evaluate(w_star, weights, False)[0]

@@ -20,6 +20,8 @@ def test_every_exported_name_resolves_once():
     ("model_core", "global_risk_arrays"),
     ("model_core", "global_gradient_arrays"),
     ("model_core", "feature_major"),
+    ("model_core", "_layout"),
+    ("model_core", "_blocks"),
     ("network_sim", "MetricsRow"),
 ])
 def test_deleted_names_cannot_be_imported(module, name):
@@ -27,3 +29,9 @@ def test_deleted_names_cannot_be_imported(module, name):
     with pytest.raises(ImportError):
         exec(f"from afafed import {name}", {})
     assert not hasattr(importlib.import_module(f"afafed.{module}"), name)
+
+
+@pytest.mark.parametrize("name", ["shard_weights", "row_weights", "shard_sums"])
+def test_deleted_shard_set_helpers_stay_gone(name):
+    # the shard layout belongs to GlobalEvaluator; a ShardSet is (X, y, sizes) and views()
+    assert not hasattr(afafed.ShardSet, name)

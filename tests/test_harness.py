@@ -120,7 +120,8 @@ def test_set_by_path():
     ({"model": {"kind": "hinge"}}, "model.kind"),
     ({"model": {"dim": 0}}, "model.dim"),
     ({"buffer": {"minibatch": 32}}, "buffer"),          # exceeds capacity 16
-    ({"link": {"p_loss": 1.5}}, r"link.p_loss\[0\]"),
+    ({"link": {"p_loss": 1.5}}, r"link.p_loss: must be <= 1"),
+    ({"link": {"p_loss": [0.1, -0.2]}}, r"link.p_loss\[1\]: must be >= 0"),
     ({"link": {"p_loss": [0.1, 0.2, 0.3]}}, "link.p_loss"),
     # categories of 2 and 1 coworkers: the fault is named by the key the config sets
     ({"topology": {"categories": [{"count": 2, "speed": 1e7, "rate": 1e5, "p_loss": 0.0},

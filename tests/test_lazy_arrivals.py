@@ -10,11 +10,17 @@ on a 1/8 grid, and so do periodic and trace arrival times.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import afafed
 from afafed import harness
 from afafed.coworker import AdaptiveConfig
 from afafed.harness import resolve_config, run_experiment
@@ -167,3 +173,22 @@ def test_an_arrival_at_the_stopping_instant_counts_as_admitted(monkeypatch):
     assert rows(calendar) == rows(result)
     assert [rt.state.buffer.next_arrival_index for rt in exp_cal.engine.runtimes] == [83] * 4
     assert calendar.iterations_total == 192
+
+
+@pytest.mark.xfail(raises=subprocess.TimeoutExpired, strict=True,
+                   reason="_catch_up admits lazy arrivals one Python step at a time")
+def test_a_slow_link_run_ends_in_seconds(tmp_path):
+    # a 448-bit payload on a link of 1e-300 bit/s puts the first aggregation
+    # near virtual time 4.5e302, so each coworker, at 5 arrivals/s, has about
+    # 2e303 arrivals to admit first; the timeout kills the child
+    path = tmp_path / "cfg.yaml"
+    path.write_text("topology: {categories: [{count: 2, speed: 5.0e+8, rate: 1.0e-300}]}\n"
+                    "sim: {T: 2}\n")
+    src = str(Path(afafed.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "afafed.cli", "run", "--config", str(path),
+         "--out", str(tmp_path / "x")],
+        capture_output=True, text=True, timeout=2,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode in (0, 2), proc.stderr

@@ -218,17 +218,23 @@ def test_logistic_loss_is_finite_and_matches_logaddexp_in_the_tails():
     assert np.isnan(_losses(model, np.array([np.nan]), np.zeros(1))[0])
 
 
-def test_shard_set_with_an_empty_shard_or_a_wrong_total_refuses_to_evaluate():
-    # an empty shard is refused when the evaluator is built; a wrong total
-    # when a set sums per-row values over its shards
-    model = LossModel(LossKind.QUADRATIC, 2)
-    data = ShardSet(np.ones((3, 2)), np.ones(3), (2, 0, 1))
-    with pytest.raises(ValueError, match="every shard needs at least one row"):
-        GlobalEvaluator(model, data, uniform_weights(3))
-    for sizes in ((1, 1), (2, 2)):          # 2 and 4 rows, over 3
+@pytest.mark.parametrize("kind", [LossKind.QUADRATIC, LossKind.LOGISTIC])
+def test_an_evaluator_refuses_an_empty_shard_or_a_wrong_weight_count(kind):
+    # an empty shard and a wrong grad_weights count at construction, a wrong
+    # risk_weights count in a call: numpy would broadcast a single weight
+    model = LossModel(kind, 2)
+    for sizes in ((2, 0, 1), ()):
         data = ShardSet(np.ones((3, 2)), np.ones(3), sizes)
-        with pytest.raises(ValueError, match=f"shard sizes add up to {sum(sizes)} rows but got 3"):
-            data.shard_sums(np.ones(3))
+        with pytest.raises(ValueError, match="every shard needs at least one row"):
+            GlobalEvaluator(model, data, uniform_weights(3))
+    data = ShardSet(np.ones((3, 2)), np.ones(3), (2, 1))
+    for count in (1, 3):
+        with pytest.raises(ValueError, match=f"^2 shards but {count} weights$"):
+            GlobalEvaluator(model, data, uniform_weights(count))
+    evaluate = GlobalEvaluator(model, data, uniform_weights(2))
+    for count in (1, 3):
+        with pytest.raises(ValueError, match=f"^2 shards but {count} weights$"):
+            evaluate(np.zeros(2), uniform_weights(count), True)
 
 
 @pytest.mark.parametrize("kind", [LossKind.QUADRATIC, LossKind.LOGISTIC])
@@ -250,10 +256,10 @@ def test_stacked_shards_are_views_in_order():
         np.testing.assert_array_equal(Xv, X)
         np.testing.assert_array_equal(yv, y)
         assert np.shares_memory(Xv, data.X) and np.shares_memory(yv, data.y)
-    np.testing.assert_allclose(data.row_weights(np.array([0.2, 0.7, 0.1])),
-                               [0.05] * 4 + [0.1] * 7 + [0.05] * 2)
-    with pytest.raises(ValueError):
-        data.row_weights(np.array([0.5, 0.5]))
+    weights = np.array([0.2, 0.7, 0.1])
+    rho = GlobalEvaluator(LossModel(LossKind.QUADRATIC, 3), data, weights).rho
+    assert np.array_equal(rho, np.repeat(weights / np.array(data.sizes), data.sizes))
+    np.testing.assert_allclose(rho, [0.05] * 4 + [0.1] * 7 + [0.05] * 2)
 
 
 def test_the_evaluator_keeps_a_read_only_xt():
