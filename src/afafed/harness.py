@@ -35,7 +35,7 @@ from .network_sim import (
     LinkModel,
     RunResult,
     SimulationEngine,
-    random_stream,
+    random_streams,
 )
 from .profiler import ParameterEstimates, finalize
 from .server import MixingConfig
@@ -328,15 +328,16 @@ def generate_shards(cfg: Dict[str, Any]) -> List[Shard]:
     partition = cfg["data"]["partition"]
     _require(partition in ("iid", "label_skew"), "data.partition",
              f"unknown partition {partition!r}")
+    # one batch seeds the shared stream and every coworker's shard stream
+    truth, *streams = random_streams(seed, [(11, 0)] + [(10, cid) for cid in range(k_total)])
 
     if kind == "quadratic":
         _require(partition == "iid", "data.partition",
                  "label_skew requires the logistic model (regression has no classes)")
-        w_true = random_stream(seed, 11, 0).standard_normal(dim)
+        w_true = truth.standard_normal(dim)
         noise = cfg["model"]["noise_std"]
         shards = []
-        for cid in range(k_total):
-            rng = random_stream(seed, 10, cid)
+        for rng in streams:
             X = rng.standard_normal((n, dim))
             y = X @ w_true + noise * rng.standard_normal(n)
             shards.append((X, y))
@@ -344,14 +345,13 @@ def generate_shards(cfg: Dict[str, Any]) -> List[Shard]:
 
     # logistic: two Gaussian clusters split by a shared direction
     sep = cfg["model"]["class_sep"]
-    direction = random_stream(seed, 11, 0).standard_normal(dim)
+    direction = truth.standard_normal(dim)
     direction /= np.linalg.norm(direction)
     classes = cfg["data"]["classes_per_coworker"]
     _require(1 <= classes <= 2, "data.classes_per_coworker",
              f"binary model has 2 classes, got {classes}")
     shards = []
-    for cid in range(k_total):
-        rng = random_stream(seed, 10, cid)
+    for cid, rng in enumerate(streams):
         if partition == "iid" or classes == 2:
             labels = rng.integers(0, 2, size=n)
         else:

@@ -40,8 +40,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -62,14 +64,128 @@ from .profiler import ProfilingLog, record_aggregation
 from .stream_manager import StreamBuffer, admit, sample_minibatch
 
 
-def random_stream(seed: int, domain: int, cid: int) -> np.random.Generator:
-    """The stream of one domain and coworker; every draw of a run comes from one.
+# the hash constants of numpy.random.bit_generator, mirrored by random_streams
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, count: int) -> List[int]:
+    """The running hash constant before the first of count hash steps and after each."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two words; x and y are ints or uint32 arrays."""
+    x = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return x ^ x >> 16
+
+
+@functools.cache
+def _state_words_type() -> type:
+    """The ISeedSequence that hands PCG64 one key's precomputed state words.
+
+    It is built on first use, so that importing afafed does not import
+    numpy.random.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("StateWords holds only the 4 uint64 words PCG64 seeds from")
+            return self.words
+
+        def __reduce__(self):
+            return _state_words, (self.words,)
+
+    return StateWords
+
+
+def _state_words(words: np.ndarray) -> object:
+    """A StateWords of words; pickle rebuilds one through this module-level name."""
+    return _state_words_type()(words)
+
+
+def random_streams(seed: int, keys: Sequence[Tuple[int, int]]) -> List[np.random.Generator]:
+    """One PCG64 stream per (domain, cid) key; every draw of a run comes from one.
 
     Domains: 0 minibatch sampling, 1 uplink loss and rate jitter, 2 Poisson
     arrivals, 3 the profiling epilogue, 10 a coworker's synthetic shard, and
     11 the shared ground truth or class direction (cid 0).
+
+    Stream i is ``default_rng(SeedSequence(seed, spawn_key=keys[i]))`` bit
+    for bit, but the seeds of the whole batch are computed at once, by
+    mirroring numpy's SeedSequence hash on a pool of 4 uint32 words:
+
+    - the entropy words are ``[seed & 0xffffffff, seed >> 32, 0, 0]``, then
+      the key words ``[domain, cid]``;
+    - ``hashmix`` xors a word with the running hash constant (first INIT_A
+      0x43b0d7e5), multiplies the constant by MULT_A 0x931e8875 and the word
+      by the new constant, then xors the word with itself shifted right by
+      XSHIFT 16; ``mix(x, y)`` is ``0xca01f9dd * x - 0x4973f715 * y`` with
+      the same xor-shift;
+    - the pool is 4 initial hashmixes of the seed words, then 12 cross-mixes
+      (each pool word hashed into each other one), then each key word
+      hashed into each pool word;
+    - the output is 8 words that cycle through the pool, each hashed like
+      ``hashmix`` from INIT_B 0x8b51f9dd with MULT_B 0x58f38ded, and paired
+      little-endian into the 4 uint64 words that PCG64 seeds itself from.
+
+    Nothing before the key words depends on the key, so those 16 hashmixes
+    run once, in Python ints; the key words and the output are mixed as
+    (4, n) and (8, n) uint32 lanes.  Each stream's ``bit_generator.seed_seq``
+    holds only its state words, so ``Generator.spawn`` is not available.  A
+    seed outside [0, 2**64), a key that is not a pair or a key word outside
+    [0, 2**32) raises ValueError: numpy would pack those into other words.
     """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(domain, cid)))
+    seed = operator.index(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"random_streams: seed {seed} is outside [0, 2**64)")
+    try:
+        words = np.array(keys)
+    except ValueError:                  # keys of different lengths
+        words = None
+    if words is not None and words.size == 0:
+        return []
+    if words is None or words.ndim != 2 or words.shape[1] != 2:
+        raise ValueError("random_streams: every key must be a (domain, cid) pair")
+    if words.dtype.kind not in "iu" or words.min() < 0 or words.max() > _MASK32:
+        raise ValueError("random_streams: key words must be integers in [0, 2**32)")
+
+    a = _hash_constants(_INIT_A, _MULT_A, 24)       # 4 + 12 + 8 hashmixes
+
+    def hashmix(value, j):
+        value = (value ^ a[j]) * a[j + 1] & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(word, j) for j, word in enumerate((seed & _MASK32, seed >> 32, 0, 0))]
+    j = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src], j))
+                j += 1
+    lanes = np.array(pool, dtype=np.uint32)[:, None]
+    a = np.array(a, dtype=np.uint32)[:, None]
+    for key_word in words.T.astype(np.uint32):
+        h = (key_word ^ a[j:j + 4]) * a[j + 1:j + 5]
+        lanes = _mix(lanes, h ^ h >> 16)
+        j += 4
+    b = np.array(_hash_constants(_INIT_B, _MULT_B, 8), dtype=np.uint32)[:, None]
+    out = (lanes[[0, 1, 2, 3, 0, 1, 2, 3]] ^ b[:8]) * b[1:]
+    out ^= out >> 16
+    # numpy pairs the words as little-endian uint64s
+    state = np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64)
+    state_words, pcg64, generator = _state_words_type(), np.random.PCG64, np.random.Generator
+    return [generator(pcg64(state_words(row))) for row in state]
 
 
 class EventKind(enum.Enum):
@@ -395,6 +511,11 @@ class SimulationEngine:
                 f"shards have {self.data.X.shape[1]} features, model.dim is {model.dim}"
             )
 
+        # one batch seeds every stream; a law that does not draw gets none
+        keys = [(0, cid) for cid in range(k)]
+        keys += [(1, cid) for cid, setup in enumerate(setups) if setup.link.draws]
+        keys += [(2, cid) for cid, setup in enumerate(setups) if setup.arrivals.draws]
+        streams = dict(zip(keys, random_streams(seed, keys)))
         self.runtimes: List[_Runtime] = []
         for cid, (setup, shard) in enumerate(zip(setups, self.data.views())):
             setup = dataclasses.replace(setup, shard=shard)
@@ -403,9 +524,9 @@ class SimulationEngine:
             rt = _Runtime(
                 state=state,
                 setup=setup,
-                rng_sample=random_stream(seed, 0, cid),
-                rng_link=random_stream(seed, 1, cid) if setup.link.draws else None,
-                rng_arrival=random_stream(seed, 2, cid) if setup.arrivals.draws else None,
+                rng_sample=streams[0, cid],
+                rng_link=streams.get((1, cid)),
+                rng_arrival=streams.get((2, cid)),
                 timer_duration=timer_factor * setup.link.mean_rtt(),
             )
             self.runtimes.append(rt)
@@ -727,12 +848,13 @@ class SimulationEngine:
         w_end = self.server.w_global
         displacement = float(np.linalg.norm(w_end - log.w_start))
         log.coworker_stats = []
-        for cid, rt in enumerate(self.runtimes):
+        streams = random_streams(self.seed, [(3, cid) for cid in range(len(self.runtimes))])
+        for rt, rng in zip(self.runtimes, streams):
             X, y = rt.setup.shard
             f_first = risk_arrays(self.model, log.w_start, X, y)
             f_last = risk_arrays(self.model, w_end, X, y)
             zeta_hat = None
-            batch = sample_minibatch(rt.state.buffer, random_stream(self.seed, 3, cid))
+            batch = sample_minibatch(rt.state.buffer, rng)
             if batch is not None and displacement > 0.0:
                 g_last = minibatch_gradient(self.model, rt.state.w, *batch)
                 g_first = minibatch_gradient(self.model, log.w_start, *batch)

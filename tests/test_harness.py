@@ -136,6 +136,8 @@ def test_set_by_path():
     ({"adaptive": {"eta_min": 0.9}}, "adaptive"),       # above eta_max
     ({"mixing": {"beta_min": 0.0}}, "mixing"),
     ({"sim": {"T": -1}}, "sim.T"),
+    ({"sim": {"seed": -1}}, "sim.seed"),
+    ({"sim": {"seed": 2**63}}, "sim.seed"),
 ])
 def test_validation_errors_name_the_key(patch, key_path):
     cfg = resolve_config(small_doc(**patch))
@@ -324,6 +326,33 @@ def test_shards_are_deterministic_in_the_seed():
     cfg2 = resolve_config(small_doc(sim={"seed": 4}))
     c = generate_shards(cfg2)
     assert not np.array_equal(a[0][0], c[0][0])
+
+
+def reference_stream(seed, domain, cid):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(domain, cid)))
+
+
+@pytest.mark.parametrize("doc", [
+    small_doc(model={"noise_std": 0.3}),
+    small_doc(model={"kind": "logistic", "class_sep": 1.5},
+              data={"partition": "label_skew", "classes_per_coworker": 1}),
+])
+def test_shards_are_drawn_from_their_reference_streams(doc):
+    # the shared truth or direction from (11, 0), coworker cid's shard from (10, cid)
+    cfg = resolve_config(doc)
+    seed, n, dim = cfg["sim"]["seed"], cfg["data"]["shard_size"], cfg["model"]["dim"]
+    shared = reference_stream(seed, 11, 0).standard_normal(dim)
+    for cid, (X, y) in enumerate(generate_shards(cfg)):
+        rng = reference_stream(seed, 10, cid)
+        if cfg["model"]["kind"] == "quadratic":
+            X_ref = rng.standard_normal((n, dim))
+            y_ref = X_ref @ shared + 0.3 * rng.standard_normal(n)
+        else:
+            y_ref = np.full(n, float(cid % 2))
+            X_ref = rng.standard_normal((n, dim)) + np.outer(
+                (2.0 * y_ref - 1.0) * 0.75, shared / np.linalg.norm(shared))
+        np.testing.assert_array_equal(X, X_ref)
+        np.testing.assert_array_equal(y, y_ref)
 
 
 def test_shards_have_configured_shape():

@@ -384,12 +384,28 @@ def test_a_stop_in_the_middle_of_a_chunk_leaves_no_row_pending(monkeypatch, stop
     assert_eval_columns(eng, 1, seen)
 
 
+def reference_stream(seed, domain, cid):
+    """numpy's SeedSequence stream of one (domain, cid)."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(domain, cid)))
+
+
+def reference_state(seed, domain, cid):
+    return reference_stream(seed, domain, cid).bit_generator.state
+
+
 def test_random_streams_exist_only_for_laws_that_draw():
     periodic = ArrivalProcess(kind="periodic", interval=0.1)
-    quiet = build_engine(k=2, arrivals=periodic).runtimes
-    assert all(rt.rng_link is None and rt.rng_arrival is None for rt in quiet)
-    noisy = build_engine(k=2, p_loss=0.1).runtimes
-    assert all(rt.rng_link is not None and rt.rng_arrival is not None for rt in noisy)
+    quiet = build_engine(k=3, seed=6, arrivals=periodic).runtimes
+    noisy = build_engine(k=3, seed=6, p_loss=0.1).runtimes
+    for cid, (q, n) in enumerate(zip(quiet, noisy)):
+        assert q.rng_link is None and q.rng_arrival is None
+        assert q.rng_sample.bit_generator.state == reference_state(6, 0, cid)
+        assert n.rng_sample.bit_generator.state == reference_state(6, 0, cid)
+        assert n.rng_link.bit_generator.state == reference_state(6, 1, cid)
+        # construction already drew each coworker's first Poisson arrival
+        first_arrival = reference_stream(6, 2, cid)
+        first_arrival.exponential(1.0 / 20.0)
+        assert n.rng_arrival.bit_generator.state == first_arrival.bit_generator.state
     assert not LinkModel().draws and not periodic.draws
     assert LinkModel(rate_jitter=0.1).draws and LinkModel(p_loss=0.1).draws
     assert ArrivalProcess(kind="poisson", rate=1.0).draws
@@ -847,10 +863,20 @@ def test_epilogue_requires_profiling_enabled():
         eng.run_profiling_epilogue()
 
 
-def test_epilogue_fills_per_coworker_stats():
+def test_epilogue_fills_per_coworker_stats(monkeypatch):
     eng = build_engine(k=3, seed=53, enable_profiling=True)
     eng.run(aggregations=30)
+    drawn_from = []
+
+    def sample_minibatch(buf, rng):
+        drawn_from.append(rng.bit_generator.state)
+        return real_sample_minibatch(buf, rng)
+
+    real_sample_minibatch = network_sim.sample_minibatch
+    monkeypatch.setattr(network_sim, "sample_minibatch", sample_minibatch)
     log = eng.run_profiling_epilogue()
+    # each coworker's secant minibatch is the first draw of its (3, cid) stream
+    assert drawn_from == [reference_state(53, 3, cid) for cid in range(3)]
     assert len(log.coworker_stats) == 3
     for f_first, f_last, zeta in log.coworker_stats:
         assert np.isfinite(f_first) and np.isfinite(f_last)
