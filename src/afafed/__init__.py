@@ -7,9 +7,6 @@ from .bounds import (
     bound_clipped_beta,
     bound_constant_beta,
     bound_scaled,
-    effective_horizon,
-    ensemble_averages,
-    gradient_variance_bound,
 )
 from .coworker import (
     AdaptiveConfig,
@@ -77,10 +74,7 @@ __all__ = [
     "bound_clipped_beta",
     "bound_constant_beta",
     "bound_scaled",
-    "effective_horizon",
-    "ensemble_averages",
     "finalize",
-    "gradient_variance_bound",
     "jain_fairness_index",
     "make_coworker",
     "minibatch_gradient",

@@ -9,9 +9,6 @@ constants of the aggregated update direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -141,37 +138,3 @@ def bound_scaled(
         a=scaled.a,
     )
 
-
-def ensemble_averages(
-    access_probs: Sequence[float],
-    per_coworker_values: Sequence[float],
-) -> float:
-    """Access-probability-weighted average of a per-coworker quantity.
-
-    The access probabilities must form a distribution (sum 1 within 1e-9).
-    """
-    p = np.asarray(access_probs, dtype=np.float64)
-    v = np.asarray(per_coworker_values, dtype=np.float64)
-    if p.shape != v.shape:
-        raise ValueError("probability and value vectors differ in length")
-    if np.any(p < 0.0) or abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ValueError("access probabilities must be a distribution summing to 1")
-    return float(p @ v)
-
-
-def effective_horizon(mean_loss_prob: float, total_transmissions: float) -> float:
-    """Expected aggregations out of a transmission budget under i.i.d. loss."""
-    if not 0.0 <= mean_loss_prob <= 1.0:
-        raise ValueError("loss probability must lie in [0, 1]")
-    if total_transmissions < 0:
-        raise ValueError("transmission count must be non-negative")
-    return (1.0 - mean_loss_prob) * total_transmissions
-
-
-def gradient_variance_bound(sigma1_sq: float, minibatch_size: int, sigma2_sq: float) -> float:
-    """Per-coworker gradient variance bound sigma1^2/|MB| + sigma2^2."""
-    if minibatch_size < 1:
-        raise ValueError("minibatch size must be at least 1")
-    if sigma1_sq < 0.0 or sigma2_sq < 0.0:
-        raise ValueError("variance components must be non-negative")
-    return sigma1_sq / minibatch_size + sigma2_sq

@@ -181,9 +181,10 @@ _YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 def read_yaml(path: str) -> Dict[str, Any]:
     """The YAML mapping in the file at ``path``; an empty file reads ``{}``.
 
-    A file that is not a YAML mapping, is not UTF-8 text or is a directory
-    is a ConfigError naming the path, and a YAML syntax error also names
-    its line and column.  A missing file raises FileNotFoundError.
+    A file that is not a YAML mapping, is not UTF-8 text, holds a value
+    Python cannot construct or is a directory is a ConfigError naming the
+    path, and a YAML syntax error also names its line and column.  A missing
+    file raises FileNotFoundError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -196,6 +197,10 @@ def read_yaml(path: str) -> Dict[str, Any]:
         raise ConfigError(f"{where}: {' '.join(reason.split())}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except ValueError as exc:
+        # a scalar that YAML resolves but Python refuses: a date such as
+        # 2001-02-30, or an integer of more than 4300 digits
+        raise ConfigError(f"{path}: {exc}") from None
     except IsADirectoryError:
         raise ConfigError(f"{path}: is a directory, not a file") from None
     if doc is None:
@@ -266,14 +271,21 @@ def _scalar(key: Key, value: Any, dotted: str) -> Any:
     # that spell a number are numbers here
     _require(value is not None, dotted, "expected a number, got null")
     _require(not isinstance(value, bool), dotted, f"expected a number, got {value!r}")
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{dotted}: expected a number, got {value!r}") from None
-    _require(math.isfinite(out), dotted, f"expected a finite number, got {value!r}")
+    if key.type is int and isinstance(value, int):
+        out = value                 # a float holds integers exactly only up to 2**53
+    else:
+        try:
+            out = float(value)
+        except OverflowError:
+            raise ConfigError(f"{dotted}: expected a finite number, "
+                              "got an integer past the float range") from None
+        except (TypeError, ValueError):
+            raise ConfigError(f"{dotted}: expected a number, got {value!r}") from None
+        _require(math.isfinite(out), dotted, f"expected a finite number, got {value!r}")
+        if key.type is int:
+            _require(out.is_integer(), dotted, f"expected an integer, got {value!r}")
+            out = int(out)
     if key.type is int:
-        _require(out.is_integer(), dotted, f"expected an integer, got {value!r}")
-        out = int(out)
         # numpy sizes and indices are 64-bit: a larger size fails deep inside numpy
         _require(-2**63 <= out < 2**63, dotted, f"expected a 64-bit integer, got {value!r}")
     _require(key.ge is None or out >= key.ge, dotted, f"must be >= {key.ge}")
@@ -480,8 +492,11 @@ def build_experiment(cfg: Dict[str, Any], enable_profiling: bool = False) -> Exp
             trace_paths = [trace_paths] * k_total
         _require(len(trace_paths) == k_total, "arrivals.trace",
                  f"need {k_total} paths, got {len(trace_paths)}")
-        trace_data = [_build("arrivals.trace", read_arrival_trace, p) for p in trace_paths]
-        for path, (_, (X, y)) in zip(trace_paths, trace_data):
+        # each distinct file is parsed once; its coworkers share its arrays and
+        # its law, and the engine stacks a copy of the rows for each of them
+        parsed = {}
+        for path in dict.fromkeys(trace_paths):
+            times, (X, y) = _build("arrivals.trace", read_arrival_trace, path)
             _require(X.shape[1] == dim, "arrivals.trace",
                      f"{path} has {X.shape[1]} features per example, but model.dim is {dim}")
             if kind == "logistic":
@@ -490,9 +505,9 @@ def build_experiment(cfg: Dict[str, Any], enable_profiling: bool = False) -> Exp
                 if len(bad):
                     raise ConfigError(f"arrivals.trace: {path}: logistic labels must be 0 or 1, "
                                       f"but example {bad[0]} has label {y[bad[0]]}")
-        shards = [shard for _, shard in trace_data]
-        laws = [_build(f"arrivals.trace: {path}", ArrivalProcess, kind="trace", times=times)
-                for path, (times, _) in zip(trace_paths, trace_data)]
+            parsed[path] = ((X, y), _build(f"arrivals.trace: {path}", ArrivalProcess,
+                                           kind="trace", times=times))
+        shards, laws = zip(*(parsed[path] for path in trace_paths))
     else:
         shards = generate_shards(cfg)
         # a law's fault is about its one parameter, or else its kind

@@ -38,7 +38,6 @@ at exactly the instant of a ``T`` or budget stop counts as admitted.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import functools
 import heapq
@@ -347,8 +346,9 @@ class CoworkerSetup:
 class _Runtime:
     """Engine-side bookkeeping for one coworker (not protocol state).
 
-    Facts the protocol state already holds are read from it: iterations run
-    (``state.t_local``), arrivals admitted (``state.buffer.next_arrival_index``)
+    Facts the protocol state already holds are read from it: the shard rows
+    (``state.buffer.X`` and ``.y``, views of the engine's data), iterations
+    run (``state.t_local``), arrivals admitted (``state.buffer.next_arrival_index``)
     and the length of the current cluster (``state.iter_k``).  Once the
     buffer is ready, ``next_arrival`` is the time of the first arrival not
     yet admitted; it is inf while the buffer warms up (those arrivals are
@@ -356,7 +356,9 @@ class _Runtime:
     """
 
     state: cw.CoworkerState
-    setup: CoworkerSetup
+    link: LinkModel
+    arrivals: ArrivalProcess
+    iteration_duration: float       # virtual time of one local iteration
     rng_sample: np.random.Generator
     rng_link: Optional[np.random.Generator]         # None when the link does not draw
     rng_arrival: Optional[np.random.Generator]      # None when the arrival law does not draw
@@ -367,7 +369,7 @@ class _Runtime:
     iters_done: int = 0
     cluster_anchor: float = 0.0     # start time of the current cluster
     stalls: int = 0
-    coef_cursor: int = 0            # absolute index of the first unapplied log entry
+    coef_cursor: int = 0            # index in the log of the first unapplied entry
     next_arrival: float = math.inf  # first arrival that _catch_up has not admitted
 
 
@@ -503,8 +505,7 @@ class SimulationEngine:
             raise ValueError(f"w0 has shape {self.w0.shape}, expected ({model.dim},)")
         lambdas = uniform_weights(k)
         self.server = srv.ServerState(w_global=self.w0.copy(), lambdas=lambdas)
-        # every shard lives once, in the stacked set; each runtime's setup and
-        # buffer hold views of its rows
+        # every shard lives once, in the stacked set; each buffer views its rows
         self.data = stack_shards([s.shard for s in setups])
         if self.data.X.shape[1] != model.dim:
             raise ValueError(
@@ -518,12 +519,13 @@ class SimulationEngine:
         streams = dict(zip(keys, random_streams(seed, keys)))
         self.runtimes: List[_Runtime] = []
         for cid, (setup, shard) in enumerate(zip(setups, self.data.views())):
-            setup = dataclasses.replace(setup, shard=shard)
             buf = StreamBuffer(*shard, capacity=setup.capacity, minibatch_size=setup.minibatch)
             state = cw.make_coworker(cid, self.w0, buf, lambdas[cid], adaptive)
             rt = _Runtime(
                 state=state,
-                setup=setup,
+                link=setup.link,
+                arrivals=setup.arrivals,
+                iteration_duration=setup.compute.iteration_duration,
                 rng_sample=streams[0, cid],
                 rng_link=streams.get((1, cid)),
                 rng_arrival=streams.get((2, cid)),
@@ -536,7 +538,6 @@ class SimulationEngine:
         self.uplink_drops = 0
         self.events_processed = 0
         self._coef_log: List[_Coefficients] = []
-        self._coef_base = 0              # absolute index of _coef_log[0]
         self._coef_trim_at = _LOG_TRIM_MIN
         self.profiling_log = ProfilingLog(self.w0.copy()) if enable_profiling else None
 
@@ -551,7 +552,7 @@ class SimulationEngine:
     @staticmethod
     def _arrival_after(rt: _Runtime, now: float) -> float:
         """Time of the arrival after the one at now; inf once a trace is exhausted."""
-        proc = rt.setup.arrivals
+        proc = rt.arrivals
         if proc.kind == "poisson":
             return now + rt.rng_arrival.exponential(1.0 / proc.rate)
         if proc.kind == "periodic":
@@ -583,7 +584,7 @@ class SimulationEngine:
         rt.cluster_token += 1
         rt.iters_done = 0
         rt.cluster_anchor = now
-        end = now + rt.state.iter_k * rt.setup.compute.iteration_duration
+        end = now + rt.state.iter_k * rt.iteration_duration
         self.queue.push(end, EventKind.CLUSTER_COMPLETE, cid, token=rt.cluster_token)
 
     def _catch_up(self, cid: int, now: float, seq: int) -> None:
@@ -597,13 +598,12 @@ class SimulationEngine:
         """
         rt = self.runtimes[cid]
         buf = rt.state.buffer
-        log, base = self._coef_log, self._coef_base
-        logged = base + len(log)
+        log = self._coef_log
         if rt.phase == "computing":
             state, rng, adaptive, model = rt.state, rt.rng_sample, self.adaptive, self.model
             observers = self._on_iteration
-            dur = rt.setup.compute.iteration_duration
-            delay = rt.setup.link.downlink_delay
+            dur = rt.iteration_duration
+            delay = rt.link.downlink_delay
             while rt.iters_done < state.iter_k:
                 boundary = rt.cluster_anchor + (rt.iters_done + 1) * dur
                 if boundary > now:
@@ -613,7 +613,7 @@ class SimulationEngine:
                     rt.next_arrival = self._arrival_after(rt, rt.next_arrival)
                 # _delivered(cid, boundary, -1) passes the next entry exactly
                 # when it arrived strictly before the boundary
-                if rt.coef_cursor < logged and log[rt.coef_cursor - base].sent + delay < boundary:
+                if rt.coef_cursor < len(log) and log[rt.coef_cursor].sent + delay < boundary:
                     self._adopt_coefficients(cid, boundary, -1)
                 ok = cw.run_single_iteration(state, adaptive, model, rng, now=boundary)
                 if not ok:
@@ -626,7 +626,7 @@ class SimulationEngine:
         while rt.next_arrival <= now:
             admit(buf)
             rt.next_arrival = self._arrival_after(rt, rt.next_arrival)
-        if rt.coef_cursor < logged:
+        if rt.coef_cursor < len(log):
             self._adopt_coefficients(cid, now, seq)
 
     def _delivered(self, cid: int, time: float, seq: int) -> int:
@@ -637,9 +637,9 @@ class SimulationEngine:
         arrivals strictly before time.
         """
         rt = self.runtimes[cid]
-        delay = rt.setup.link.downlink_delay
+        delay = rt.link.downlink_delay
         log = self._coef_log
-        j = rt.coef_cursor - self._coef_base
+        j = rt.coef_cursor
         while j < len(log):
             entry = log[j]
             arrival = entry.sent + delay
@@ -652,9 +652,9 @@ class SimulationEngine:
         """Apply the newest coefficient delivered to cid by (time, seq)."""
         rt = self.runtimes[cid]
         j = self._delivered(cid, time, seq)
-        if j > rt.coef_cursor - self._coef_base:
+        if j > rt.coef_cursor:
             cw.handle_fairness_broadcast(rt.state, float(self._coef_log[j - 1].lambdas[cid]))
-            rt.coef_cursor = self._coef_base + j
+            rt.coef_cursor = j
 
     def _flush_coefficients(self, time: float, seq: int) -> None:
         """Deliver every entry up to (time, seq), then drop the applied prefix.
@@ -665,12 +665,13 @@ class SimulationEngine:
         """
         for cid, rt in enumerate(self.runtimes):
             j = self._delivered(cid, time, seq)
-            if j > rt.coef_cursor - self._coef_base:
+            if j > rt.coef_cursor:
                 entry = self._coef_log[j - 1]
-                self._catch_up(cid, entry.sent + rt.setup.link.downlink_delay, entry.seq)
-        passed = min(rt.coef_cursor for rt in self.runtimes) - self._coef_base
+                self._catch_up(cid, entry.sent + rt.link.downlink_delay, entry.seq)
+        passed = min(rt.coef_cursor for rt in self.runtimes)
         del self._coef_log[:passed]
-        self._coef_base += passed
+        for rt in self.runtimes:
+            rt.coef_cursor -= passed
         self._coef_trim_at = max(_LOG_TRIM_MIN, 2 * len(self._coef_log))
 
     # ---------------- event handlers ---------------- #
@@ -695,7 +696,7 @@ class SimulationEngine:
             raise RuntimeError("cluster completion fired before all iterations elapsed")
         payload = cw.finalize_cluster(rt.state, self.adaptive)
         self.uplink_attempts += 1
-        delay = rt.setup.link.uplink_attempt(rt.rng_link)
+        delay = rt.link.uplink_attempt(rt.rng_link)
         if delay is None:
             self.uplink_drops += 1
         else:
@@ -722,7 +723,7 @@ class SimulationEngine:
             if len(self._coef_log) >= self._coef_trim_at:
                 self._flush_coefficients(ev.time, ev.seq)
         rt = self.runtimes[payload.sender]
-        self.queue.push(ev.time + rt.setup.link.downlink_delay, EventKind.DOWNLINK_DELIVERY,
+        self.queue.push(ev.time + rt.link.downlink_delay, EventKind.DOWNLINK_DELIVERY,
                         payload.sender, payload=(server.w_global.copy(), server.t))
 
     def _on_downlink_delivery(self, ev: SimEvent) -> None:
@@ -850,7 +851,7 @@ class SimulationEngine:
         log.coworker_stats = []
         streams = random_streams(self.seed, [(3, cid) for cid in range(len(self.runtimes))])
         for rt, rng in zip(self.runtimes, streams):
-            X, y = rt.setup.shard
+            X, y = rt.state.buffer.X, rt.state.buffer.y
             f_first = risk_arrays(self.model, log.w_start, X, y)
             f_last = risk_arrays(self.model, w_end, X, y)
             zeta_hat = None

@@ -16,7 +16,6 @@ from afafed.bounds import (
     bound_clipped_beta,
     bound_constant_beta,
     bound_scaled,
-    effective_horizon,
 )
 from afafed.coworker import AdaptiveConfig, UplinkPayload
 from afafed.harness import metrics_csv_text, resolve_config, run_experiment
@@ -193,7 +192,7 @@ def test_criterion_04_packet_loss_scaling_law():
         if p == 0.0:
             baseline = res.aggregations
         else:
-            expected = effective_horizon(p, baseline)
+            expected = (1.0 - p) * baseline
             ok = ok and abs(res.aggregations - expected) <= 0.05 * expected
     assert _verdict(4, "acceptance scales with (1-p)", ok)
 

@@ -9,9 +9,6 @@ from afafed.bounds import (
     bound_clipped_beta,
     bound_constant_beta,
     bound_scaled,
-    effective_horizon,
-    ensemble_averages,
-    gradient_variance_bound,
 )
 
 
@@ -156,39 +153,3 @@ def test_input_validation():
     with pytest.raises(ValueError):
         inputs(horizon=0)
 
-
-def test_ensemble_averages():
-    assert ensemble_averages([1.0], [7.3]) == pytest.approx(7.3)
-    assert ensemble_averages([0.5, 0.5], [1.0, 3.0]) == pytest.approx(2.0)
-    # a constant iteration count hits Jensen equality: E[I^2] = (E[I])^2
-    p = [0.25, 0.25, 0.5]
-    m = 4.0
-    i_bar = ensemble_averages(p, [m, m, m])
-    i2_bar = ensemble_averages(p, [m * m, m * m, m * m])
-    assert i2_bar == pytest.approx(i_bar**2, rel=1e-14)
-    with pytest.raises(ValueError):
-        ensemble_averages([0.7, 0.7], [1.0, 1.0])
-    with pytest.raises(ValueError):
-        ensemble_averages([1.5, -0.5], [1.0, 1.0])
-    with pytest.raises(ValueError):
-        ensemble_averages([0.5, 0.5], [1.0])
-
-
-def test_effective_horizon():
-    assert effective_horizon(0.0, 10_000) == 10_000
-    assert effective_horizon(1.0, 10_000) == 0.0
-    assert effective_horizon(0.5, 10_000) == pytest.approx(5000.0)
-    with pytest.raises(ValueError):
-        effective_horizon(1.1, 10)
-    with pytest.raises(ValueError):
-        effective_horizon(0.5, -1)
-
-
-def test_gradient_variance_bound():
-    assert gradient_variance_bound(4.0, 16, 0.5) == pytest.approx(0.75)
-    assert gradient_variance_bound(4.0, 1, 0.0) == pytest.approx(4.0)
-    assert gradient_variance_bound(4.0, 10**9, 0.5) == pytest.approx(0.5, rel=1e-6)
-    with pytest.raises(ValueError):
-        gradient_variance_bound(4.0, 0, 0.5)
-    with pytest.raises(ValueError):
-        gradient_variance_bound(-1.0, 4, 0.5)

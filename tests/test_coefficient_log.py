@@ -35,16 +35,24 @@ class AdoptionLog:
 
     def on_iteration(self, cid, state):
         rt = self.engine.runtimes[cid]
-        boundary = rt.cluster_anchor + rt.iters_done * rt.setup.compute.iteration_duration
+        boundary = rt.cluster_anchor + rt.iters_done * rt.iteration_duration
         self.iterations.append((cid, boundary, state.lambda_last))
 
     def reference(self, cid, boundary):
-        delay = self.engine.runtimes[cid].setup.link.downlink_delay
+        delay = self.engine.runtimes[cid].link.downlink_delay
         used = 1.0 / len(self.engine.runtimes)
         for sent, lambdas in self.changes:
             if sent + delay < boundary:
                 used = float(lambdas[cid])
         return used
+
+
+def assert_cursors_index_the_log(engine):
+    """A stopped run has dropped the prefix every cursor passed, and cursors
+    index the log that is left."""
+    cursors = [rt.coef_cursor for rt in engine.runtimes]
+    assert min(cursors) == 0
+    assert max(cursors) <= len(engine._coef_log)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -58,8 +66,10 @@ def test_each_iteration_uses_the_newest_coefficient_that_arrived_before_it(confi
         log = AdoptionLog(engine)
         engine.observers.append(log)
         got = engine.run(**stop)
+        assert_cursors_index_the_log(engine)
         # a second run() resumes from where the first stopped
         engine.run(aggregations=got.aggregations + more, horizon=got.final_time + 8.0)
+        assert_cursors_index_the_log(engine)
     assert len(log.iterations) == sum(rt.state.t_local for rt in engine.runtimes)
     for cid, boundary, used in log.iterations:
         assert used == log.reference(cid, boundary), (cid, boundary)

@@ -23,6 +23,9 @@ def test_every_exported_name_resolves_once():
     ("model_core", "_layout"),
     ("model_core", "_blocks"),
     ("network_sim", "MetricsRow"),
+    ("bounds", "ensemble_averages"),
+    ("bounds", "effective_horizon"),
+    ("bounds", "gradient_variance_bound"),
 ])
 def test_deleted_names_cannot_be_imported(module, name):
     assert name not in afafed.__all__

@@ -543,7 +543,7 @@ def test_cli_refuses_trace_values_the_simulator_cannot_use(tmp_path, capsys, edi
 
 def test_quadratic_trace_labels_are_not_restricted(tmp_path):
     cfg = _trace_config(tmp_path, "quadratic", _relabel)
-    _, y = build_experiment(load_config(str(cfg))).engine.runtimes[0].setup.shard
+    y = build_experiment(load_config(str(cfg))).engine.runtimes[0].state.buffer.y
     np.testing.assert_array_equal(y, 2.0)
 
 
@@ -569,10 +569,38 @@ def test_trace_arrivals_feed_the_buffer_from_the_file(tmp_path):
         model={"dim": 2},
     )
     exp = build_experiment(resolve_config(doc))
-    X, y = exp.engine.runtimes[0].setup.shard
+    buf = exp.engine.runtimes[0].state.buffer
+    X, y = buf.X, buf.y
     np.testing.assert_array_equal(y, np.arange(12.0))
     np.testing.assert_array_equal(X[:, 0], np.arange(12.0))
-    assert exp.engine.runtimes[0].setup.arrivals.kind == "trace"
+    assert exp.engine.runtimes[0].arrivals.kind == "trace"
+
+
+@pytest.mark.parametrize("trace", ["a.csv", ["a.csv", "b.csv"] * 3], ids=["one", "two"])
+def test_each_distinct_trace_file_is_parsed_once(tmp_path, monkeypatch, trace):
+    monkeypatch.chdir(tmp_path)
+    offsets = {"a.csv": 0.0, "b.csv": 100.0}
+    for name, offset in offsets.items():
+        Path(name).write_text("".join(
+            f"{0.1 * (i + 1)}, {offset + i}, 0.0, {offset + i}\n" for i in range(12)))
+    parsed = []
+
+    def counting(path):
+        parsed.append(path)
+        return read_arrival_trace(path)
+
+    monkeypatch.setattr(harness, "read_arrival_trace", counting)
+    doc = small_doc(arrivals={"kind": "trace", "trace": trace}, model={"dim": 2},
+                    topology={"categories": [{"count": 6, "speed": 1e7, "rate": 1e5}]},
+                    buffer={"capacity": 4, "minibatch": 2})
+    engine = build_experiment(resolve_config(doc)).engine
+    names = trace if isinstance(trace, list) else [trace] * 6
+    assert sorted(parsed) == sorted(set(names))
+    # coworkers of one file share its law, and each reads its own copy of its rows
+    for rt, name in zip(engine.runtimes, names):
+        assert rt.arrivals is engine.runtimes[names.index(name)].arrivals
+        np.testing.assert_array_equal(rt.state.buffer.y, np.arange(12.0) + offsets[name])
+    assert len(engine.data.y) == 6 * 12
 
 
 def test_trace_kind_requires_a_path():
@@ -601,9 +629,9 @@ def test_a_trace_path_that_cannot_be_opened_is_a_fault_of_arrivals_trace(
 
 def test_payload_bits_default_tracks_dimension():
     exp = build_experiment(resolve_config(small_doc()))
-    assert exp.engine.runtimes[0].setup.link.payload_bits == 64.0 * (3 + 2)
+    assert exp.engine.runtimes[0].link.payload_bits == 64.0 * (3 + 2)
     exp2 = build_experiment(resolve_config(small_doc(link={"payload_bits": 128})))
-    assert exp2.engine.runtimes[0].setup.link.payload_bits == 128.0
+    assert exp2.engine.runtimes[0].link.payload_bits == 128.0
 
 
 def test_run_experiment_reaches_the_configured_count():
@@ -891,6 +919,46 @@ def test_cli_run_with_an_overflowing_tolerance_runs_to_t(tmp_path):
     assert (summary["aggregations"], summary["stop_reason"]) == (200, "T_reached")
 
 
+@pytest.mark.parametrize("seed", [2**53 + 1, 2**63 - 1])
+def test_cli_run_keeps_an_integer_seed_exact(tmp_path, seed):
+    # a float holds 2**53 + 1 as 2**53 and 2**63 - 1 as 2**63, which once
+    # ran the wrong seed and refused the largest 64-bit one
+    out = tmp_path / "run"
+    doc = small_doc(sim={"seed": seed})
+    assert cli.main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+    summary = yaml.safe_load((out / "summary.yaml").read_text())
+    assert summary["seed"] == summary["config"]["sim"]["seed"] == seed
+    assert build_experiment(resolve_config(doc)).engine.seed == seed
+
+
+def test_cli_sweep_keeps_an_integer_seed_exact(tmp_path):
+    doc = small_doc(sim={"T": 2})
+    doc["sweep"] = {"seeds": [2**53 + 1]}
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+    (row,) = yaml.safe_load((out / "sweep.yaml").read_text())
+    assert row["seed"] == 2**53 + 1
+    summary = yaml.safe_load((out / row["cell"] / "summary.yaml").read_text())
+    assert summary["seed"] == 2**53 + 1
+
+
+@pytest.mark.parametrize("command, patch, message", [
+    ("run", {"sim": {"horizon": 10**400}},
+     "sim.horizon: expected a finite number, got an integer past the float range"),
+    ("run", {"topology": {"categories": [{"count": 10**400, "speed": 1e7, "rate": 1e5}]}},
+     "topology.categories[0].count: expected a 64-bit integer"),
+    ("sweep", {"sweep": {"seeds": [10**400]}}, "sweep.seeds[0]: sim.seed: expected a 64-bit"),
+])
+def test_cli_names_the_key_of_an_integer_past_the_range(tmp_path, capsys, command, patch,
+                                                        message):
+    # an integer past the float range once ended in a raw OverflowError
+    out = tmp_path / "out"
+    doc = small_doc(**patch)
+    assert cli.main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {message}")
+    assert not out.exists()
+
+
 def test_total_loss_with_a_horizon_still_runs():
     cfg = resolve_config(small_doc(link={"p_loss": 1.0}, sim={"T": 5, "horizon": 0.5}))
     _, result, _ = run_experiment(cfg)
@@ -951,6 +1019,8 @@ def _unreadable_config(tmp_path, fault):
         path.write_text("model: {dim: [\n")
     elif fault == "not_utf8":
         path.write_bytes(b"model: {dim: 3}\n# caf\xe9\n")
+    elif fault == "bad_date":
+        path.write_text("sim: {T: 2001-02-30}\n")
     else:
         path.mkdir()
     return str(path)
@@ -961,6 +1031,7 @@ def _unreadable_config(tmp_path, fault):
     ("malformed", "cfg.yaml: line 2, column 1: did not find expected node content"),
     ("not_utf8", "cfg.yaml: not UTF-8 text (invalid continuation byte at byte 21)"),
     ("directory", "cfg.yaml: is a directory, not a file"),
+    ("bad_date", "cfg.yaml: day is out of range for month"),
 ])
 def test_cli_unreadable_config_exits_2_naming_the_file(tmp_path, capsys, command, fault, message):
     # each of these once ended in a raw traceback with exit status 1
@@ -968,6 +1039,16 @@ def test_cli_unreadable_config_exits_2_naming_the_file(tmp_path, capsys, command
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err == f"configuration error: {tmp_path}/{message}\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_config_with_an_integer_python_cannot_read_exits_2(tmp_path, capsys):
+    # Python refuses to convert a string of more than 4300 digits to an int
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("sim: {horizon: " + "1" * 5000 + "}\n")
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {cfg}: ") and "4300 digits" in err
     assert not (tmp_path / "x").exists()
 
 

@@ -246,7 +246,7 @@ def test_first_delivery_time_is_exact():
 def test_first_gradient_row_is_at_the_initial_model():
     eng = build_engine(k=2, seed=9, eval_every=1)
     res = eng.run(aggregations=1)
-    data = stack_shards([rt.setup.shard for rt in eng.runtimes])
+    data = stack_shards([(rt.state.buffer.X, rt.state.buffer.y) for rt in eng.runtimes])
     g = reference_global_gradient(eng.model, np.zeros(2), data, uniform_weights(2))
     assert res.rows[0].grad_sqnorm == pytest.approx(float(g @ g), rel=1e-12)
 
@@ -256,7 +256,8 @@ def test_risk_rows_recompute_offline_for_single_coworker():
     eng = build_engine(k=1, seed=13, eval_every=1, observers=[SimpleNamespace(
         on_aggregation=lambda engine, record: wbars.append(engine.server.w_global.copy()))])
     res = eng.run(aggregations=15)
-    X, y = eng.runtimes[0].setup.shard
+    buf = eng.runtimes[0].state.buffer
+    X, y = buf.X, buf.y
     assert len(wbars) == len(res.rows) == 15
     for row, wbar in zip(res.rows, wbars):
         direct = risk_arrays(eng.model, wbar, X, y)
@@ -291,7 +292,7 @@ def test_eval_columns_straddle_the_aggregation(kind, every, resumed):
     res = eng.run(aggregations=40)
     assert len(res.rows) == len(seen) == 40
     assert any(not np.allclose(lam, lam[0]) for _, lam in seen)   # lambda moved
-    shards = [rt.setup.shard for rt in eng.runtimes]
+    shards = [(rt.state.buffer.X, rt.state.buffer.y) for rt in eng.runtimes]
     w_before = np.zeros(2)
     for row, (w_after, lam) in zip(res.rows, seen):
         if row.t % every:
@@ -329,7 +330,7 @@ def assert_eval_columns(eng, every, seen):
     and bit for bit against the evaluator called right after its aggregation."""
     rows, kind = eng.rows, eng.model.kind
     assert len(rows) == len(seen)
-    shards = [rt.setup.shard for rt in eng.runtimes]
+    shards = [(rt.state.buffer.X, rt.state.buffer.y) for rt in eng.runtimes]
     w_before = np.zeros(2)
     g0 = evaluation_of(eng).evaluator(w_before, None, True)[1]
     grad_sq_before = float(g0 @ g0)
@@ -427,6 +428,23 @@ def test_only_an_evaluating_engine_builds_the_evaluator_arrays():
         np.testing.assert_array_equal(evaluator.rho, np.repeat(0.5 / np.array(data.sizes),
                                                                data.sizes))
         assert not hasattr(evaluator, "signs")
+
+
+def test_each_coworker_reads_its_rows_from_the_stacked_data():
+    # a coworker's rows live once, as its buffer's views of engine.data; the
+    # runtime keeps the link, arrival law and iteration time, not the setup
+    exp = build_experiment(resolve_config({}))
+    engine, data = exp.engine, exp.engine.data
+    for rt, (X, y) in zip(engine.runtimes, data.views()):
+        buf = rt.state.buffer
+        assert not hasattr(rt, "setup")
+        assert np.shares_memory(buf.X, data.X) and np.shares_memory(buf.y, data.y)
+        assert buf.X.shape == X.shape and buf.X.ctypes.data == X.ctypes.data
+        assert buf.y.shape == y.shape and buf.y.ctypes.data == y.ctypes.data
+    cycles = exp.cfg["compute"]["cycles_per_iter"]
+    speeds = [cat["speed"] for cat in exp.cfg["topology"]["categories"]
+              for _ in range(cat["count"])]
+    assert [rt.iteration_duration for rt in engine.runtimes] == [cycles / s for s in speeds]
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 1)])

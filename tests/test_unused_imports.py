@@ -1,0 +1,65 @@
+"""Every name a library module imports is used by that module.
+
+The package's ``__init__`` imports names to export them, so it is left out.
+A name counts as used when the module reads it anywhere, including in an
+annotation (a quoted one is parsed too).  Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "afafed"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree: ast.Module) -> dict:
+    """Each name an import statement binds, with the line it is bound on."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                # `import a.b` binds `a`
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def read_names(tree: ast.Module) -> set:
+    """Every name the module reads, quoted annotations included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        annotations = []
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for note in annotations:
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                names |= read_names(ast.parse(note.value, mode="eval"))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = read_names(tree)
+    unused = [f"{path.name}:{line}: {name}"
+              for name, line in imported_names(tree).items() if name not in used]
+    assert unused == []
+
+
+def test_the_scan_sees_an_unused_import():
+    tree = ast.parse("import os\nimport numpy as np\nfrom typing import List, Sequence\n"
+                     "def f(x: 'List[int]') -> None:\n    return np.sum(x)\n")
+    bound = imported_names(tree)
+    assert sorted(name for name in bound if name not in read_names(tree)) == ["Sequence", "os"]
