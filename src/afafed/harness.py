@@ -271,6 +271,11 @@ def _scalar(key: Key, value: Any, dotted: str) -> Any:
     # that spell a number are numbers here
     _require(value is not None, dotted, "expected a number, got null")
     _require(not isinstance(value, bool), dotted, f"expected a number, got {value!r}")
+    if key.type is int and isinstance(value, str):
+        try:
+            value = int(value)      # exact; '1.0e7' is left to the float path
+        except ValueError:
+            pass
     if key.type is int and isinstance(value, int):
         out = value                 # a float holds integers exactly only up to 2**53
     else:
@@ -288,6 +293,10 @@ def _scalar(key: Key, value: Any, dotted: str) -> Any:
     if key.type is int:
         # numpy sizes and indices are 64-bit: a larger size fails deep inside numpy
         _require(-2**63 <= out < 2**63, dotted, f"expected a 64-bit integer, got {value!r}")
+        # from 2**53 on, neighbouring integers round to the same float
+        _require(isinstance(value, int) or abs(out) < 2**53, dotted,
+                 f"a float past 2**53 such as {value!r} cannot tell which integer was "
+                 "written; write the integer without a fraction or exponent")
     _require(key.ge is None or out >= key.ge, dotted, f"must be >= {key.ge}")
     _require(key.gt is None or out > key.gt, dotted, f"must be > {key.gt}")
     _require(key.le is None or out <= key.le, dotted, f"must be <= {key.le}")
@@ -457,6 +466,33 @@ def _per_coworker_loss(override: Any, cats: List[Dict[str, Any]]) -> List[float]
     return override
 
 
+# the most arrivals a law may bring, by the config's estimate, in one cluster
+# and its timer wait: the engine admits them one at a time on a float clock
+MAX_ARRIVALS_PER_CLUSTER = 1e9
+
+
+def _check_arrival_density(cfg: Dict[str, Any], law: ArrivalProcess, param: str,
+                           payload_bits: float) -> None:
+    """Refuse a Poisson or periodic law too dense for each category's cluster span.
+
+    The estimate is rate × (iter_max × cycles_per_iter / speed + timer_factor
+    × (payload_bits / link rate + downlink_delay)), with rate = 1/interval
+    for a periodic law.  Past about 2**53 arrivals a float clock stops
+    advancing, so such a run would never end.
+    """
+    rate = law.rate if law.kind == "poisson" else 1.0 / law.interval
+    link = cfg["link"]
+    cycles = cfg["adaptive"]["iter_max"] * cfg["compute"]["cycles_per_iter"]
+    estimates = [rate * (cycles / cat["speed"] + link["timer_factor"] * (
+                 payload_bits / cat["rate"] + link["downlink_delay"]))
+                 for cat in cfg["topology"]["categories"]]
+    i = int(np.argmax(estimates))
+    _require(estimates[i] <= MAX_ARRIVALS_PER_CLUSTER, f"arrivals.{param}",
+             f"about {estimates[i]:.2g} arrivals per cluster and timer wait in "
+             f"topology.categories[{i}], more than the {MAX_ARRIVALS_PER_CLUSTER:.0e} "
+             "a run admits one by one")
+
+
 def build_experiment(cfg: Dict[str, Any], enable_profiling: bool = False) -> Experiment:
     """Validate the resolved config and construct the simulation engine.
 
@@ -515,6 +551,7 @@ def build_experiment(cfg: Dict[str, Any], enable_profiling: bool = False) -> Exp
         laws = [_build(f"arrivals.{param}", ArrivalProcess, kind=arrivals_cfg["kind"],
                        rate=arrivals_cfg["rate"] or 0.0,
                        interval=arrivals_cfg["interval"] or 0.0)] * k_total
+        _check_arrival_density(cfg, laws[0], param, payload_bits)
 
     adaptive = _build("adaptive", AdaptiveConfig, **cfg["adaptive"])
     mix = cfg["mixing"]
@@ -586,22 +623,18 @@ def run_experiment(
 # ---------------- outputs ---------------- #
 
 
-def _fmt(value: Optional[float]) -> str:
-    # repr(float(x)) is the shortest exact round-trip form
-    return "" if value is None else repr(float(value))
-
-
 def metrics_csv_text(rows: Sequence) -> str:
-    """Render the per-aggregation rows with the fixed header."""
+    """Render the CSV_HEADER fields of the per-aggregation rows, header first.
+
+    A float is written as repr(float(x)), its shortest exact round-trip form.
+    """
+    def cell(value: Any) -> Any:
+        return "" if value is None else repr(float(value)) if isinstance(value, float) else value
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for r in rows:
-        writer.writerow([
-            r.t, _fmt(r.time), r.sender, r.age, _fmt(r.beta),
-            _fmt(r.lambda_checksum), _fmt(r.fairness_index),
-            _fmt(r.global_risk), _fmt(r.grad_sqnorm),
-        ])
+    writer.writerows([cell(getattr(r, name)) for name in CSV_HEADER] for r in rows)
     return buf.getvalue()
 
 

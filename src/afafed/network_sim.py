@@ -6,9 +6,9 @@ with a per-coworker Bernoulli probability and otherwise arrive after a
 rate-derived delay; model downlinks are lossless.  Local iterations are
 timed individually: a cluster occupies a span of virtual time and every
 event addressed to a coworker first advances its cluster to the iteration
-boundary at or before the event.  Clusters and timeouts are identified by
-per-coworker tokens: a completion or expiry whose token is no longer current
-is stale and ignored.
+boundary at or before the event.  A cluster's completion, and the timer its
+uplink arms, carry the coworker's cluster token: once a later cluster starts
+they are stale and ignored.  A coworker stalls only while its buffer warms up.
 
 Fairness coefficients are not calendar events.  Each coefficient change is
 appended once to a log of (send time, coefficients, queue position) entries,
@@ -363,12 +363,10 @@ class _Runtime:
     rng_link: Optional[np.random.Generator]         # None when the link does not draw
     rng_arrival: Optional[np.random.Generator]      # None when the arrival law does not draw
     timer_duration: float
-    phase: str = "stalled"          # stalled | computing | waiting
-    cluster_token: int = 0
-    timer_token: int = 0
+    phase: str = "stalled"          # stalled (warm-up only) | computing | waiting
+    cluster_token: int = 0          # clusters started; names the current one
     iters_done: int = 0
     cluster_anchor: float = 0.0     # start time of the current cluster
-    stalls: int = 0
     coef_cursor: int = 0            # index in the log of the first unapplied entry
     next_arrival: float = math.inf  # first arrival that _catch_up has not admitted
 
@@ -450,7 +448,7 @@ class RunResult:
     aggregations: int
     uplink_attempts: int
     uplink_drops: int
-    stall_events: int
+    stall_events: int               # one warm-up stall per coworker
     iterations_total: int
     accepted_by: np.ndarray
     iters_per_acceptance: List[int]
@@ -541,11 +539,9 @@ class SimulationEngine:
         self._coef_trim_at = _LOG_TRIM_MIN
         self.profiling_log = ProfilingLog(self.w0.copy()) if enable_profiling else None
 
-        # seed the calendar: first arrivals, then the first cluster attempts
-        for cid, rt in enumerate(self.runtimes):
-            self._schedule_next_arrival(cid, 0.0)
+        # seed the calendar; every coworker stalls until its buffer warms up
         for cid in range(k):
-            self._start_cluster(cid, 0.0)
+            self._schedule_next_arrival(cid, 0.0)
 
     # ---------------- scheduling helpers ---------------- #
 
@@ -576,10 +572,6 @@ class SimulationEngine:
 
     def _start_cluster(self, cid: int, now: float) -> None:
         rt = self.runtimes[cid]
-        if not rt.state.buffer.ready:
-            rt.stalls += 1
-            rt.phase = "stalled"
-            return
         rt.phase = "computing"
         rt.cluster_token += 1
         rt.iters_done = 0
@@ -689,7 +681,7 @@ class SimulationEngine:
     def _on_cluster_complete(self, ev: SimEvent) -> None:
         cid = ev.coworker
         rt = self.runtimes[cid]
-        if rt.phase != "computing" or ev.token != rt.cluster_token:
+        if ev.token != rt.cluster_token:
             return  # the cluster was aborted by a downlink
         self._catch_up(cid, ev.time, ev.seq)
         if rt.iters_done != rt.state.iter_k:
@@ -701,9 +693,8 @@ class SimulationEngine:
             self.uplink_drops += 1
         else:
             self.queue.push(ev.time + delay, EventKind.UPLINK_DELIVERY, cid, payload=payload)
-        rt.timer_token += 1
         self.queue.push(ev.time + rt.timer_duration, EventKind.TIMER_EXPIRY, cid,
-                        token=rt.timer_token)
+                        token=rt.cluster_token)
         rt.phase = "waiting"
 
     def _on_uplink_delivery(self, ev: SimEvent) -> None:
@@ -732,17 +723,14 @@ class SimulationEngine:
         self._catch_up(cid, ev.time, ev.seq)
         w_global, stamp = ev.payload
         cw.handle_downlink(rt.state, w_global, stamp)
-        rt.timer_token += 1      # any pending timeout is now stale
-        # a new cluster aborts an in-flight one (its token changes); a
-        # stalled coworker keeps waiting for buffer warm-up
-        if rt.phase != "stalled":
-            self._start_cluster(cid, ev.time)
+        # the new cluster makes an in-flight one and a pending timer stale
+        self._start_cluster(cid, ev.time)
 
     def _on_timer_expiry(self, ev: SimEvent) -> None:
         cid = ev.coworker
         rt = self.runtimes[cid]
-        if ev.token != rt.timer_token or rt.phase != "waiting":
-            return
+        if ev.token != rt.cluster_token:
+            return  # a downlink or an earlier timer started a cluster since
         # give up on the pending uplink; the next cluster continues from local state
         self._start_cluster(cid, ev.time)
 
@@ -824,7 +812,7 @@ class SimulationEngine:
             aggregations=self.server.t,
             uplink_attempts=self.uplink_attempts,
             uplink_drops=self.uplink_drops,
-            stall_events=sum(rt.stalls for rt in self.runtimes),
+            stall_events=len(self.runtimes),
             iterations_total=sum(rt.state.t_local for rt in self.runtimes),
             accepted_by=np.bincount([r.sender for r in self.rows], minlength=len(self.runtimes)),
             iters_per_acceptance=[r.iters for r in self.rows],

@@ -5,6 +5,7 @@ import importlib
 import pytest
 
 import afafed
+from afafed.network_sim import _Runtime
 
 
 def test_every_exported_name_resolves_once():
@@ -26,6 +27,7 @@ def test_every_exported_name_resolves_once():
     ("bounds", "ensemble_averages"),
     ("bounds", "effective_horizon"),
     ("bounds", "gradient_variance_bound"),
+    ("harness", "_fmt"),
 ])
 def test_deleted_names_cannot_be_imported(module, name):
     assert name not in afafed.__all__
@@ -38,3 +40,9 @@ def test_deleted_names_cannot_be_imported(module, name):
 def test_deleted_shard_set_helpers_stay_gone(name):
     # the shard layout belongs to GlobalEvaluator; a ShardSet is (X, y, sizes) and views()
     assert not hasattr(afafed.ShardSet, name)
+
+
+@pytest.mark.parametrize("name", ["timer_token", "stalls"])
+def test_deleted_runtime_fields_stay_gone(name):
+    # a timer carries its cluster's token, and a coworker stalls only at warm-up
+    assert name not in _Runtime.__dataclass_fields__

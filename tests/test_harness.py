@@ -866,6 +866,9 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     ("data: {shard_size: 1.0e+30}\nsim: {T: 3}\n", "data.shard_size"),
     ("model: {dim: 1.0e+30}\nsim: {T: 3}\n", "model.dim"),
     ("buffer: {capacity: 9223372036854775808}\nsim: {T: 3}\n", "buffer.capacity"),
+    # arrival laws a float clock cannot carry; they once ran forever
+    ("arrivals: {kind: periodic, interval: 1.0e-300}\nsim: {T: 3}\n", "arrivals.interval"),
+    ("arrivals: {rate: 1.0e+300}\nsim: {T: 3}\n", "arrivals.rate"),
 ])
 def test_cli_config_faults_exit_2_naming_the_key(tmp_path, capsys, text, key):
     # each of these once ran to a NaN time, a traceback, forever, or with
@@ -942,12 +945,51 @@ def test_cli_sweep_keeps_an_integer_seed_exact(tmp_path):
     assert summary["seed"] == 2**53 + 1
 
 
+def test_cli_run_reads_an_integer_written_as_a_string_exactly(tmp_path):
+    # the string once went through a float and ran seed 2**53
+    out = tmp_path / "run"
+    doc = small_doc(sim={"seed": "9007199254740993", "T": "1.0e1"})
+    assert cli.main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+    summary = yaml.safe_load((out / "summary.yaml").read_text())
+    assert summary["seed"] == summary["config"]["sim"]["seed"] == 2**53 + 1
+    assert summary["config"]["sim"]["T"] == summary["aggregations"] == 10
+
+
+@pytest.mark.parametrize("arrivals, key", [
+    ({"kind": "periodic", "interval": 1.0e-300}, "arrivals.interval"),
+    ({"kind": "poisson", "rate": 1.0e+300}, "arrivals.rate"),
+])
+def test_an_arrival_law_a_float_clock_cannot_carry_is_refused(arrivals, key):
+    # on table_a1_small's slowest category, a cluster and its timer wait
+    # last about 5.07 time units, about 5.1e300 arrivals; the clock would
+    # stop advancing long before the first cluster ends, and the run hung
+    # (test_cli_config_faults_exit_2_naming_the_key runs both through the CLI)
+    message = (f"{key}: about 5.1e+300 arrivals per cluster and timer wait in "
+               "topology.categories[2], more than the 1e+09 a run admits one by one")
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        build_experiment(resolve_config({"arrivals": arrivals, "sim": {"T": 2}}))
+
+
+def test_a_slow_link_that_still_ends_is_accepted(monkeypatch):
+    # 448 bits at 0.001 bit/s: a timer wait of about 1.3e6 time units, about
+    # 6.7e6 arrivals at 5 per unit, under the cap; the run ends in seconds
+    cfg = resolve_config({"topology": {"categories": [{"count": 2, "speed": 5.0e+8,
+                                                       "rate": 0.001}]}, "sim": {"T": 2}})
+    assert len(build_experiment(cfg).engine.runtimes) == 2
+    monkeypatch.setattr(harness, "MAX_ARRIVALS_PER_CLUSTER", 6.7e6)
+    with pytest.raises(ConfigError, match=re.escape("arrivals.rate: about 6.7e+06 arrivals")):
+        build_experiment(cfg)
+
+
 @pytest.mark.parametrize("command, patch, message", [
     ("run", {"sim": {"horizon": 10**400}},
      "sim.horizon: expected a finite number, got an integer past the float range"),
     ("run", {"topology": {"categories": [{"count": 10**400, "speed": 1e7, "rate": 1e5}]}},
      "topology.categories[0].count: expected a 64-bit integer"),
     ("sweep", {"sweep": {"seeds": [10**400]}}, "sweep.seeds[0]: sim.seed: expected a 64-bit"),
+    # a float from 2**53 on once ran silently as the nearest float's integer
+    ("run", {"sim": {"seed": 9007199254740993.0}}, "sim.seed: a float past 2**53 "),
+    ("run", {"sim": {"seed": "9007199254740993.0"}}, "sim.seed: a float past 2**53 "),
 ])
 def test_cli_names_the_key_of_an_integer_past_the_range(tmp_path, capsys, command, patch,
                                                         message):
@@ -1003,6 +1045,15 @@ def test_readme_config_block_lists_every_schema_key():
     doc = yaml.safe_load(block)
     assert set(_doc_keys(doc)) == set(_schema_keys(CONFIG_SCHEMA))
     build_experiment(resolve_config(doc))     # and it is a valid config
+    # each value, checked as build_experiment checks it, is the
+    # table_a1_small default, but for the categories (the block shows one of
+    # three) and the optional K
+    shown = harness._check(CONFIG_SCHEMA, doc, "")
+    default = harness._check(CONFIG_SCHEMA, resolve_config({}), "")
+    for checked in (shown, default):
+        del checked["topology"]["categories"]
+        checked["topology"].pop("K", None)
+    assert shown == default
 
 
 def test_cli_missing_config_exits_2(tmp_path, capsys):

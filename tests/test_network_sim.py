@@ -852,6 +852,33 @@ def test_first_uplink_with_positive_multiplier_boosts_sender():
     assert lam.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("doc, fired, honoured", [
+    # tests/test_golden_trace.py's lossy case
+    ({"link": {"p_loss": 0.3, "rate_jitter": 0.2, "downlink_delay": 0.01}, "sim": {"T": 80}},
+     119, 40),
+    # a timer shorter than the round trip gives up on every uplink
+    ({"link": {"timer_factor": 0.5}, "sim": {"T": 60}}, 60, 60),
+])
+def test_a_timer_is_honoured_exactly_when_no_cluster_started_since_it_was_armed(
+        monkeypatch, doc, fired, honoured):
+    calls = []
+    expire = SimulationEngine._on_timer_expiry
+
+    def counted(engine, ev):
+        rt = engine.runtimes[ev.coworker]
+        before, phase = rt.cluster_token, rt.phase
+        expire(engine, ev)
+        calls.append((ev.token == before, rt.cluster_token - before, phase))
+
+    monkeypatch.setattr(SimulationEngine, "_on_timer_expiry", counted)
+    build_experiment(resolve_config(doc)).engine.run(aggregations=doc["sim"]["T"])
+    assert len(calls) == fired
+    assert sum(started for _, started, _ in calls) == honoured
+    # an honoured timer finds its coworker waiting and starts one cluster
+    assert all(started == current and (not current or phase == "waiting")
+               for current, started, phase in calls)
+
+
 def test_short_timer_races_are_survivable():
     # timers shorter than the uplink delay force expiry/downlink races;
     # the run must stay causal and keep aggregating
