@@ -82,6 +82,7 @@ class CoworkerState:
 
     id: int
     w: np.ndarray
+    w_global_last: np.ndarray     # the last global model received, w0 at first
     buffer: StreamBuffer
     mu: float = 0.0
     mu_sum: float = 0.0           # running sum of multiplier samples, mu(0) included
@@ -89,17 +90,12 @@ class CoworkerState:
     mu_bar: float = 0.0
     tolerance: float = 0.0        # current proximity tolerance B_k
     lambda_last: float = 1.0      # own fairness coefficient, last broadcast value
-    w_global_last: np.ndarray = None  # type: ignore[assignment]
     timestamp: int = 0
     t_local: int = 0
     iter_k: int = 1
     eta0: float = 0.0
     eta1: float = 0.0
     last_grad: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        if self.w_global_last is None:
-            self.w_global_last = self.w.copy()
 
 
 def make_coworker(

@@ -55,7 +55,8 @@ class Key(NamedTuple):
     ``[table]`` for a non-empty list of mappings.  ``default`` is the value
     the presets start from.  A ``per_coworker`` key also takes a list with
     one value per coworker.  ``ge``/``gt``/``le`` bound the keys that no
-    constructor checks.
+    constructor checks, and also ``p_loss``, ``speed`` and ``rate``, which
+    the constructors check too, so that a fault names its list index.
     """
 
     default: Any = _REQUIRED
@@ -94,7 +95,7 @@ CONFIG_SCHEMA: Dict[str, Key] = {
         ], [_CATEGORY]),
     ),
     "data": _section(shard_size=Key(64, int, ge=1), partition=Key("iid", str),
-                     classes_per_coworker=Key(2, int)),
+                     classes_per_coworker=Key(2, int, ge=1, le=2)),
     "buffer": _section(capacity=Key(64, int), minibatch=Key(16, int)),
     "arrivals": _section(kind=Key("poisson", str), rate=Key(5.0, nullable=True),
                          interval=Key(0.0, nullable=True),
@@ -103,7 +104,7 @@ CONFIG_SCHEMA: Dict[str, Key] = {
     "adaptive": _section(iter_max=Key(5, int), omega_a=Key(2.0), omega_c=Key(1.0),
                          b0=Key(1.0), gamma=Key(0.1), eta_min=Key(0.01), eta_max=Key(0.5)),
     "mixing": _section(beta_min=Key(0.001), beta_max=Key(0.9), de=Key(0.0),
-                       phi=Key("power", str), alpha=Key(0.5), hinge_b=Key(4),
+                       phi=Key("power", str), alpha=Key(0.5), hinge_b=Key(4, int),
                        fairness_margin=Key(4.0)),
     "link": _section(p_loss=Key(None, nullable=True, ge=0, le=1, per_coworker=True),
                      downlink_delay=Key(0.0), payload_bits=Key(None, nullable=True),
@@ -211,15 +212,16 @@ def read_yaml(path: str) -> Dict[str, Any]:
 
 
 def write_yaml(path: str, doc: Any) -> None:
-    """Write ``doc`` as ``yaml.safe_dump(doc, sort_keys=True)`` writes it.
+    """Write ``doc`` as ``yaml.safe_dump(doc, sort_keys=True, width=2**31 - 1)``
+    writes it, whether or not PyYAML was built with libyaml.
 
-    libyaml's dumper writes the same bytes, except that it folds a
-    double-quoted string (one holding a tab, a control or a non-ASCII
-    character) that runs past 80 columns at other places; the string loads
-    back the same.
+    At the default width of 80 the two dumpers fold a long double-quoted
+    string (one holding a tab, a control or a non-ASCII character) at
+    different places; at this width neither folds a line, so both write the
+    same bytes.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        yaml.dump(doc, fh, Dumper=_YAML_DUMPER, sort_keys=True)
+        yaml.dump(doc, fh, Dumper=_YAML_DUMPER, sort_keys=True, width=2**31 - 1)
 
 
 def load_config(path: str) -> Dict[str, Any]:
@@ -369,8 +371,6 @@ def generate_shards(cfg: Dict[str, Any]) -> List[Shard]:
     direction = truth.standard_normal(dim)
     direction /= np.linalg.norm(direction)
     classes = cfg["data"]["classes_per_coworker"]
-    _require(1 <= classes <= 2, "data.classes_per_coworker",
-             f"binary model has 2 classes, got {classes}")
     shards = []
     for cid, rng in enumerate(streams):
         if partition == "iid" or classes == 2:
@@ -456,14 +456,13 @@ class Experiment:
     evaluation: Optional[Evaluation] = None     # the engine's observer; None with eval off
 
 
-def _per_coworker_loss(override: Any, cats: List[Dict[str, Any]]) -> List[float]:
-    if override is None:
-        return [cat.get("p_loss", 0.0) for cat in cats]
-    if isinstance(override, float):
-        return [override] * len(cats)
-    _require(len(override) == len(cats), "link.p_loss",
-             f"need {len(cats)} entries, got {len(override)}")
-    return override
+def _per_coworker(value: Any, key: str, k: int) -> List[Any]:
+    """The value of a per_coworker key for each of k coworkers: a scalar
+    repeats, and a list must hold k entries."""
+    if not isinstance(value, list):
+        return [value] * k
+    _require(len(value) == k, key, f"need {k} entries, one per coworker, got {len(value)}")
+    return value
 
 
 # the most arrivals a law may bring, by the config's estimate, in one cluster
@@ -471,26 +470,27 @@ def _per_coworker_loss(override: Any, cats: List[Dict[str, Any]]) -> List[float]
 MAX_ARRIVALS_PER_CLUSTER = 1e9
 
 
-def _check_arrival_density(cfg: Dict[str, Any], law: ArrivalProcess, param: str,
-                           payload_bits: float) -> None:
-    """Refuse a Poisson or periodic law too dense for each category's cluster span.
+def _check_arrival_density(cfg: Dict[str, Any], engine: SimulationEngine, param: str) -> None:
+    """Refuse a Poisson or periodic law too dense for some coworker's cluster span.
 
-    The estimate is rate × (iter_max × cycles_per_iter / speed + timer_factor
-    × (payload_bits / link rate + downlink_delay)), with rate = 1/interval
-    for a periodic law.  Past about 2**53 arrivals a float clock stops
-    advancing, so such a run would never end.
+    The estimate is rate × (iter_max × iteration_duration + timer_duration),
+    the engine's durations of a longest cluster and its timer wait, with
+    rate = 1/interval for a periodic law; the fault names the category of the
+    worst coworker.  Past about 2**53 arrivals a float clock stops advancing,
+    so such a run would never end.
     """
+    law = engine.runtimes[0].arrivals
     rate = law.rate if law.kind == "poisson" else 1.0 / law.interval
-    link = cfg["link"]
-    cycles = cfg["adaptive"]["iter_max"] * cfg["compute"]["cycles_per_iter"]
-    estimates = [rate * (cycles / cat["speed"] + link["timer_factor"] * (
-                 payload_bits / cat["rate"] + link["downlink_delay"]))
-                 for cat in cfg["topology"]["categories"]]
-    i = int(np.argmax(estimates))
-    _require(estimates[i] <= MAX_ARRIVALS_PER_CLUSTER, f"arrivals.{param}",
-             f"about {estimates[i]:.2g} arrivals per cluster and timer wait in "
-             f"topology.categories[{i}], more than the {MAX_ARRIVALS_PER_CLUSTER:.0e} "
-             "a run admits one by one")
+    iter_max = engine.adaptive.iter_max
+    estimates = [rate * (iter_max * rt.iteration_duration + rt.timer_duration)
+                 for rt in engine.runtimes]
+    worst = int(np.argmax(estimates))
+    if estimates[worst] > MAX_ARRIVALS_PER_CLUSTER:
+        counts = np.cumsum([cat["count"] for cat in cfg["topology"]["categories"]])
+        i = int(np.searchsorted(counts, worst, side="right"))
+        raise ConfigError(f"arrivals.{param}: about {estimates[worst]:.2g} arrivals per cluster "
+                          f"and timer wait in topology.categories[{i}], more than the "
+                          f"{MAX_ARRIVALS_PER_CLUSTER:.0e} a run admits one by one")
 
 
 def build_experiment(cfg: Dict[str, Any], enable_profiling: bool = False) -> Experiment:
@@ -514,7 +514,9 @@ def build_experiment(cfg: Dict[str, Any], enable_profiling: bool = False) -> Exp
         _require(declared == k_total, "topology.K",
                  f"declared {declared} but categories sum to {k_total}")
 
-    losses = _per_coworker_loss(cfg["link"]["p_loss"], cats)
+    p_loss = cfg["link"]["p_loss"]
+    losses = ([cat.get("p_loss", 0.0) for cat in cats] if p_loss is None
+              else _per_coworker(p_loss, "link.p_loss", k_total))
 
     payload_bits = cfg["link"]["payload_bits"]
     if payload_bits is None:
@@ -522,12 +524,9 @@ def build_experiment(cfg: Dict[str, Any], enable_profiling: bool = False) -> Exp
 
     arrivals_cfg = cfg["arrivals"]
     if arrivals_cfg["kind"] == "trace":
-        trace_paths = arrivals_cfg["trace"]
-        _require(trace_paths is not None, "arrivals.trace", "trace arrivals need a file path")
-        if isinstance(trace_paths, str):
-            trace_paths = [trace_paths] * k_total
-        _require(len(trace_paths) == k_total, "arrivals.trace",
-                 f"need {k_total} paths, got {len(trace_paths)}")
+        _require(arrivals_cfg["trace"] is not None, "arrivals.trace",
+                 "trace arrivals need a file path")
+        trace_paths = _per_coworker(arrivals_cfg["trace"], "arrivals.trace", k_total)
         # each distinct file is parsed once; its coworkers share its arrays and
         # its law, and the engine stacks a copy of the rows for each of them
         parsed = {}
@@ -551,7 +550,6 @@ def build_experiment(cfg: Dict[str, Any], enable_profiling: bool = False) -> Exp
         laws = [_build(f"arrivals.{param}", ArrivalProcess, kind=arrivals_cfg["kind"],
                        rate=arrivals_cfg["rate"] or 0.0,
                        interval=arrivals_cfg["interval"] or 0.0)] * k_total
-        _check_arrival_density(cfg, laws[0], param, payload_bits)
 
     adaptive = _build("adaptive", AdaptiveConfig, **cfg["adaptive"])
     mix = cfg["mixing"]
@@ -596,6 +594,8 @@ def build_experiment(cfg: Dict[str, Any], enable_profiling: bool = False) -> Exp
         enable_profiling=enable_profiling,
         timer_factor=cfg["link"]["timer_factor"],
     )
+    if arrivals_cfg["kind"] != "trace":
+        _check_arrival_density(cfg, engine, param)
     exp = Experiment(cfg=cfg, engine=engine)
     if cfg["eval"]["every"] > 0:
         exp.evaluation = Evaluation(engine, cfg["eval"]["every"])

@@ -79,7 +79,7 @@ def _hash_constants(init: int, mult: int, count: int) -> List[int]:
 
 
 def _mix(x, y):
-    """SeedSequence's mix of two words; x and y are ints or uint32 arrays."""
+    """SeedSequence's mix of two words, lane by lane; x and y are uint32 arrays."""
     x = (_MIX_L * x - _MIX_R * y) & _MASK32
     return x ^ x >> 16
 
@@ -121,29 +121,27 @@ def random_streams(seed: int, keys: Sequence[Tuple[int, int]]) -> List[np.random
     11 the shared ground truth or class direction (cid 0).
 
     Stream i is ``default_rng(SeedSequence(seed, spawn_key=keys[i]))`` bit
-    for bit, but the seeds of the whole batch are computed at once, by
-    mirroring numpy's SeedSequence hash on a pool of 4 uint32 words:
+    for bit, but the seeds of the whole batch are computed at once.  Nothing
+    before the key words depends on the key, so the pool of 4 uint32 words
+    is numpy's own ``SeedSequence(seed).pool``: the seed words
+    ``[seed & 0xffffffff, seed >> 32, 0, 0]`` after 4 initial hashmixes and
+    12 cross-mixes, 16 hashmixes in all.  The rest of numpy's hash is
+    mirrored on (4, n) and (8, n) uint32 lanes:
 
-    - the entropy words are ``[seed & 0xffffffff, seed >> 32, 0, 0]``, then
-      the key words ``[domain, cid]``;
-    - ``hashmix`` xors a word with the running hash constant (first INIT_A
-      0x43b0d7e5), multiplies the constant by MULT_A 0x931e8875 and the word
-      by the new constant, then xors the word with itself shifted right by
-      XSHIFT 16; ``mix(x, y)`` is ``0xca01f9dd * x - 0x4973f715 * y`` with
-      the same xor-shift;
-    - the pool is 4 initial hashmixes of the seed words, then 12 cross-mixes
-      (each pool word hashed into each other one), then each key word
-      hashed into each pool word;
+    - ``hashmix`` xors a word with the running hash constant (INIT_A
+      0x43b0d7e5 advanced by its 16 steps), multiplies the constant by
+      MULT_A 0x931e8875 and the word by the new constant, then xors the
+      word with itself shifted right by XSHIFT 16; ``mix(x, y)`` is
+      ``0xca01f9dd * x - 0x4973f715 * y`` with the same xor-shift;
+    - each key word of ``[domain, cid]`` is hashed into each pool word;
     - the output is 8 words that cycle through the pool, each hashed like
       ``hashmix`` from INIT_B 0x8b51f9dd with MULT_B 0x58f38ded, and paired
       little-endian into the 4 uint64 words that PCG64 seeds itself from.
 
-    Nothing before the key words depends on the key, so those 16 hashmixes
-    run once, in Python ints; the key words and the output are mixed as
-    (4, n) and (8, n) uint32 lanes.  Each stream's ``bit_generator.seed_seq``
-    holds only its state words, so ``Generator.spawn`` is not available.  A
-    seed outside [0, 2**64), a key that is not a pair or a key word outside
-    [0, 2**32) raises ValueError: numpy would pack those into other words.
+    Each stream's ``bit_generator.seed_seq`` holds only its state words, so
+    ``Generator.spawn`` is not available.  A seed outside [0, 2**64), a key
+    that is not a pair or a key word outside [0, 2**32) raises ValueError:
+    numpy would pack those into other words.
     """
     seed = operator.index(seed)
     if not 0 <= seed < 2**64:
@@ -159,21 +157,11 @@ def random_streams(seed: int, keys: Sequence[Tuple[int, int]]) -> List[np.random
     if words.dtype.kind not in "iu" or words.min() < 0 or words.max() > _MASK32:
         raise ValueError("random_streams: key words must be integers in [0, 2**32)")
 
-    a = _hash_constants(_INIT_A, _MULT_A, 24)       # 4 + 12 + 8 hashmixes
-
-    def hashmix(value, j):
-        value = (value ^ a[j]) * a[j + 1] & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(word, j) for j, word in enumerate((seed & _MASK32, seed >> 32, 0, 0))]
-    j = 4
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src], j))
-                j += 1
-    lanes = np.array(pool, dtype=np.uint32)[:, None]
-    a = np.array(a, dtype=np.uint32)[:, None]
+    # numpy's pool after the seed words; the key words continue its hash from
+    # the constant after its 16 hashmixes
+    lanes = np.random.SeedSequence(seed).pool[:, None]
+    a = np.array(_hash_constants(_INIT_A, _MULT_A, 24)[16:], dtype=np.uint32)[:, None]
+    j = 0
     for key_word in words.T.astype(np.uint32):
         h = (key_word ^ a[j:j + 4]) * a[j + 1:j + 5]
         lanes = _mix(lanes, h ^ h >> 16)
@@ -268,8 +256,6 @@ class LinkModel:
 
         rng may be None when the link does not draw.
         """
-        if not self.draws:
-            return self.payload_bits / self.rate
         if self.p_loss > 0.0 and rng.random() < self.p_loss:
             return None
         rate = self.rate

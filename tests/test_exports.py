@@ -28,6 +28,7 @@ def test_every_exported_name_resolves_once():
     ("bounds", "effective_horizon"),
     ("bounds", "gradient_variance_bound"),
     ("harness", "_fmt"),
+    ("harness", "_per_coworker_loss"),
 ])
 def test_deleted_names_cannot_be_imported(module, name):
     assert name not in afafed.__all__

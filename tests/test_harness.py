@@ -394,11 +394,14 @@ def test_label_skew_with_two_classes_keeps_both():
 
 
 def test_classes_per_coworker_bounds():
-    cfg = resolve_config(small_doc(
-        model={"kind": "logistic"}, data={"classes_per_coworker": 3},
-    ))
-    with pytest.raises(ConfigError, match="classes_per_coworker"):
-        generate_shards(cfg)
+    # the schema bounds the key for every model; the quadratic preset once
+    # ran with -3, because only generated logistic shards checked it
+    for kind, classes, bound in [("logistic", 3, "<= 2"), ("quadratic", -3, ">= 1")]:
+        cfg = resolve_config(small_doc(
+            model={"kind": kind}, data={"classes_per_coworker": classes},
+        ))
+        with pytest.raises(ConfigError, match=f"^data.classes_per_coworker: must be {bound}$"):
+            build_experiment(cfg)
 
 
 # ---------------- arrival traces ---------------- #
@@ -869,6 +872,10 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     # arrival laws a float clock cannot carry; they once ran forever
     ("arrivals: {kind: periodic, interval: 1.0e-300}\nsim: {T: 3}\n", "arrivals.interval"),
     ("arrivals: {rate: 1.0e+300}\nsim: {T: 3}\n", "arrivals.rate"),
+    # an integer key that once ran with a fraction, or a range checked only
+    # for logistic data
+    ("mixing: {phi: hinge, hinge_b: 2.5}\nsim: {T: 3}\n", "mixing.hinge_b"),
+    ("data: {classes_per_coworker: -3}\nsim: {T: 3}\n", "data.classes_per_coworker"),
 ])
 def test_cli_config_faults_exit_2_naming_the_key(tmp_path, capsys, text, key):
     # each of these once ran to a NaN time, a traceback, forever, or with
@@ -968,6 +975,38 @@ def test_an_arrival_law_a_float_clock_cannot_carry_is_refused(arrivals, key):
                "topology.categories[2], more than the 1e+09 a run admits one by one")
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         build_experiment(resolve_config({"arrivals": arrivals, "sim": {"T": 2}}))
+
+
+@pytest.mark.parametrize("section, key", [
+    ({"link": {"p_loss": [0.1, 0.2, 0.3]}}, "link.p_loss"),
+    ({"arrivals": {"kind": "trace", "trace": ["a.csv", "b.csv", "c.csv"]}}, "arrivals.trace"),
+])
+def test_a_per_coworker_list_needs_one_entry_per_coworker(section, key):
+    message = f"{key}: need 2 entries, one per coworker, got 3"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        build_experiment(resolve_config(small_doc(**section)))
+
+
+def test_the_arrival_cap_reads_the_engines_cluster_span(tmp_path, capsys):
+    # the second category's slow link makes its coworker the worst; the
+    # estimate is the span the engine runs, iter_max iterations and a timer
+    # wait, times the dense law's rate
+    doc = {"topology": {"categories": [{"count": 2, "speed": 1.0e+9, "rate": 1.0e+6},
+                                       {"count": 1, "speed": 2.0e+8, "rate": 1.0e+3}]},
+           "compute": {"cycles_per_iter": 3.0e+6}, "adaptive": {"iter_max": 7},
+           "link": {"downlink_delay": 0.5, "timer_factor": 2.0, "payload_bits": 1000.0},
+           "sim": {"T": 2}}
+    sparse = build_experiment(resolve_config({**doc, "arrivals": {"kind": "periodic",
+                                                                  "interval": 1.0}})).engine
+    interval = 1.0e-12
+    spans = [7 * rt.iteration_duration + rt.timer_duration for rt in sparse.runtimes]
+    assert int(np.argmax(spans)) == 2
+    path = write_cfg(tmp_path, {**doc, "arrivals": {"kind": "periodic", "interval": interval}})
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: arrivals.interval: about {spans[2] / interval:.2g} arrivals "
+        "per cluster and timer wait in topology.categories[1], more than the 1e+09 a run "
+        "admits one by one\n")
 
 
 def test_a_slow_link_that_still_ends_is_accepted(monkeypatch):
@@ -1130,7 +1169,8 @@ def test_cli_out_that_is_a_file_exits_2_before_any_run(tmp_path, capsys, monkeyp
 
 def test_write_yaml_writes_the_bytes_of_safe_dump(tmp_path):
     # libyaml's dumper, where present, must write what yaml.safe_dump writes
-    # for the documents the CLI writes, awkward values included
+    # at write_yaml's width for the documents the CLI writes, awkward values
+    # included
     summary = summarize(*run_experiment(resolve_config(small_doc(sim={"T": 5})),
                                         enable_profiling=True))
     awkward = {
@@ -1144,7 +1184,25 @@ def test_write_yaml_writes_the_bytes_of_safe_dump(tmp_path):
                       ("bounds", evaluate_bounds({"bound": dict(BOUND_DOC, beta=0.5)}))]:
         path = tmp_path / f"{name}.yaml"
         harness.write_yaml(str(path), doc)
-        assert path.read_text() == yaml.safe_dump(doc, sort_keys=True), name
+        assert path.read_text() == yaml.safe_dump(doc, sort_keys=True, width=2**31 - 1), name
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"), reason="PyYAML was built without libyaml")
+def test_summary_yaml_bytes_do_not_depend_on_libyaml(tmp_path, monkeypatch):
+    # at the default width of 80 the two dumpers fold long double-quoted
+    # strings (a tab, a control or a non-ASCII character) at different places
+    rng = np.random.default_rng(0)
+    alphabet = list("abc xyz/._-0123") + ["\t", "\x07", "\x1b", "é", "→", "\u00a0", " "]
+    paths = ["".join(rng.choice(alphabet, size=rng.integers(60, 201))) for _ in range(200)]
+    doc = {"config": {"arrivals": {"trace": paths}}, "seed": 1}
+    written = []
+    for dumper in (yaml.CSafeDumper, yaml.SafeDumper):
+        path = tmp_path / f"{dumper.__name__}.yaml"
+        monkeypatch.setattr(harness, "_YAML_DUMPER", dumper)
+        harness.write_yaml(str(path), doc)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+    assert yaml.safe_load(written[0]) == doc
 
 
 def test_cli_bound_command(tmp_path, capsys):

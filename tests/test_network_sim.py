@@ -8,7 +8,7 @@ import pytest
 
 from afafed import network_sim
 from afafed.coworker import AdaptiveConfig
-from afafed.errors import NumericDivergenceError, ProtocolError
+from afafed.errors import NumericDivergenceError
 from afafed.harness import build_experiment, resolve_config
 from afafed.model_core import (
     LossKind,

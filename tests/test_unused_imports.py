@@ -1,4 +1,4 @@
-"""Every name a library module imports is used by that module.
+"""Every name a library or test module imports is used by that module.
 
 The package's ``__init__`` imports names to export them, so it is left out.
 A name counts as used when the module reads it anywhere, including in an
@@ -12,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "afafed"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "afafed"
+MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted(TESTS.glob("*.py")))
 
 
 def imported_names(tree: ast.Module) -> dict:
