@@ -9,9 +9,10 @@ Lagrange multiplier, so no per-coworker tuning is required.
 
 A cluster is ``iter_k`` calls of :func:`run_single_iteration` followed by
 one :func:`finalize_cluster`; the event engine makes these calls one
-iteration boundary at a time.  Each iteration does every piece of work once:
-the deviation ``w - w_global_last`` feeds both the dual violation and the
-primal step, and the logarithms of ``omega`` are taken once per config.
+iteration boundary at a time.  An iteration is one flat pass that states
+the step rule once: it samples, takes the minibatch gradient, and computes
+the deviation ``w - w_global_last`` once for both the dual violation and
+the primal step; the logarithms of ``omega`` are taken once per config.
 
 The model has d entries, a handful in practice, so an iteration is bound by
 call overhead, not arithmetic.  A numpy ufunc on a 5-vector costs about
@@ -124,7 +125,8 @@ def omega(mu_bar: float, cfg: AdaptiveConfig) -> float:
     # compare in log space so huge multipliers cannot overflow the power
     if exponent >= cfg._log_iter_max:
         return float(cfg.iter_max)
-    return max(1.0, math.exp(exponent))
+    power = math.exp(exponent)
+    return power if power > 1.0 else 1.0        # max(1.0, power), without the builtin
 
 
 def update_iter_count(mu_bar: float, cfg: AdaptiveConfig) -> int:
@@ -148,54 +150,7 @@ def update_tolerance(mu_bar: float, cfg: AdaptiveConfig) -> float:
     return cfg.b0 * power
 
 
-def update_step_sizes(
-    state: CoworkerState, cfg: AdaptiveConfig, grad: np.ndarray, dev_sq: float
-) -> tuple[float, float]:
-    """Primal/dual step sizes scaled by omega and clipped into [eta_min, eta_max].
-
-    The primal step tracks the stochastic gradient norm ||grad||, the dual
-    step the current constraint violation |dev_sq - tolerance|.  The norm is
-    sqrt(grad.grad), the formula np.linalg.norm uses for a 1-D float vector,
-    so the value is the same to the bit.
-    """
-    om = omega(state.mu_bar, cfg)
-    eta0 = min(max(om * math.sqrt(grad.dot(grad)), cfg.eta_min), cfg.eta_max)
-    eta1 = min(max(om * abs(dev_sq - state.tolerance), cfg.eta_min), cfg.eta_max)
-    state.eta0, state.eta1 = eta0, eta1
-    return eta0, eta1
-
-
 # ---------------- primal/dual iteration ---------------- #
-
-
-def primal_step(state: CoworkerState, grad: np.ndarray, diff: np.ndarray) -> bool:
-    """Gradient step on the local model, pulled toward the last global model.
-
-    w <- w - eta0 * (lambda_last * grad + mu * diff), where ``diff`` is the
-    caller's w - w_global_last at the pre-update w, the same deviation the
-    dual step measures; this matches a simultaneous update of the primal and
-    dual variables.  Computed entry by entry on Python floats, with the bits
-    of the vector form.  Returns whether every entry of the new w is finite.
-    """
-    eta0, lam, mu = state.eta0, state.lambda_last, state.mu
-    w = [wi - eta0 * (lam * gi + mu * di)
-         for wi, gi, di in zip(state.w.tolist(), grad.tolist(), diff.tolist())]
-    state.w = np.array(w)
-    return all(map(math.isfinite, w))
-
-
-def dual_step(state: CoworkerState, dev_sq: float) -> float:
-    """Projected ascent on the multiplier: mu <- max(0, mu + eta1*(dev_sq - B))."""
-    state.mu = max(0.0, state.mu + state.eta1 * (dev_sq - state.tolerance))
-    return state.mu
-
-
-def update_mu_average(state: CoworkerState) -> float:
-    """Fold the newest multiplier sample into the all-time running average."""
-    state.mu_sum += state.mu
-    state.mu_count += 1
-    state.mu_bar = state.mu_sum / state.mu_count
-    return state.mu_bar
 
 
 def run_single_iteration(
@@ -207,23 +162,53 @@ def run_single_iteration(
 ) -> bool:
     """One local iteration: sample, step sizes, primal, dual, average, eviction.
 
+    With the deviation diff = w - w_global_last and omega at the current
+    mu_bar, the step sizes are clipped into [eta_min, eta_max]:
+    eta0 = omega * ||grad|| and eta1 = omega * |diff.diff - tolerance|.  The
+    norm is sqrt(grad.grad), the formula np.linalg.norm uses for a 1-D float
+    vector, so the value is the same to the bit.  Then, as one simultaneous
+    update of both variables,
+
+        w  <- w - eta0 * (lambda_last * grad + mu * diff)
+        mu <- max(0, mu + eta1 * (diff.diff - tolerance))
+
+    and mu_bar becomes the running average of every multiplier sample, mu(0)
+    included.  The primal step runs entry by entry on Python floats, with the
+    bits of the vector form.  A non-finite entry of w, or a non-finite mu,
+    raises NumericDivergenceError once the iteration is complete.
+
     Returns False (leaving all state untouched) when the buffer cannot serve
     a minibatch yet; the caller decides how to wait.
     """
     batch = sample_minibatch(state.buffer, rng)
     if batch is None:
         return False
-    grad = minibatch_gradient(model, state.w, *batch)
-    diff = state.w - state.w_global_last
-    dev_sq = float(diff.dot(diff))
-    update_step_sizes(state, cfg, grad, dev_sq)
-    finite = primal_step(state, grad, diff)
-    dual_step(state, dev_sq)
+    w = state.w
+    grad = minibatch_gradient(model, w, *batch)
+    diff = w - state.w_global_last
+    violation = float(diff.dot(diff)) - state.tolerance
+    om = omega(state.mu_bar, cfg)
+    # the clamps are conditional expressions: min(max(x, lo), hi) to the bit,
+    # a NaN included, at about a seventh of the cost of the two builtins
+    lo, hi = cfg.eta_min, cfg.eta_max
+    eta0 = om * math.sqrt(grad.dot(grad))
+    eta0 = lo if eta0 < lo else hi if eta0 > hi else eta0
+    eta1 = om * abs(violation)
+    eta1 = lo if eta1 < lo else hi if eta1 > hi else eta1
+    lam, mu = state.lambda_last, state.mu
+    w = [wi - eta0 * (lam * gi + mu * di)
+         for wi, gi, di in zip(w.tolist(), grad.tolist(), diff.tolist())]
+    state.w = np.array(w)
+    mu += eta1 * violation
+    mu = state.mu = mu if mu > 0.0 else 0.0        # max(0, mu), a NaN made 0 as max does
+    state.eta0, state.eta1 = eta0, eta1
     state.t_local += 1
-    update_mu_average(state)
+    state.mu_sum += mu
+    state.mu_count += 1
+    state.mu_bar = state.mu_sum / state.mu_count
     evict_oldest_if_surplus(state.buffer)
     state.last_grad = grad
-    if not (finite and math.isfinite(state.mu)):
+    if not (all(map(math.isfinite, w)) and math.isfinite(mu)):
         raise NumericDivergenceError(state.id, now)
     return True
 

@@ -85,7 +85,7 @@ _CATEGORY = {
 CONFIG_SCHEMA: Dict[str, Key] = {
     "preset": Key(_OPTIONAL, str),
     "model": _section(kind=Key("quadratic", str), dim=Key(5, int, ge=1),
-                      noise_std=Key(0.05), class_sep=Key(2.0)),
+                      noise_std=Key(0.05, ge=0), class_sep=Key(2.0, ge=0)),
     "topology": _section(
         K=Key(_OPTIONAL, int, nullable=True),
         categories=Key([

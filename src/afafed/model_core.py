@@ -29,8 +29,8 @@ of products over 64-row blocks.  No exp or log1p runs per row.  Each row's
 loss then carries an absolute error of up to about 5e-16, a few units in
 the last place of ln 2, so a row classified with a margin, whose loss is
 far below that, is not resolved relative to its own size.  The
-per-iteration ``minibatch_gradient`` and ``risk_arrays`` keep the
-softplus(z) - y z form.
+per-iteration ``minibatch_gradient`` keeps the residual sigmoid(z) - y,
+and ``risk_arrays`` the softplus(z) - y z form.
 """
 
 from __future__ import annotations
@@ -120,25 +120,6 @@ def _losses(model: LossModel, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _residuals(model: LossModel, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Derivative of each example's loss with respect to its score z = x.w,
-    written over z, which is returned; the caller passes a fresh score array.
-
-    Each formula runs its ufuncs in the order of its one-line form, so the
-    bits are those of a fresh-array version.
-    """
-    if model.kind is LossKind.QUADRATIC:
-        z -= y
-        return z
-    # sigmoid(z) - y, with sigmoid(z) = 0.5 * (1 + tanh(z / 2)): stable for large |z|
-    z *= 0.5
-    np.tanh(z, out=z)
-    z += 1.0
-    z *= 0.5
-    z -= y
-    return z
-
-
 def risk_arrays(model: LossModel, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
     """Mean per-example loss over stacked data."""
     _check_dims(model, w, X)
@@ -160,14 +141,23 @@ def minibatch_gradient(
     On minibatch shapes every numpy call is mostly overhead, and a Python
     scalar operand adds to it: a ufunc on a 5-vector costs about 0.44 µs
     with an array operand, 0.8 µs with a float and 1.1-1.5 µs with an int.
-    So the residuals overwrite the fresh score array, the product with the
+    So the residual r = dloss/dz overwrites the fresh score array, each
+    ufunc the one-line formula's in its order; the product with the
     features is taken as ``r.dot(X)``, which skips the transposed view and
-    gives the bits of ``X.T.dot(r)`` (checked on 3,000 random shapes), and
+    gives the bits of ``X.T.dot(r)`` (checked on 3,000 random shapes); and
     the mean divides by the row count as a float, which rounds the same as
     the int.
     """
-    g = _residuals(model, X.dot(w), y).dot(X)
-    g /= float(X.shape[0])
+    r = X.dot(w)
+    if model.kind is LossKind.LOGISTIC:
+        # sigmoid(z) = 0.5 * (1 + tanh(z / 2)): stable for large |z|
+        r *= 0.5
+        np.tanh(r, out=r)
+        r += 1.0
+        r *= 0.5
+    r -= y
+    g = r.dot(X)
+    g /= float(len(X))
     return g
 
 
@@ -246,9 +236,9 @@ class GlobalEvaluator:
             losses = np.add.reduceat(_losses(model, z, data.y), self._starts)
             risk = float(self._shard_weights(risk_weights) @ losses)
         if grad:
-            r = _residuals(model, z, data.y)        # overwrites z
-            r *= self.rho
-            g = self.XT @ r
+            z -= data.y                             # the residuals, over z
+            z *= self.rho
+            g = self.XT @ z
         return risk, g
 
     def _logistic(self, w: np.ndarray, risk_weights: Optional[np.ndarray],

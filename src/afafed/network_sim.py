@@ -365,6 +365,23 @@ class _Coefficients(NamedTuple):
     seq: int                        # queue position: after every event pushed before it
 
 
+def _delivered(log: List[_Coefficients], cursor: int, delay: float,
+               time: float, seq: int) -> int:
+    """Log index just past the entries delivered by (time, seq), from cursor on.
+
+    An entry is delivered when its arrival (send time plus the coworker's
+    downlink delay) precedes (time, seq) in calendar order; seq -1 admits
+    only arrivals strictly before time.
+    """
+    while cursor < len(log):
+        entry = log[cursor]
+        arrival = entry.sent + delay
+        if arrival > time or (arrival == time and entry.seq > seq):
+            break
+        cursor += 1
+    return cursor
+
+
 # the log is trimmed once it holds this many entries (or twice its last size)
 _LOG_TRIM_MIN = 64
 # due evaluations wait until this many models are pending, then run back to
@@ -589,10 +606,10 @@ class SimulationEngine:
                 while rt.next_arrival < boundary:
                     admit(buf)
                     rt.next_arrival = self._arrival_after(rt, rt.next_arrival)
-                # _delivered(cid, boundary, -1) passes the next entry exactly
+                # _delivered(..., boundary, -1) passes the next entry exactly
                 # when it arrived strictly before the boundary
                 if rt.coef_cursor < len(log) and log[rt.coef_cursor].sent + delay < boundary:
-                    self._adopt_coefficients(cid, boundary, -1)
+                    self._adopt_coefficients(rt, cid, boundary, -1)
                 ok = cw.run_single_iteration(state, adaptive, model, rng, now=boundary)
                 if not ok:
                     raise RuntimeError(
@@ -605,33 +622,14 @@ class SimulationEngine:
             admit(buf)
             rt.next_arrival = self._arrival_after(rt, rt.next_arrival)
         if rt.coef_cursor < len(log):
-            self._adopt_coefficients(cid, now, seq)
+            self._adopt_coefficients(rt, cid, now, seq)
 
-    def _delivered(self, cid: int, time: float, seq: int) -> int:
-        """Log index just past the entries delivered to cid by (time, seq).
-
-        An entry is delivered when its arrival (send time plus cid's downlink
-        delay) precedes (time, seq) in calendar order; seq -1 admits only
-        arrivals strictly before time.
-        """
-        rt = self.runtimes[cid]
-        delay = rt.link.downlink_delay
-        log = self._coef_log
-        j = rt.coef_cursor
-        while j < len(log):
-            entry = log[j]
-            arrival = entry.sent + delay
-            if arrival > time or (arrival == time and entry.seq > seq):
-                break
-            j += 1
-        return j
-
-    def _adopt_coefficients(self, cid: int, time: float, seq: int) -> None:
+    def _adopt_coefficients(self, rt: _Runtime, cid: int, time: float, seq: int) -> None:
         """Apply the newest coefficient delivered to cid by (time, seq)."""
-        rt = self.runtimes[cid]
-        j = self._delivered(cid, time, seq)
+        log = self._coef_log
+        j = _delivered(log, rt.coef_cursor, rt.link.downlink_delay, time, seq)
         if j > rt.coef_cursor:
-            cw.handle_fairness_broadcast(rt.state, float(self._coef_log[j - 1].lambdas[cid]))
+            cw.handle_fairness_broadcast(rt.state, float(log[j - 1].lambdas[cid]))
             rt.coef_cursor = j
 
     def _flush_coefficients(self, time: float, seq: int) -> None:
@@ -642,7 +640,7 @@ class SimulationEngine:
         yet been reached by any event of that coworker.
         """
         for cid, rt in enumerate(self.runtimes):
-            j = self._delivered(cid, time, seq)
+            j = _delivered(self._coef_log, rt.coef_cursor, rt.link.downlink_delay, time, seq)
             if j > rt.coef_cursor:
                 entry = self._coef_log[j - 1]
                 self._catch_up(cid, entry.sent + rt.link.downlink_delay, entry.seq)

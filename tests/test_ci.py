@@ -1,5 +1,6 @@
 """The CI workflow runs the tier-1 command that ROADMAP.md states, on 3.10 and
-3.11, once as written and once in Python's development mode (``-X dev``)."""
+3.11, once as written and once in Python's development mode (``-X dev``), and
+golden-checks every perfbench input in a second job."""
 
 import re
 from pathlib import Path
@@ -13,9 +14,19 @@ def test_the_workflow_runs_the_tier1_command():
     tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`",
                       (ROOT / "ROADMAP.md").read_text(encoding="utf-8")).group(1)
     workflow = yaml.safe_load((ROOT / ".github/workflows/tier1.yml").read_text(encoding="utf-8"))
-    (job,) = workflow["jobs"].values()
+    assert set(workflow["jobs"]) == {"tests", "golden"}
+    job = workflow["jobs"]["tests"]
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
     runs = [step["run"] for step in job["steps"] if "run" in step]
     dev = tier1.replace(" python -m ", " python -X dev -m ", 1)
     assert dev != tier1
     assert runs == ["pip install -e '.[test]'", tier1, dev]
+
+
+def test_the_workflow_golden_checks_every_perfbench_input():
+    workflow = yaml.safe_load((ROOT / ".github/workflows/tier1.yml").read_text(encoding="utf-8"))
+    runs = [step["run"] for step in workflow["jobs"]["golden"]["steps"] if "run" in step]
+    script = "tests/golden_all_inputs.py"
+    assert runs[0] == "pip install -e '.[test]'"
+    assert runs[1].endswith(f" python {script}")
+    assert (ROOT / script).is_file()

@@ -3,7 +3,8 @@
 A cluster runs the way the engine runs it, ``iter_k`` calls of
 ``run_single_iteration`` and then ``finalize_cluster``, and is checked bit
 for bit against a scripted replay that spells out the documented rules;
-the sub-operations themselves are pinned to hand-computed values.
+the step rule inside one iteration is pinned to hand-computed values, with
+the minibatch gradient fixed by the test.
 """
 
 import math
@@ -13,20 +14,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+from afafed import coworker
 from afafed.coworker import (
     AdaptiveConfig,
     CoworkerState,
-    dual_step,
     finalize_cluster,
     handle_downlink,
     handle_fairness_broadcast,
     make_coworker,
     omega,
-    primal_step,
     run_single_iteration,
     update_iter_count,
-    update_mu_average,
-    update_step_sizes,
     update_tolerance,
 )
 from afafed.errors import NumericDivergenceError, ProtocolError
@@ -64,14 +62,31 @@ def run_cluster(state, cfg, model, rng):
 
 
 def fresh_state(**kw):
-    defaults = dict(
-        id=0,
-        w=np.array([1.0]),
-        buffer=cold_buffer(capacity=2, minibatch=1),
-        w_global_last=np.array([0.0]),
-    )
+    """A coworker at w = [1] with w_global_last = [0] and a buffer that is ready."""
+    buffer = cold_buffer(capacity=2, minibatch=1)
+    admit(buffer)
+    defaults = dict(id=0, w=np.array([1.0]), buffer=buffer, w_global_last=np.array([0.0]))
     defaults.update(kw)
     return CoworkerState(**defaults)
+
+
+def step(state, grad, cfg):
+    """One run_single_iteration whose minibatch gradient is ``grad``.
+
+    The iteration looks ``minibatch_gradient`` up on its module at call
+    time (the benchmark tracer counts it there), so the step rule is pinned
+    apart from the sampled data.
+    """
+    grad = np.array(grad, dtype=np.float64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coworker, "minibatch_gradient", lambda model, w, X, y: grad)
+        return run_single_iteration(state, cfg, LossModel(LossKind.QUADRATIC, len(state.w)),
+                                    np.random.default_rng(0))
+
+
+def fixed(eta):
+    """A config whose step sizes are both eta, whatever omega and the gradient are."""
+    return AdaptiveConfig(eta_min=eta, eta_max=eta)
 
 
 # ---------------- primal / dual hand values ---------------- #
@@ -80,24 +95,21 @@ def fresh_state(**kw):
 def test_primal_step_hand_value():
     # bracket = 0.5*1 + 2*(1-0) = 2.5, step 0.1 -> decrement 0.25
     st = fresh_state(lambda_last=0.5, mu=2.0)
-    st.eta0 = 0.1
-    primal_step(st, np.array([1.0]), st.w - st.w_global_last)
+    assert step(st, [1.0], fixed(0.1))
     np.testing.assert_allclose(st.w, [0.75], rtol=0, atol=1e-15)
 
 
 def test_primal_step_reduces_to_sgd_when_unconstrained():
     st = fresh_state(w=np.array([2.0, -1.0]), w_global_last=np.array([0.0, 0.0]),
                      lambda_last=1.0, mu=0.0)
-    st.eta0 = 0.1
     g = np.array([3.0, -4.0])
-    primal_step(st, g, st.w - st.w_global_last)
+    assert step(st, g, fixed(0.1))
     np.testing.assert_array_equal(st.w, np.array([2.0, -1.0]) - 0.1 * g)
 
 
 def test_primal_step_stationary_at_consensus():
     st = fresh_state(w=np.array([0.7]), w_global_last=np.array([0.7]), mu=5.0)
-    st.eta0 = 0.3
-    primal_step(st, np.zeros(1), st.w - st.w_global_last)
+    assert step(st, np.zeros(1), fixed(0.3))
     np.testing.assert_array_equal(st.w, [0.7])
 
 
@@ -108,77 +120,94 @@ EDGE_FLOATS = hst.one_of(
     hst.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, -1e-300,
                      1e300, -1e300, 1.7e308, math.inf, -math.inf, math.nan]),
 )
+# a step size AdaptiveConfig accepts as both eta_min and eta_max
+STEP_SIZES = hst.one_of(
+    hst.floats(min_value=0.0, exclude_min=True, allow_infinity=True, allow_subnormal=True),
+    hst.sampled_from([5e-324, 2.2e-308, 1e-300, 1e300, 1.7e308, math.inf]),
+)
 
 
 @settings(max_examples=300, deadline=None)
 @given(hst.integers(1, 8).flatmap(lambda d: hst.tuples(
     *[hst.lists(EDGE_FLOATS, min_size=d, max_size=d) for _ in range(3)])),
-    EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS)
+    STEP_SIZES, EDGE_FLOATS, EDGE_FLOATS)
 # finite entries whose sum overflows: the model is still finite
 @example(([1.7e308, 1.7e308], [0.0, 0.0], [0.0, 0.0]), 0.1, 1.0, 1.0)
-def test_primal_step_on_floats_equals_the_vector_form_bit_for_bit(vectors, eta0, lam, mu):
-    w, grad, diff = (np.array(v) for v in vectors)
-    state = fresh_state(w=w, w_global_last=np.zeros(len(w)), lambda_last=lam, mu=mu)
-    state.eta0 = eta0
-    finite = primal_step(state, grad, diff)
+def test_primal_step_on_floats_equals_the_vector_form_bit_for_bit(vectors, eta, lam, mu):
+    w, grad, w_global = (np.array(v) for v in vectors)
+    state = fresh_state(w=w, w_global_last=w_global, lambda_last=lam, mu=mu)
     with np.errstate(all="ignore"):
-        want = w - eta0 * (lam * grad + mu * diff)
+        try:
+            step(state, grad, fixed(eta))
+            diverged = False
+        except NumericDivergenceError:
+            diverged = True
+        want = w - state.eta0 * (lam * grad + mu * (w - w_global))
+    # eta0 is the configured step, unless the gradient norm is NaN
+    assert state.eta0 == eta or math.isnan(state.eta0)
     assert state.w.dtype == np.float64 and state.w.shape == want.shape
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(state.w), nan)           # NaN payloads may differ
     assert np.array_equal(state.w.view(np.int64)[~nan], want.view(np.int64)[~nan])
-    assert finite == bool(np.isfinite(state.w).all())
+    assert diverged == (not (np.isfinite(state.w).all() and math.isfinite(state.mu)))
 
 
 def test_dual_step_with_tolerance():
-    st = fresh_state(mu=1.0, tolerance=1.0)
-    st.eta1 = 0.5
+    st = fresh_state(w=np.ones(3), w_global_last=np.zeros(3), mu=1.0, tolerance=1.0)
     # 1 + 0.5*(3-1) = 2
-    assert dual_step(st, dev_sq=3.0) == pytest.approx(2.0, abs=1e-15)
-    st2 = fresh_state(mu=0.8, tolerance=2.0)
-    st2.eta1 = 0.4
-    assert dual_step(st2, dev_sq=2.0) == 0.8   # zero violation, unchanged
+    assert step(st, np.zeros(3), fixed(0.5))
+    assert st.mu == pytest.approx(2.0, abs=1e-15)
+    st2 = fresh_state(w=np.ones(2), w_global_last=np.zeros(2), mu=0.8, tolerance=2.0)
+    assert step(st2, np.zeros(2), fixed(0.4))
+    assert st2.mu == 0.8   # zero violation, unchanged
     st3 = fresh_state(mu=0.0, tolerance=2.0)
-    st3.eta1 = 0.4
-    assert dual_step(st3, dev_sq=1.0) == 0.0   # projection holds at the floor
+    assert step(st3, np.zeros(1), fixed(0.4))
+    assert st3.mu == 0.0   # projection holds at the floor
 
 
 def test_dual_step_projection_fuzz():
     rng = np.random.default_rng(13)
     st = fresh_state(mu=0.0)
     for _ in range(500):
-        st.eta1 = float(rng.uniform(0.01, 0.5))
+        cfg = fixed(float(rng.uniform(0.01, 0.5)))
         st.tolerance = float(rng.uniform(0.0, 2.0))
-        mu = dual_step(st, dev_sq=float(rng.uniform(0.0, 3.0)))
-        assert mu >= 0.0
+        st.w = np.array([math.sqrt(rng.uniform(0.0, 3.0))])     # dev_sq in [0, 3]
+        assert step(st, np.zeros(1), cfg)
+        assert st.mu >= 0.0
 
 
 # ---------------- multiplier statistics ---------------- #
 
 
+def at_consensus(**kw):
+    """A fresh state with w = w_global_last and no tolerance: a step keeps mu."""
+    return fresh_state(w=np.array([0.0]), **kw)
+
+
 def test_mu_average_two_samples():
-    st = fresh_state()            # mu(0) = 0 already counted
-    st.mu = 4.0
-    assert update_mu_average(st) == pytest.approx(2.0)   # (0 + 4) / 2
+    st = at_consensus(mu=4.0)             # mu(0) = 0 already counted
+    assert step(st, np.zeros(1), fixed(0.1))
+    assert st.mu_bar == pytest.approx(2.0)   # (0 + 4) / 2
     assert st.mu_bar == st.mu_sum / st.mu_count
 
 
 def test_mu_average_all_zero_and_constant():
-    st = fresh_state()
+    st = at_consensus()
     for _ in range(5):
-        update_mu_average(st)
+        assert step(st, np.zeros(1), fixed(0.1))
     assert st.mu_bar == 0.0
-    st2 = fresh_state(mu=3.0, mu_sum=3.0, mu_count=1)
+    st2 = at_consensus(mu=3.0, mu_sum=3.0, mu_count=1)
     for _ in range(5):
-        assert update_mu_average(st2) == pytest.approx(3.0)
+        assert step(st2, np.zeros(1), fixed(0.1))
+        assert st2.mu_bar == pytest.approx(3.0)
 
 
 def test_mu_average_exact_ratio_invariant():
     rng = np.random.default_rng(17)
-    st = fresh_state()
+    st = at_consensus()
     for _ in range(200):
         st.mu = float(rng.uniform(0, 10))
-        update_mu_average(st)
+        assert step(st, np.zeros(1), fixed(0.1))
         assert st.mu_bar == st.mu_sum / st.mu_count
 
 
@@ -228,25 +257,32 @@ def test_an_overflowing_tolerance_is_unbounded_or_zero():
     assert update_tolerance(2.0, AdaptiveConfig(b0=1.0, gamma=2000.0)) == math.inf
     assert update_tolerance(2.0, AdaptiveConfig(b0=0.0, gamma=2000.0)) == 0.0
     cfg = AdaptiveConfig(eta_min=0.01, eta_max=0.5)
-    st = fresh_state(mu=3.0)
+    st = fresh_state(mu=3.0)              # dev_sq = 1
     st.tolerance = math.inf
-    assert update_step_sizes(st, cfg, np.array([0.1]), dev_sq=1.0)[1] == cfg.eta_max
-    assert dual_step(st, dev_sq=1.0) == 0.0
+    assert step(st, [0.1], cfg)
+    assert st.eta1 == cfg.eta_max
+    assert st.mu == 0.0
 
 
 def test_step_sizes_hand_value_and_clips():
     cfg = AdaptiveConfig(iter_max=30, omega_a=2.0, omega_c=1.0,
                          eta_min=0.01, eta_max=0.5)
-    st = fresh_state(mu_bar=1.0)          # omega = 2
-    st.tolerance = 0.0
-    eta0, eta1 = update_step_sizes(st, cfg, np.array([0.03]), dev_sq=0.05)
-    assert eta0 == pytest.approx(0.06, rel=1e-12)
-    assert eta1 == pytest.approx(0.10, rel=1e-12)
-    assert (st.eta0, st.eta1) == (eta0, eta1)
-    eta0, _ = update_step_sizes(st, cfg, np.zeros(1), dev_sq=0.0)
-    assert eta0 == cfg.eta_min
-    eta0, eta1 = update_step_sizes(st, cfg, np.array([100.0]), dev_sq=100.0)
-    assert eta0 == cfg.eta_max and eta1 == cfg.eta_max
+
+    def stepped(w, grad):
+        st = fresh_state(w=np.array(w), w_global_last=np.zeros(len(w)), mu_bar=1.0)  # omega 2
+        assert step(st, grad, cfg)
+        return st
+
+    st = stepped([0.2, 0.1], [0.03, 0.0])         # dev_sq = 0.05
+    assert st.eta0 == pytest.approx(0.06, rel=1e-12)
+    assert st.eta1 == pytest.approx(0.10, rel=1e-12)
+    # the state keeps the step sizes the iteration stepped with
+    np.testing.assert_array_equal(st.w, [0.2 - st.eta0 * 0.03, 0.1])
+    assert st.mu == st.eta1 * float(np.dot([0.2, 0.1], [0.2, 0.1]))
+    st = stepped([0.0], [0.0])
+    assert st.eta0 == cfg.eta_min
+    st = stepped([10.0], [100.0])                 # dev_sq = 100
+    assert st.eta0 == cfg.eta_max and st.eta1 == cfg.eta_max
 
 
 def test_step_sizes_always_clamped():
@@ -257,9 +293,10 @@ def test_step_sizes_always_clamped():
         st.mu_bar = float(rng.uniform(0, 20))
         st.tolerance = float(rng.uniform(0, 3))
         g = rng.standard_normal(1) * rng.uniform(0, 50)
-        eta0, eta1 = update_step_sizes(st, cfg, g, dev_sq=float(rng.uniform(0, 50)))
-        assert cfg.eta_min <= eta0 <= cfg.eta_max
-        assert cfg.eta_min <= eta1 <= cfg.eta_max
+        st.w = np.array([math.sqrt(rng.uniform(0, 50))])     # dev_sq in [0, 50]
+        assert step(st, g, cfg)
+        assert cfg.eta_min <= st.eta0 <= cfg.eta_max
+        assert cfg.eta_min <= st.eta1 <= cfg.eta_max
 
 
 def test_adaptive_config_validation():
@@ -334,40 +371,43 @@ def scripted_cluster(state, cfg, model, rng):
     return payload
 
 
-REPLAY_CASES = [
-    pytest.param(kind, lam, downlink,
-                 id=f"{kind.value}-lam{lam:g}-{'downlink' if downlink else 'w0'}")
-    for kind in LossKind for lam in (1.0, 0.37) for downlink in (False, True)
-]
+REPLAY_CFG = AdaptiveConfig(iter_max=6, omega_a=1.8, omega_c=0.7, b0=0.4, gamma=0.3,
+                            eta_min=0.01, eta_max=0.2)
 
 
-@pytest.mark.parametrize("kind, lambda_last, downlink", REPLAY_CASES)
-def test_cluster_equals_scripted_replay(kind, lambda_last, downlink):
-    d, n, capacity = 3, 9, 8
-    cfg = AdaptiveConfig(iter_max=6, omega_a=1.8, omega_c=0.7, b0=0.4, gamma=0.3,
-                         eta_min=0.01, eta_max=0.2)
+def replay_clusters(kind, d, n, capacity, minibatch, admitted, lambda_last, mu, tolerance,
+                    downlink, rounds, refill, seed):
+    """Run ``rounds`` clusters on the engine's path and on the scripted
+    replay from equal states, and assert after each that both agree bit for
+    bit; returns the engine-path state.
+
+    The buffer holds ``capacity`` slots over an n-row shard after
+    ``admitted`` arrivals (more than n wraps the window), and ``refill``
+    arrivals are admitted to both buffers between rounds.
+    """
+    cfg = REPLAY_CFG
     model = LossModel(kind, d)
-    data_rng = np.random.default_rng(31)
+    data_rng = np.random.default_rng(seed)
     X = data_rng.standard_normal((n, d))
     y = (data_rng.random(n) < 0.5).astype(float) if kind is LossKind.LOGISTIC \
         else data_rng.standard_normal(n)
     w_global = data_rng.standard_normal(d)
     states = []
     for _ in range(2):
-        # a shard shorter than the arrivals admitted: the window wraps
-        buf = StreamBuffer(X, y, capacity=capacity, minibatch_size=4)
-        for _ in range(2 * n + 3):
+        buf = StreamBuffer(X, y, capacity=capacity, minibatch_size=minibatch)
+        for _ in range(admitted):
             admit(buf)
         st = make_coworker(0, np.zeros(d), buf, 1.0, cfg)
         handle_fairness_broadcast(st, lambda_last)
+        st.mu, st.tolerance = mu, tolerance
         if downlink:
             handle_downlink(st, w_global, stamp=5)
         states.append(st)
     st_a, st_b = states
-    assert st_a.buffer.next_arrival_index > len(y)
-    for round_idx in range(4):
-        payload = run_cluster(st_a, cfg, model, np.random.default_rng(100 + round_idx))
-        ref = scripted_cluster(st_b, cfg, model, np.random.default_rng(100 + round_idx))
+    for round_idx in range(rounds):
+        rng_a, rng_b = (np.random.default_rng(100 + round_idx) for _ in range(2))
+        payload = run_cluster(st_a, cfg, model, rng_a)
+        ref = scripted_cluster(st_b, cfg, model, rng_b)
         np.testing.assert_array_equal(st_a.w, st_b.w)
         np.testing.assert_array_equal(st_a.last_grad, st_b.last_grad)
         np.testing.assert_array_equal(payload.w, ref["w"])
@@ -381,11 +421,56 @@ def test_cluster_equals_scripted_replay(kind, lambda_last, downlink):
         assert st_a.tolerance == st_b.tolerance
         assert st_a.iter_k == st_b.iter_k
         assert st_a.buffer.count == st_b.buffer.count
-        # refill both buffers identically for the next round
-        for _ in range(5):
+        # both sampling streams drew the same numbers
+        assert rng_a.random() == rng_b.random()
+        for _ in range(refill):
             admit(st_a.buffer)
             admit(st_b.buffer)
-    assert st_a.mu > 0.0              # the proximity pull was exercised
+    return st_a
+
+
+@hst.composite
+def replay_settings(draw):
+    n = draw(hst.integers(1, 12))
+    capacity = draw(hst.integers(1, 12))
+    minibatch = draw(hst.integers(1, capacity))
+    return dict(
+        kind=draw(hst.sampled_from(LossKind)),
+        d=draw(hst.integers(1, 6)),
+        n=n,
+        capacity=capacity,
+        minibatch=minibatch,
+        # at least a minibatch, and up to three passes over the shard: the window wraps
+        admitted=draw(hst.integers(minibatch, max(minibatch, 3 * n))),
+        lambda_last=draw(hst.floats(0.0, 1.0)),
+        mu=draw(hst.floats(0.0, 2.0)),
+        tolerance=draw(hst.floats(0.0, 2.0)),
+        downlink=draw(hst.booleans()),
+        rounds=draw(hst.integers(1, 4)),
+        refill=draw(hst.integers(0, 5)),
+        seed=draw(hst.integers(0, 2**32 - 1)),
+    )
+
+
+# the settings of the eight hand-picked cases this property replaced; the
+# proximity-pull test below still runs each of them
+OLD_REPLAY = dict(d=3, n=9, capacity=8, minibatch=4, admitted=21, mu=0.0, tolerance=0.0,
+                  rounds=4, refill=5, seed=31)
+
+
+@settings(max_examples=150, deadline=None)
+@given(replay_settings())
+def test_cluster_equals_scripted_replay(setting):
+    replay_clusters(**setting)
+
+
+@pytest.mark.parametrize("kind", LossKind)
+@pytest.mark.parametrize("lambda_last", [1.0, 0.37])
+@pytest.mark.parametrize("downlink", [False, True])
+def test_the_scripted_replay_exercises_the_proximity_pull(kind, lambda_last, downlink):
+    st = replay_clusters(kind=kind, lambda_last=lambda_last, downlink=downlink, **OLD_REPLAY)
+    assert st.buffer.next_arrival_index > 9          # the window wrapped
+    assert st.mu > 0.0
 
 
 def build_state(seed, iter_max=6):
@@ -490,8 +575,7 @@ def test_fairness_broadcast_bounds():
 def test_zero_coefficient_leaves_only_proximity_pull():
     st = fresh_state(w=np.array([3.0]), w_global_last=np.array([1.0]), mu=2.0)
     handle_fairness_broadcast(st, 0.0)
-    st.eta0 = 0.25
-    primal_step(st, np.array([1000.0]), st.w - st.w_global_last)   # gradient ignored
+    assert step(st, [1000.0], fixed(0.25))           # gradient ignored
     np.testing.assert_allclose(st.w, [3.0 - 0.25 * 2.0 * 2.0])
 
 

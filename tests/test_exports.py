@@ -5,7 +5,7 @@ import importlib
 import pytest
 
 import afafed
-from afafed.network_sim import _Runtime
+from afafed.network_sim import SimulationEngine, _Runtime
 
 
 def test_every_exported_name_resolves_once():
@@ -16,6 +16,12 @@ def test_every_exported_name_resolves_once():
 
 @pytest.mark.parametrize("module, name", [
     ("coworker", "handle_timer_expiry"),
+    # the step rule is stated once, inside run_single_iteration
+    ("coworker", "update_step_sizes"),
+    ("coworker", "primal_step"),
+    ("coworker", "dual_step"),
+    ("coworker", "update_mu_average"),
+    ("model_core", "_residuals"),
     ("model_core", "normalized_weights"),
     ("model_core", "global_evaluation"),
     ("model_core", "global_risk_arrays"),
@@ -47,3 +53,8 @@ def test_deleted_shard_set_helpers_stay_gone(name):
 def test_deleted_runtime_fields_stay_gone(name):
     # a timer carries its cluster's token, and a coworker stalls only at warm-up
     assert name not in _Runtime.__dataclass_fields__
+
+
+def test_the_delivery_tie_rule_is_not_an_engine_method():
+    # the tie rule is network_sim._delivered, a function of the log and one cursor
+    assert not hasattr(SimulationEngine, "_delivered")

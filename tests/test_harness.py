@@ -876,6 +876,9 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     # for logistic data
     ("mixing: {phi: hinge, hinge_b: 2.5}\nsim: {T: 3}\n", "mixing.hinge_b"),
     ("data: {classes_per_coworker: -3}\nsim: {T: 3}\n", "data.classes_per_coworker"),
+    # a negative spread or separation once ran as if it were positive
+    ("model: {noise_std: -1}\nsim: {T: 3}\n", "model.noise_std"),
+    ("model: {kind: logistic, class_sep: -2}\nsim: {T: 3}\n", "model.class_sep"),
 ])
 def test_cli_config_faults_exit_2_naming_the_key(tmp_path, capsys, text, key):
     # each of these once ran to a NaN time, a traceback, forever, or with

@@ -19,7 +19,6 @@ from afafed.model_core import (
     LossModel,
     ShardSet,
     _losses,
-    _residuals,
     check_weights,
     jain_fairness_index,
     minibatch_gradient,
@@ -200,10 +199,23 @@ def test_loss_kernels_equal_their_one_line_forms_bit_for_bit(kind, n):
     assert np.array_equal(_losses(model, z, y), reference_one_line_losses(model, z, y),
                           equal_nan=True)
     assert np.array_equal(z, z_before, equal_nan=True)     # the losses leave z alone
-    scores = z.copy()
-    r = _residuals(model, scores, y)                       # the residuals overwrite it
-    assert r is scores
+    # the gradient's residuals, one row at a time: the gradient of the row
+    # x = [1] at w = [z_i] is exactly r_i, NaN and the tails included
+    r = np.array([minibatch_gradient(model, z[i:i + 1], np.ones((1, 1)), y[i:i + 1])[0]
+                  for i in range(n)])
     assert np.array_equal(r, reference_residuals(model, z, y), equal_nan=True)
+
+
+@pytest.mark.parametrize("kind", [LossKind.QUADRATIC, LossKind.LOGISTIC])
+def test_minibatch_gradient_equals_its_one_line_form_across_models_and_sizes(kind):
+    # one model serves two minibatch sizes, and two equal models share one size
+    rng = np.random.default_rng(8)
+    a, b = LossModel(kind, 5), LossModel(kind, 5)
+    for model, m in [(a, 16), (a, 7), (b, 16), (a, 16), (b, 7)]:
+        X, y = make_shard(rng, m, 5, kind)
+        w = rng.standard_normal(5)
+        want = X.T @ reference_residuals(model, X @ w, y) / m
+        assert np.array_equal(minibatch_gradient(model, w, X, y), want)
 
 
 def test_logistic_loss_is_finite_and_matches_logaddexp_in_the_tails():
