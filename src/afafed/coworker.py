@@ -87,8 +87,7 @@ class CoworkerState:
     buffer: StreamBuffer
     mu: float = 0.0
     mu_sum: float = 0.0           # running sum of multiplier samples, mu(0) included
-    mu_count: int = 1
-    mu_bar: float = 0.0
+    mu_bar: float = 0.0           # mu_sum / (t_local + 1), the running average of those samples
     tolerance: float = 0.0        # current proximity tolerance B_k
     lambda_last: float = 1.0      # own fairness coefficient, last broadcast value
     timestamp: int = 0
@@ -174,7 +173,8 @@ def run_single_iteration(
 
     and mu_bar becomes the running average of every multiplier sample, mu(0)
     included.  The primal step runs entry by entry on Python floats, with the
-    bits of the vector form.  A non-finite entry of w, or a non-finite mu,
+    bits of the vector form.  A non-finite entry of w, a non-finite mu, or a
+    NaN violation (an overflowed deviation against an unbounded tolerance)
     raises NumericDivergenceError once the iteration is complete.
 
     Returns False (leaving all state untouched) when the buffer cannot serve
@@ -204,11 +204,11 @@ def run_single_iteration(
     state.eta0, state.eta1 = eta0, eta1
     state.t_local += 1
     state.mu_sum += mu
-    state.mu_count += 1
-    state.mu_bar = state.mu_sum / state.mu_count
+    state.mu_bar = state.mu_sum / (state.t_local + 1)
     evict_oldest_if_surplus(state.buffer)
     state.last_grad = grad
-    if not (all(map(math.isfinite, w)) and math.isfinite(mu)):
+    # eta1 is NaN only for a NaN violation (inf - inf), which the mu clamp maps to 0
+    if not (all(map(math.isfinite, w)) and math.isfinite(mu) and eta1 == eta1):
         raise NumericDivergenceError(state.id, now)
     return True
 

@@ -1,11 +1,11 @@
 """Server-side aggregation: fair coefficient tuning plus age-aware mixing.
 
-The server's clock t counts accepted uplinks.  Each acceptance compares the
-sender's averaged multiplier against a dead band built from the running
-statistics of all previously accepted multipliers, rescales the fairness
-coefficients when the sample falls outside the band, discounts the update by
-its age, and folds the sender's model into the global one with a single
-convex combination.
+The server's clock t counts accepted uplinks.  :func:`process_uplink` is the
+one acceptance pass: it refuses an uplink stamped ahead of the clock before
+writing anything, rescales the sender's fairness coefficient when its
+averaged multiplier leaves a dead band built from the running statistics of
+all earlier acceptances, folds the sample into those statistics, discounts
+the update by its age, and mixes it into the global model.
 """
 
 from __future__ import annotations
@@ -50,22 +50,27 @@ class MixingConfig:
 
 @dataclass
 class ServerState:
-    """Global model, clock, fairness coefficients and multiplier statistics."""
+    """Global model, clock, fairness coefficients and multiplier sums."""
 
     w_global: np.ndarray
     lambdas: np.ndarray
-    t: int = 0
+    t: int = 0                # accepted uplinks
     mu_sum: float = 0.0       # sum of accepted multiplier averages
     dev_sum: float = 0.0      # sum of |running mean - sample| at each acceptance
-    accepted: int = 0
-    mu_mean: float = 0.0      # running mean of accepted multiplier averages
-    mu_dev: float = 0.0       # running mean absolute deviation of the same stream
-    th_upper: float = 0.0
-    th_lower: float = 0.0
     ranks: np.ndarray = field(init=False, repr=False)     # int64 1..K, for lambda_checksum
 
     def __post_init__(self) -> None:
         self.ranks = np.arange(1, len(self.lambdas) + 1, dtype=np.int64)
+
+    @property
+    def mu_mean(self) -> float:
+        """Running mean of the accepted multiplier averages; 0 before the first."""
+        return self.mu_sum / self.t if self.t else 0.0
+
+    @property
+    def mu_dev(self) -> float:
+        """Running mean absolute deviation of the same stream; 0 before the first."""
+        return self.dev_sum / self.t if self.t else 0.0
 
 
 @dataclass
@@ -90,65 +95,6 @@ class AggregationRecord:
     grad_sqnorm: Optional[float] = None
 
 
-def update_fairness_stats(state: ServerState, mu_bar: float) -> tuple[float, float]:
-    """Fold one accepted multiplier average into the running mean and spread.
-
-    The spread is the running mean absolute deviation between each sample and
-    the running mean as it stood at that sample's acceptance.
-    """
-    state.accepted += 1
-    state.mu_sum += mu_bar
-    state.mu_mean = state.mu_sum / state.accepted
-    state.dev_sum += abs(state.mu_mean - mu_bar)
-    state.mu_dev = state.dev_sum / state.accepted
-    return state.mu_mean, state.mu_dev
-
-
-def update_thresholds(state: ServerState, cfg: MixingConfig) -> tuple[float, float]:
-    """Dead band edges |mean +- margin * spread| from the statistics so far."""
-    m = cfg.fairness_margin * state.mu_dev
-    state.th_upper = abs(state.mu_mean + m)
-    state.th_lower = abs(state.mu_mean - m)
-    return state.th_upper, state.th_lower
-
-
-def scaling_functions(mu_bar: float, mu_mean: float) -> tuple[float, float]:
-    """Boost factor (>= 1) and its reciprocal, grown from the relative deviation."""
-    psi = 1.0 + math.log1p(abs(mu_bar - mu_mean) / (1.0 + mu_mean))
-    return psi, 1.0 / psi
-
-
-def apply_fairness_update(state: ServerState, k: int, mu_bar: float) -> bool:
-    """Rescale coworker k's coefficient when its multiplier leaves the dead band.
-
-    Above the band the coefficient is boosted, below it shrunk, and the whole
-    vector is renormalised onto the unit simplex; inside the band nothing
-    changes.  Returns whether the coefficient set changed (a broadcast is due).
-    """
-    psi, v = scaling_functions(mu_bar, state.mu_mean)
-    if mu_bar > state.th_upper:
-        factor = psi
-    elif mu_bar < state.th_lower:
-        factor = v
-    else:
-        return False
-    lam = state.lambdas.copy()
-    lam[k] *= factor
-    state.lambdas = lam / np.add.reduce(lam)      # lam.sum() without numpy's _methods layer
-    check_weights(state.lambdas)
-    return True
-
-
-def compute_age(state: ServerState, timestamp: int) -> int:
-    """Aggregations the sender missed since it last saw the global model."""
-    age = state.t - timestamp
-    if age < 0:
-        raise ProtocolError(
-            f"timestamp {timestamp} is ahead of the server clock {state.t}"
-        )
-    return age
-
-
 def phi(age: int, cfg: MixingConfig) -> float:
     """Staleness discount in [0, 1]; equals 1 for a fresh update."""
     if age < 0:
@@ -163,50 +109,63 @@ def phi(age: int, cfg: MixingConfig) -> float:
     return (1.0 + age) ** (-cfg.phi_alpha)
 
 
-def compute_beta(state: ServerState, k: int, age: int, cfg: MixingConfig) -> float:
-    """Mixing weight for this acceptance, clamped into [beta_min, beta_max].
-
-    Raw value: the sender's current fairness coefficient, discounted by the
-    staleness profile and by an optional power-law decay in the server clock.
-    A decay past the float range means a raw weight of 0, so beta_min.
-    """
-    try:
-        decay = (1.0 + state.t) ** cfg.de
-    except OverflowError:
-        return cfg.beta_min
-    raw = state.lambdas[k] * phi(age, cfg) / decay
-    return min(max(raw, cfg.beta_min), cfg.beta_max)
-
-
-def aggregate(state: ServerState, w_k: np.ndarray, beta: float) -> np.ndarray:
-    """Convex combination w_global <- (1-beta) w_global + beta w_k; advances t."""
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
-    state.w_global = (1.0 - beta) * state.w_global + beta * w_k
-    state.t += 1
-    return state.w_global
-
-
 def process_uplink(
     state: ServerState, payload: UplinkPayload, cfg: MixingConfig, time: float
 ) -> AggregationRecord:
-    """Full acceptance path for one uplink delivered at virtual ``time``.
+    """The one acceptance pass for an uplink delivered at virtual ``time``.
 
-    Threshold comparison and the boost factor both use the statistics as they
-    stood before this sample; the sample is folded in afterwards, the mixing
-    weight is computed from the post-update coefficient, and the clock ticks
-    once.  The record returned is the aggregation's metrics row.
+    1. age = t - timestamp; a negative age raises ProtocolError before any write.
+    2. The dead band |mean +- margin * spread| and the boost factor
+       psi = 1 + log1p(|mu_bar - mean| / (1 + mean)) use the statistics as
+       they stood before this sample.
+    3. Above the band the sender's coefficient is scaled by psi, below it by
+       1/psi, and renormalised onto the simplex; inside (edges included) not.
+    4. The sample is folded into mu_sum, then |new mean - sample| into dev_sum.
+    5. beta = lambda_k * phi(age) / (1 + t)**de clamped into [beta_min,
+       beta_max]; a decay past the float range gives beta_min.
+    6. w_global <- (1 - beta) w_global + beta w; the clock ticks once.
+
+    The record returned is the aggregation's metrics row.
     """
-    update_thresholds(state, cfg)
-    changed = apply_fairness_update(state, payload.sender, payload.mu_bar)
-    update_fairness_stats(state, payload.mu_bar)
-    age = compute_age(state, payload.timestamp)
-    beta = compute_beta(state, payload.sender, age, cfg)
-    aggregate(state, payload.w, beta)
+    k, mu_bar, t = payload.sender, payload.mu_bar, state.t
+    age = t - payload.timestamp
+    if age < 0:
+        raise ProtocolError(f"timestamp {payload.timestamp} is ahead of the server clock {t}")
+
+    mean = state.mu_mean
+    m = cfg.fairness_margin * state.mu_dev
+    psi = 1.0 + math.log1p(abs(mu_bar - mean) / (1.0 + mean))
+    changed = True
+    if mu_bar > abs(mean + m):
+        factor = psi
+    elif mu_bar < abs(mean - m):
+        factor = 1.0 / psi
+    else:
+        changed = False
+    if changed:
+        lam = state.lambdas.copy()
+        lam[k] *= factor
+        lam = lam / np.add.reduce(lam)      # lam.sum() without numpy's _methods layer
+        check_weights(lam)
+        state.lambdas = lam
+
+    state.mu_sum += mu_bar
+    state.dev_sum += abs(state.mu_sum / (t + 1) - mu_bar)
+
+    try:
+        decay = (1.0 + t) ** cfg.de
+    except OverflowError:
+        beta = cfg.beta_min
+    else:
+        raw = state.lambdas[k] * phi(age, cfg) / decay
+        beta = min(max(raw, cfg.beta_min), cfg.beta_max)
+
+    state.w_global = (1.0 - beta) * state.w_global + beta * payload.w
+    state.t = t + 1
     return AggregationRecord(
         t=state.t,
         time=time,
-        sender=payload.sender,
+        sender=k,
         age=age,
         beta=beta,
         lambda_checksum=float(state.ranks @ state.lambdas),

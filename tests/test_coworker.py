@@ -188,7 +188,7 @@ def test_mu_average_two_samples():
     st = at_consensus(mu=4.0)             # mu(0) = 0 already counted
     assert step(st, np.zeros(1), fixed(0.1))
     assert st.mu_bar == pytest.approx(2.0)   # (0 + 4) / 2
-    assert st.mu_bar == st.mu_sum / st.mu_count
+    assert st.mu_bar == st.mu_sum / (st.t_local + 1)
 
 
 def test_mu_average_all_zero_and_constant():
@@ -196,7 +196,7 @@ def test_mu_average_all_zero_and_constant():
     for _ in range(5):
         assert step(st, np.zeros(1), fixed(0.1))
     assert st.mu_bar == 0.0
-    st2 = at_consensus(mu=3.0, mu_sum=3.0, mu_count=1)
+    st2 = at_consensus(mu=3.0, mu_sum=3.0)
     for _ in range(5):
         assert step(st2, np.zeros(1), fixed(0.1))
         assert st2.mu_bar == pytest.approx(3.0)
@@ -208,7 +208,7 @@ def test_mu_average_exact_ratio_invariant():
     for _ in range(200):
         st.mu = float(rng.uniform(0, 10))
         assert step(st, np.zeros(1), fixed(0.1))
-        assert st.mu_bar == st.mu_sum / st.mu_count
+        assert st.mu_bar == st.mu_sum / (st.t_local + 1)
 
 
 # ---------------- adaptation maps ---------------- #
@@ -262,6 +262,20 @@ def test_an_overflowing_tolerance_is_unbounded_or_zero():
     assert step(st, [0.1], cfg)
     assert st.eta1 == cfg.eta_max
     assert st.mu == 0.0
+
+
+def test_an_overflowed_deviation_against_an_unbounded_tolerance_diverges():
+    # diff.diff overflows to inf, so the violation is inf - inf: NaN.  The mu
+    # clamp would make it 0 and hide it; the iteration reports a divergence
+    st = fresh_state(w=np.array([1e200, 1e200]), w_global_last=np.zeros(2), mu=5.0,
+                     tolerance=math.inf)
+    with np.errstate(over="ignore"), pytest.raises(NumericDivergenceError):
+        step(st, [0.0, 0.0], AdaptiveConfig())
+    # a finite deviation under the same tolerance is a violation of -inf
+    st = fresh_state(w=np.array([1e100, 1e100]), w_global_last=np.zeros(2), mu=5.0,
+                     tolerance=math.inf)
+    assert step(st, [0.0, 0.0], AdaptiveConfig())
+    assert (st.mu, st.eta1) == (0.0, AdaptiveConfig().eta_max)
 
 
 def test_step_sizes_hand_value_and_clips():
@@ -358,8 +372,7 @@ def scripted_cluster(state, cfg, model, rng):
         state.mu = max(0.0, state.mu + state.eta1 * (dev_sq - state.tolerance))
         state.t_local += 1
         state.mu_sum += state.mu
-        state.mu_count += 1
-        state.mu_bar = state.mu_sum / state.mu_count
+        state.mu_bar = state.mu_sum / (state.t_local + 1)      # mu(0) counts too
         if buf.count > buf.minibatch_size:
             buf.count -= 1
         state.last_grad = grad
@@ -414,8 +427,7 @@ def replay_clusters(kind, d, n, capacity, minibatch, admitted, lambda_last, mu, 
         assert payload.mu_bar == ref["mu_bar"]
         assert payload.timestamp == ref["timestamp"]
         assert payload.iters_in_cluster == ref["iters"]
-        assert (st_a.mu, st_a.mu_sum, st_a.mu_count, st_a.mu_bar) == \
-            (st_b.mu, st_b.mu_sum, st_b.mu_count, st_b.mu_bar)
+        assert (st_a.mu, st_a.mu_sum, st_a.mu_bar) == (st_b.mu, st_b.mu_sum, st_b.mu_bar)
         assert (st_a.eta0, st_a.eta1) == (st_b.eta0, st_b.eta1)
         assert st_a.t_local == st_b.t_local
         assert st_a.tolerance == st_b.tolerance

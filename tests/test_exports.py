@@ -5,7 +5,9 @@ import importlib
 import pytest
 
 import afafed
+from afafed.coworker import CoworkerState
 from afafed.network_sim import SimulationEngine, _Runtime
+from afafed.server import ServerState
 
 
 def test_every_exported_name_resolves_once():
@@ -21,6 +23,14 @@ def test_every_exported_name_resolves_once():
     ("coworker", "primal_step"),
     ("coworker", "dual_step"),
     ("coworker", "update_mu_average"),
+    # the server's rules are stated once, inside process_uplink
+    ("server", "update_fairness_stats"),
+    ("server", "update_thresholds"),
+    ("server", "scaling_functions"),
+    ("server", "apply_fairness_update"),
+    ("server", "compute_age"),
+    ("server", "compute_beta"),
+    ("server", "aggregate"),
     ("model_core", "_residuals"),
     ("model_core", "normalized_weights"),
     ("model_core", "global_evaluation"),
@@ -53,6 +63,19 @@ def test_deleted_shard_set_helpers_stay_gone(name):
 def test_deleted_runtime_fields_stay_gone(name):
     # a timer carries its cluster's token, and a coworker stalls only at warm-up
     assert name not in _Runtime.__dataclass_fields__
+
+
+@pytest.mark.parametrize("cls, name", [
+    # the clock counts acceptances, and the band is read from the two sums
+    (ServerState, "accepted"),
+    (ServerState, "th_upper"),
+    (ServerState, "th_lower"),
+    # mu_bar's count is t_local + 1
+    (CoworkerState, "mu_count"),
+])
+def test_deleted_state_fields_stay_gone(cls, name):
+    assert name not in cls.__dataclass_fields__
+    assert not hasattr(cls, name)
 
 
 def test_the_delivery_tie_rule_is_not_an_engine_method():
