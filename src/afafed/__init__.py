@@ -31,7 +31,6 @@ from .model_core import (
 )
 from .network_sim import (
     ArrivalProcess,
-    ComputeModel,
     CoworkerSetup,
     Evaluation,
     LinkModel,
@@ -49,7 +48,6 @@ __all__ = [
     "AggregationRecord",
     "ArrivalProcess",
     "BoundInputs",
-    "ComputeModel",
     "ConfigError",
     "CoworkerSetup",
     "CoworkerState",

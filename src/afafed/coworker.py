@@ -173,9 +173,10 @@ def run_single_iteration(
 
     and mu_bar becomes the running average of every multiplier sample, mu(0)
     included.  The primal step runs entry by entry on Python floats, with the
-    bits of the vector form.  A non-finite entry of w, a non-finite mu, or a
-    NaN violation (an overflowed deviation against an unbounded tolerance)
-    raises NumericDivergenceError once the iteration is complete.
+    bits of the vector form.  A NaN violation (an overflowed deviation
+    against an unbounded tolerance), a non-finite entry of w or a non-finite
+    mu raises NumericDivergenceError once the iteration is complete; its
+    message names the first of these that it finds.
 
     Returns False (leaving all state untouched) when the buffer cannot serve
     a minibatch yet; the caller decides how to wait.
@@ -209,7 +210,9 @@ def run_single_iteration(
     state.last_grad = grad
     # eta1 is NaN only for a NaN violation (inf - inf), which the mu clamp maps to 0
     if not (all(map(math.isfinite, w)) and math.isfinite(mu) and eta1 == eta1):
-        raise NumericDivergenceError(state.id, now)
+        what = ("constraint violation" if eta1 != eta1 else
+                "multiplier" if all(map(math.isfinite, w)) else "model vector")
+        raise NumericDivergenceError(state.id, now, what)
     return True
 
 

@@ -10,9 +10,10 @@ class ProtocolError(RuntimeError):
 
 
 class NumericDivergenceError(RuntimeError):
-    """A coworker produced a non-finite model vector or multiplier."""
+    """A coworker produced a non-finite model vector, multiplier or constraint
+    violation; ``what`` names which."""
 
-    def __init__(self, coworker: int, time: float, what: str = "model vector"):
+    def __init__(self, coworker: int, time: float, what: str):
         self.coworker = coworker
         self.time = time
         super().__init__(

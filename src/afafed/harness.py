@@ -29,7 +29,6 @@ from .errors import ConfigError
 from .model_core import LossKind, LossModel
 from .network_sim import (
     ArrivalProcess,
-    ComputeModel,
     CoworkerSetup,
     Evaluation,
     LinkModel,
@@ -55,8 +54,9 @@ class Key(NamedTuple):
     ``[table]`` for a non-empty list of mappings.  ``default`` is the value
     the presets start from.  A ``per_coworker`` key also takes a list with
     one value per coworker.  ``ge``/``gt``/``le`` bound the keys that no
-    constructor checks, and also ``p_loss``, ``speed`` and ``rate``, which
-    the constructors check too, so that a fault names its list index.
+    constructor checks, and also ``p_loss``, ``rate`` and ``timer_factor``,
+    which LinkModel checks too, so that a fault names its dotted key and
+    list index.
     """
 
     default: Any = _REQUIRED
@@ -86,21 +86,18 @@ CONFIG_SCHEMA: Dict[str, Key] = {
     "preset": Key(_OPTIONAL, str),
     "model": _section(kind=Key("quadratic", str), dim=Key(5, int, ge=1),
                       noise_std=Key(0.05, ge=0), class_sep=Key(2.0, ge=0)),
-    "topology": _section(
-        K=Key(_OPTIONAL, int, nullable=True),
-        categories=Key([
-            {"count": 3, "speed": 50e7, "rate": 100e4, "p_loss": 0.0},
-            {"count": 3, "speed": 25e7, "rate": 50e4, "p_loss": 0.0},
-            {"count": 2, "speed": 1.0e7, "rate": 2e4, "p_loss": 0.0},
-        ], [_CATEGORY]),
-    ),
+    "topology": _section(categories=Key([
+        {"count": 3, "speed": 50e7, "rate": 100e4, "p_loss": 0.0},
+        {"count": 3, "speed": 25e7, "rate": 50e4, "p_loss": 0.0},
+        {"count": 2, "speed": 1.0e7, "rate": 2e4, "p_loss": 0.0},
+    ], [_CATEGORY])),
     "data": _section(shard_size=Key(64, int, ge=1), partition=Key("iid", str),
                      classes_per_coworker=Key(2, int, ge=1, le=2)),
     "buffer": _section(capacity=Key(64, int), minibatch=Key(16, int)),
     "arrivals": _section(kind=Key("poisson", str), rate=Key(5.0, nullable=True),
                          interval=Key(0.0, nullable=True),
                          trace=Key(None, str, nullable=True, per_coworker=True)),
-    "compute": _section(cycles_per_iter=Key(1.0e7)),
+    "compute": _section(cycles_per_iter=Key(1.0e7, gt=0)),
     "adaptive": _section(iter_max=Key(5, int), omega_a=Key(2.0), omega_c=Key(1.0),
                          b0=Key(1.0), gamma=Key(0.1), eta_min=Key(0.01), eta_max=Key(0.5)),
     "mixing": _section(beta_min=Key(0.001), beta_max=Key(0.9), de=Key(0.0),
@@ -482,7 +479,7 @@ def _check_arrival_density(cfg: Dict[str, Any], engine: SimulationEngine, param:
     law = engine.runtimes[0].arrivals
     rate = law.rate if law.kind == "poisson" else 1.0 / law.interval
     iter_max = engine.adaptive.iter_max
-    estimates = [rate * (iter_max * rt.iteration_duration + rt.timer_duration)
+    estimates = [rate * (iter_max * rt.iteration_duration + rt.link.timer_duration)
                  for rt in engine.runtimes]
     worst = int(np.argmax(estimates))
     if estimates[worst] > MAX_ARRIVALS_PER_CLUSTER:
@@ -509,10 +506,6 @@ def build_experiment(cfg: Dict[str, Any], enable_profiling: bool = False) -> Exp
     # one category entry per coworker
     cats = [cat for cat in cfg["topology"]["categories"] for _ in range(cat["count"])]
     k_total = len(cats)
-    declared = cfg["topology"].get("K")
-    if declared is not None:
-        _require(declared == k_total, "topology.K",
-                 f"declared {declared} but categories sum to {k_total}")
 
     p_loss = cfg["link"]["p_loss"]
     losses = ([cat.get("p_loss", 0.0) for cat in cats] if p_loss is None
@@ -552,19 +545,17 @@ def build_experiment(cfg: Dict[str, Any], enable_profiling: bool = False) -> Exp
                        interval=arrivals_cfg["interval"] or 0.0)] * k_total
 
     adaptive = _build("adaptive", AdaptiveConfig, **cfg["adaptive"])
-    mix = cfg["mixing"]
-    mixing = _build("mixing", MixingConfig, beta_min=mix["beta_min"], beta_max=mix["beta_max"],
-                    de=mix["de"], phi_kind=mix["phi"], phi_alpha=mix["alpha"],
-                    phi_hinge_b=mix["hinge_b"], fairness_margin=mix["fairness_margin"])
+    mixing = _build("mixing", MixingConfig, **cfg["mixing"])
+    # the link: section, less p_loss, which each coworker's category may set
+    link = {**cfg["link"], "payload_bits": payload_bits}
+    del link["p_loss"]
+    # a quotient of two positive floats may still underflow to 0
     setups = [
-        CoworkerSetup(
+        _build(
+            "compute", CoworkerSetup,
             shard=shards[cid],
-            link=_build("link", LinkModel, p_loss=losses[cid], rate=cat["rate"],
-                        payload_bits=payload_bits,
-                        downlink_delay=cfg["link"]["downlink_delay"],
-                        rate_jitter=cfg["link"]["rate_jitter"]),
-            compute=_build("compute", ComputeModel, speed=cat["speed"],
-                           cycles_per_iteration=cfg["compute"]["cycles_per_iter"]),
+            link=_build("link", LinkModel, p_loss=losses[cid], rate=cat["rate"], **link),
+            iteration_duration=cfg["compute"]["cycles_per_iter"] / cat["speed"],
             arrivals=laws[cid],
             capacity=cfg["buffer"]["capacity"],
             minibatch=cfg["buffer"]["minibatch"],
@@ -592,7 +583,6 @@ def build_experiment(cfg: Dict[str, Any], enable_profiling: bool = False) -> Exp
         w0=np.zeros(dim),
         seed=sim["seed"],
         enable_profiling=enable_profiling,
-        timer_factor=cfg["link"]["timer_factor"],
     )
     if arrivals_cfg["kind"] != "trace":
         _check_arrival_density(cfg, engine, param)

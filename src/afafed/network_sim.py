@@ -6,9 +6,14 @@ with a per-coworker Bernoulli probability and otherwise arrive after a
 rate-derived delay; model downlinks are lossless.  Local iterations are
 timed individually: a cluster occupies a span of virtual time and every
 event addressed to a coworker first advances its cluster to the iteration
-boundary at or before the event.  A cluster's completion, and the timer its
-uplink arms, carry the coworker's cluster token: once a later cluster starts
-they are stale and ignored.  A coworker stalls only while its buffer warms up.
+boundary at or before the event.  A cluster is three numbers: its token (the
+count of clusters started), its anchor (its start time) and the iterations
+it has left; iteration i of the cluster ends at anchor + i × the coworker's
+iteration duration.  A coworker whose token is 0 has started no cluster: it
+is stalled, which it is only while its buffer warms up.  One with iterations
+left is computing, and one with none left is waiting for a downlink or its
+timer.  A cluster's completion, and the timer its uplink arms, carry the
+cluster's token: once a later cluster starts they are stale and ignored.
 
 Fairness coefficients are not calendar events.  Each coefficient change is
 appended once to a log of (send time, coefficients, queue position) entries,
@@ -235,16 +240,21 @@ class LinkModel:
     payload_bits: float = 448.0
     downlink_delay: float = 0.0
     rate_jitter: float = 0.0        # half-width of a uniform rate perturbation, as a fraction
+    timer_factor: float = 3.0       # the retransmission timer, in mean round trips
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_loss <= 1.0:
             raise ValueError("p_loss must lie in [0, 1]")
-        if self.rate <= 0.0 or self.payload_bits <= 0.0:
-            raise ValueError("rate and payload_bits must be positive")
+        if not self.rate > 0.0:
+            raise ValueError("rate must be positive")
+        if not self.payload_bits > 0.0:
+            raise ValueError("payload_bits must be positive")
         if self.downlink_delay < 0.0:
             raise ValueError("downlink_delay must be non-negative")
         if not 0.0 <= self.rate_jitter < 1.0:
             raise ValueError("rate_jitter must lie in [0, 1)")
+        if not self.timer_factor > 0.0:
+            raise ValueError("timer_factor must be positive")
 
     @property
     def draws(self) -> bool:
@@ -263,24 +273,11 @@ class LinkModel:
             rate = self.rate * (1.0 + self.rate_jitter * (2.0 * rng.random() - 1.0))
         return self.payload_bits / rate
 
-    def mean_rtt(self) -> float:
-        return self.payload_bits / self.rate + self.downlink_delay
-
-
-@dataclass(frozen=True)
-class ComputeModel:
-    """Per-coworker compute speed; one local iteration costs a fixed cycle budget."""
-
-    speed: float                    # CPU cycles per time unit
-    cycles_per_iteration: float
-
-    def __post_init__(self) -> None:
-        if self.speed <= 0.0 or self.cycles_per_iteration <= 0.0:
-            raise ValueError("speed and cycles_per_iteration must be positive")
-
     @property
-    def iteration_duration(self) -> float:
-        return self.cycles_per_iteration / self.speed
+    def timer_duration(self) -> float:
+        """How long a coworker waits for a downlink after its uplink attempt:
+        timer_factor mean round trips, un-jittered uplink plus downlink delay."""
+        return self.timer_factor * (self.payload_bits / self.rate + self.downlink_delay)
 
 
 @dataclass(frozen=True)
@@ -322,10 +319,14 @@ class CoworkerSetup:
 
     shard: Tuple[np.ndarray, np.ndarray]    # (X, y); arrival a is row a % len(y)
     link: LinkModel
-    compute: ComputeModel
+    iteration_duration: float               # virtual time of one local iteration
     arrivals: ArrivalProcess
     capacity: int
     minibatch: int
+
+    def __post_init__(self) -> None:
+        if not self.iteration_duration > 0.0:     # NaN fails too
+            raise ValueError("iteration_duration must be positive")
 
 
 @dataclass
@@ -335,7 +336,10 @@ class _Runtime:
     Facts the protocol state already holds are read from it: the shard rows
     (``state.buffer.X`` and ``.y``, views of the engine's data), iterations
     run (``state.t_local``), arrivals admitted (``state.buffer.next_arrival_index``)
-    and the length of the current cluster (``state.iter_k``).  Once the
+    and the length of the current cluster (``state.iter_k``).  The current
+    cluster is ``cluster_token``, ``cluster_anchor`` and ``iters_left``: the
+    coworker is stalled while the token is 0, computing while iterations are
+    left, and waiting for a downlink or its timer otherwise.  Once the
     buffer is ready, ``next_arrival`` is the time of the first arrival not
     yet admitted; it is inf while the buffer warms up (those arrivals are
     calendar events) and once a trace is exhausted.
@@ -348,10 +352,8 @@ class _Runtime:
     rng_sample: np.random.Generator
     rng_link: Optional[np.random.Generator]         # None when the link does not draw
     rng_arrival: Optional[np.random.Generator]      # None when the arrival law does not draw
-    timer_duration: float
-    phase: str = "stalled"          # stalled (warm-up only) | computing | waiting
     cluster_token: int = 0          # clusters started; names the current one
-    iters_done: int = 0
+    iters_left: int = 0             # iterations of the current cluster not yet run
     cluster_anchor: float = 0.0     # start time of the current cluster
     coef_cursor: int = 0            # index in the log of the first unapplied entry
     next_arrival: float = math.inf  # first arrival that _catch_up has not admitted
@@ -485,7 +487,6 @@ class SimulationEngine:
         w0: np.ndarray,
         seed: int,
         enable_profiling: bool = False,
-        timer_factor: float = 3.0,
     ) -> None:
         if not setups:
             raise ValueError("need at least one coworker")
@@ -526,11 +527,10 @@ class SimulationEngine:
                 state=state,
                 link=setup.link,
                 arrivals=setup.arrivals,
-                iteration_duration=setup.compute.iteration_duration,
+                iteration_duration=setup.iteration_duration,
                 rng_sample=streams[0, cid],
                 rng_link=streams.get((1, cid)),
                 rng_arrival=streams.get((2, cid)),
-                timer_duration=timer_factor * setup.link.mean_rtt(),
             )
             self.runtimes.append(rt)
 
@@ -575,9 +575,8 @@ class SimulationEngine:
 
     def _start_cluster(self, cid: int, now: float) -> None:
         rt = self.runtimes[cid]
-        rt.phase = "computing"
         rt.cluster_token += 1
-        rt.iters_done = 0
+        rt.iters_left = rt.state.iter_k
         rt.cluster_anchor = now
         end = now + rt.state.iter_k * rt.iteration_duration
         self.queue.push(end, EventKind.CLUSTER_COMPLETE, cid, token=rt.cluster_token)
@@ -594,13 +593,14 @@ class SimulationEngine:
         rt = self.runtimes[cid]
         buf = rt.state.buffer
         log = self._coef_log
-        if rt.phase == "computing":
+        if rt.iters_left:
             state, rng, adaptive, model = rt.state, rt.rng_sample, self.adaptive, self.model
             observers = self._on_iteration
             dur = rt.iteration_duration
             delay = rt.link.downlink_delay
-            while rt.iters_done < state.iter_k:
-                boundary = rt.cluster_anchor + (rt.iters_done + 1) * dur
+            k1 = state.iter_k + 1         # the next iteration is number k1 - iters_left
+            while rt.iters_left:
+                boundary = rt.cluster_anchor + (k1 - rt.iters_left) * dur
                 if boundary > now:
                     break
                 while rt.next_arrival < boundary:
@@ -615,7 +615,7 @@ class SimulationEngine:
                     raise RuntimeError(
                         f"coworker {cid} lost minibatch readiness mid-cluster at {boundary:.6g}"
                     )
-                rt.iters_done += 1
+                rt.iters_left -= 1
                 for observe in observers:
                     observe(cid, state)
         while rt.next_arrival <= now:
@@ -659,7 +659,7 @@ class SimulationEngine:
         self._catch_up(cid, ev.time, ev.seq)
         admit(rt.state.buffer)
         self._schedule_next_arrival(cid, ev.time)
-        if rt.phase == "stalled" and rt.state.buffer.ready:
+        if rt.cluster_token == 0 and rt.state.buffer.ready:
             self._start_cluster(cid, ev.time)
 
     def _on_cluster_complete(self, ev: SimEvent) -> None:
@@ -668,7 +668,7 @@ class SimulationEngine:
         if ev.token != rt.cluster_token:
             return  # the cluster was aborted by a downlink
         self._catch_up(cid, ev.time, ev.seq)
-        if rt.iters_done != rt.state.iter_k:
+        if rt.iters_left:
             raise RuntimeError("cluster completion fired before all iterations elapsed")
         payload = cw.finalize_cluster(rt.state, self.adaptive)
         self.uplink_attempts += 1
@@ -677,9 +677,8 @@ class SimulationEngine:
             self.uplink_drops += 1
         else:
             self.queue.push(ev.time + delay, EventKind.UPLINK_DELIVERY, cid, payload=payload)
-        self.queue.push(ev.time + rt.timer_duration, EventKind.TIMER_EXPIRY, cid,
+        self.queue.push(ev.time + rt.link.timer_duration, EventKind.TIMER_EXPIRY, cid,
                         token=rt.cluster_token)
-        rt.phase = "waiting"
 
     def _on_uplink_delivery(self, ev: SimEvent) -> None:
         payload: cw.UplinkPayload = ev.payload

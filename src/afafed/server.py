@@ -28,9 +28,9 @@ class MixingConfig:
     beta_min: float = 0.001
     beta_max: float = 0.9
     de: float = 0.0                 # extra power-law decay of the raw mixing weight
-    phi_kind: str = "power"         # power | exponential | hinge
-    phi_alpha: float = 0.5
-    phi_hinge_b: int = 4
+    phi: str = "power"              # staleness profile: power | exponential | hinge
+    alpha: float = 0.5              # decay exponent (power, hinge) or rate (exponential) of phi
+    hinge_b: int = 4                # hinge: the largest age phi leaves undiscounted
     fairness_margin: float = 4.0    # half-width of the dead band, in mean-deviation units
 
     def __post_init__(self) -> None:
@@ -38,12 +38,12 @@ class MixingConfig:
             raise ValueError("need 0 < beta_min <= beta_max <= 1")
         if self.de < 0.0:
             raise ValueError("de must be non-negative")
-        if self.phi_kind not in ("power", "exponential", "hinge"):
-            raise ValueError(f"unknown staleness profile {self.phi_kind!r}")
-        if self.phi_alpha < 0.0:
-            raise ValueError("phi_alpha must be non-negative")
-        if self.phi_hinge_b < 0:
-            raise ValueError("phi_hinge_b must be non-negative")
+        if self.phi not in ("power", "exponential", "hinge"):
+            raise ValueError(f"phi must be power, exponential or hinge, not {self.phi!r}")
+        if self.alpha < 0.0:
+            raise ValueError("alpha must be non-negative")
+        if self.hinge_b < 0:
+            raise ValueError("hinge_b must be non-negative")
         if self.fairness_margin < 0.0:
             raise ValueError("fairness_margin must be non-negative")
 
@@ -99,14 +99,14 @@ def phi(age: int, cfg: MixingConfig) -> float:
     """Staleness discount in [0, 1]; equals 1 for a fresh update."""
     if age < 0:
         raise ValueError("age must be non-negative")
-    if cfg.phi_kind == "power":
-        return (1.0 + age) ** (-cfg.phi_alpha)
-    if cfg.phi_kind == "exponential":
-        return math.exp(-cfg.phi_alpha * age)
+    if cfg.phi == "power":
+        return (1.0 + age) ** (-cfg.alpha)
+    if cfg.phi == "exponential":
+        return math.exp(-cfg.alpha * age)
     # hinge: flat up to b, power-law decay beyond
-    if age <= cfg.phi_hinge_b:
+    if age <= cfg.hinge_b:
         return 1.0
-    return (1.0 + age) ** (-cfg.phi_alpha)
+    return (1.0 + age) ** (-cfg.alpha)
 
 
 def process_uplink(

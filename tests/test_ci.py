@@ -1,6 +1,8 @@
 """The CI workflow runs the tier-1 command that ROADMAP.md states, on 3.10 and
 3.11, once as written and once in Python's development mode (``-X dev``), and
-golden-checks every perfbench input in a second job."""
+golden-checks every perfbench input in a second job.  Both jobs log numpy's
+version and SIMD level after installing, since the golden digests depend on
+them."""
 
 import re
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
+SHOW_RUNTIME = 'python -c "import numpy; numpy.show_runtime()"'
 
 
 def test_the_workflow_runs_the_tier1_command():
@@ -20,13 +23,13 @@ def test_the_workflow_runs_the_tier1_command():
     runs = [step["run"] for step in job["steps"] if "run" in step]
     dev = tier1.replace(" python -m ", " python -X dev -m ", 1)
     assert dev != tier1
-    assert runs == ["pip install -e '.[test]'", tier1, dev]
+    assert runs == ["pip install -e '.[test]'", SHOW_RUNTIME, tier1, dev]
 
 
 def test_the_workflow_golden_checks_every_perfbench_input():
     workflow = yaml.safe_load((ROOT / ".github/workflows/tier1.yml").read_text(encoding="utf-8"))
     runs = [step["run"] for step in workflow["jobs"]["golden"]["steps"] if "run" in step]
     script = "tests/golden_all_inputs.py"
-    assert runs[0] == "pip install -e '.[test]'"
-    assert runs[1].endswith(f" python {script}")
+    assert runs[:2] == ["pip install -e '.[test]'", SHOW_RUNTIME]
+    assert runs[2].endswith(f" python {script}")
     assert (ROOT / script).is_file()

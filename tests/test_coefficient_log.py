@@ -35,7 +35,7 @@ class AdoptionLog:
 
     def on_iteration(self, cid, state):
         rt = self.engine.runtimes[cid]
-        boundary = rt.cluster_anchor + rt.iters_done * rt.iteration_duration
+        boundary = rt.cluster_anchor + (state.iter_k - rt.iters_left) * rt.iteration_duration
         self.iterations.append((cid, boundary, state.lambda_last))
 
     def reference(self, cid, boundary):

@@ -278,6 +278,23 @@ def test_an_overflowed_deviation_against_an_unbounded_tolerance_diverges():
     assert (st.mu, st.eta1) == (0.0, AdaptiveConfig().eta_max)
 
 
+@pytest.mark.parametrize("state, grad, what", [
+    # diff.diff overflows to inf: the multiplier leaves the float range, w does not
+    (dict(w=np.array([1e154, 1e154]), mu=1.0), [0.0, 0.0], "multiplier"),
+    # the primal step overflows (and so does the deviation)
+    (dict(w=np.array([1.7e308])), [-1.7e308], "model vector"),
+    # inf - inf against an unbounded tolerance
+    (dict(w=np.array([1e200, 1e200]), mu=5.0, tolerance=math.inf), [0.0, 0.0],
+     "constraint violation"),
+])
+def test_a_divergence_names_the_quantity_that_left_the_float_range(state, grad, what):
+    st = fresh_state(w_global_last=np.zeros(len(state["w"])), **state)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericDivergenceError) as info:
+        step(st, grad, AdaptiveConfig())
+    assert str(info.value) == f"coworker 0 diverged at virtual time nan: non-finite {what}"
+
+
 def test_step_sizes_hand_value_and_clips():
     cfg = AdaptiveConfig(iter_max=30, omega_a=2.0, omega_c=1.0,
                          eta_min=0.01, eta_max=0.5)

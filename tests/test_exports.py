@@ -1,13 +1,15 @@
 """The package's export list: every name resolves and deleted names stay gone."""
 
 import importlib
+import inspect
 
 import pytest
 
 import afafed
 from afafed.coworker import CoworkerState
+from afafed.harness import CONFIG_SCHEMA
 from afafed.network_sim import SimulationEngine, _Runtime
-from afafed.server import ServerState
+from afafed.server import MixingConfig, ServerState
 
 
 def test_every_exported_name_resolves_once():
@@ -40,6 +42,8 @@ def test_every_exported_name_resolves_once():
     ("model_core", "_layout"),
     ("model_core", "_blocks"),
     ("network_sim", "MetricsRow"),
+    # an iteration's duration is a number on CoworkerSetup
+    ("network_sim", "ComputeModel"),
     ("bounds", "ensemble_averages"),
     ("bounds", "effective_horizon"),
     ("bounds", "gradient_variance_bound"),
@@ -59,9 +63,13 @@ def test_deleted_shard_set_helpers_stay_gone(name):
     assert not hasattr(afafed.ShardSet, name)
 
 
-@pytest.mark.parametrize("name", ["timer_token", "stalls"])
-def test_deleted_runtime_fields_stay_gone(name):
+@pytest.mark.parametrize("name", [
     # a timer carries its cluster's token, and a coworker stalls only at warm-up
+    "timer_token", "stalls",
+    # a cluster is its token, anchor and iterations left; the link holds the timer
+    "phase", "iters_done", "timer_duration",
+])
+def test_deleted_runtime_fields_stay_gone(name):
     assert name not in _Runtime.__dataclass_fields__
 
 
@@ -72,6 +80,10 @@ def test_deleted_runtime_fields_stay_gone(name):
     (ServerState, "th_lower"),
     # mu_bar's count is t_local + 1
     (CoworkerState, "mu_count"),
+    # the mixing fields take the names of the config's mixing keys
+    (MixingConfig, "phi_kind"),
+    (MixingConfig, "phi_alpha"),
+    (MixingConfig, "phi_hinge_b"),
 ])
 def test_deleted_state_fields_stay_gone(cls, name):
     assert name not in cls.__dataclass_fields__
@@ -81,3 +93,9 @@ def test_deleted_state_fields_stay_gone(cls, name):
 def test_the_delivery_tie_rule_is_not_an_engine_method():
     # the tie rule is network_sim._delivered, a function of the log and one cursor
     assert not hasattr(SimulationEngine, "_delivered")
+
+
+def test_the_timer_factor_and_k_are_stated_once():
+    # the link: section's LinkModel holds timer_factor, and K is the sum of the counts
+    assert "timer_factor" not in inspect.signature(SimulationEngine.__init__).parameters
+    assert "K" not in CONFIG_SCHEMA["topology"].type

@@ -132,7 +132,7 @@ def test_set_by_path():
      r"topology.categories\[0\].p_loss: must be <= 1"),
     ({"data": {"partition": "label_skew"}}, "data.partition"),
     ({"data": {"partition": "dirichlet"}}, "data.partition"),
-    ({"topology": {"K": 5}}, "topology.K"),
+    ({"topology": {"K": 5}}, r"topology.K: unknown key; known keys are \['categories'\]"),
     ({"adaptive": {"eta_min": 0.9}}, "adaptive"),       # above eta_max
     ({"mixing": {"beta_min": 0.0}}, "mixing"),
     ({"sim": {"T": -1}}, "sim.T"),
@@ -879,6 +879,10 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     # a negative spread or separation once ran as if it were positive
     ("model: {noise_std: -1}\nsim: {T: 3}\n", "model.noise_std"),
     ("model: {kind: logistic, class_sep: -2}\nsim: {T: 3}\n", "model.class_sep"),
+    # cycles_per_iter / speed underflows to an iteration of no duration
+    ("compute: {cycles_per_iter: 1.0e-300}\n"
+     "topology: {categories: [{count: 2, speed: 1.0e+300, rate: 1.0e+5}]}\nsim: {T: 3}\n",
+     "compute"),
 ])
 def test_cli_config_faults_exit_2_naming_the_key(tmp_path, capsys, text, key):
     # each of these once ran to a NaN time, a traceback, forever, or with
@@ -890,6 +894,23 @@ def test_cli_config_faults_exit_2_naming_the_key(tmp_path, capsys, text, key):
         build_experiment(load_config(str(path)))
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err.startswith(f"configuration error: {key}:")
+
+
+@pytest.mark.parametrize("text, message", [
+    # each once named another field, or two fields at once
+    ("mixing: {alpha: -1}\n", "mixing: alpha must be non-negative"),
+    ("mixing: {hinge_b: -1}\n", "mixing: hinge_b must be non-negative"),
+    ("mixing: {phi: cubic}\n", "mixing: phi must be power, exponential or hinge, not 'cubic'"),
+    ("compute: {cycles_per_iter: 0}\n", "compute.cycles_per_iter: must be > 0"),
+    ("link: {payload_bits: -5}\n", "link: payload_bits must be positive"),
+    # K is the sum of the category counts, not a key
+    ("topology: {K: 8}\n", "topology.K: unknown key; known keys are ['categories']"),
+])
+def test_cli_config_faults_name_the_yaml_key(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text + "sim: {T: 3}\n")
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 def test_cli_divergence_exits_3_with_one_line(tmp_path):
@@ -1002,7 +1023,7 @@ def test_the_arrival_cap_reads_the_engines_cluster_span(tmp_path, capsys):
     sparse = build_experiment(resolve_config({**doc, "arrivals": {"kind": "periodic",
                                                                   "interval": 1.0}})).engine
     interval = 1.0e-12
-    spans = [7 * rt.iteration_duration + rt.timer_duration for rt in sparse.runtimes]
+    spans = [7 * rt.iteration_duration + rt.link.timer_duration for rt in sparse.runtimes]
     assert int(np.argmax(spans)) == 2
     path = write_cfg(tmp_path, {**doc, "arrivals": {"kind": "periodic", "interval": interval}})
     assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
@@ -1089,12 +1110,11 @@ def test_readme_config_block_lists_every_schema_key():
     build_experiment(resolve_config(doc))     # and it is a valid config
     # each value, checked as build_experiment checks it, is the
     # table_a1_small default, but for the categories (the block shows one of
-    # three) and the optional K
+    # three)
     shown = harness._check(CONFIG_SCHEMA, doc, "")
     default = harness._check(CONFIG_SCHEMA, resolve_config({}), "")
     for checked in (shown, default):
         del checked["topology"]["categories"]
-        checked["topology"].pop("K", None)
     assert shown == default
 
 

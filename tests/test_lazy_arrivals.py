@@ -26,7 +26,6 @@ from afafed.harness import resolve_config, run_experiment
 from afafed.model_core import LossKind, LossModel
 from afafed.network_sim import (
     ArrivalProcess,
-    ComputeModel,
     CoworkerSetup,
     Evaluation,
     EventKind,
@@ -74,10 +73,10 @@ def tie_configs(draw):
     setups = [
         CoworkerSetup(
             shard=(rng.standard_normal((6, 2)), rng.standard_normal(6)),
-            # payload_bits / rate and cycles / speed are multiples of 1/8
+            # payload_bits / rate and the iteration duration are multiples of 1/8
             link=LinkModel(p_loss=draw(st.sampled_from([0.0, 0.25])), rate=8.0,
                            payload_bits=float(draw(st.integers(1, 4))), downlink_delay=delay),
-            compute=ComputeModel(speed=8.0, cycles_per_iteration=float(draw(st.integers(1, 4)))),
+            iteration_duration=float(draw(st.integers(1, 4))) / 8.0,
             arrivals=draw(arrival_laws()),
             capacity=capacity,
             minibatch=minibatch,
@@ -154,9 +153,12 @@ def test_a_coworker_stalls_only_while_its_buffer_warms_up(config, more):
                                       horizon=result.final_time + 8.0)):
         assert result.stall_events == len(engine.runtimes)
         for rt in engine.runtimes:
-            # a coworker leaves the stall with its first cluster, for good
-            assert (rt.phase == "stalled") == (rt.cluster_token == 0)
-            assert rt.phase == "stalled" or rt.state.buffer.ready
+            # a stalled coworker (token 0) has run nothing; it leaves the
+            # stall with its first cluster, for good, once its buffer is ready
+            if rt.cluster_token == 0:
+                assert rt.state.t_local == 0 and rt.iters_left == 0
+            else:
+                assert rt.state.buffer.ready
 
 
 # two fast and two slow coworkers on a 1/8 grid: the 37th aggregation lands

@@ -1,5 +1,6 @@
 """Event engine: determinism, timing, losses, stalls, and broadcast semantics."""
 
+import math
 import re
 from types import SimpleNamespace
 
@@ -19,7 +20,6 @@ from afafed.model_core import (
 )
 from afafed.network_sim import (
     ArrivalProcess,
-    ComputeModel,
     CoworkerSetup,
     Evaluation,
     EventKind,
@@ -71,8 +71,9 @@ def build_engine(
             y = (y > 0.0).astype(np.float64)
         setups.append(CoworkerSetup(
             shard=(X, y),
-            link=LinkModel(p_loss=p_loss, rate=rate, payload_bits=payload_bits),
-            compute=ComputeModel(speed=speeds[cid], cycles_per_iteration=10.0),
+            link=LinkModel(p_loss=p_loss, rate=rate, payload_bits=payload_bits,
+                           timer_factor=timer_factor),
+            iteration_duration=10.0 / speeds[cid],
             arrivals=arrivals or ArrivalProcess(kind="poisson", rate=20.0),
             capacity=capacity,
             minibatch=minibatch,
@@ -81,7 +82,7 @@ def build_engine(
     mixing = MixingConfig(**(mixing_kw or {}))
     engine = SimulationEngine(model=model, setups=setups, adaptive=adaptive,
                               mixing=mixing, w0=np.zeros(2) if w0 is None else w0, seed=seed,
-                              timer_factor=timer_factor, **engine_kw)
+                              **engine_kw)
     if eval_every:
         engine.observers.append(Evaluation(engine, eval_every))
     engine.observers.extend(observers)
@@ -595,7 +596,7 @@ def test_an_aggregation_observer_receives_the_row_just_appended():
 
 def test_the_engine_takes_no_evaluation_or_hook_arguments():
     setup = CoworkerSetup(shard=quad_shard(np.random.default_rng(0)), link=LinkModel(),
-                          compute=ComputeModel(speed=10.0, cycles_per_iteration=10.0),
+                          iteration_duration=1.0,
                           arrivals=ArrivalProcess(kind="periodic", interval=0.1),
                           capacity=8, minibatch=4)
     kwargs = dict(model=LossModel(LossKind.QUADRATIC, 2), setups=[setup],
@@ -693,17 +694,35 @@ def test_total_loss_never_aggregates_but_keeps_computing():
     assert res.iterations_total > res.uplink_attempts  # clusters keep running
 
 
-def test_link_and_compute_validation():
-    with pytest.raises(ValueError):
-        LinkModel(p_loss=1.5)
-    with pytest.raises(ValueError):
-        LinkModel(rate=0.0)
-    with pytest.raises(ValueError):
-        LinkModel(downlink_delay=-1.0)
-    with pytest.raises(ValueError):
-        LinkModel(rate_jitter=1.0)
-    with pytest.raises(ValueError):
-        ComputeModel(speed=0.0, cycles_per_iteration=1.0)
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(p_loss=1.5), "p_loss must lie in"),
+    (dict(rate=0.0), "^rate must be positive"),
+    (dict(rate=math.nan), "^rate must be positive"),
+    (dict(payload_bits=-5.0), "^payload_bits must be positive"),
+    (dict(downlink_delay=-1.0), "downlink_delay must be non-negative"),
+    (dict(rate_jitter=1.0), "rate_jitter must lie in"),
+    # a negative factor would arm a timer in the engine's past
+    (dict(timer_factor=0.0), "^timer_factor must be positive"),
+    (dict(timer_factor=-1.0), "^timer_factor must be positive"),
+])
+def test_link_validation_names_the_field(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        LinkModel(**kwargs)
+
+
+def test_the_timer_is_timer_factor_mean_round_trips():
+    link = LinkModel(rate=3.0, payload_bits=7.0, downlink_delay=0.1, timer_factor=2.5)
+    assert link.timer_duration == 2.5 * (7.0 / 3.0 + 0.1)
+    assert LinkModel().timer_duration == 3.0 * (448.0 / 1e6)
+
+
+@pytest.mark.parametrize("duration", [0.0, -1.0, math.nan])
+def test_a_coworker_setup_needs_a_positive_iteration_duration(duration):
+    with pytest.raises(ValueError, match="iteration_duration must be positive"):
+        CoworkerSetup(shard=quad_shard(np.random.default_rng(0)), link=LinkModel(),
+                      iteration_duration=duration,
+                      arrivals=ArrivalProcess(kind="periodic", interval=0.1),
+                      capacity=8, minibatch=4)
 
 
 # ---------------- protocol semantics ---------------- #
@@ -728,7 +747,7 @@ def test_starved_coworker_never_aggregates():
                     else ArrivalProcess(kind="trace", times=(0.1, 0.2)))
         setups.append(CoworkerSetup(
             shard=quad_shard(rng), link=LinkModel(rate=100.0, payload_bits=10.0),
-            compute=ComputeModel(speed=10.0, cycles_per_iteration=10.0),
+            iteration_duration=1.0,
             arrivals=arrivals, capacity=8, minibatch=4,
         ))
     eng = SimulationEngine(model=model, setups=setups,
@@ -776,7 +795,7 @@ def coefficient_timing_run(slow_downlink_delay):
         setups.append(CoworkerSetup(
             shard=quad_shard(rng),
             link=LinkModel(rate=40.0, payload_bits=10.0, downlink_delay=delay),
-            compute=ComputeModel(speed=speed, cycles_per_iteration=10.0),
+            iteration_duration=10.0 / speed,
             arrivals=ArrivalProcess(kind="trace", times=(0.0, 0.0, 0.0, 0.0)),
             capacity=4, minibatch=4,
         ))
@@ -825,7 +844,7 @@ def test_coefficient_change_reaches_events_queued_before_it_only_after_them():
     for speed, times in ((40.0, (0.0,) * 4), (10.0, (0.0,) * 4 + (0.6, 0.75))):
         setups.append(CoworkerSetup(
             shard=quad_shard(rng), link=LinkModel(rate=40.0, payload_bits=10.0),
-            compute=ComputeModel(speed=speed, cycles_per_iteration=10.0),
+            iteration_duration=10.0 / speed,
             arrivals=ArrivalProcess(kind="trace", times=times), capacity=4, minibatch=4,
         ))
     eng = SimulationEngine(model=LossModel(LossKind.QUADRATIC, 2), setups=setups,
@@ -866,17 +885,17 @@ def test_a_timer_is_honoured_exactly_when_no_cluster_started_since_it_was_armed(
 
     def counted(engine, ev):
         rt = engine.runtimes[ev.coworker]
-        before, phase = rt.cluster_token, rt.phase
+        before, waiting = rt.cluster_token, rt.cluster_token > 0 and rt.iters_left == 0
         expire(engine, ev)
-        calls.append((ev.token == before, rt.cluster_token - before, phase))
+        calls.append((ev.token == before, rt.cluster_token - before, waiting))
 
     monkeypatch.setattr(SimulationEngine, "_on_timer_expiry", counted)
     build_experiment(resolve_config(doc)).engine.run(aggregations=doc["sim"]["T"])
     assert len(calls) == fired
     assert sum(started for _, started, _ in calls) == honoured
     # an honoured timer finds its coworker waiting and starts one cluster
-    assert all(started == current and (not current or phase == "waiting")
-               for current, started, phase in calls)
+    assert all(started == current and (not current or waiting)
+               for current, started, waiting in calls)
 
 
 def test_short_timer_races_are_survivable():

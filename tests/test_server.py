@@ -222,13 +222,13 @@ def test_an_uplink_ahead_of_the_clock_is_refused_before_any_write():
 
 
 def test_phi_forms():
-    power = MixingConfig(phi_kind="power", phi_alpha=1.0)
+    power = MixingConfig(phi="power", alpha=1.0)
     assert phi(0, power) == 1.0
     assert phi(3, power) == pytest.approx(0.25)
-    expo = MixingConfig(phi_kind="exponential", phi_alpha=0.5)
+    expo = MixingConfig(phi="exponential", alpha=0.5)
     assert phi(0, expo) == 1.0
     assert phi(4, expo) == pytest.approx(math.exp(-2.0))
-    hinge = MixingConfig(phi_kind="hinge", phi_alpha=1.0, phi_hinge_b=2)
+    hinge = MixingConfig(phi="hinge", alpha=1.0, hinge_b=2)
     assert phi(2, hinge) == 1.0
     assert phi(3, hinge) == pytest.approx(0.25)
     for cfg in (power, expo, hinge):
@@ -246,8 +246,8 @@ def test_phi_forms():
 ])
 def test_mixing_weight_is_discounted_by_phi(kind, age, expected):
     # one coworker with coefficient 1 and no decay: beta = phi(age)
-    cfg = MixingConfig(beta_min=1e-6, beta_max=1.0, phi_kind=kind,
-                       phi_alpha=0.5 if kind == "exponential" else 1.0, phi_hinge_b=2)
+    cfg = MixingConfig(beta_min=1e-6, beta_max=1.0, phi=kind,
+                       alpha=0.5 if kind == "exponential" else 1.0, hinge_b=2)
     st = crafted(1, t=age)
     rec = process_uplink(st, payload(0, [0.0], 0.0, timestamp=0), cfg, 0.0)
     assert rec.age == age
@@ -305,19 +305,19 @@ def test_mix_matches_sgd_form():
                                    rtol=1e-12, atol=1e-12)
 
 
-def test_mixing_config_validation():
-    with pytest.raises(ValueError):
-        MixingConfig(beta_min=0.0)
-    with pytest.raises(ValueError):
-        MixingConfig(beta_min=0.5, beta_max=0.2)
-    with pytest.raises(ValueError):
-        MixingConfig(beta_max=1.0001)
-    with pytest.raises(ValueError):
-        MixingConfig(phi_kind="unknown")
-    with pytest.raises(ValueError):
-        MixingConfig(de=-0.1)
-    with pytest.raises(ValueError):
-        MixingConfig(fairness_margin=-1.0)
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(beta_min=0.0), "need 0 < beta_min <= beta_max <= 1"),
+    (dict(beta_min=0.5, beta_max=0.2), "need 0 < beta_min <= beta_max <= 1"),
+    (dict(beta_max=1.0001), "need 0 < beta_min <= beta_max <= 1"),
+    (dict(phi="unknown"), "^phi must be power, exponential or hinge, not 'unknown'$"),
+    (dict(alpha=-0.5), "^alpha must be non-negative$"),
+    (dict(hinge_b=-1), "^hinge_b must be non-negative$"),
+    (dict(de=-0.1), "^de must be non-negative$"),
+    (dict(fairness_margin=-1.0), "^fairness_margin must be non-negative$"),
+])
+def test_mixing_config_validation_names_the_field(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        MixingConfig(**kwargs)
 
 
 # ---------------- full acceptance path ---------------- #
@@ -413,9 +413,9 @@ def uplink_runs(draw):
         beta_min=beta_min,
         beta_max=draw(hst.floats(beta_min, 1.0)),
         de=draw(hst.one_of(hst.floats(0.0, 3.0), hst.sampled_from([1e3, 1e300]))),
-        phi_kind=draw(hst.sampled_from(["power", "exponential", "hinge"])),
-        phi_alpha=draw(hst.floats(0.0, 3.0)),
-        phi_hinge_b=draw(hst.integers(0, 5)),
+        phi=draw(hst.sampled_from(["power", "exponential", "hinge"])),
+        alpha=draw(hst.floats(0.0, 3.0)),
+        hinge_b=draw(hst.integers(0, 5)),
         fairness_margin=draw(hst.one_of(hst.just(0.0), hst.floats(0.0, 8.0))),
     )
     mu_bar = hst.one_of(hst.just(0.0), hst.floats(0.0, 10.0), hst.floats(1e3, 1e6))

@@ -15,7 +15,6 @@ from afafed.coworker import AdaptiveConfig
 from afafed.model_core import LossKind, LossModel
 from afafed.network_sim import (
     ArrivalProcess,
-    ComputeModel,
     CoworkerSetup,
     Evaluation,
     LinkModel,
@@ -51,7 +50,7 @@ def tiny_engine(every=0):
         CoworkerSetup(
             shard=(rng.standard_normal((10, 2)), rng.standard_normal(10)),
             link=LinkModel(p_loss=0.2, rate=100.0, payload_bits=10.0, downlink_delay=0.01),
-            compute=ComputeModel(speed=10.0 * (cid + 1), cycles_per_iteration=10.0),
+            iteration_duration=10.0 / (10.0 * (cid + 1)),
             arrivals=ArrivalProcess(kind="poisson", rate=20.0),
             capacity=8,
             minibatch=4,
