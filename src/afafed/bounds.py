@@ -8,7 +8,7 @@ constants of the aggregated update direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -118,18 +118,7 @@ def bound_scaled(
         )
     if sigma_sq_bar < 0.0:
         raise ValueError("sigma_sq_bar must be non-negative")
-    scaled = BoundInputs(
-        zeta=inputs.zeta,
-        f0=inputs.f0,
-        f_star=inputs.f_star,
-        c=c0 * i_bar,
-        gamma=gamma0 * i_bar,
-        a=a0 * sigma_sq_bar * i2_bar,
-        epsilon=inputs.epsilon,
-        beta_min=inputs.beta_min,
-        beta_max=inputs.beta_max,
-        horizon=inputs.horizon,
-    )
+    scaled = replace(inputs, c=c0 * i_bar, gamma=gamma0 * i_bar, a=a0 * sigma_sq_bar * i2_bar)
     return ScaledBoundResult(
         bound=bound_clipped_beta(scaled),
         beta_max_admissible=beta_max_admissible(scaled),

@@ -467,16 +467,16 @@ def _per_coworker(value: Any, key: str, k: int) -> List[Any]:
 MAX_ARRIVALS_PER_CLUSTER = 1e9
 
 
-def _check_arrival_density(cfg: Dict[str, Any], engine: SimulationEngine, param: str) -> None:
+def _check_arrival_density(cfg: Dict[str, Any], engine: SimulationEngine,
+                           law: ArrivalProcess, param: str) -> None:
     """Refuse a Poisson or periodic law too dense for some coworker's cluster span.
 
     The estimate is rate × (iter_max × iteration_duration + timer_duration),
     the engine's durations of a longest cluster and its timer wait, with
     rate = 1/interval for a periodic law; the fault names the category of the
     worst coworker.  Past about 2**53 arrivals a float clock stops advancing,
-    so such a run would never end.
+    so such a run would never end.  ``law`` is every coworker's law.
     """
-    law = engine.runtimes[0].arrivals
     rate = law.rate if law.kind == "poisson" else 1.0 / law.interval
     iter_max = engine.adaptive.iter_max
     estimates = [rate * (iter_max * rt.iteration_duration + rt.link.timer_duration)
@@ -585,7 +585,7 @@ def build_experiment(cfg: Dict[str, Any], enable_profiling: bool = False) -> Exp
         enable_profiling=enable_profiling,
     )
     if arrivals_cfg["kind"] != "trace":
-        _check_arrival_density(cfg, engine, param)
+        _check_arrival_density(cfg, engine, laws[0], param)
     exp = Experiment(cfg=cfg, engine=engine)
     if cfg["eval"]["every"] > 0:
         exp.evaluation = Evaluation(engine, cfg["eval"]["every"])
@@ -690,6 +690,7 @@ def summarize(exp: Experiment, result: RunResult,
             float(np.mean([r.grad_sqnorm for r in evaluated])) if evaluated else None
         ),
         "seed": exp.cfg["sim"]["seed"],
+        "numpy": np.__version__,        # the trace's draws and float bits depend on it
         "config": exp.cfg,
     }
     if estimates is not None:

@@ -28,6 +28,8 @@ When a run stops, each coworker is advanced to the newest entry such an
 event would already have delivered, and the prefix of the log that every
 cursor has passed is dropped.
 
+A coworker's arrival law yields its arrival times (``arrival_times``), and
+the engine takes them in order without asking which law it is.
 Data arrivals are calendar events only while a coworker's buffer warms up:
 its first ``minibatch`` arrivals, the last of which wakes the stalled
 coworker.  A ready buffer stays ready (neither eviction takes it below one
@@ -46,10 +48,11 @@ from __future__ import annotations
 import enum
 import functools
 import heapq
+import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -309,8 +312,20 @@ class ArrivalProcess:
 
     @property
     def draws(self) -> bool:
-        """Whether scheduling an arrival draws from the arrival stream."""
+        """Whether the law's times draw from the arrival stream."""
         return self.kind == "poisson"
+
+    def arrival_times(self, rng: Optional[np.random.Generator]) -> Iterator[float]:
+        """The arrival times in order: a trace's own, else from t = 0, t + interval
+        or t plus an exponential gap of mean 1/rate, the gaps drawn from rng 64
+        at a time (a block holds the floats of 64 scalar draws)."""
+        if self.kind == "trace":
+            return iter(self.times)
+        if self.kind == "periodic":
+            return itertools.accumulate(itertools.repeat(self.interval))
+        scale = 1.0 / self.rate
+        blocks = iter(lambda: rng.exponential(scale, 64).tolist(), None)
+        return itertools.accumulate(itertools.chain.from_iterable(blocks))
 
 
 @dataclass
@@ -339,19 +354,19 @@ class _Runtime:
     and the length of the current cluster (``state.iter_k``).  The current
     cluster is ``cluster_token``, ``cluster_anchor`` and ``iters_left``: the
     coworker is stalled while the token is 0, computing while iterations are
-    left, and waiting for a downlink or its timer otherwise.  Once the
-    buffer is ready, ``next_arrival`` is the time of the first arrival not
-    yet admitted; it is inf while the buffer warms up (those arrivals are
-    calendar events) and once a trace is exhausted.
+    left, and waiting for a downlink or its timer otherwise.  ``arrivals``
+    is the law's ``arrival_times``, past the arrivals already scheduled.
+    Once the buffer is ready, ``next_arrival`` is the time of the first
+    arrival not yet admitted; it is inf while the buffer warms up (those
+    arrivals are calendar events) and once a trace is exhausted.
     """
 
     state: cw.CoworkerState
     link: LinkModel
-    arrivals: ArrivalProcess
+    arrivals: Iterator[float]       # arrival times not yet scheduled
     iteration_duration: float       # virtual time of one local iteration
     rng_sample: np.random.Generator
     rng_link: Optional[np.random.Generator]         # None when the link does not draw
-    rng_arrival: Optional[np.random.Generator]      # None when the arrival law does not draw
     cluster_token: int = 0          # clusters started; names the current one
     iters_left: int = 0             # iterations of the current cluster not yet run
     cluster_anchor: float = 0.0     # start time of the current cluster
@@ -526,11 +541,10 @@ class SimulationEngine:
             rt = _Runtime(
                 state=state,
                 link=setup.link,
-                arrivals=setup.arrivals,
+                arrivals=setup.arrivals.arrival_times(streams.get((2, cid))),
                 iteration_duration=setup.iteration_duration,
                 rng_sample=streams[0, cid],
                 rng_link=streams.get((1, cid)),
-                rng_arrival=streams.get((2, cid)),
             )
             self.runtimes.append(rt)
 
@@ -544,30 +558,18 @@ class SimulationEngine:
 
         # seed the calendar; every coworker stalls until its buffer warms up
         for cid in range(k):
-            self._schedule_next_arrival(cid, 0.0)
+            self._schedule_next_arrival(cid)
 
     # ---------------- scheduling helpers ---------------- #
 
-    @staticmethod
-    def _arrival_after(rt: _Runtime, now: float) -> float:
-        """Time of the arrival after the one at now; inf once a trace is exhausted."""
-        proc = rt.arrivals
-        if proc.kind == "poisson":
-            return now + rt.rng_arrival.exponential(1.0 / proc.rate)
-        if proc.kind == "periodic":
-            return now + proc.interval
-        # trace: absolute times, finite stream
-        index = rt.state.buffer.next_arrival_index
-        return proc.times[index] if index < len(proc.times) else math.inf
-
-    def _schedule_next_arrival(self, cid: int, now: float) -> None:
-        """Draw the arrival after the one at now.
+    def _schedule_next_arrival(self, cid: int) -> None:
+        """Schedule the coworker's next arrival, if its stream has one.
 
         While the buffer warms up it is a calendar event; once the buffer is
         ready it goes to rt.next_arrival, which _catch_up admits.
         """
         rt = self.runtimes[cid]
-        t = self._arrival_after(rt, now)
+        t = next(rt.arrivals, math.inf)
         if rt.state.buffer.ready:
             rt.next_arrival = t
         elif t < math.inf:
@@ -605,7 +607,7 @@ class SimulationEngine:
                     break
                 while rt.next_arrival < boundary:
                     admit(buf)
-                    rt.next_arrival = self._arrival_after(rt, rt.next_arrival)
+                    rt.next_arrival = next(rt.arrivals, math.inf)
                 # _delivered(..., boundary, -1) passes the next entry exactly
                 # when it arrived strictly before the boundary
                 if rt.coef_cursor < len(log) and log[rt.coef_cursor].sent + delay < boundary:
@@ -620,7 +622,7 @@ class SimulationEngine:
                     observe(cid, state)
         while rt.next_arrival <= now:
             admit(buf)
-            rt.next_arrival = self._arrival_after(rt, rt.next_arrival)
+            rt.next_arrival = next(rt.arrivals, math.inf)
         if rt.coef_cursor < len(log):
             self._adopt_coefficients(rt, cid, now, seq)
 
@@ -658,7 +660,7 @@ class SimulationEngine:
         rt = self.runtimes[cid]
         self._catch_up(cid, ev.time, ev.seq)
         admit(rt.state.buffer)
-        self._schedule_next_arrival(cid, ev.time)
+        self._schedule_next_arrival(cid)
         if rt.cluster_token == 0 and rt.state.buffer.ready:
             self._start_cluster(cid, ev.time)
 

@@ -68,6 +68,8 @@ def test_deleted_shard_set_helpers_stay_gone(name):
     "timer_token", "stalls",
     # a cluster is its token, anchor and iterations left; the link holds the timer
     "phase", "iters_done", "timer_duration",
+    # the arrival law's arrival_times holds its stream
+    "rng_arrival",
 ])
 def test_deleted_runtime_fields_stay_gone(name):
     assert name not in _Runtime.__dataclass_fields__
@@ -93,6 +95,11 @@ def test_deleted_state_fields_stay_gone(cls, name):
 def test_the_delivery_tie_rule_is_not_an_engine_method():
     # the tie rule is network_sim._delivered, a function of the log and one cursor
     assert not hasattr(SimulationEngine, "_delivered")
+
+
+def test_the_arrival_recurrence_is_not_an_engine_method():
+    # each law yields its own times through ArrivalProcess.arrival_times
+    assert not hasattr(SimulationEngine, "_arrival_after")
 
 
 def test_the_timer_factor_and_k_are_stated_once():

@@ -576,7 +576,12 @@ def test_trace_arrivals_feed_the_buffer_from_the_file(tmp_path):
     X, y = buf.X, buf.y
     np.testing.assert_array_equal(y, np.arange(12.0))
     np.testing.assert_array_equal(X[:, 0], np.arange(12.0))
-    assert exp.engine.runtimes[0].arrivals.kind == "trace"
+    # each coworker's first time from the file is on the calendar, and its
+    # stream yields the rest
+    engine = exp.engine
+    for cid, rt in enumerate(engine.runtimes):
+        assert [ev.time for ev in engine.queue._heap if ev.coworker == cid] == [0.1]
+        assert list(rt.arrivals) == [0.1 * (i + 1) for i in range(1, 12)]
 
 
 @pytest.mark.parametrize("trace", ["a.csv", ["a.csv", "b.csv"] * 3], ids=["one", "two"])
@@ -585,7 +590,7 @@ def test_each_distinct_trace_file_is_parsed_once(tmp_path, monkeypatch, trace):
     offsets = {"a.csv": 0.0, "b.csv": 100.0}
     for name, offset in offsets.items():
         Path(name).write_text("".join(
-            f"{0.1 * (i + 1)}, {offset + i}, 0.0, {offset + i}\n" for i in range(12)))
+            f"{offset + 0.1 * (i + 1)}, {offset + i}, 0.0, {offset + i}\n" for i in range(12)))
     parsed = []
 
     def counting(path):
@@ -599,9 +604,12 @@ def test_each_distinct_trace_file_is_parsed_once(tmp_path, monkeypatch, trace):
     engine = build_experiment(resolve_config(doc)).engine
     names = trace if isinstance(trace, list) else [trace] * 6
     assert sorted(parsed) == sorted(set(names))
-    # coworkers of one file share its law, and each reads its own copy of its rows
+    # each coworker of a file follows its times, after the first on the
+    # calendar, and reads its own copy of its rows
+    first = sorted((ev.time, ev.coworker) for ev in engine.queue._heap)
+    assert first == sorted((offsets[name] + 0.1, cid) for cid, name in enumerate(names))
     for rt, name in zip(engine.runtimes, names):
-        assert rt.arrivals is engine.runtimes[names.index(name)].arrivals
+        assert list(rt.arrivals) == [offsets[name] + 0.1 * (i + 1) for i in range(1, 12)]
         np.testing.assert_array_equal(rt.state.buffer.y, np.arange(12.0) + offsets[name])
     assert len(engine.data.y) == 6 * 12
 
@@ -664,6 +672,7 @@ def test_summary_contents_and_final_risk_recompute():
     assert sum(summary["per_coworker"]["accepted"]) == 10
     assert sum(summary["per_coworker"]["access_prob"]) == pytest.approx(1.0)
     assert summary["config"]["sim"]["seed"] == 3
+    assert summary["numpy"] == np.__version__       # the trace's draws depend on it
     direct = reference_global_risk(
         exp.engine.model, exp.engine.server.w_global, exp.engine.data,
         np.asarray(summary["lambdas_final"]),

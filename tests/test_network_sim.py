@@ -1,11 +1,14 @@
 """Event engine: determinism, timing, losses, stalls, and broadcast semantics."""
 
+import itertools
 import math
 import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from afafed import network_sim
 from afafed.coworker import AdaptiveConfig
@@ -26,6 +29,7 @@ from afafed.network_sim import (
     EventQueue,
     LinkModel,
     SimulationEngine,
+    random_streams,
 )
 from afafed.server import MixingConfig
 from reference_evaluation import reference_global_gradient
@@ -395,19 +399,29 @@ def reference_state(seed, domain, cid):
     return reference_stream(seed, domain, cid).bit_generator.state
 
 
-def test_random_streams_exist_only_for_laws_that_draw():
+def test_random_streams_exist_only_for_laws_that_draw(monkeypatch):
+    seeded = []
+
+    def recording(seed, keys):
+        seeded.append(list(keys))
+        return random_streams(seed, keys)
+
+    monkeypatch.setattr(network_sim, "random_streams", recording)
     periodic = ArrivalProcess(kind="periodic", interval=0.1)
-    quiet = build_engine(k=3, seed=6, arrivals=periodic).runtimes
-    noisy = build_engine(k=3, seed=6, p_loss=0.1).runtimes
-    for cid, (q, n) in enumerate(zip(quiet, noisy)):
-        assert q.rng_link is None and q.rng_arrival is None
+    quiet = build_engine(k=3, seed=6, arrivals=periodic)
+    noisy = build_engine(k=3, seed=6, p_loss=0.1)
+    # the periodic law and the lossless link get no domain 2 or 1 stream
+    assert seeded == [[(0, 0), (0, 1), (0, 2)],
+                      [(d, cid) for d in (0, 1, 2) for cid in range(3)]]
+    for cid, (q, n) in enumerate(zip(quiet.runtimes, noisy.runtimes)):
+        assert q.rng_link is None
         assert q.rng_sample.bit_generator.state == reference_state(6, 0, cid)
         assert n.rng_sample.bit_generator.state == reference_state(6, 0, cid)
         assert n.rng_link.bit_generator.state == reference_state(6, 1, cid)
-        # construction already drew each coworker's first Poisson arrival
-        first_arrival = reference_stream(6, 2, cid)
-        first_arrival.exponential(1.0 / 20.0)
-        assert n.rng_arrival.bit_generator.state == first_arrival.bit_generator.state
+        # construction already scheduled each coworker's first Poisson
+        # arrival: the first draw of its domain 2 stream, from time 0
+        first_arrival = reference_stream(6, 2, cid).exponential(1.0 / 20.0)
+        assert [ev.time for ev in noisy.queue._heap if ev.coworker == cid] == [first_arrival]
     assert not LinkModel().draws and not periodic.draws
     assert LinkModel(rate_jitter=0.1).draws and LinkModel(p_loss=0.1).draws
     assert ArrivalProcess(kind="poisson", rate=1.0).draws
@@ -642,6 +656,47 @@ def test_trace_arrivals_replay_exactly():
     eng2 = build_engine(k=1, arrivals=arrivals, capacity=4, minibatch=4)
     eng2.run(horizon=1.9)
     assert eng2.runtimes[0].state.buffer.next_arrival_index == 3
+
+
+@pytest.mark.parametrize("rate", [1e-6, 5.0, 1e6])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), cid=st.integers(0, 99))
+def test_poisson_times_are_the_scalar_gap_recurrence(rate, seed, cid):
+    # blocks of 64 gaps hold the floats of the scalar draws t + exponential(1/rate)
+    rng = random_streams(seed, [(2, cid)])[0]
+    got = list(itertools.islice(ArrivalProcess(kind="poisson", rate=rate).arrival_times(rng),
+                                3 * 64 + 1))
+    ref, t, want = reference_stream(seed, 2, cid), 0.0, []
+    for _ in got:
+        t += ref.exponential(1.0 / rate)
+        want.append(t)
+    assert got == want
+    # four blocks drawn, and the stream's next draw is the scalar stream's
+    for _ in range(4 * 64 - len(got)):
+        ref.exponential(1.0 / rate)
+    assert rng.exponential(1.0 / rate) == ref.exponential(1.0 / rate)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.floats(1e-3, 1e3))
+@example(0.1)
+@example(0.3)
+def test_periodic_times_are_the_interval_recurrence(interval):
+    got = list(itertools.islice(
+        ArrivalProcess(kind="periodic", interval=interval).arrival_times(None), 10_000))
+    t, want = 0.0, []
+    for _ in got:
+        t += interval
+        want.append(t)
+    assert got == want
+    assert math.frexp(got[0])[1] < math.frexp(got[-1])[1]     # the sums cross binades
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=20).map(sorted))
+def test_trace_times_are_its_own_then_inf_for_good(times):
+    it = ArrivalProcess(kind="trace", times=tuple(times)).arrival_times(None)
+    assert [next(it, math.inf) for _ in range(len(times) + 3)] == times + [math.inf] * 3
 
 
 def test_arrival_process_validation():
