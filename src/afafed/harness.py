@@ -467,20 +467,20 @@ def _per_coworker(value: Any, key: str, k: int) -> List[Any]:
 MAX_ARRIVALS_PER_CLUSTER = 1e9
 
 
-def _check_arrival_density(cfg: Dict[str, Any], engine: SimulationEngine,
-                           law: ArrivalProcess, param: str) -> None:
+def _check_arrival_density(cfg: Dict[str, Any], adaptive: AdaptiveConfig,
+                           setups: Sequence[CoworkerSetup], param: str) -> None:
     """Refuse a Poisson or periodic law too dense for some coworker's cluster span.
 
     The estimate is rate × (iter_max × iteration_duration + timer_duration),
     the engine's durations of a longest cluster and its timer wait, with
     rate = 1/interval for a periodic law; the fault names the category of the
     worst coworker.  Past about 2**53 arrivals a float clock stops advancing,
-    so such a run would never end.  ``law`` is every coworker's law.
+    so such a run would never end.  Every coworker has the first one's law.
     """
+    law = setups[0].arrivals
     rate = law.rate if law.kind == "poisson" else 1.0 / law.interval
-    iter_max = engine.adaptive.iter_max
-    estimates = [rate * (iter_max * rt.iteration_duration + rt.link.timer_duration)
-                 for rt in engine.runtimes]
+    estimates = [rate * (adaptive.iter_max * s.iteration_duration + s.link.timer_duration)
+                 for s in setups]
     worst = int(np.argmax(estimates))
     if estimates[worst] > MAX_ARRIVALS_PER_CLUSTER:
         counts = np.cumsum([cat["count"] for cat in cfg["topology"]["categories"]])
@@ -573,6 +573,9 @@ def build_experiment(cfg: Dict[str, Any], enable_profiling: bool = False) -> Exp
              "sim.T", "unreachable: every coworker has p_loss 1.0; "
              "set sim.horizon or sim.event_budget")
 
+    if arrivals_cfg["kind"] != "trace":
+        _check_arrival_density(cfg, adaptive, setups, param)
+
     # the engine's buffers check capacity and minibatch
     engine = _build(
         "buffer", SimulationEngine,
@@ -584,8 +587,6 @@ def build_experiment(cfg: Dict[str, Any], enable_profiling: bool = False) -> Exp
         seed=sim["seed"],
         enable_profiling=enable_profiling,
     )
-    if arrivals_cfg["kind"] != "trace":
-        _check_arrival_density(cfg, engine, laws[0], param)
     exp = Experiment(cfg=cfg, engine=engine)
     if cfg["eval"]["every"] > 0:
         exp.evaluation = Evaluation(engine, cfg["eval"]["every"])

@@ -48,7 +48,6 @@ from __future__ import annotations
 import enum
 import functools
 import heapq
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -317,15 +316,23 @@ class ArrivalProcess:
 
     def arrival_times(self, rng: Optional[np.random.Generator]) -> Iterator[float]:
         """The arrival times in order: a trace's own, else from t = 0, t + interval
-        or t plus an exponential gap of mean 1/rate, the gaps drawn from rng 64
-        at a time (a block holds the floats of 64 scalar draws)."""
+        or t plus an exponential gap of mean 1/rate, one draw from rng per gap.
+
+        A generator is one object for the cyclic garbage collector to track;
+        at K = 100, chains of three or four itertools objects per stream
+        added collections enough to slow set-up measurably."""
         if self.kind == "trace":
-            return iter(self.times)
+            yield from self.times
+            return
+        t = 0.0
         if self.kind == "periodic":
-            return itertools.accumulate(itertools.repeat(self.interval))
+            while True:
+                t += self.interval
+                yield t
         scale = 1.0 / self.rate
-        blocks = iter(lambda: rng.exponential(scale, 64).tolist(), None)
-        return itertools.accumulate(itertools.chain.from_iterable(blocks))
+        while True:
+            t += rng.exponential(scale)
+            yield t
 
 
 @dataclass

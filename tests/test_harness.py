@@ -1010,6 +1010,16 @@ def test_an_arrival_law_a_float_clock_cannot_carry_is_refused(arrivals, key):
         build_experiment(resolve_config({"arrivals": arrivals, "sim": {"T": 2}}))
 
 
+def test_a_too_dense_law_is_refused_before_the_engine_is_built(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine was built for a refused config")
+
+    monkeypatch.setattr(harness, "SimulationEngine", refuse)
+    with pytest.raises(ConfigError, match=r"^arrivals\.rate: about 5\.1e\+300 "):
+        build_experiment(resolve_config({"arrivals": {"kind": "poisson", "rate": 1.0e+300},
+                                         "sim": {"T": 2}}))
+
+
 @pytest.mark.parametrize("section, key", [
     ({"link": {"p_loss": [0.1, 0.2, 0.3]}}, "link.p_loss"),
     ({"arrivals": {"kind": "trace", "trace": ["a.csv", "b.csv", "c.csv"]}}, "arrivals.trace"),

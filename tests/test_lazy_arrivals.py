@@ -6,8 +6,8 @@ every arrival an event, as the engine did before, and the differential test
 runs both over small configs built for exact time ties: every duration lies
 on a 1/8 grid, and so do trace arrival times and most periodic intervals.
 The periodic intervals 0.1 and 0.3 are not dyadic: their sums round, and
-cross binades within a run.  At rate 32 a Poisson stream can outlast its
-first block of 64 gaps, as about three in ten of the Poisson coworkers do.
+cross binades within a run.  At rate 32 about three in ten Poisson
+coworkers admit more than 64 arrivals in a run.
 """
 
 from __future__ import annotations
