@@ -56,7 +56,8 @@ class Key(NamedTuple):
     one value per coworker.  ``ge``/``gt``/``le`` bound the keys that no
     constructor checks, and also ``p_loss``, ``rate`` and ``timer_factor``,
     which LinkModel checks too, so that a fault names its dotted key and
-    list index.
+    list index, and ``iter_max`` from above, which AdaptiveConfig checks
+    from below.
     """
 
     default: Any = _REQUIRED
@@ -98,7 +99,9 @@ CONFIG_SCHEMA: Dict[str, Key] = {
                          interval=Key(0.0, nullable=True),
                          trace=Key(None, str, nullable=True, per_coworker=True)),
     "compute": _section(cycles_per_iter=Key(1.0e7, gt=0)),
-    "adaptive": _section(iter_max=Key(5, int), omega_a=Key(2.0), omega_c=Key(1.0),
+    # a cluster runs up to iter_max iterations, one Python step of about 13 µs
+    # each: 10**6 is about 13 s of iterations
+    "adaptive": _section(iter_max=Key(5, int, le=10**6), omega_a=Key(2.0), omega_c=Key(1.0),
                          b0=Key(1.0), gamma=Key(0.1), eta_min=Key(0.01), eta_max=Key(0.5)),
     "mixing": _section(beta_min=Key(0.001), beta_max=Key(0.9), de=Key(0.0),
                        phi=Key("power", str), alpha=Key(0.5), hinge_b=Key(4, int),
@@ -338,7 +341,8 @@ def generate_shards(cfg: Dict[str, Any]) -> List[Shard]:
     Quadratic runs draw features from a standard normal and label them with a
     shared ground-truth vector plus Gaussian noise.  Logistic runs draw two
     Gaussian clusters; the label-skew partition restricts each coworker to a
-    fixed subset of the classes.
+    fixed subset of the classes.  The config's model and partition are those
+    ``build_experiment`` admits; this function only generates.
     """
     seed = cfg["sim"]["seed"]
     kind = cfg["model"]["kind"]
@@ -346,14 +350,10 @@ def generate_shards(cfg: Dict[str, Any]) -> List[Shard]:
     n = cfg["data"]["shard_size"]
     k_total = sum(cat["count"] for cat in cfg["topology"]["categories"])
     partition = cfg["data"]["partition"]
-    _require(partition in ("iid", "label_skew"), "data.partition",
-             f"unknown partition {partition!r}")
     # one batch seeds the shared stream and every coworker's shard stream
     truth, *streams = random_streams(seed, [(11, 0)] + [(10, cid) for cid in range(k_total)])
 
     if kind == "quadratic":
-        _require(partition == "iid", "data.partition",
-                 "label_skew requires the logistic model (regression has no classes)")
         w_true = truth.standard_normal(dim)
         noise = cfg["model"]["noise_std"]
         shards = []
@@ -467,26 +467,29 @@ def _per_coworker(value: Any, key: str, k: int) -> List[Any]:
 MAX_ARRIVALS_PER_CLUSTER = 1e9
 
 
-def _check_arrival_density(cfg: Dict[str, Any], adaptive: AdaptiveConfig,
-                           setups: Sequence[CoworkerSetup], param: str) -> None:
-    """Refuse a Poisson or periodic law too dense for some coworker's cluster span.
+def _check_arrival_density(adaptive: AdaptiveConfig, setups: Sequence[CoworkerSetup],
+                           categories: Sequence[int], key: str) -> None:
+    """Refuse an arrival law too dense for some coworker's cluster span.
 
-    The estimate is rate × (iter_max × iteration_duration + timer_duration),
-    the engine's durations of a longest cluster and its timer wait, with
-    rate = 1/interval for a periodic law; the fault names the category of the
-    worst coworker.  Past about 2**53 arrivals a float clock stops advancing,
-    so such a run would never end.  Every coworker has the first one's law.
+    A coworker's estimate is its law's ``mean_rate`` × (iter_max ×
+    iteration_duration + timer_duration), the engine's durations of a
+    longest cluster and its timer wait; a law with no mean rate (a trace,
+    whose arrivals are finite) is not checked.  The fault names ``key`` and
+    ``categories[cid]``, the topology category of the worst coworker cid.
+    Past about 2**53 arrivals a float clock stops advancing, so such a run
+    would never end.
     """
-    law = setups[0].arrivals
-    rate = law.rate if law.kind == "poisson" else 1.0 / law.interval
-    estimates = [rate * (adaptive.iter_max * s.iteration_duration + s.link.timer_duration)
-                 for s in setups]
-    worst = int(np.argmax(estimates))
-    if estimates[worst] > MAX_ARRIVALS_PER_CLUSTER:
-        counts = np.cumsum([cat["count"] for cat in cfg["topology"]["categories"]])
-        i = int(np.searchsorted(counts, worst, side="right"))
-        raise ConfigError(f"arrivals.{param}: about {estimates[worst]:.2g} arrivals per cluster "
-                          f"and timer wait in topology.categories[{i}], more than the "
+    worst, category = 0.0, 0
+    for setup, i in zip(setups, categories):
+        rate = setup.arrivals.mean_rate
+        if rate is not None:
+            estimate = rate * (adaptive.iter_max * setup.iteration_duration
+                               + setup.link.timer_duration)
+            if estimate > worst:
+                worst, category = estimate, i
+    if worst > MAX_ARRIVALS_PER_CLUSTER:
+        raise ConfigError(f"{key}: about {worst:.2g} arrivals per cluster and timer wait in "
+                          f"topology.categories[{category}], more than the "
                           f"{MAX_ARRIVALS_PER_CLUSTER:.0e} a run admits one by one")
 
 
@@ -500,15 +503,22 @@ def build_experiment(cfg: Dict[str, Any], enable_profiling: bool = False) -> Exp
     cfg = _check(CONFIG_SCHEMA, cfg, "")
     kind = cfg["model"]["kind"]
     _require(kind in ("quadratic", "logistic"), "model.kind", f"unknown loss {kind!r}")
+    # the partition rules hold for every data source, generated or traced
+    partition = cfg["data"]["partition"]
+    _require(partition in ("iid", "label_skew"), "data.partition",
+             f"unknown partition {partition!r}")
+    _require(partition == "iid" or kind == "logistic", "data.partition",
+             "label_skew requires the logistic model (regression has no classes)")
     dim = cfg["model"]["dim"]
     model = LossModel(LossKind(kind), dim)
 
-    # one category entry per coworker
-    cats = [cat for cat in cfg["topology"]["categories"] for _ in range(cat["count"])]
+    # one (category index, category) entry per coworker
+    cats = [(i, cat) for i, cat in enumerate(cfg["topology"]["categories"])
+            for _ in range(cat["count"])]
     k_total = len(cats)
 
     p_loss = cfg["link"]["p_loss"]
-    losses = ([cat.get("p_loss", 0.0) for cat in cats] if p_loss is None
+    losses = ([cat.get("p_loss", 0.0) for _, cat in cats] if p_loss is None
               else _per_coworker(p_loss, "link.p_loss", k_total))
 
     payload_bits = cfg["link"]["payload_bits"]
@@ -516,6 +526,8 @@ def build_experiment(cfg: Dict[str, Any], enable_profiling: bool = False) -> Exp
         payload_bits = 64.0 * (dim + 2)
 
     arrivals_cfg = cfg["arrivals"]
+    # a law's fault is about its one parameter, or else its kind
+    param = {"poisson": "rate", "periodic": "interval"}.get(arrivals_cfg["kind"], "kind")
     if arrivals_cfg["kind"] == "trace":
         _require(arrivals_cfg["trace"] is not None, "arrivals.trace",
                  "trace arrivals need a file path")
@@ -537,9 +549,12 @@ def build_experiment(cfg: Dict[str, Any], enable_profiling: bool = False) -> Exp
                                            kind="trace", times=times))
         shards, laws = zip(*(parsed[path] for path in trace_paths))
     else:
-        shards = generate_shards(cfg)
-        # a law's fault is about its one parameter, or else its kind
-        param = {"poisson": "rate", "periodic": "interval"}.get(arrivals_cfg["kind"], "kind")
+        try:
+            shards = generate_shards(cfg)
+        except MemoryError as exc:
+            # numpy refuses a size past the machine's memory at once
+            raise ConfigError(f"model.dim: {k_total} shards of data.shard_size × model.dim = "
+                              f"{cfg['data']['shard_size']} × {dim} floats: {exc}") from None
         laws = [_build(f"arrivals.{param}", ArrivalProcess, kind=arrivals_cfg["kind"],
                        rate=arrivals_cfg["rate"] or 0.0,
                        interval=arrivals_cfg["interval"] or 0.0)] * k_total
@@ -560,7 +575,7 @@ def build_experiment(cfg: Dict[str, Any], enable_profiling: bool = False) -> Exp
             capacity=cfg["buffer"]["capacity"],
             minibatch=cfg["buffer"]["minibatch"],
         )
-        for cid, cat in enumerate(cats)
+        for cid, (_, cat) in enumerate(cats)
     ]
 
     sim = cfg["sim"]
@@ -573,8 +588,7 @@ def build_experiment(cfg: Dict[str, Any], enable_profiling: bool = False) -> Exp
              "sim.T", "unreachable: every coworker has p_loss 1.0; "
              "set sim.horizon or sim.event_budget")
 
-    if arrivals_cfg["kind"] != "trace":
-        _check_arrival_density(cfg, adaptive, setups, param)
+    _check_arrival_density(adaptive, setups, [i for i, _ in cats], f"arrivals.{param}")
 
     # the engine's buffers check capacity and minibatch
     engine = _build(

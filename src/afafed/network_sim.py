@@ -284,7 +284,14 @@ class LinkModel:
 
 @dataclass(frozen=True)
 class ArrivalProcess:
-    """Data arrival law for one coworker's stream."""
+    """Data arrival law for one coworker's stream.
+
+    Construction refuses a law that could not run: an unknown kind, a
+    Poisson rate or periodic interval that is not positive, or trace times
+    that are empty, negative, non-finite or decreasing.  ``arrival_times``
+    yields the law's times and ``mean_rate`` states its long-run density,
+    so callers need not read the fields to learn which law it is.
+    """
 
     kind: str = "poisson"           # poisson | periodic | trace
     rate: float = 0.0               # poisson: mean arrivals per time unit
@@ -313,6 +320,16 @@ class ArrivalProcess:
     def draws(self) -> bool:
         """Whether the law's times draw from the arrival stream."""
         return self.kind == "poisson"
+
+    @property
+    def mean_rate(self) -> Optional[float]:
+        """Mean arrivals per time unit: ``rate``, or ``1.0 / interval`` for a
+        periodic law; None for a trace, whose arrivals are finite."""
+        if self.kind == "poisson":
+            return self.rate
+        if self.kind == "periodic":
+            return 1.0 / self.interval
+        return None
 
     def arrival_times(self, rng: Optional[np.random.Generator]) -> Iterator[float]:
         """The arrival times in order: a trace's own, else from t = 0, t + interval

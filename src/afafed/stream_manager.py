@@ -66,7 +66,11 @@ class StreamBuffer:
             )
         if len(self.y) == 0:
             raise ValueError("the stream's shard is empty")
-        self._ring = _row_ring(len(self.y), self.capacity)
+        try:
+            self._ring = _row_ring(len(self.y), self.capacity)
+        except MemoryError as exc:      # numpy refuses a size past the machine's memory at once
+            raise ValueError(f"capacity {self.capacity} needs a ring of "
+                             f"{len(self.y) + self.capacity - 1} row numbers: {exc}") from None
         self._draw_size = DrawSize(self.minibatch_size)
 
     @property

@@ -1,8 +1,8 @@
 """The CI workflow runs the tier-1 command that ROADMAP.md states, on 3.10 and
 3.11, once as written and once in Python's development mode (``-X dev``), and
 golden-checks every perfbench input in a second job.  Both jobs log numpy's
-version and SIMD level after installing, since the golden digests depend on
-them."""
+version and SIMD level after installing, and OpenBLAS names the kernel it
+loaded (``Core: <kernel>``), since the golden digests depend on all three."""
 
 import re
 from pathlib import Path
@@ -24,6 +24,13 @@ def test_the_workflow_runs_the_tier1_command():
     dev = tier1.replace(" python -m ", " python -X dev -m ", 1)
     assert dev != tier1
     assert runs == ["pip install -e '.[test]'", SHOW_RUNTIME, tier1, dev]
+
+
+def test_both_jobs_log_the_openblas_kernel():
+    workflow = yaml.safe_load((ROOT / ".github/workflows/tier1.yml").read_text(encoding="utf-8"))
+    for job in workflow["jobs"].values():
+        (step,) = [step for step in job["steps"] if step.get("run") == SHOW_RUNTIME]
+        assert step["env"] == {"OPENBLAS_VERBOSE": "2"}
 
 
 def test_the_workflow_golden_checks_every_perfbench_input():

@@ -562,6 +562,23 @@ def test_trace_feature_count_must_match_model_dim(tmp_path, capsys):
     assert "configuration error: arrivals.trace:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, partition, message", [
+    ("logistic", "bogus", "unknown partition 'bogus'"),
+    ("quadratic", "label_skew",
+     "label_skew requires the logistic model (regression has no classes)"),
+])
+def test_the_partition_rules_hold_for_trace_data(tmp_path, capsys, kind, partition, message):
+    # both once built, because only the shard generator checked the partition
+    cfg = _trace_config(tmp_path, kind, lambda lines: None)
+    cfg.write_text(cfg.read_text() + f"data: {{partition: {partition}}}\n")
+    with pytest.raises(ConfigError, match=f"^data\\.partition: {re.escape(message)}$"):
+        build_experiment(load_config(str(cfg)))
+    out = tmp_path / "x"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: data.partition: {message}\n"
+    assert not out.exists()
+
+
 def test_trace_arrivals_feed_the_buffer_from_the_file(tmp_path):
     path = tmp_path / "trace.csv"
     lines = [f"{0.1 * (i + 1)}, {float(i)}, 0.0, {float(i)}" for i in range(12)]
@@ -892,6 +909,16 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     ("compute: {cycles_per_iter: 1.0e-300}\n"
      "topology: {categories: [{count: 2, speed: 1.0e+300, rate: 1.0e+5}]}\nsim: {T: 3}\n",
      "compute"),
+    # arrays numpy refuses at once (7.11 PiB of ring, 728 TiB of shard),
+    # which once ended in a raw MemoryError
+    ("buffer: {capacity: 1.0e+15}\nsim: {T: 3}\n", "buffer"),
+    ("model: {dim: 1.0e+14}\nsim: {T: 3}\n", "model.dim"),
+    # 10**12 iterations in a cluster, one Python step each: a trace run hung,
+    # and a Poisson one was refused as arrivals.rate; the schema refuses
+    # both before the trace file is opened
+    ("arrivals: {kind: trace, trace: absent.csv}\nmodel: {kind: logistic}\n"
+     "adaptive: {iter_max: 1.0e+12}\nsim: {T: 2}\n", "adaptive.iter_max"),
+    ("adaptive: {iter_max: 1.0e+12}\nsim: {T: 2}\n", "adaptive.iter_max"),
 ])
 def test_cli_config_faults_exit_2_naming_the_key(tmp_path, capsys, text, key):
     # each of these once ran to a NaN time, a traceback, forever, or with

@@ -430,6 +430,15 @@ def test_random_streams_exist_only_for_laws_that_draw(monkeypatch):
     assert LinkModel(rate=50.0, payload_bits=10.0).uplink_attempt(None) == 0.2
 
 
+def test_a_law_states_its_mean_rate():
+    assert ArrivalProcess(kind="poisson", rate=20.0).mean_rate == 20.0
+    for interval in (0.1, 0.3, 1.0e-300):
+        mean_rate = ArrivalProcess(kind="periodic", interval=interval).mean_rate
+        assert mean_rate.hex() == (1.0 / interval).hex()
+    # a trace's arrivals are finite: it has no long-run rate
+    assert ArrivalProcess(kind="trace", times=(0.0, 1.0)).mean_rate is None
+
+
 def test_only_an_evaluating_engine_builds_the_evaluator_arrays():
     # its feature-major copy XT, with the logistic label signs s = 1 - 2y
     # folded into its columns, and its per-row gradient weights
