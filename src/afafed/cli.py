@@ -4,11 +4,13 @@ Subcommands:
   run      simulate a config and write metrics.csv + summary.yaml
   profile  same, with convergence-parameter estimation enabled
   bound    evaluate the convergence-rate bounds from a parameter file
-  sweep    run a seed x parameter grid, one output directory per cell
+  sweep    run a seed x parameter grid, one output directory per cell,
+           each one path component directly under ``--out``
 
 Configuration errors exit with status 2 and name the offending key.  A
-missing or unreadable config file (malformed YAML, not UTF-8, a directory)
-and an ``--out`` that cannot be a directory also exit 2, before any run.
+missing or unreadable config file (malformed YAML, not UTF-8, a directory),
+an ``--out`` that cannot be a directory, and sweep cells that share a
+directory or whose directory cannot be one also exit 2, before any run.
 A run that diverges numerically or breaks a protocol invariant exits with
 status 3 and a one-line `error:` message.
 """
@@ -117,11 +119,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.grid.{key}: need a non-empty list of values")
 
-    # every cell is checked before the first one runs, so a bad value
-    # leaves no partial sweep behind
-    cells = [cell for seed in seeds for cell in _sweep_cells(doc, seed, grid)]
+    # every cell and its directory are checked before the first cell runs,
+    # so a bad value leaves no partial sweep behind
+    cells = [cell for i, seed in enumerate(seeds)
+             for cell in _sweep_cells(doc, seed, f"sweep.seeds[{i}]", grid)]
+    places_of: Dict[str, List[str]] = {}
+    for label, places, *_ in cells:
+        if label in places_of:
+            pairs = [(a, b) for a, b in zip(places_of[label], places) if a != b]
+            raise ConfigError(f"{', '.join(b for _, b in pairs)}: the cell directory {label} "
+                              f"repeats that of {', '.join(a for a, _ in pairs)}")
+        places_of[label] = places
+        _check_out(os.path.join(args.out, label))
     index_rows = []
-    for label, seed, values, cfg in cells:
+    for label, _, seed, values, cfg in cells:
         exp, result, estimates = harness.run_experiment(cfg)
         summary = harness.write_outputs(os.path.join(args.out, label), exp, result, estimates)
         final = summary["final_risk"]
@@ -132,19 +143,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         })
         print(f"{label}: aggregations={result.aggregations} final_risk={_fmt_risk(final)}")
     os.makedirs(args.out, exist_ok=True)
-    harness.write_yaml(os.path.join(args.out, "sweep.yaml"), harness._plain(index_rows))
+    harness.write_yaml(os.path.join(args.out, "sweep.yaml"), index_rows)
     return 0
 
 
 def _sweep_cells(
-    doc: Dict[str, Any], seed: int, grid: Dict[str, List[Any]]
-) -> List[Tuple[str, int, Dict[str, Any], Dict[str, Any]]]:
-    """(label, seed, grid values, resolved config) of every grid cell for one seed.
+    doc: Dict[str, Any], seed: int, seed_place: str, grid: Dict[str, List[Any]]
+) -> List[Tuple[str, List[str], int, Dict[str, Any], Dict[str, Any]]]:
+    """(label, places, seed, grid values, resolved config) of every grid cell
+    for one seed.
 
-    Each cell is checked by building its experiment.  A fault that one grid
-    value causes on its own is named by its dotted grid key and index, e.g.
-    ``sweep.grid.mixing.beta_max[1]``; a fault only a combination causes
-    names every grid key of the cell.
+    The label names the cell's directory under ``--out``; a path separator
+    in a value becomes ``_``, so the label is one path component.  The
+    places are ``seed_place`` and the cell's grid value of each key, e.g.
+    ``sweep.grid.mixing.beta_max[1]``.  Each cell is checked by building its
+    experiment.  A fault that one grid value causes on its own is named by
+    its place; a fault only a combination causes names every grid key of
+    the cell.
     """
     base = harness.resolve_config(doc)
     base["sim"]["seed"] = seed
@@ -166,16 +181,18 @@ def _sweep_cells(
     cells = []
     for indices in itertools.product(*(range(len(grid[k])) for k in keys)):
         values = {k: grid[k][i] for k, i in zip(keys, indices)}
+        where = [f"sweep.grid.{k}[{i}]" for k, i in zip(keys, indices)]
         exc = fault(values)
         if exc is not None:
-            where = [f"sweep.grid.{k}[{i}]" for k, i in zip(keys, indices)]
             if fault({}) is not None:
                 raise exc                  # the config itself is at fault
             alone = [w for w, k in zip(where, keys) if fault({k: values[k]}) is not None]
             # a value that fails on its own is named alone, else the combination
             raise ConfigError(f"{alone[0] if alone else ', '.join(where)}: {exc}")
         label = "_".join([f"seed{seed}"] + [f"{k.split('.')[-1]}{v}" for k, v in values.items()])
-        cells.append((label, seed, values, with_values(values)))
+        for sep in filter(None, (os.sep, os.altsep)):
+            label = label.replace(sep, "_")
+        cells.append((label, [seed_place] + where, seed, values, with_values(values)))
     return cells
 
 

@@ -79,7 +79,11 @@ class UplinkPayload:
 
 @dataclass
 class CoworkerState:
-    """Full local state of one coworker."""
+    """Full local state of one coworker.
+
+    The averaged multiplier ``mu_bar`` is derived, not stored: it is
+    ``mu_sum / (t_local + 1)``, as the server derives ``ServerState.mu_mean``.
+    """
 
     id: int
     w: np.ndarray
@@ -87,7 +91,6 @@ class CoworkerState:
     buffer: StreamBuffer
     mu: float = 0.0
     mu_sum: float = 0.0           # running sum of multiplier samples, mu(0) included
-    mu_bar: float = 0.0           # mu_sum / (t_local + 1), the running average of those samples
     tolerance: float = 0.0        # current proximity tolerance B_k
     lambda_last: float = 1.0      # own fairness coefficient, last broadcast value
     timestamp: int = 0
@@ -96,6 +99,11 @@ class CoworkerState:
     eta0: float = 0.0
     eta1: float = 0.0
     last_grad: Optional[np.ndarray] = None
+
+    @property
+    def mu_bar(self) -> float:
+        """Running average of the multiplier samples, mu(0) included."""
+        return self.mu_sum / (self.t_local + 1)
 
 
 def make_coworker(
@@ -106,7 +114,7 @@ def make_coworker(
         id=cid,
         w=w0.copy(),
         buffer=buffer,
-        lambda_last=lambda0,
+        lambda_last=float(lambda0),     # the type every broadcast adoption stores
         w_global_last=w0.copy(),
         iter_k=update_iter_count(0.0, cfg),
         tolerance=update_tolerance(0.0, cfg),
@@ -171,12 +179,12 @@ def run_single_iteration(
         w  <- w - eta0 * (lambda_last * grad + mu * diff)
         mu <- max(0, mu + eta1 * (diff.diff - tolerance))
 
-    and mu_bar becomes the running average of every multiplier sample, mu(0)
-    included.  The primal step runs entry by entry on Python floats, with the
-    bits of the vector form.  A NaN violation (an overflowed deviation
-    against an unbounded tolerance), a non-finite entry of w or a non-finite
-    mu raises NumericDivergenceError once the iteration is complete; its
-    message names the first of these that it finds.
+    and the new mu joins mu_sum, so mu_bar stays the running average of every
+    multiplier sample, mu(0) included.  The primal step runs entry by entry
+    on Python floats, with the bits of the vector form.  A NaN violation (an
+    overflowed deviation against an unbounded tolerance), a non-finite entry
+    of w or a non-finite mu raises NumericDivergenceError once the iteration
+    is complete; its message names the first of these that it finds.
 
     Returns False (leaving all state untouched) when the buffer cannot serve
     a minibatch yet; the caller decides how to wait.
@@ -188,7 +196,9 @@ def run_single_iteration(
     grad = minibatch_gradient(model, w, *batch)
     diff = w - state.w_global_last
     violation = float(diff.dot(diff)) - state.tolerance
-    om = omega(state.mu_bar, cfg)
+    t_local = state.t_local
+    mu_bar = state.mu_sum / (t_local + 1)       # state.mu_bar, without the property call
+    om = omega(mu_bar, cfg)
     # the clamps are conditional expressions: min(max(x, lo), hi) to the bit,
     # a NaN included, at about a seventh of the cost of the two builtins
     lo, hi = cfg.eta_min, cfg.eta_max
@@ -203,9 +213,8 @@ def run_single_iteration(
     mu += eta1 * violation
     mu = state.mu = mu if mu > 0.0 else 0.0        # max(0, mu), a NaN made 0 as max does
     state.eta0, state.eta1 = eta0, eta1
-    state.t_local += 1
+    state.t_local = t_local + 1
     state.mu_sum += mu
-    state.mu_bar = state.mu_sum / (state.t_local + 1)
     evict_oldest_if_surplus(state.buffer)
     state.last_grad = grad
     # eta1 is NaN only for a NaN violation (inf - inf), which the mu clamp maps to 0
@@ -219,16 +228,17 @@ def run_single_iteration(
 def finalize_cluster(state: CoworkerState, cfg: AdaptiveConfig) -> UplinkPayload:
     """Close a cluster: refresh the tolerance, build the payload, size the next cluster."""
     iters = state.iter_k
-    state.tolerance = update_tolerance(state.mu_bar, cfg)
+    mu_bar = state.mu_bar
+    state.tolerance = update_tolerance(mu_bar, cfg)
     payload = UplinkPayload(
         sender=state.id,
         w=state.w.copy(),
-        mu_bar=state.mu_bar,
+        mu_bar=mu_bar,
         timestamp=state.timestamp,
         iters_in_cluster=iters,
         last_grad=state.last_grad,
     )
-    state.iter_k = update_iter_count(state.mu_bar, cfg)
+    state.iter_k = update_iter_count(mu_bar, cfg)
     return payload
 
 

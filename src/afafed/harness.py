@@ -176,7 +176,13 @@ def resolve_config(doc: Optional[Dict[str, Any]]) -> Dict[str, Any]:
 # libyaml's loader and dumper where PyYAML was built with it, several times
 # faster than the pure-Python ones (see write_yaml for the bytes they write)
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
+class _YAML_DUMPER(getattr(yaml, "CSafeDumper", yaml.SafeDumper)):
+    """The safe dumper, writing a list or mapping met twice in full each time."""
+
+    def ignore_aliases(self, data: Any) -> bool:
+        return True
 
 
 def read_yaml(path: str) -> Dict[str, Any]:
@@ -213,7 +219,9 @@ def read_yaml(path: str) -> Dict[str, Any]:
 
 def write_yaml(path: str, doc: Any) -> None:
     """Write ``doc`` as ``yaml.safe_dump(doc, sort_keys=True, width=2**31 - 1)``
-    writes it, whether or not PyYAML was built with libyaml.
+    writes it, whether or not PyYAML was built with libyaml, except that an
+    object the document holds twice (a sweep's grid value in every row that
+    takes it) is written in full each time, never as an anchor and alias.
 
     At the default width of 80 the two dumpers fold a long double-quoted
     string (one holding a tab, a control or a non-ASCII character) at
@@ -643,21 +651,6 @@ def metrics_csv_text(rows: Sequence) -> str:
     return buf.getvalue()
 
 
-def _plain(obj: Any) -> Any:
-    """Recursively convert numpy scalars/arrays so YAML stays readable."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
-
-
 def final_risk(exp: Experiment) -> Optional[float]:
     """The global risk at the final w̄ under the final λ, or None with evaluation off.
 
@@ -673,7 +666,13 @@ def final_risk(exp: Experiment) -> Optional[float]:
 
 def summarize(exp: Experiment, result: RunResult,
               estimates: Optional[ParameterEstimates]) -> Dict[str, Any]:
-    """Assemble the run summary written next to the metrics CSV."""
+    """Assemble the run summary written next to the metrics CSV.
+
+    Every value is built as a plain Python value (None, bool, int, float,
+    str, list or dict), the only types the safe YAML dumper writes, so the
+    summary is written as it is returned: arrays through ``tolist()``, and
+    the estimates' ``feasible`` tuple as a list.
+    """
     engine = exp.engine
     accepted_total = int(result.accepted_by.sum())
     access = (result.accepted_by / accepted_total) if accepted_total else result.accepted_by * 0.0
@@ -709,8 +708,8 @@ def summarize(exp: Experiment, result: RunResult,
         "config": exp.cfg,
     }
     if estimates is not None:
-        summary["estimates"] = asdict(estimates)
-    return _plain(summary)
+        summary["estimates"] = {**asdict(estimates), "feasible": list(estimates.feasible)}
+    return summary
 
 
 def write_outputs(out_dir: str, exp: Experiment, result: RunResult,
@@ -746,4 +745,4 @@ def evaluate_bounds(doc: Dict[str, Any]) -> Dict[str, Any]:
     if scaled is not None:
         out["scaled"] = asdict(
             _build("bound.scaled", bnd.bound_scaled, inputs, **scaled))
-    return _plain(out)
+    return out

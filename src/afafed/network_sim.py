@@ -41,6 +41,12 @@ its end.  The buffer each iteration samples is the one arrival events
 would have built.  When a run stops, each coworker with a ready buffer is
 caught up to its last arrival at or before the stopping instant; an arrival
 at exactly the instant of a ``T`` or budget stop counts as admitted.
+
+Arrays are shared, not copied: an array that has been handed on is never
+written.  The server's mix and its rescale of the coefficients each build a
+new array, and so does a coworker's step, so the engine's w0, the server's
+model and coefficients, the coefficient log, downlink payloads and pending
+evaluations may all hold the same array.
 """
 
 from __future__ import annotations
@@ -459,7 +465,7 @@ class Evaluation:
         if due and t == 1:          # row 1: no aggregation evaluated w0
             self._pending.append((engine.w0, None, None, 0))
         if due or next_due:
-            self._pending.append((server.w_global.copy(), server.lambdas.copy() if due else None,
+            self._pending.append((server.w_global, server.lambdas if due else None,
                                   t - 1 if due else None, t if next_due else None))
             if len(self._pending) >= _EVAL_CHUNK:
                 self._flush(engine.rows)
@@ -545,7 +551,7 @@ class SimulationEngine:
         if self.w0.shape != (model.dim,):
             raise ValueError(f"w0 has shape {self.w0.shape}, expected ({model.dim},)")
         lambdas = uniform_weights(k)
-        self.server = srv.ServerState(w_global=self.w0.copy(), lambdas=lambdas)
+        self.server = srv.ServerState(w_global=self.w0, lambdas=lambdas)
         # every shard lives once, in the stacked set; each buffer views its rows
         self.data = stack_shards([s.shard for s in setups])
         if self.data.X.shape[1] != model.dim:
@@ -578,7 +584,7 @@ class SimulationEngine:
         self.events_processed = 0
         self._coef_log: List[_Coefficients] = []
         self._coef_trim_at = _LOG_TRIM_MIN
-        self.profiling_log = ProfilingLog(self.w0.copy()) if enable_profiling else None
+        self.profiling_log = ProfilingLog(self.w0) if enable_profiling else None
 
         # seed the calendar; every coworker stalls until its buffer warms up
         for cid in range(k):
@@ -718,13 +724,12 @@ class SimulationEngine:
             observe(self, record)
         # coefficient broadcast first, then the sender's model downlink
         if record.lambda_changed:
-            self._coef_log.append(_Coefficients(ev.time, server.lambdas.copy(),
-                                                self.queue.next_seq))
+            self._coef_log.append(_Coefficients(ev.time, server.lambdas, self.queue.next_seq))
             if len(self._coef_log) >= self._coef_trim_at:
                 self._flush_coefficients(ev.time, ev.seq)
         rt = self.runtimes[payload.sender]
         self.queue.push(ev.time + rt.link.downlink_delay, EventKind.DOWNLINK_DELIVERY,
-                        payload.sender, payload=(server.w_global.copy(), server.t))
+                        payload.sender, payload=(server.w_global, server.t))
 
     def _on_downlink_delivery(self, ev: SimEvent) -> None:
         cid = ev.coworker

@@ -188,7 +188,6 @@ def test_mu_average_two_samples():
     st = at_consensus(mu=4.0)             # mu(0) = 0 already counted
     assert step(st, np.zeros(1), fixed(0.1))
     assert st.mu_bar == pytest.approx(2.0)   # (0 + 4) / 2
-    assert st.mu_bar == st.mu_sum / (st.t_local + 1)
 
 
 def test_mu_average_all_zero_and_constant():
@@ -202,13 +201,27 @@ def test_mu_average_all_zero_and_constant():
         assert st2.mu_bar == pytest.approx(3.0)
 
 
-def test_mu_average_exact_ratio_invariant():
-    rng = np.random.default_rng(17)
-    st = at_consensus()
-    for _ in range(200):
-        st.mu = float(rng.uniform(0, 10))
-        assert step(st, np.zeros(1), fixed(0.1))
+@settings(max_examples=100, deadline=None)
+@given(hst.lists(hst.tuples(hst.floats(0.0, 10.0), hst.floats(-3.0, 3.0), hst.floats(0.0, 2.0)),
+                 min_size=1, max_size=30))
+def test_mu_bar_is_the_average_of_every_multiplier_sample(steps):
+    # mu_bar is derived: after every iteration it is mu_sum / (t_local + 1),
+    # and mu_sum is the in-order sum of the samples, mu(0) = 0 included
+    st = fresh_state()
+    total = 0.0
+    for mu, w, tolerance in steps:
+        st.mu, st.w, st.tolerance = mu, np.array([w]), tolerance
+        assert step(st, [w], AdaptiveConfig())
+        total += st.mu
+        assert st.mu_sum == total
         assert st.mu_bar == st.mu_sum / (st.t_local + 1)
+
+
+def test_a_fresh_coworker_holds_its_coefficient_as_a_float():
+    # every broadcast adoption stores a Python float; so does the start
+    lambdas = np.full(4, 0.25)
+    st = make_coworker(0, np.zeros(1), cold_buffer(2, 1), lambdas[0], AdaptiveConfig())
+    assert type(st.lambda_last) is float and st.lambda_last == 0.25
 
 
 # ---------------- adaptation maps ---------------- #
@@ -300,7 +313,7 @@ def test_step_sizes_hand_value_and_clips():
                          eta_min=0.01, eta_max=0.5)
 
     def stepped(w, grad):
-        st = fresh_state(w=np.array(w), w_global_last=np.zeros(len(w)), mu_bar=1.0)  # omega 2
+        st = fresh_state(w=np.array(w), w_global_last=np.zeros(len(w)), mu_sum=1.0)  # omega 2
         assert step(st, grad, cfg)
         return st
 
@@ -321,7 +334,7 @@ def test_step_sizes_always_clamped():
     rng = np.random.default_rng(23)
     st = fresh_state()
     for _ in range(300):
-        st.mu_bar = float(rng.uniform(0, 20))
+        st.t_local, st.mu_sum = 0, float(rng.uniform(0, 20))     # mu_bar in [0, 20]
         st.tolerance = float(rng.uniform(0, 3))
         g = rng.standard_normal(1) * rng.uniform(0, 50)
         st.w = np.array([math.sqrt(rng.uniform(0, 50))])     # dev_sq in [0, 50]
@@ -381,7 +394,7 @@ def scripted_cluster(state, cfg, model, rng):
         grad = (X.T @ r) / X.shape[0]
         diff = state.w - state.w_global_last
         dev_sq = float(diff @ diff)
-        om = omega_ref(state.mu_bar)
+        om = omega_ref(state.mu_sum / (state.t_local + 1))     # mu(0) counts too
         state.eta0 = clamp(om * float(np.linalg.norm(grad)))
         state.eta1 = clamp(om * abs(dev_sq - state.tolerance))
         state.w = state.w - state.eta0 * (
@@ -389,15 +402,14 @@ def scripted_cluster(state, cfg, model, rng):
         state.mu = max(0.0, state.mu + state.eta1 * (dev_sq - state.tolerance))
         state.t_local += 1
         state.mu_sum += state.mu
-        state.mu_bar = state.mu_sum / (state.t_local + 1)      # mu(0) counts too
         if buf.count > buf.minibatch_size:
             buf.count -= 1
         state.last_grad = grad
     iters = state.iter_k
-    state.tolerance = cfg.b0 * state.mu_bar**cfg.gamma if state.mu_bar > 0.0 else 0.0
-    payload = dict(w=state.w.copy(), mu_bar=state.mu_bar,
-                   timestamp=state.timestamp, iters=iters)
-    state.iter_k = max(1, math.ceil(cfg.iter_max / omega_ref(state.mu_bar)))
+    mu_bar = state.mu_sum / (state.t_local + 1)
+    state.tolerance = cfg.b0 * mu_bar**cfg.gamma if mu_bar > 0.0 else 0.0
+    payload = dict(w=state.w.copy(), mu_bar=mu_bar, timestamp=state.timestamp, iters=iters)
+    state.iter_k = max(1, math.ceil(cfg.iter_max / omega_ref(mu_bar)))
     return payload
 
 

@@ -49,6 +49,8 @@ def test_every_exported_name_resolves_once():
     ("bounds", "gradient_variance_bound"),
     ("harness", "_fmt"),
     ("harness", "_per_coworker_loss"),
+    # the summary is built from plain values; no pass converts it
+    ("harness", "_plain"),
 ])
 def test_deleted_names_cannot_be_imported(module, name):
     assert name not in afafed.__all__
@@ -90,6 +92,12 @@ def test_deleted_runtime_fields_stay_gone(name):
 def test_deleted_state_fields_stay_gone(cls, name):
     assert name not in cls.__dataclass_fields__
     assert not hasattr(cls, name)
+
+
+def test_mu_bar_is_derived_not_stored():
+    # mu_bar is mu_sum / (t_local + 1), read through a property
+    assert "mu_bar" not in CoworkerState.__dataclass_fields__
+    assert isinstance(CoworkerState.mu_bar, property)
 
 
 def test_the_delivery_tie_rule_is_not_an_engine_method():

@@ -38,6 +38,7 @@ from afafed.model_core import GlobalEvaluator, uniform_weights
 from afafed.network_sim import ArrivalProcess, SimulationEngine
 from afafed.profiler import ParameterEstimates
 from reference_evaluation import reference_global_gradient, reference_global_risk
+from test_shared_arrays import FreezeHandedOnArrays
 
 
 def small_doc(**sections):
@@ -237,10 +238,12 @@ def _run_recording(cfg):
 
     Returns the run result (None on a divergence), the metrics rows and
     (lambdas, beta) per aggregation recorded so far, and the divergence
-    message (None without one).
+    message (None without one).  Every array the engine shares is made
+    read-only once handed on, so an in-place write to one raises.
     """
     seen = []
     exp = build_experiment(cfg)
+    FreezeHandedOnArrays(exp.engine)
     exp.engine.observers.append(SimpleNamespace(on_aggregation=lambda engine, record: seen.append(
         (engine.server.lambdas.copy(), record.beta))))
     try:
@@ -750,6 +753,15 @@ def test_write_outputs_is_reproducible(tmp_path):
     assert a_metrics == b_metrics
     assert (tmp_path / "a" / "summary.yaml").read_bytes() == \
         (tmp_path / "b" / "summary.yaml").read_bytes()
+
+
+def test_the_summary_written_is_the_summary_returned(tmp_path):
+    # the summary is built from plain values, so its file reads back as it
+    exp, result, estimates = run_experiment(resolve_config(small_doc(eval={"every": 1})),
+                                            enable_profiling=True)
+    summary = write_outputs(str(tmp_path), exp, result, estimates)
+    assert estimates is not None and summary["final_risk"] is not None
+    assert harness.read_yaml(str(tmp_path / "summary.yaml")) == summary
 
 
 def test_profiled_run_emits_estimates():
@@ -1418,3 +1430,70 @@ def test_cli_sweep_needs_a_sweep_section(tmp_path, capsys):
     cfg = write_cfg(tmp_path, small_doc())
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert "sweep" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sweep, repeat, first, cell", [
+    ({"grid": {"mixing.beta_max": [0.5, 0.5]}},
+     "sweep.grid.mixing.beta_max[1]", "sweep.grid.mixing.beta_max[0]", "seed1_beta_max0.5"),
+    ({"grid": {"mixing.beta_max": [0.5, "0.5"]}},
+     "sweep.grid.mixing.beta_max[1]", "sweep.grid.mixing.beta_max[0]", "seed1_beta_max0.5"),
+    ({"seeds": [1, 1]}, "sweep.seeds[1]", "sweep.seeds[0]", "seed1"),
+])
+def test_cli_sweep_refuses_two_cells_with_one_directory(tmp_path, capsys, sweep, repeat,
+                                                         first, cell):
+    # the second cell would overwrite the first one's outputs
+    doc = small_doc(sim={"T": 5})
+    doc["sweep"] = {"seeds": [1], **sweep}
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: {repeat}: the cell directory {cell} repeats that of {first}\n")
+    assert not out.exists()
+
+
+def test_cli_sweep_writes_a_cell_with_a_path_in_its_label_directly_under_out(tmp_path,
+                                                                           monkeypatch):
+    # seed1_trace../../../t.csv, joined to --out, once named out/../t.csv
+    (tmp_path / "t.csv").write_text(
+        "".join(f"{0.1 * (i + 1)}, 1.0, 0.0, 0.0, 1.0\n" for i in range(3)))
+    work = tmp_path / "a" / "b" / "c"
+    work.mkdir(parents=True)
+    monkeypatch.chdir(work)
+    doc = small_doc(arrivals={"kind": "trace"}, sim={"T": 5})
+    doc["sweep"] = {"seeds": [1], "grid": {"arrivals.trace": ["../../../t.csv"]}}
+    run = tmp_path / "run"
+    out = run / "out"
+    assert cli.main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+    cell = "seed1_trace.._.._.._t.csv"
+    assert sorted(os.listdir(out)) == [cell, "sweep.yaml"]
+    assert os.listdir(run) == ["out"]
+    assert (out / cell / "summary.yaml").exists()
+    (row,) = yaml.safe_load((out / "sweep.yaml").read_text())
+    assert row["cell"] == cell
+
+
+def test_cli_sweep_writes_a_shared_grid_value_in_full_in_every_row(tmp_path):
+    # both rows hold the one list the grid holds; YAML would write it once,
+    # with an anchor, and then as an alias
+    doc = small_doc(sim={"T": 5})
+    doc["sweep"] = {"seeds": [1, 2], "grid": {"link.p_loss": [[0.0, 0.25]]}}
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+    text = (out / "sweep.yaml").read_text()
+    assert "&" not in text and "*" not in text
+    assert [row["link.p_loss"] for row in yaml.safe_load(text)] == [[0.0, 0.25]] * 2
+
+
+def test_cli_sweep_refuses_a_cell_directory_taken_by_a_file(tmp_path, capsys):
+    doc = small_doc(sim={"T": 5})
+    doc["sweep"] = {"seeds": [1], "grid": {"mixing.beta_max": [0.9, 0.5]}}
+    out = tmp_path / "sweep"
+    out.mkdir()
+    taken = out / "seed1_beta_max0.5"
+    taken.write_text("not a directory\n")
+    assert cli.main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: --out: {taken}: exists and is not a directory\n")
+    # refused before the first cell ran
+    assert os.listdir(out) == ["seed1_beta_max0.5"]
+    assert taken.read_text() == "not a directory\n"

@@ -1,8 +1,14 @@
-"""Every name a library or test module imports is used by that module.
+"""Every name a library or test module imports is used by that module, and
+every private module-level name of the library is used.
 
 The package's ``__init__`` imports names to export them, so it is left out.
 A name counts as used when the module reads it anywhere, including in an
-annotation (a quoted one is parsed too).  Only the standard library is used.
+annotation (a quoted one is parsed too).  A private name (``_name``, not
+``__dunder__``) defined at the top of a library module by a ``def``,
+``class`` or assignment counts as used when some other top-level statement
+of the library reads it, as a name or as an attribute such as
+``harness._value``; a read inside its own definition (a recursive call)
+does not count.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -51,6 +57,37 @@ def read_names(tree: ast.Module) -> set:
     return names
 
 
+def private_definitions(tree: ast.Module) -> dict:
+    """Each private name a top-level statement defines, with that statement."""
+    defined = {}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [node.id for target in targets for node in ast.walk(target)
+                     if isinstance(node, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = stmt
+    return defined
+
+
+def dead_private_names(trees: dict) -> list:
+    """``module:line: name`` of each private top-level name no other statement reads."""
+    reads = [(stmt, read_names(stmt) | {node.attr for node in ast.walk(stmt)
+                                        if isinstance(node, ast.Attribute)})
+             for tree in trees.values() for stmt in tree.body]
+    dead = []
+    for module, tree in trees.items():
+        for name, definition in private_definitions(tree).items():
+            if not any(name in names for stmt, names in reads if stmt is not definition):
+                dead.append(f"{module}:{definition.lineno}: {name}")
+    return dead
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -65,3 +102,19 @@ def test_the_scan_sees_an_unused_import():
                      "def f(x: 'List[int]') -> None:\n    return np.sum(x)\n")
     bound = imported_names(tree)
     assert sorted(name for name in bound if name not in read_names(tree)) == ["Sequence", "os"]
+
+
+def test_every_private_name_of_the_library_is_used():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    assert dead_private_names(trees) == []
+
+
+def test_the_scan_sees_a_dead_private_name():
+    lib = ast.parse("import math\n_USED, _UNREAD = 1, 2\n__dunder__ = 3\n"
+                    "def _recursive(n):\n    return _recursive(n - 1) if n else _USED\n"
+                    "class _Unused:\n    pass\n"
+                    "def public(x: '_Annotated') -> None:\n    return math._private_attr\n")
+    other = ast.parse("class _Annotated:\n    pass\n_private_attr = 0\n")
+    assert dead_private_names({"lib.py": lib, "other.py": other}) == [
+        "lib.py:2: _UNREAD", "lib.py:4: _recursive", "lib.py:6: _Unused"]
