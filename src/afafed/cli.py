@@ -4,15 +4,16 @@ Subcommands:
   run      simulate a config and write metrics.csv + summary.yaml
   profile  same, with convergence-parameter estimation enabled
   bound    evaluate the convergence-rate bounds from a parameter file
-  sweep    run a seed x parameter grid, one output directory per cell,
-           each one path component directly under ``--out``
+  sweep    run a seed x parameter grid, one output directory ``cell<i>``
+           per cell under ``--out``, indexed in ``--out/sweep.yaml``
 
 Configuration errors exit with status 2 and name the offending key.  A
 missing or unreadable config file (malformed YAML, not UTF-8, a directory),
-an ``--out`` that cannot be a directory, and sweep cells that share a
-directory or whose directory cannot be one also exit 2, before any run.
-A run that diverges numerically or breaks a protocol invariant exits with
-status 3 and a one-line `error:` message.
+an ``--out`` that cannot be a directory, and a sweep cell whose directory
+cannot be one also exit 2, before any run.  A run that diverges numerically
+or breaks a protocol invariant exits with status 3 and a one-line `error:`
+message.  A sweep records such a cell's fault in its index row and runs the
+remaining cells; it exits 3 after the last cell if any cell failed.
 """
 
 from __future__ import annotations
@@ -101,17 +102,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     seeds = sweep.get("seeds", [])
     if not isinstance(seeds, list):
         raise ConfigError(f"sweep.seeds: need a list of seeds, got {seeds!r}")
-    # a bad seed is named by its place in the sweep, not by sim.seed alone
-    seed_key = harness.CONFIG_SCHEMA["sim"].type["seed"]
-    for i, seed in enumerate(seeds):
-        try:
-            harness._value(seed_key, seed, "sim.seed")
-        except ConfigError as exc:
-            raise ConfigError(f"sweep.seeds[{i}]: {exc}") from None
-    if args.seed is not None:
-        seeds = [args.seed]
-    if not seeds:
-        seeds = [harness.resolve_config(doc)["sim"]["seed"]]
+    # --seed replaces sweep.seeds, whose values are then not checked
+    seeds = ([("--seed", args.seed)] if args.seed is not None
+             else [(f"sweep.seeds[{i}]", seed) for i, seed in enumerate(seeds)])
     grid: Dict[str, List[Any]] = sweep.get("grid", {}) or {}
     if not isinstance(grid, dict):
         raise ConfigError(f"sweep.grid: need a mapping of dotted keys to lists, got {grid!r}")
@@ -121,78 +114,77 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     # every cell and its directory are checked before the first cell runs,
     # so a bad value leaves no partial sweep behind
-    cells = [cell for i, seed in enumerate(seeds)
-             for cell in _sweep_cells(doc, seed, f"sweep.seeds[{i}]", grid)]
-    places_of: Dict[str, List[str]] = {}
-    for label, places, *_ in cells:
-        if label in places_of:
-            pairs = [(a, b) for a, b in zip(places_of[label], places) if a != b]
-            raise ConfigError(f"{', '.join(b for _, b in pairs)}: the cell directory {label} "
-                              f"repeats that of {', '.join(a for a, _ in pairs)}")
-        places_of[label] = places
-        _check_out(os.path.join(args.out, label))
-    index_rows = []
-    for label, _, seed, values, cfg in cells:
-        exp, result, estimates = harness.run_experiment(cfg)
-        summary = harness.write_outputs(os.path.join(args.out, label), exp, result, estimates)
-        final = summary["final_risk"]
-        index_rows.append({
-            "cell": label, "seed": seed, **values,
-            "aggregations": result.aggregations,
-            "final_risk": final,
-        })
-        print(f"{label}: aggregations={result.aggregations} final_risk={_fmt_risk(final)}")
+    cells = _sweep_cells(harness.resolve_config(doc), seeds, grid)
+    width = len(str(len(cells) - 1))
+    names = [f"cell{i:0{width}d}" for i in range(len(cells))]
+    for name in names:
+        _check_out(os.path.join(args.out, name))
     os.makedirs(args.out, exist_ok=True)
-    harness.write_yaml(os.path.join(args.out, "sweep.yaml"), index_rows)
-    return 0
+    index = []
+    for name, (values, cfg) in zip(names, cells):
+        row = {"cell": name, "seed": cfg["sim"]["seed"], **values}
+        try:
+            exp, result, estimates = harness.run_experiment(cfg)
+        except (NumericDivergenceError, ProtocolError) as exc:
+            row.update(stop_reason=type(exc).__name__, error=str(exc))
+            print(f"{name}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        else:
+            summary = harness.write_outputs(os.path.join(args.out, name), exp, result, estimates)
+            row.update(aggregations=result.aggregations, stop_reason=result.stop_reason,
+                       final_risk=summary["final_risk"])
+            print(f"{name}: aggregations={result.aggregations} "
+                  f"final_risk={_fmt_risk(summary['final_risk'])}")
+        index.append(row)
+        # moved into place whole, so an interrupted sweep leaves the finished cells' index
+        tmp = os.path.join(args.out, "sweep.yaml.tmp")
+        harness.write_yaml(tmp, index)
+        os.replace(tmp, os.path.join(args.out, "sweep.yaml"))
+    return 3 if any("error" in row for row in index) else 0
 
 
 def _sweep_cells(
-    doc: Dict[str, Any], seed: int, seed_place: str, grid: Dict[str, List[Any]]
-) -> List[Tuple[str, List[str], int, Dict[str, Any], Dict[str, Any]]]:
-    """(label, places, seed, grid values, resolved config) of every grid cell
-    for one seed.
+    base: Dict[str, Any], seeds: List[Tuple[str, Any]], grid: Dict[str, List[Any]]
+) -> List[Tuple[Dict[str, Any], Dict[str, Any]]]:
+    """(grid values, checked config) of every cell, in the order they run.
 
-    The label names the cell's directory under ``--out``; a path separator
-    in a value becomes ``_``, so the label is one path component.  The
-    places are ``seed_place`` and the cell's grid value of each key, e.g.
-    ``sweep.grid.mixing.beta_max[1]``.  Each cell is checked by building its
-    experiment.  A fault that one grid value causes on its own is named by
-    its place; a fault only a combination causes names every grid key of
-    the cell.
+    The cells are the product of the axes: ``sim.seed`` over the (place,
+    seed) pairs ``seeds`` (the config's own seed when there are none), then
+    each grid key in sorted order, whose values' places are
+    ``sweep.grid.<key>[j]``.  Each cell is checked by building its
+    experiment.  A fault of the config alone is raised as it is; a fault
+    that one value causes on its own is named by its place; a fault only a
+    combination causes names every grid value of the cell.
     """
-    base = harness.resolve_config(doc)
-    base["sim"]["seed"] = seed
+    axes = [("sim.seed", seeds or [("sim.seed", base["sim"]["seed"])])]
+    axes += [(key, [(f"sweep.grid.{key}[{j}]", v) for j, v in enumerate(grid[key])])
+             for key in sorted(grid)]
 
-    def with_values(picks: Dict[str, Any]) -> Dict[str, Any]:
+    def build(picks: List[Tuple[str, Any]]) -> harness.Experiment:
         cfg = copy.deepcopy(base)
-        for key, value in picks.items():
+        for key, value in picks:
             harness.set_by_path(cfg, key, value)
-        return cfg
+        return harness.build_experiment(cfg)
 
-    def fault(picks: Dict[str, Any]) -> Optional[ConfigError]:
+    def fails(picks: List[Tuple[str, Any]]) -> bool:
         try:
-            harness.build_experiment(with_values(picks))
-        except ConfigError as exc:
-            return exc
-        return None
+            build(picks)
+        except ConfigError:
+            return True
+        return False
 
-    keys = sorted(grid)
     cells = []
-    for indices in itertools.product(*(range(len(grid[k])) for k in keys)):
-        values = {k: grid[k][i] for k, i in zip(keys, indices)}
-        where = [f"sweep.grid.{k}[{i}]" for k, i in zip(keys, indices)]
-        exc = fault(values)
-        if exc is not None:
-            if fault({}) is not None:
-                raise exc                  # the config itself is at fault
-            alone = [w for w, k in zip(where, keys) if fault({k: values[k]}) is not None]
+    for cell in itertools.product(*(entries for _, entries in axes)):
+        picks = [(key, value) for (key, _), (_, value) in zip(axes, cell)]
+        try:
+            cfg = build(picks).cfg
+        except ConfigError as exc:
+            if fails([]):
+                raise exc from None        # the config itself is at fault
+            where = [place for place, _ in cell]
+            alone = [w for w, pick in zip(where, picks) if fails([pick])]
             # a value that fails on its own is named alone, else the combination
-            raise ConfigError(f"{alone[0] if alone else ', '.join(where)}: {exc}")
-        label = "_".join([f"seed{seed}"] + [f"{k.split('.')[-1]}{v}" for k, v in values.items()])
-        for sep in filter(None, (os.sep, os.altsep)):
-            label = label.replace(sep, "_")
-        cells.append((label, [seed_place] + where, seed, values, with_values(values)))
+            raise ConfigError(f"{alone[0] if alone else ', '.join(where[1:])}: {exc}") from None
+        cells.append((dict(picks[1:]), cfg))
     return cells
 
 

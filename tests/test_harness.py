@@ -1323,12 +1323,24 @@ def test_cli_sweep_runs_the_grid(tmp_path):
     out = tmp_path / "sweep"
     assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     index = yaml.safe_load((out / "sweep.yaml").read_text())
-    assert len(index) == 4
-    cells = {row["cell"] for row in index}
-    assert cells == {"seed1_beta_max0.5", "seed1_beta_max0.9",
-                     "seed2_beta_max0.5", "seed2_beta_max0.9"}
-    for cell in cells:
-        assert (out / cell / "metrics.csv").exists()
+    # the seeds are the first axis, then the grid keys in sorted order
+    assert [(row["cell"], row["seed"], row["mixing.beta_max"]) for row in index] == [
+        ("cell0", 1, 0.5), ("cell1", 1, 0.9), ("cell2", 2, 0.5), ("cell3", 2, 0.9)]
+    assert sorted(os.listdir(out)) == ["cell0", "cell1", "cell2", "cell3", "sweep.yaml"]
+    for row in index:
+        assert (row["aggregations"], row["stop_reason"]) == (5, "T_reached")
+        assert "error" not in row
+        assert (out / row["cell"] / "metrics.csv").exists()
+
+
+def test_cli_sweep_pads_the_cell_index_to_the_width_of_the_last(tmp_path):
+    doc = small_doc(sim={"T": 1})
+    doc["sweep"] = {"seeds": list(range(12))}
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+    index = yaml.safe_load((out / "sweep.yaml").read_text())
+    assert [row["cell"] for row in index] == [f"cell{i:02d}" for i in range(12)]
+    assert [row["seed"] for row in index] == list(range(12))
 
 
 @pytest.mark.parametrize("every", [3, 0])
@@ -1432,28 +1444,23 @@ def test_cli_sweep_needs_a_sweep_section(tmp_path, capsys):
     assert "sweep" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sweep, repeat, first, cell", [
-    ({"grid": {"mixing.beta_max": [0.5, 0.5]}},
-     "sweep.grid.mixing.beta_max[1]", "sweep.grid.mixing.beta_max[0]", "seed1_beta_max0.5"),
-    ({"grid": {"mixing.beta_max": [0.5, "0.5"]}},
-     "sweep.grid.mixing.beta_max[1]", "sweep.grid.mixing.beta_max[0]", "seed1_beta_max0.5"),
-    ({"seeds": [1, 1]}, "sweep.seeds[1]", "sweep.seeds[0]", "seed1"),
-])
-def test_cli_sweep_refuses_two_cells_with_one_directory(tmp_path, capsys, sweep, repeat,
-                                                         first, cell):
-    # the second cell would overwrite the first one's outputs
-    doc = small_doc(sim={"T": 5})
-    doc["sweep"] = {"seeds": [1], **sweep}
-    out = tmp_path / "sweep"
-    assert cli.main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        f"configuration error: {repeat}: the cell directory {cell} repeats that of {first}\n")
-    assert not out.exists()
+def test_cli_sweep_runs_a_repeated_value_as_a_cell_of_its_own(tmp_path):
+    # each cell has its own directory, so a repeat overwrites nothing
+    for case, sweep in enumerate([{"seeds": [1, 1]},
+                                  {"seeds": [1], "grid": {"mixing.beta_max": [0.5, "0.5"]}}]):
+        doc = small_doc(sim={"T": 5})
+        doc["sweep"] = sweep
+        out = tmp_path / f"sweep{case}"
+        assert cli.main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["cell0", "cell1", "sweep.yaml"]
+        assert (out / "cell0" / "metrics.csv").read_text() == (
+            out / "cell1" / "metrics.csv").read_text()
 
 
 def test_cli_sweep_writes_a_cell_with_a_path_in_its_label_directly_under_out(tmp_path,
                                                                            monkeypatch):
-    # seed1_trace../../../t.csv, joined to --out, once named out/../t.csv
+    # a cell directory named by its grid value, seed1_trace../../../t.csv,
+    # once named out/../t.csv
     (tmp_path / "t.csv").write_text(
         "".join(f"{0.1 * (i + 1)}, 1.0, 0.0, 0.0, 1.0\n" for i in range(3)))
     work = tmp_path / "a" / "b" / "c"
@@ -1464,12 +1471,102 @@ def test_cli_sweep_writes_a_cell_with_a_path_in_its_label_directly_under_out(tmp
     run = tmp_path / "run"
     out = run / "out"
     assert cli.main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
-    cell = "seed1_trace.._.._.._t.csv"
-    assert sorted(os.listdir(out)) == [cell, "sweep.yaml"]
+    assert sorted(os.listdir(out)) == ["cell0", "sweep.yaml"]
     assert os.listdir(run) == ["out"]
-    assert (out / cell / "summary.yaml").exists()
+    assert (out / "cell0" / "summary.yaml").exists()
     (row,) = yaml.safe_load((out / "sweep.yaml").read_text())
-    assert row["cell"] == cell
+    assert (row["cell"], row["arrivals.trace"]) == ("cell0", "../../../t.csv")
+
+
+def test_cli_sweep_runs_a_grid_value_too_long_for_a_file_name(tmp_path):
+    # a cell directory that spelled this value passed the 255-byte name
+    # limit and ended in a raw OSError
+    doc = small_doc(topology={"categories": [{"count": 40, "speed": 1e7, "rate": 1e5}]},
+                    sim={"T": 2})
+    doc["sweep"] = {"grid": {"link.p_loss": [[0.125] * 40]}}
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["cell0", "sweep.yaml"]
+    (row,) = yaml.safe_load((out / "sweep.yaml").read_text())
+    assert row["link.p_loss"] == [0.125] * 40
+    assert (out / "cell0" / "metrics.csv").exists()
+
+
+def test_cli_sweep_row_holds_the_seed_the_cell_ran(tmp_path):
+    # the row once read the sweep's seed, 1, for a cell the grid ran at seed 5
+    doc = small_doc(sim={"T": 2})
+    doc["sweep"] = {"seeds": [1], "grid": {"sim.seed": [5]}}
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+    (row,) = yaml.safe_load((out / "sweep.yaml").read_text())
+    assert (row["seed"], row["sim.seed"]) == (5, 5)
+    assert yaml.safe_load((out / "cell0" / "summary.yaml").read_text())["seed"] == 5
+
+
+def test_cli_sweep_seed_option_replaces_the_seeds_unchecked(tmp_path, capsys):
+    doc = small_doc(sim={"T": 2})
+    doc["sweep"] = {"seeds": [1, "x"]}
+    out = tmp_path / "sweep"
+    cfg = write_cfg(tmp_path, doc)
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--seed", "4"]) == 0
+    (row,) = yaml.safe_load((out / "sweep.yaml").read_text())
+    assert (row["cell"], row["seed"]) == ("cell0", 4)
+    # a bad --seed is named as the option
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "x"), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "configuration error: --seed: sim.seed: must be >= 0\n"
+    assert not (tmp_path / "x").exists()
+
+
+def diverging_sweep_doc():
+    """A sweep over p_loss of a lone coworker, which diverges at p_loss 0.75
+    at the default step sizes: its uplinks keep dropping."""
+    doc = {"model": {"dim": 3},
+           "topology": {"categories": [{"count": 1, "speed": 1.0e+7, "rate": 1.0e+4}]},
+           "data": {"shard_size": 16}, "buffer": {"capacity": 16, "minibatch": 8},
+           "mixing": {"beta_min": 0.5, "beta_max": 1.0}, "sim": {"seed": 7, "T": 50}}
+    doc["sweep"] = {"grid": {"link.p_loss": [0.0, 0.75, 0.1]}}
+    return doc
+
+
+def test_cli_sweep_records_a_failed_cell_and_runs_the_rest(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", write_cfg(tmp_path, diverging_sweep_doc()),
+                     "--out", str(out)]) == 3
+    assert sorted(os.listdir(out)) == ["cell0", "cell2", "sweep.yaml"]
+    for cell in ("cell0", "cell2"):
+        assert (out / cell / "metrics.csv").exists() and (out / cell / "summary.yaml").exists()
+    first, failed, last = yaml.safe_load((out / "sweep.yaml").read_text())
+    assert [row["link.p_loss"] for row in (first, failed, last)] == [0.0, 0.75, 0.1]
+    assert (first["stop_reason"], last["stop_reason"]) == ("T_reached", "T_reached")
+    error = failed.pop("error")
+    assert error.startswith("coworker 0 diverged at virtual time ")
+    assert failed == {"cell": "cell1", "seed": 7, "link.p_loss": 0.75,
+                      "stop_reason": "NumericDivergenceError"}
+    captured = capsys.readouterr()
+    assert captured.err == f"cell1: NumericDivergenceError: {error}\n"
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == ["cell0", "cell2"]
+
+
+def test_cli_sweep_index_holds_the_cells_that_finished(tmp_path, monkeypatch):
+    # the index is rewritten after every cell, so a sweep stopped at the
+    # second cell leaves the first one's row
+    run = harness.run_experiment
+    calls = []
+
+    def interrupted(cfg):
+        calls.append(cfg)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return run(cfg)
+
+    monkeypatch.setattr(harness, "run_experiment", interrupted)
+    out = tmp_path / "sweep"
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["sweep", "--config", write_cfg(tmp_path, diverging_sweep_doc()),
+                  "--out", str(out)])
+    assert sorted(os.listdir(out)) == ["cell0", "sweep.yaml"]
+    (row,) = yaml.safe_load((out / "sweep.yaml").read_text())
+    assert (row["cell"], row["link.p_loss"], row["stop_reason"]) == ("cell0", 0.0, "T_reached")
 
 
 def test_cli_sweep_writes_a_shared_grid_value_in_full_in_every_row(tmp_path):
@@ -1489,11 +1586,11 @@ def test_cli_sweep_refuses_a_cell_directory_taken_by_a_file(tmp_path, capsys):
     doc["sweep"] = {"seeds": [1], "grid": {"mixing.beta_max": [0.9, 0.5]}}
     out = tmp_path / "sweep"
     out.mkdir()
-    taken = out / "seed1_beta_max0.5"
+    taken = out / "cell1"
     taken.write_text("not a directory\n")
     assert cli.main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"configuration error: --out: {taken}: exists and is not a directory\n")
     # refused before the first cell ran
-    assert os.listdir(out) == ["seed1_beta_max0.5"]
+    assert os.listdir(out) == ["cell1"]
     assert taken.read_text() == "not a directory\n"

@@ -1,14 +1,17 @@
-"""Every name a library or test module imports is used by that module, and
-every private module-level name of the library is used.
+"""Every name a library or test module imports is used by that module,
+every private module-level name of the library is used, and no library
+module reads another one's private name.
 
 The package's ``__init__`` imports names to export them, so it is left out.
 A name counts as used when the module reads it anywhere, including in an
 annotation (a quoted one is parsed too).  A private name (``_name``, not
 ``__dunder__``) defined at the top of a library module by a ``def``,
 ``class`` or assignment counts as used when some other top-level statement
-of the library reads it, as a name or as an attribute such as
-``harness._value``; a read inside its own definition (a recursive call)
-does not count.  Only the standard library is used.
+of the library reads it, as a name or as an attribute; a read inside its
+own definition (a recursive call) does not count.  A private name is read
+only by its own module: another library module neither imports it nor
+reads it as an attribute of the module (``harness._value``).  Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -88,6 +91,27 @@ def dead_private_names(trees: dict) -> list:
     return dead
 
 
+def foreign_private_reads(trees: dict) -> list:
+    """``module:line: name`` of each private name one library module takes
+    from another, by import or as an attribute of the imported module."""
+    modules = {Path(name).stem for name in trees}
+    found = []
+    for module, tree in trees.items():
+        imported = set(imported_names(tree)) & modules
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").split(".")[-1] in modules):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in imported:
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{module}:{node.lineno}: {name}" for name in names
+                      if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -118,3 +142,18 @@ def test_the_scan_sees_a_dead_private_name():
     other = ast.parse("class _Annotated:\n    pass\n_private_attr = 0\n")
     assert dead_private_names({"lib.py": lib, "other.py": other}) == [
         "lib.py:2: _UNREAD", "lib.py:4: _recursive", "lib.py:6: _Unused"]
+
+
+def test_no_library_module_reads_another_ones_private_name():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    assert foreign_private_reads(trees) == []
+
+
+def test_the_scan_sees_a_foreign_private_read():
+    lib = ast.parse("from . import harness\nfrom .errors import _hidden, Public\n"
+                    "import numpy as np\n"
+                    "def f(x):\n    return harness._value(x) + harness.value + np._private\n")
+    assert foreign_private_reads({"lib.py": lib, "harness.py": ast.parse(""),
+                                  "errors.py": ast.parse("")}) == [
+        "lib.py:2: _hidden", "lib.py:5: _value"]
