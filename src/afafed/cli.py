@@ -119,6 +119,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     names = [f"cell{i:0{width}d}" for i in range(len(cells))]
     for name in names:
         _check_out(os.path.join(args.out, name))
+    # the index is written to its .tmp file, then moved onto sweep.yaml
+    index_path = os.path.join(args.out, "sweep.yaml")
+    tmp = index_path + ".tmp"
+    for path in (index_path, tmp):
+        if os.path.isdir(path):
+            raise ConfigError(f"--out: {path}: is a directory")
     os.makedirs(args.out, exist_ok=True)
     index = []
     for name, (values, cfg) in zip(names, cells):
@@ -136,9 +142,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                   f"final_risk={_fmt_risk(summary['final_risk'])}")
         index.append(row)
         # moved into place whole, so an interrupted sweep leaves the finished cells' index
-        tmp = os.path.join(args.out, "sweep.yaml.tmp")
         harness.write_yaml(tmp, index)
-        os.replace(tmp, os.path.join(args.out, "sweep.yaml"))
+        os.replace(tmp, index_path)
     return 3 if any("error" in row for row in index) else 0
 
 

@@ -10,25 +10,44 @@ Data are stacked arrays only: a shard is an (m, d) feature matrix X with an
 (m,) target vector y, and the K shards together are one read-only
 :class:`ShardSet` of X, y and the shard sizes.  A :class:`GlobalEvaluator`
 is the one path to the weighted global risk and its gradient, and the one
-owner of the shard layout: it takes either or both from one matrix-vector
-product for the scores.  The risk sums each shard's losses and takes one
-K-length dot with the weights λ_k/n_k; the gradient weights every row of
-shard k by ρ = g_k/n_k before its product with the features transposed.
-Both products run over the evaluator's own XT, a read-only feature-major
-(d, n) copy of X, because a matrix-vector product over n rows of d = 5
-features is about three times faster that way; per-shard views and
-minibatch gathers keep using X.  The evaluator builds the shard offsets,
-XT and ρ once, so a run that evaluates many models pays for them once.
+owner of the shard layout.  It evaluates a stack of up to 64 models at
+once; a single model is a stack of one.  The risk of model b sums each
+shard's losses and weighs them by λ_bk/n_k; the gradient weights every row
+of shard k by ρ = g_k/n_k.
+
+The evaluator walks the n rows in tiles of 512.  Per tile it takes the
+scores of all 64 model slots in one matrix product, over a zero-padded
+(64, d) model block and XT, a read-only feature-major (d, n) copy of X; it
+runs the loss passes only on the rows of the models it was given, in two
+preallocated 64 x 512 buffers; and it takes the gradient in a second
+product, of the ρ-weighted residuals with XT.  Each tile sums the losses
+of every shard that it holds, and each shard adds its partial sums across
+tiles.  A tile's rows stay in cache through all its passes, which a pass
+over all n rows per model would not.
+
+The shapes are fixed: every call runs its products on 64 slots and on the
+same tiles, whatever the number of models.  A row of a matrix product can
+round differently when the height of the product changes: a one-row
+product runs as a matrix-vector product, and under OpenBLAS 0.3.31's
+SkylakeX, Haswell and Prescott kernels the gradient rows of 64-row
+products differed from those of 1-, 2- or 63-row ones.  At one fixed shape
+a row's bits depend neither on its slot nor on the other rows, so a model
+evaluated in a stack gets the bits of the same model evaluated alone.  The
+run's evaluation observer relies on that: a row's values do not depend on
+which models share its chunk.  The evaluator builds XT, ρ and the tile
+layout once, so a run that evaluates many models pays for them once;
+per-shard views and minibatch gathers keep using X.
 
 The logistic evaluation needs labels in {0, 1}.  Its XT scales each row's
 column by the row's label sign s = 1 - 2y, so its product gives s z.  With
 h = tanh(s z / 2), one tanh per row serves both parts:
 s (sigmoid(z) - y) = (h + 1) / 2, and the loss softplus(s z) is
 relu(s z) + ln 2 - ln(1 + |h|), whose last term each shard sums as the log
-of products over 64-row blocks.  No exp or log1p runs per row.  Each row's
-loss then carries an absolute error of up to about 5e-16, a few units in
-the last place of ln 2, so a row classified with a margin, whose loss is
-far below that, is not resolved relative to its own size.  The
+of products over blocks of up to 64 rows, none crossing a shard or tile
+edge.  No exp or log1p runs per row.  Each row's loss then carries an
+absolute error of up to about 5e-16, a few units in the last place of
+ln 2, so a row classified with a margin, whose loss is far below that, is
+not resolved relative to its own size.  The
 per-iteration ``minibatch_gradient`` keeps the residual sigmoid(z) - y,
 and ``risk_arrays`` the softplus(z) - y z form.
 """
@@ -38,7 +57,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -162,24 +181,27 @@ def minibatch_gradient(
 
 
 _BLOCK = 64     # rows per product of 1 + |h| in the logistic risk; each lies in [1, 2]
+_TILE = 512     # data rows per tile of an evaluation
 
 
 class GlobalEvaluator:
     """The weighted global risk and its gradient over one :class:`ShardSet`,
-    at any w, with every array that does not depend on w built once.
+    for a stack of up to SLOTS models, with every array that does not depend
+    on the models built once.
 
-    Construction lays out the shards: each shard's first row and its size
-    as a float, and for the logistic loss the first row of every
-    _BLOCK-row block inside each shard and each shard's first block.  It
-    builds XT, a read-only C-contiguous copy of ``data.X.T`` that both
-    products run over, with each column scaled by its label sign s = 1 - 2y
-    for the logistic loss; and the per-row gradient weights rho
-    (``grad_weights[k] / sizes[k]`` on each row of shard k).  X is read-only
-    too, so X and XT cannot drift apart.  A set with an empty shard, with
-    sizes that do not add up to its rows, or with a grad_weights count other
-    than K is refused here.  A run builds one evaluator, and only when it
-    evaluates.
+    Construction builds XT, a read-only C-contiguous copy of ``data.X.T``
+    that both products run over, with each column scaled by its label sign
+    s = 1 - 2y for the logistic loss; the per-row gradient weights rho
+    (``grad_weights[k] / sizes[k]`` on each row of shard k); and the tile
+    layout, which cuts the rows into tiles of _TILE rows, each tile into
+    segments, one per shard that it holds, and for the logistic risk each
+    segment into blocks of up to _BLOCK rows.  X is read-only too, so X and
+    XT cannot drift apart.  A set with an empty shard, with sizes that do
+    not add up to its rows, or with a grad_weights count other than K is
+    refused here.  A run builds one evaluator, and only when it evaluates.
     """
+
+    SLOTS = 64      # models per call at most: every product runs on this many
 
     def __init__(self, model: LossModel, data: ShardSet, grad_weights: np.ndarray) -> None:
         sizes = data.sizes
@@ -193,7 +215,6 @@ class GlobalEvaluator:
                              f"but X has {len(data.X)} and y {len(data.y)}")
         self.model = model
         self.data = data
-        self._starts = np.cumsum((0,) + sizes[:-1])
         self._counts = np.array(sizes, dtype=np.float64)
         XT = data.X.T
         if model.kind is LossKind.LOGISTIC:
@@ -202,71 +223,131 @@ class GlobalEvaluator:
                 raise ValueError("the logistic loss needs every label in {0, 1}")
             XT = np.multiply(XT, 1.0 - 2.0 * y, order="C")
             self._ln2_counts = math.log(2.0) * self._counts
-            # a product of 64 factors in [1, 2] is at most 2**64, so it can
-            # neither overflow nor underflow
-            self._blocks = np.concatenate(
-                [np.arange(s, s + n, _BLOCK) for s, n in zip(self._starts, sizes)])
-            self._first_block = np.cumsum([0] + [-(-n // _BLOCK) for n in sizes[:-1]])
         self.XT = np.ascontiguousarray(XT)
         self.XT.flags.writeable = False
         self.rho = np.repeat(self._shard_weights(grad_weights), sizes)
 
+        # the layout, as offsets inside each tile: a segment is the rows of
+        # one shard inside one tile, and a block is up to _BLOCK rows of one
+        # segment (a product of 64 factors in [1, 2] is at most 2**64, so it
+        # can neither overflow nor underflow)
+        end = np.cumsum(sizes)
+        edge = np.arange(0, rows + _TILE, _TILE)
+        edge[-1] = rows                                 # tile t holds rows [edge[t], edge[t + 1])
+        starts = np.zeros(rows + 1, dtype=bool)
+        starts[end] = starts[edge] = True
+        bound = np.flatnonzero(starts)                  # each segment's first row, then rows
+        seg = bound[:-1]
+        seg_blocks = (bound[1:] - seg + (_BLOCK - 1)) // _BLOCK
+        # each segment's first block, then the block count
+        seg_block = np.zeros(len(bound), dtype=np.intp)
+        np.cumsum(seg_blocks, out=seg_block[1:])
+        tile_seg = np.searchsorted(seg, edge)           # each tile's first segment, then the count
+        tile_block = seg_block[tile_seg]
+        block = (np.repeat(seg - _BLOCK * seg_block[:-1], seg_blocks)
+                 + _BLOCK * np.arange(seg_block[-1]))
+        self._seg_offset = seg % _TILE
+        self._block_offset = block % _TILE
+        self._seg_first_block = seg_block[:-1] - tile_block[seg // _TILE]
+        # per tile: its rows [a, b), its segments [s, s_end), the shard of
+        # its first row and its blocks [c, c_end)
+        edges, segs, blocks = edge.tolist(), tile_seg.tolist(), tile_block.tolist()
+        self._tiles = list(zip(edges, edges[1:], segs, segs[1:],
+                               np.searchsorted(end, edge[:-1], side="right").tolist(),
+                               blocks, blocks[1:]))
+        # the zero-padded model block and two SLOTS x _TILE buffers; the last
+        # tile uses their first SLOTS x (its rows) entries
+        self._models = np.zeros((self.SLOTS, model.dim))
+        self._scores = np.empty(self.SLOTS * _TILE)
+        self._work = np.empty(self.SLOTS * _TILE)
+        self._grad_tile = np.empty((self.SLOTS, model.dim))
+
     def _shard_weights(self, weights: np.ndarray) -> np.ndarray:
-        """weights[k] / sizes[k]: the weight of each row of shard k."""
-        if len(weights) != len(self._counts):
-            raise ValueError(f"{len(self._counts)} shards but {len(weights)} weights")
+        """weights[..., k] / sizes[k]: the weight of each row of shard k."""
+        if np.shape(weights)[-1] != len(self._counts):
+            raise ValueError(f"{len(self._counts)} shards but {np.shape(weights)[-1]} weights")
         return weights / self._counts
 
     def __call__(self, w: np.ndarray, risk_weights: Optional[np.ndarray],
-                 grad: bool) -> Tuple[Optional[float], Optional[np.ndarray]]:
-        """(risk, gradient) at w from one score product: the risk
-        sum_k risk_weights[k] * risk_k when risk_weights is not None, and the
-        gradient of sum_k grad_weights[k] * risk_k when grad is true.
+                 grad: bool) -> Tuple[Any, Optional[np.ndarray]]:
+        """(risks, gradients) of a stack of models, from one score product
+        per tile: the risk sum_k risk_weights[b, k] * risk_k of each of the
+        first len(risk_weights) models, and when grad is true the gradient of
+        sum_k grad_weights[k] * risk_k at every model.
 
-        At most three n-row arrays are alive at once.
+        w is (B, d) with 1 <= B <= SLOTS, and risk_weights None or (R, K)
+        with R <= B.  A 1-D w is a stack of one, with a 1-D risk_weights, and
+        gives a float risk and a 1-D gradient.  A model's values are the same
+        bits at every slot and beside any other models, because every call
+        runs its products at the same shapes (see the module docstring).
         """
-        model, data = self.model, self.data
-        _check_dims(model, w, data.X)
-        if model.kind is LossKind.LOGISTIC:
-            return self._logistic(w, risk_weights, grad)
-        z = w @ self.XT
-        risk = g = None
-        if risk_weights is not None:
-            # K sums; no n-row array kept
-            losses = np.add.reduceat(_losses(model, z, data.y), self._starts)
-            risk = float(self._shard_weights(risk_weights) @ losses)
-        if grad:
-            z -= data.y                             # the residuals, over z
-            z *= self.rho
-            g = self.XT @ z
-        return risk, g
-
-    def _logistic(self, w: np.ndarray, risk_weights: Optional[np.ndarray],
-                  grad: bool) -> Tuple[Optional[float], Optional[np.ndarray]]:
-        # XT carries s = 1 - 2y, so u = (w / 2) @ XT is s z / 2.  With
-        # h = tanh(u), s (sigmoid(z) - y) = (h + 1) / 2 and
+        model, XT, rho, y = self.model, self.XT, self.rho, self.data.y
+        single = np.ndim(w) == 1
+        if single:
+            w = w[None]
+            risk_weights = None if risk_weights is None else risk_weights[None]
+        stack = len(w)
+        if np.shape(w) != (stack, model.dim) or not 1 <= stack <= self.SLOTS:
+            raise ValueError(f"models have shape {np.shape(w)}, expected (B, {model.dim}) "
+                             f"with 1 <= B <= {self.SLOTS}")
+        weighed = 0 if risk_weights is None else len(risk_weights)
+        if weighed:
+            risk_weights = self._shard_weights(risk_weights)
+            if weighed > stack:
+                raise ValueError(f"{stack} models but {weighed} rows of risk weights")
+            sums, logs = np.zeros((2, weighed, len(self._counts)))     # logs: logistic only
+        elif not grad:
+            return None, None
+        g = np.zeros((stack, model.dim)) if grad else None
+        logistic = model.kind is LossKind.LOGISTIC
+        # XT carries s = 1 - 2y for the logistic loss, so the halved models
+        # give scores u = s z / 2.  With h = tanh(u),
+        # s (sigmoid(z) - y) = (h + 1) / 2 and
         #   softplus(s z) = 2 relu(u) + ln 2 - ln(1 + |h|)
         # so one tanh per row serves both; the last sum is the log of
-        # products over _BLOCK-row blocks.  The gradient's product with XT
-        # multiplies by s again, and a sign flip rounds exactly.
-        u = (0.5 * w) @ self.XT
-        risk = g = None
-        if risk_weights is not None:
-            buf = np.maximum(u, 0.0)
-            relu = np.add.reduceat(buf, self._starts)
-        np.tanh(u, out=u)
-        if risk_weights is not None:
-            np.abs(u, out=buf)
-            buf += 1.0
-            logs = np.log(np.multiply.reduceat(buf, self._blocks))
-            del buf
-            losses = 2.0 * relu + self._ln2_counts - np.add.reduceat(logs, self._first_block)
-            risk = float(self._shard_weights(risk_weights) @ losses)
-        if grad:
-            u += 1.0
-            u *= self.rho
-            g = self.XT @ u
+        # products over blocks.  The gradient's product with XT multiplies
+        # by s again, and a sign flip rounds exactly.
+        models = self._models
+        np.multiply(w, 0.5 if logistic else 1.0, out=models[:stack])
+        models[stack:] = 0.0
+        for a, b, s, s_end, k, c, c_end in self._tiles:
+            width = b - a
+            scores = self._scores[:self.SLOTS * width].reshape(self.SLOTS, width)
+            np.matmul(models, XT[:, a:b], out=scores)
+            u, risky = scores[:stack], scores[:weighed]
+            work = self._work[:weighed * width].reshape(weighed, width)
+            segs = slice(k, k + s_end - s)
+            if not logistic:
+                u -= y[a:b]                             # the residuals
+            if weighed:
+                if logistic:
+                    np.maximum(risky, 0.0, out=work)
+                else:
+                    np.multiply(risky, risky, out=work)
+                sums[:, segs] += np.add.reduceat(work, self._seg_offset[s:s_end], axis=1)
+            if logistic:
+                np.tanh(u, out=u)
+                if weighed:
+                    np.abs(risky, out=work)
+                    work += 1.0
+                    products = np.multiply.reduceat(work, self._block_offset[c:c_end], axis=1)
+                    np.log(products, out=products)
+                    logs[:, segs] += np.add.reduceat(products, self._seg_first_block[s:s_end],
+                                                     axis=1)
+                if grad:
+                    u += 1.0
+            if grad:
+                u *= rho[a:b]
+                np.matmul(scores, XT[:, a:b].T, out=self._grad_tile)
+                g += self._grad_tile[:stack]
+        risk = None
+        if weighed:
+            losses = 2.0 * sums + self._ln2_counts - logs if logistic else 0.5 * sums
+            risk = np.add.reduce(risk_weights * losses, axis=1)
+        if logistic and grad:
             g *= 0.5
+        if single:
+            return (None if risk is None else float(risk[0])), (None if g is None else g[0])
         return risk, g
 
 

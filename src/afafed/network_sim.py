@@ -431,9 +431,9 @@ def _delivered(log: List[_Coefficients], cursor: int, delay: float,
 
 # the log is trimmed once it holds this many entries (or twice its last size)
 _LOG_TRIM_MIN = 64
-# due evaluations wait until this many models are pending, then run back to
-# back, while the evaluator's arrays are still in cache from the previous one
-_EVAL_CHUNK = 64
+# due evaluations wait until this many models are pending, then run as one
+# stack: the evaluator's fixed stack height
+_EVAL_CHUNK = GlobalEvaluator.SLOTS
 
 
 class Evaluation:
@@ -441,10 +441,10 @@ class Evaluation:
 
     The rows are the engine's aggregation records.  Row t takes the
     uniformly weighted gradient before aggregation t and the λ-weighted risk
-    after it, so one evaluator call at the model aggregation t left serves
-    row t and row t + 1.  Due models are evaluated in order, when
-    _EVAL_CHUNK (64) are pending and on stop, so an ``on_aggregation``
-    observer may see None in pending rows.  Attach it before the first run().
+    after it, so one evaluation of the model aggregation t left serves row t
+    and row t + 1.  Due models are evaluated as one stack when _EVAL_CHUNK
+    (64) are pending and on stop, so an ``on_aggregation`` observer may see
+    None in pending rows.  Attach it before the first run().
     """
 
     def __init__(self, engine: SimulationEngine, every: int) -> None:
@@ -453,7 +453,9 @@ class Evaluation:
         self.every = every
         self.evaluator = GlobalEvaluator(engine.model, engine.data,
                                          uniform_weights(len(engine.runtimes)))
-        self._pending: List[tuple] = []     # due models: (w̄, λ or None, risk row, grad row)
+        # due models: (w̄ after aggregation t, λ for row t - 1's risk or None,
+        # t, whether row t takes its gradient); w0 is the model after "aggregation 0"
+        self._pending: List[tuple] = []
         # the squared gradient norm of a row that does not exist yet; the next row takes it
         self._next_grad_sq: Optional[float] = None
 
@@ -463,10 +465,9 @@ class Evaluation:
             record.grad_sqnorm, self._next_grad_sq = self._next_grad_sq, None
         due, next_due = t % self.every == 0, (t + 1) % self.every == 0
         if due and t == 1:          # row 1: no aggregation evaluated w0
-            self._pending.append((engine.w0, None, None, 0))
+            self._pending.append((engine.w0, None, 0, True))
         if due or next_due:
-            self._pending.append((server.w_global, server.lambdas if due else None,
-                                  t - 1 if due else None, t if next_due else None))
+            self._pending.append((server.w_global, server.lambdas if due else None, t, next_due))
             if len(self._pending) >= _EVAL_CHUNK:
                 self._flush(engine.rows)
 
@@ -474,16 +475,24 @@ class Evaluation:
         self._flush(engine.rows)
 
     def _flush(self, rows: List[srv.AggregationRecord]) -> None:
-        """Evaluate the pending models back to back, each as right after its aggregation."""
-        pending, self._pending = self._pending, []
-        for w, lambdas, risk_row, grad_row in pending:
-            risk, g = self.evaluator(w, lambdas, grad_row is not None)
-            if risk_row is not None:
-                rows[risk_row].global_risk = risk
-            if grad_row is not None and grad_row < len(rows):
-                rows[grad_row].grad_sqnorm = float(g @ g)
-            elif grad_row is not None:
-                self._next_grad_sq = float(g @ g)
+        """Evaluate the pending models as one stack, each as right after its aggregation."""
+        if not self._pending:
+            return
+        # the models with a risk go first: the evaluator weighs the first ones
+        pending, self._pending = sorted(self._pending, key=lambda p: p[1] is None), []
+        weights = [lambdas for _, lambdas, _, _ in pending if lambdas is not None]
+        risks, grads = self.evaluator(np.array([w for w, _, _, _ in pending]),
+                                      np.array(weights) if weights else None,
+                                      any(p[3] for p in pending))
+        for i, (_, _, t, grad) in enumerate(pending):
+            if i < len(weights):
+                rows[t - 1].global_risk = float(risks[i])
+            if grad:
+                grad_sq = float(grads[i] @ grads[i])
+                if t < len(rows):
+                    rows[t].grad_sqnorm = grad_sq
+                else:
+                    self._next_grad_sq = grad_sq
 
 
 @dataclass

@@ -1,8 +1,10 @@
-"""The CI workflow runs the tier-1 command that ROADMAP.md states, on 3.10 and
-3.11, once as written and once in Python's development mode (``-X dev``), and
-golden-checks every perfbench input in a second job.  Both jobs log numpy's
-version and SIMD level after installing, and OpenBLAS names the kernel it
-loaded (``Core: <kernel>``), since the golden digests depend on all three."""
+"""The CI workflow runs the tier-1 command that ROADMAP.md states, on 3.11 and
+3.12 (numpy 2.4, which made the goldens, needs 3.11), once as written and once
+in Python's development mode (``-X dev``), and golden-checks every perfbench
+input in a second job.  Both jobs log numpy's version and SIMD level after
+installing, and OpenBLAS names the kernel it loaded (``Core: <kernel>``),
+since the golden digests depend on all three.  The ``test`` extra pins the
+numpy line that made the goldens."""
 
 import re
 from pathlib import Path
@@ -19,7 +21,7 @@ def test_the_workflow_runs_the_tier1_command():
     workflow = yaml.safe_load((ROOT / ".github/workflows/tier1.yml").read_text(encoding="utf-8"))
     assert set(workflow["jobs"]) == {"tests", "golden"}
     job = workflow["jobs"]["tests"]
-    assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
+    assert job["strategy"]["matrix"]["python-version"] == ["3.11", "3.12"]
     runs = [step["run"] for step in job["steps"] if "run" in step]
     dev = tier1.replace(" python -m ", " python -X dev -m ", 1)
     assert dev != tier1
@@ -40,3 +42,9 @@ def test_the_workflow_golden_checks_every_perfbench_input():
     assert runs[:2] == ["pip install -e '.[test]'", SHOW_RUNTIME]
     assert runs[2].endswith(f" python {script}")
     assert (ROOT / script).is_file()
+
+
+def test_the_test_extra_pins_the_numpy_line_of_the_goldens():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    (test,) = re.findall(r"^test = (\[.*\])$", pyproject, flags=re.M)
+    assert '"numpy>=2.4,<2.5"' in test

@@ -2,10 +2,12 @@
 
 import csv
 import dataclasses
+import enum
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import afafed
-from afafed import cli, harness
+from afafed import cli, harness, network_sim
 from afafed.errors import ConfigError, NumericDivergenceError
 from afafed.harness import (
     CONFIG_SCHEMA,
@@ -292,6 +294,74 @@ def test_random_valid_configs_keep_the_protocol_invariants(doc):
     _, again, _, diverged_again = _run_recording(cfg)
     assert metrics_csv_text(again) == metrics_csv_text(rows)
     assert diverged_again == diverged
+
+
+def _run_in_parts(engine, stops, sim):
+    """Run to each stop in turn, then to T, all under the config's budget.
+
+    Returns the last run's result, or the message of a divergence, which
+    ends the run.
+    """
+    try:
+        for aggregations in stops + [sim["T"]]:
+            result = engine.run(aggregations=aggregations, event_budget=sim["event_budget"])
+    except NumericDivergenceError as exc:
+        return str(exc)
+    return result
+
+
+def _comparable(value):
+    """A comparable form of a run value: arrays and floats by their bits,
+    random streams by their state, the fields a dataclass compares, and an
+    arrival iterator by the next time it yields (which it draws)."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _comparable(getattr(value, f.name))
+                for f in dataclasses.fields(value) if f.compare}
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, np.random.Generator):
+        return value.bit_generator.state
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [_comparable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _comparable(v) for k, v in value.items()}
+    if isinstance(value, types.GeneratorType):
+        return _comparable(next(value, None))
+    if hasattr(value, "__dict__") and not isinstance(value, enum.Enum):
+        return _comparable(vars(value))
+    return value
+
+
+def _run_state(exp):
+    """Everything a stopped engine holds for the rest of its run, and the
+    evaluation observer's carried gradient; not the evaluator's work buffers."""
+    engine = exp.engine
+    skip = {"observers", "_on_iteration", "_on_aggregation"}
+    return _comparable(({k: v for k, v in vars(engine).items() if k not in skip},
+                        exp.evaluation._pending, exp.evaluation._next_grad_sq))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_configs(), st.integers(1, 3), st.integers(1, 5), st.integers(10, 60), st.data())
+def test_a_split_run_equals_one_uninterrupted_run(doc, every, chunk, T, data):
+    # evaluation on, in chunks of 1-5 models, so that the flush at each stop
+    # falls inside a chunk; the rows and every state field must not show
+    # where the run was stopped
+    doc = {**doc, "eval": {"every": every}, "sim": {**doc["sim"], "T": T, "event_budget": 5000}}
+    stops = sorted(data.draw(st.lists(st.integers(1, T - 1), min_size=1, max_size=3,
+                                      unique=True), label="stops"))
+    cfg = resolve_config(doc)
+    with pytest.MonkeyPatch.context() as patch, \
+            np.errstate(over="ignore", invalid="ignore"):
+        patch.setattr(network_sim, "_EVAL_CHUNK", chunk)
+        whole, split = build_experiment(cfg), build_experiment(cfg)
+        whole_result = _run_in_parts(whole.engine, [], cfg["sim"])
+        split_result = _run_in_parts(split.engine, stops, cfg["sim"])
+    assert _comparable(split_result) == _comparable(whole_result)
+    assert metrics_csv_text(split.engine.rows) == metrics_csv_text(whole.engine.rows)
+    assert _run_state(split) == _run_state(whole)
 
 
 def test_rows_recorded_before_a_divergence_keep_their_eval_columns():
@@ -1594,3 +1664,18 @@ def test_cli_sweep_refuses_a_cell_directory_taken_by_a_file(tmp_path, capsys):
     # refused before the first cell ran
     assert os.listdir(out) == ["cell1"]
     assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("name", ["sweep.yaml", "sweep.yaml.tmp"])
+def test_cli_sweep_refuses_an_index_path_taken_by_a_directory(tmp_path, capsys, name):
+    # the index is written to sweep.yaml.tmp and moved onto sweep.yaml after
+    # the first cell; a directory at either path is refused before any cell runs
+    doc = small_doc(sim={"T": 5})
+    doc["sweep"] = {"seeds": [1, 2]}
+    out = tmp_path / "sweep"
+    taken = out / name
+    taken.mkdir(parents=True)
+    assert cli.main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: --out: {taken}: is a directory\n"
+    assert os.listdir(out) == [name]
+    assert os.listdir(taken) == []

@@ -6,6 +6,11 @@ finite-difference oracle before anything else relies on it.
 
 import itertools
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -401,6 +406,113 @@ def test_logistic_evaluation_around_the_block_length(sizes):
                                      rel=1e-12, abs=LOSS_ABS_FLOOR)
         np.testing.assert_allclose(grad, reference_global_gradient(model, w, data, lam),
                                    rtol=1e-12, atol=1e-15)
+
+
+# shard sets whose shards straddle the 512-row tiles of an evaluation, and
+# that end in a short last tile
+STRADDLING_SIZES = [(700, 1, 300, 20), (5, 507, 3, 600), (511, 513, 100)]
+STACK_HEIGHTS = (1, 2, 3, 63, 64)
+STACKED_MODELS = len(LossKind) * len(STRADDLING_SIZES) * sum(STACK_HEIGHTS)
+
+
+def check_stacks_against_single_calls():
+    """Check that a stack of B random models gives each model, at every slot,
+    the bits of a call on that model alone, for both losses and every set of
+    STRADDLING_SIZES; return the number of models checked."""
+    rng = np.random.default_rng(42)
+    checked = 0
+    for kind, sizes in itertools.product(LossKind, STRADDLING_SIZES):
+        data = stack_shards([make_shard(rng, n, 5, kind) for n in sizes])
+        evaluate = GlobalEvaluator(LossModel(kind, 5), data, uniform_weights(len(sizes)))
+        for stack in STACK_HEIGHTS:
+            w = 3.0 * rng.standard_normal((stack, 5))
+            lam = rng.dirichlet(np.ones(len(sizes)), size=stack)
+            risks, grads = evaluate(w, lam, True)
+            assert risks.shape == (stack,) and grads.shape == (stack, 5)
+            for slot in range(stack):
+                risk, grad = evaluate(w[slot], lam[slot], True)
+                assert risk == risks[slot] and np.array_equal(grad, grads[slot]), \
+                    (kind, sizes, stack, slot)
+                checked += 1
+    return checked
+
+
+def test_a_stacked_call_gives_each_model_the_bits_of_a_single_call():
+    assert check_stacks_against_single_calls() == STACKED_MODELS
+
+
+@pytest.mark.parametrize("kind", [LossKind.QUADRATIC, LossKind.LOGISTIC])
+def test_a_stack_straddling_tiles_matches_the_reference_formulas(kind):
+    rng = np.random.default_rng(43)
+    for sizes in STRADDLING_SIZES:
+        data = stack_shards([make_shard(rng, n, 5, kind) for n in sizes])
+        uniform = uniform_weights(len(sizes))
+        model = LossModel(kind, 5)
+        w = rng.standard_normal((4, 5))
+        lam = rng.dirichlet(np.ones(len(sizes)), size=4)
+        risks, grads = GlobalEvaluator(model, data, uniform)(w, lam, True)
+        for b in range(4):
+            assert risks[b] == pytest.approx(reference_global_risk(model, w[b], data, lam[b]),
+                                             rel=1e-12, abs=LOSS_ABS_FLOOR)
+            np.testing.assert_allclose(grads[b],
+                                       reference_global_gradient(model, w[b], data, uniform),
+                                       rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", [LossKind.QUADRATIC, LossKind.LOGISTIC])
+def test_a_stack_weighs_the_risks_of_its_first_models(kind):
+    # R rows of risk weights give the risks of the first R models, and the
+    # gradient covers the whole stack
+    rng = np.random.default_rng(44)
+    data = stack_shards([make_shard(rng, n, 3, kind) for n in (600, 40)])
+    evaluate = GlobalEvaluator(LossModel(kind, 3), data, uniform_weights(2))
+    w = rng.standard_normal((5, 3))
+    lam = rng.dirichlet(np.ones(2), size=2)
+    risks, grads = evaluate(w, lam, True)
+    assert risks.shape == (2,) and grads.shape == (5, 3)
+    for b in range(5):
+        risk, grad = evaluate(w[b], lam[b] if b < 2 else None, True)
+        assert risk == (risks[b] if b < 2 else None)
+        np.testing.assert_array_equal(grad, grads[b])
+    assert evaluate(w, lam, False)[1] is None
+    np.testing.assert_array_equal(evaluate(w, None, True)[1], grads)
+    for bad in (np.zeros((0, 3)), np.zeros((65, 3)), np.zeros((2, 4))):
+        with pytest.raises(ValueError, match=r"expected \(B, 3\) with 1 <= B <= 64$"):
+            evaluate(bad, None, True)
+    with pytest.raises(ValueError, match="^5 models but 6 rows of risk weights$"):
+        evaluate(w, np.full((6, 2), 0.5), False)
+
+
+def dynamic_arch_openblas():
+    """Whether numpy's BLAS is an x86 OpenBLAS built with DYNAMIC_ARCH, whose
+    kernel OPENBLAS_CORETYPE chooses."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):       # a numpy without the dict form
+        return False
+    return (platform.machine().lower() in ("x86_64", "amd64")
+            and "openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+@pytest.mark.skipif(not dynamic_arch_openblas(),
+                    reason="numpy's BLAS is not a DYNAMIC_ARCH x86 OpenBLAS build, "
+                           "so OPENBLAS_CORETYPE cannot choose its kernel")
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_a_stacked_call_gives_the_bits_of_single_calls_under_another_kernel(core):
+    # the fixed shapes rest on a property of the BLAS kernels, so the check
+    # runs under other kernels too, each chosen for one child process
+    tests = Path(__file__).resolve().parent
+    path = [str(tests), str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_VERBOSE": "2",
+           "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import test_model_core as t; print(t.check_stacks_against_single_calls())"],
+        env=env, capture_output=True, text=True, timeout=300)
+    kernel = [line for line in child.stdout.splitlines() if line.startswith("Core: ")]
+    assert child.returncode == 0, (kernel, child.stderr)
+    assert child.stdout.splitlines()[-1] == str(STACKED_MODELS), kernel
 
 
 @st.composite
