@@ -12,8 +12,6 @@ the same config and seed can be compared byte for byte.
 from __future__ import annotations
 
 import copy
-import csv
-import io
 import math
 import os
 import warnings
@@ -639,29 +637,28 @@ def run_experiment(
 def metrics_csv_text(rows: Sequence) -> str:
     """Render the CSV_HEADER fields of the per-aggregation rows, header first.
 
-    A float is written as repr(float(x)), its shortest exact round-trip form.
+    A float is written as repr(float(x)), its shortest exact round-trip form,
+    and an evaluation column that was not due as an empty cell.
     """
-    def cell(value: Any) -> Any:
-        return "" if value is None else repr(float(value)) if isinstance(value, float) else value
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerows([cell(getattr(r, name)) for name in CSV_HEADER] for r in rows)
-    return buf.getvalue()
+    line = "{},{!r},{},{},{!r},{!r},{!r},{},{}\n".format
+    text = [",".join(CSV_HEADER) + "\n"]
+    for r in rows:
+        risk, grad_sq = r.global_risk, r.grad_sqnorm
+        text.append(line(r.t, float(r.time), r.sender, r.age, float(r.beta),
+                         float(r.lambda_checksum), float(r.fairness_index),
+                         "" if risk is None else repr(float(risk)),
+                         "" if grad_sq is None else repr(float(grad_sq))))
+    return "".join(text)
 
 
 def final_risk(exp: Experiment) -> Optional[float]:
     """The global risk at the final w̄ under the final λ, or None with evaluation off.
 
-    Evaluated at the final model by the evaluator that filled the rows, so it
-    exists whether or not the last metrics row was due; the summary,
+    The evaluation observer takes it in its last stack, when the run stops,
+    so it exists whether or not the last metrics row was due; the summary,
     ``afafed run`` and ``afafed sweep`` all report this one value.
     """
-    if exp.evaluation is None:
-        return None
-    server = exp.engine.server
-    return exp.evaluation.evaluator(server.w_global, server.lambdas, False)[0]
+    return None if exp.evaluation is None else exp.evaluation.final_risk
 
 
 def summarize(exp: Experiment, result: RunResult,

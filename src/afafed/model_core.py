@@ -13,17 +13,20 @@ is the one path to the weighted global risk and its gradient, and the one
 owner of the shard layout.  It evaluates a stack of up to 64 models at
 once; a single model is a stack of one.  The risk of model b sums each
 shard's losses and weighs them by λ_bk/n_k; the gradient weights every row
-of shard k by ρ = g_k/n_k.
+of shard k by ρ_k = g_k/n_k.
 
 The evaluator walks the n rows in tiles of 512.  Per tile it takes the
 scores of all 64 model slots in one matrix product, over a zero-padded
 (64, d) model block and XT, a read-only feature-major (d, n) copy of X; it
 runs the loss passes only on the rows of the models it was given, in two
-preallocated 64 x 512 buffers; and it takes the gradient in a second
-product, of the ρ-weighted residuals with XT.  Each tile sums the losses
-of every shard that it holds, and each shard adds its partial sums across
-tiles.  A tile's rows stay in cache through all its passes, which a pass
-over all n rows per model would not.
+preallocated, cache-line-aligned 64 x 512 buffers; and it takes the
+gradient in a second product, of the residuals with XTρ, a copy of XT
+whose column for each row of shard k is scaled by ρ_k, built by the first
+call that asks for a gradient.  Each tile writes the loss sum of every
+shard segment that it holds into one row per model of a per-call array,
+and the call adds each shard's segments in one pass at the end.  A tile's
+rows stay in cache through all its passes, which a pass over all n rows
+per model would not.
 
 The shapes are fixed: every call runs its products on 64 slots and on the
 same tiles, whatever the number of models.  A row of a matrix product can
@@ -34,9 +37,9 @@ products differed from those of 1-, 2- or 63-row ones.  At one fixed shape
 a row's bits depend neither on its slot nor on the other rows, so a model
 evaluated in a stack gets the bits of the same model evaluated alone.  The
 run's evaluation observer relies on that: a row's values do not depend on
-which models share its chunk.  The evaluator builds XT, ρ and the tile
-layout once, so a run that evaluates many models pays for them once;
-per-shard views and minibatch gathers keep using X.
+which models share its chunk.  The evaluator builds XT and the tile layout
+once, and XTρ at most once, so a run that evaluates many models pays for
+them once; per-shard views and minibatch gathers keep using X.
 
 The logistic evaluation needs labels in {0, 1}.  Its XT scales each row's
 column by the row's label sign s = 1 - 2y, so its product gives s z.  With
@@ -44,10 +47,11 @@ h = tanh(s z / 2), one tanh per row serves both parts:
 s (sigmoid(z) - y) = (h + 1) / 2, and the loss softplus(s z) is
 relu(s z) + ln 2 - ln(1 + |h|), whose last term each shard sums as the log
 of products over blocks of up to 64 rows, none crossing a shard or tile
-edge.  No exp or log1p runs per row.  Each row's loss then carries an
-absolute error of up to about 5e-16, a few units in the last place of
-ln 2, so a row classified with a margin, whose loss is far below that, is
-not resolved relative to its own size.  The
+edge.  The tiles write the products into a per-call array, and one log
+per call runs over all of them.  No exp or log1p runs per row.  Each
+row's loss then carries an absolute error of up to about 5e-16, a few
+units in the last place of ln 2, so a row classified with a margin, whose
+loss is far below that, is not resolved relative to its own size.  The
 per-iteration ``minibatch_gradient`` keeps the residual sigmoid(z) - y,
 and ``risk_arrays`` the softplus(z) - y z form.
 """
@@ -55,6 +59,7 @@ and ``risk_arrays`` the softplus(z) - y z form.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
@@ -184,21 +189,35 @@ _BLOCK = 64     # rows per product of 1 + |h| in the logistic risk; each lies in
 _TILE = 512     # data rows per tile of an evaluation
 
 
+def _cache_aligned(size: int) -> np.ndarray:
+    """An uninitialised float64 array of size entries that starts on a 64-byte line.
+
+    numpy aligns its data to 16 bytes only.  A score buffer whose rows start
+    off a cache line made a whole evaluation about 8 % slower, and where it
+    lands depends on the heap's state, so on code that ran before it.
+    """
+    raw = np.empty(size + 7)
+    start = (-raw.ctypes.data % 64) // 8
+    return raw[start:start + size]
+
+
 class GlobalEvaluator:
     """The weighted global risk and its gradient over one :class:`ShardSet`,
     for a stack of up to SLOTS models, with every array that does not depend
     on the models built once.
 
     Construction builds XT, a read-only C-contiguous copy of ``data.X.T``
-    that both products run over, with each column scaled by its label sign
-    s = 1 - 2y for the logistic loss; the per-row gradient weights rho
-    (``grad_weights[k] / sizes[k]`` on each row of shard k); and the tile
-    layout, which cuts the rows into tiles of _TILE rows, each tile into
-    segments, one per shard that it holds, and for the logistic risk each
-    segment into blocks of up to _BLOCK rows.  X is read-only too, so X and
-    XT cannot drift apart.  A set with an empty shard, with sizes that do
-    not add up to its rows, or with a grad_weights count other than K is
-    refused here.  A run builds one evaluator, and only when it evaluates.
+    that the score product runs over, with each column scaled by its label
+    sign s = 1 - 2y for the logistic loss; the per-shard gradient weights
+    ``shard_rho`` (``grad_weights[k] / sizes[k]``, the weight of each row of
+    shard k); and the tile layout, which cuts the rows into tiles of _TILE
+    rows, each tile into segments, one per shard that it holds, and for the
+    logistic risk each segment into blocks of up to _BLOCK rows.  The
+    gradient product runs over ``XT_rho``, built on the first call that asks
+    for a gradient.  X is read-only too, so X and XT cannot drift apart.  A
+    set with an empty shard, with sizes that do not add up to its rows, or
+    with a grad_weights count other than K is refused here.  A run builds
+    one evaluator, and only when it evaluates.
     """
 
     SLOTS = 64      # models per call at most: every product runs on this many
@@ -225,7 +244,7 @@ class GlobalEvaluator:
             self._ln2_counts = math.log(2.0) * self._counts
         self.XT = np.ascontiguousarray(XT)
         self.XT.flags.writeable = False
-        self.rho = np.repeat(self._shard_weights(grad_weights), sizes)
+        self.shard_rho = self._shard_weights(grad_weights)
 
         # the layout, as offsets inside each tile: a segment is the rows of
         # one shard inside one tile, and a block is up to _BLOCK rows of one
@@ -248,18 +267,17 @@ class GlobalEvaluator:
                  + _BLOCK * np.arange(seg_block[-1]))
         self._seg_offset = seg % _TILE
         self._block_offset = block % _TILE
-        self._seg_first_block = seg_block[:-1] - tile_block[seg // _TILE]
-        # per tile: its rows [a, b), its segments [s, s_end), the shard of
-        # its first row and its blocks [c, c_end)
+        # each shard's first segment and first block, for the per-shard sums
+        self._shard_seg = np.searchsorted(seg, end - sizes)
+        self._shard_block = seg_block[self._shard_seg]
+        # per tile: its rows [a, b), its segments [s, s_end) and its blocks [c, c_end)
         edges, segs, blocks = edge.tolist(), tile_seg.tolist(), tile_block.tolist()
-        self._tiles = list(zip(edges, edges[1:], segs, segs[1:],
-                               np.searchsorted(end, edge[:-1], side="right").tolist(),
-                               blocks, blocks[1:]))
+        self._tiles = list(zip(edges, edges[1:], segs, segs[1:], blocks, blocks[1:]))
         # the zero-padded model block and two SLOTS x _TILE buffers; the last
         # tile uses their first SLOTS x (its rows) entries
         self._models = np.zeros((self.SLOTS, model.dim))
-        self._scores = np.empty(self.SLOTS * _TILE)
-        self._work = np.empty(self.SLOTS * _TILE)
+        self._scores = _cache_aligned(self.SLOTS * _TILE)
+        self._work = _cache_aligned(self.SLOTS * _TILE)
         self._grad_tile = np.empty((self.SLOTS, model.dim))
 
     def _shard_weights(self, weights: np.ndarray) -> np.ndarray:
@@ -267,6 +285,14 @@ class GlobalEvaluator:
         if np.shape(weights)[-1] != len(self._counts):
             raise ValueError(f"{len(self._counts)} shards but {np.shape(weights)[-1]} weights")
         return weights / self._counts
+
+    @functools.cached_property
+    def XT_rho(self) -> np.ndarray:
+        """XT with the column of each row of shard k scaled by shard_rho[k]:
+        the read-only operand of the gradient product, built on first use."""
+        XT_rho = self.XT * np.repeat(self.shard_rho, self.data.sizes)
+        XT_rho.flags.writeable = False
+        return XT_rho
 
     def __call__(self, w: np.ndarray, risk_weights: Optional[np.ndarray],
                  grad: bool) -> Tuple[Any, Optional[np.ndarray]]:
@@ -281,7 +307,7 @@ class GlobalEvaluator:
         bits at every slot and beside any other models, because every call
         runs its products at the same shapes (see the module docstring).
         """
-        model, XT, rho, y = self.model, self.XT, self.rho, self.data.y
+        model, XT, y = self.model, self.XT, self.data.y
         single = np.ndim(w) == 1
         if single:
             w = w[None]
@@ -291,32 +317,34 @@ class GlobalEvaluator:
             raise ValueError(f"models have shape {np.shape(w)}, expected (B, {model.dim}) "
                              f"with 1 <= B <= {self.SLOTS}")
         weighed = 0 if risk_weights is None else len(risk_weights)
+        logistic = model.kind is LossKind.LOGISTIC
         if weighed:
             risk_weights = self._shard_weights(risk_weights)
             if weighed > stack:
                 raise ValueError(f"{stack} models but {weighed} rows of risk weights")
-            sums, logs = np.zeros((2, weighed, len(self._counts)))     # logs: logistic only
+            # per segment its sum, and per block its product; logistic only
+            sums = np.empty((weighed, len(self._seg_offset)))
+            products = np.empty((weighed, len(self._block_offset))) if logistic else None
         elif not grad:
             return None, None
         g = np.zeros((stack, model.dim)) if grad else None
-        logistic = model.kind is LossKind.LOGISTIC
+        XT_rho = self.XT_rho if grad else None
         # XT carries s = 1 - 2y for the logistic loss, so the halved models
         # give scores u = s z / 2.  With h = tanh(u),
         # s (sigmoid(z) - y) = (h + 1) / 2 and
         #   softplus(s z) = 2 relu(u) + ln 2 - ln(1 + |h|)
         # so one tanh per row serves both; the last sum is the log of
-        # products over blocks.  The gradient's product with XT multiplies
+        # products over blocks.  The gradient's product with XT_rho multiplies
         # by s again, and a sign flip rounds exactly.
         models = self._models
         np.multiply(w, 0.5 if logistic else 1.0, out=models[:stack])
         models[stack:] = 0.0
-        for a, b, s, s_end, k, c, c_end in self._tiles:
+        for a, b, s, s_end, c, c_end in self._tiles:
             width = b - a
             scores = self._scores[:self.SLOTS * width].reshape(self.SLOTS, width)
             np.matmul(models, XT[:, a:b], out=scores)
             u, risky = scores[:stack], scores[:weighed]
             work = self._work[:weighed * width].reshape(weighed, width)
-            segs = slice(k, k + s_end - s)
             if not logistic:
                 u -= y[a:b]                             # the residuals
             if weighed:
@@ -324,25 +352,28 @@ class GlobalEvaluator:
                     np.maximum(risky, 0.0, out=work)
                 else:
                     np.multiply(risky, risky, out=work)
-                sums[:, segs] += np.add.reduceat(work, self._seg_offset[s:s_end], axis=1)
+                np.add.reduceat(work, self._seg_offset[s:s_end], axis=1, out=sums[:, s:s_end])
             if logistic:
                 np.tanh(u, out=u)
                 if weighed:
                     np.abs(risky, out=work)
                     work += 1.0
-                    products = np.multiply.reduceat(work, self._block_offset[c:c_end], axis=1)
-                    np.log(products, out=products)
-                    logs[:, segs] += np.add.reduceat(products, self._seg_first_block[s:s_end],
-                                                     axis=1)
+                    np.multiply.reduceat(work, self._block_offset[c:c_end], axis=1,
+                                         out=products[:, c:c_end])
                 if grad:
                     u += 1.0
             if grad:
-                u *= rho[a:b]
-                np.matmul(scores, XT[:, a:b].T, out=self._grad_tile)
+                np.matmul(scores, XT_rho[:, a:b].T, out=self._grad_tile)
                 g += self._grad_tile[:stack]
         risk = None
         if weighed:
-            losses = 2.0 * sums + self._ln2_counts - logs if logistic else 0.5 * sums
+            sums = np.add.reduceat(sums, self._shard_seg, axis=1)
+            if logistic:
+                np.log(products, out=products)
+                losses = 2.0 * sums + self._ln2_counts - np.add.reduceat(
+                    products, self._shard_block, axis=1)
+            else:
+                losses = 0.5 * sums
             risk = np.add.reduce(risk_weights * losses, axis=1)
         if logistic and grad:
             g *= 0.5
@@ -405,7 +436,7 @@ def quadratic_global_minimum(data: ShardSet, weights: np.ndarray) -> tuple[np.nd
     loss, where the global risk is an exact quadratic form.
     """
     evaluate = GlobalEvaluator(LossModel(LossKind.QUADRATIC, data.X.shape[1]), data, weights)
-    c = evaluate.rho
+    c = np.repeat(evaluate.shard_rho, data.sizes)
     H = data.X.T @ (c[:, None] * data.X)
     b = data.X.T @ (c * data.y)
     w_star = np.linalg.solve(H, b)

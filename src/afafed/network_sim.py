@@ -444,7 +444,10 @@ class Evaluation:
     after it, so one evaluation of the model aggregation t left serves row t
     and row t + 1.  Due models are evaluated as one stack when _EVAL_CHUNK
     (64) are pending and on stop, so an ``on_aggregation`` observer may see
-    None in pending rows.  Attach it before the first run().
+    None in pending rows.  The stack on stop also holds the stop model, w̄
+    under the λ of that moment, whose risk it keeps as ``final_risk``: fewer
+    than _EVAL_CHUNK models are pending then, so it always has a slot.
+    Attach it before the first run().
     """
 
     def __init__(self, engine: SimulationEngine, every: int) -> None:
@@ -454,10 +457,13 @@ class Evaluation:
         self.evaluator = GlobalEvaluator(engine.model, engine.data,
                                          uniform_weights(len(engine.runtimes)))
         # due models: (w̄ after aggregation t, λ for row t - 1's risk or None,
-        # t, whether row t takes its gradient); w0 is the model after "aggregation 0"
+        # t, whether row t takes its gradient); w0 is the model after
+        # "aggregation 0", and the stop model, which has no row, has t None
         self._pending: List[tuple] = []
         # the squared gradient norm of a row that does not exist yet; the next row takes it
         self._next_grad_sq: Optional[float] = None
+        # the global risk of the model the last run() stopped at, under its λ
+        self.final_risk: Optional[float] = None
 
     def on_aggregation(self, engine: SimulationEngine, record: srv.AggregationRecord) -> None:
         server, t = engine.server, record.t
@@ -472,12 +478,12 @@ class Evaluation:
                 self._flush(engine.rows)
 
     def on_stop(self, engine: SimulationEngine) -> None:
+        server = engine.server
+        self._pending.append((server.w_global, server.lambdas, None, False))
         self._flush(engine.rows)
 
     def _flush(self, rows: List[srv.AggregationRecord]) -> None:
         """Evaluate the pending models as one stack, each as right after its aggregation."""
-        if not self._pending:
-            return
         # the models with a risk go first: the evaluator weighs the first ones
         pending, self._pending = sorted(self._pending, key=lambda p: p[1] is None), []
         weights = [lambdas for _, lambdas, _, _ in pending if lambdas is not None]
@@ -486,7 +492,10 @@ class Evaluation:
                                       any(p[3] for p in pending))
         for i, (_, _, t, grad) in enumerate(pending):
             if i < len(weights):
-                rows[t - 1].global_risk = float(risks[i])
+                if t is None:
+                    self.final_risk = float(risks[i])
+                else:
+                    rows[t - 1].global_risk = float(risks[i])
             if grad:
                 grad_sq = float(grads[i] @ grads[i])
                 if t < len(rows):

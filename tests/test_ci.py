@@ -3,10 +3,15 @@
 in Python's development mode (``-X dev``), and golden-checks every perfbench
 input in a second job.  Both jobs log numpy's version and SIMD level after
 installing, and OpenBLAS names the kernel it loaded (``Core: <kernel>``),
-since the golden digests depend on all three.  The ``test`` extra pins the
-numpy line that made the goldens."""
+since the golden digests depend on all three.  The golden job also runs the
+benchmark itself once per workload, briefly, which covers the parts of
+``perfbench/`` that the golden script does not run.  The ``test`` extra
+pins the numpy line that made the goldens."""
 
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import yaml
@@ -48,3 +53,30 @@ def test_the_test_extra_pins_the_numpy_line_of_the_goldens():
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     (test,) = re.findall(r"^test = (\[.*\])$", pyproject, flags=re.M)
     assert '"numpy>=2.4,<2.5"' in test
+
+
+# the last line of a benchmark run must report correct outputs
+CORRECT_CHECK = """import json, sys; sys.exit(json.load(sys.stdin)["correct"] is not True)"""
+
+
+def test_the_golden_job_runs_the_benchmark_once_per_workload():
+    workflow = yaml.safe_load((ROOT / ".github/workflows/tier1.yml").read_text(encoding="utf-8"))
+    steps = workflow["jobs"]["golden"]["steps"]
+    assert steps[-1]["name"] == "One short benchmark run of each workload"
+    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert steps[-1]["run"] == (
+        f"for workload in {' '.join(names)}; do\n"
+        '  python perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0 \\\n'
+        f"    | tail -n 1 | python -c '{CORRECT_CHECK}'\n"
+        "done\n")
+
+
+def test_the_benchmark_check_passes_only_a_correct_last_line():
+    def status(line):
+        return subprocess.run([sys.executable, "-c", CORRECT_CHECK], input=line, text=True,
+                              capture_output=True).returncode
+
+    assert status('{"correct": true, "attempted": 4, "failed": 0, "metrics": {}}') == 0
+    assert status('{"correct": false, "attempted": 4, "failed": 1, "metrics": {}}') != 0
+    assert status('{"correct": 1}') != 0
+    assert status("Traceback (most recent call last):") != 0

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import enum
+import io
 import os
 import re
 import subprocess
@@ -336,11 +337,12 @@ def _comparable(value):
 
 def _run_state(exp):
     """Everything a stopped engine holds for the rest of its run, and the
-    evaluation observer's carried gradient; not the evaluator's work buffers."""
-    engine = exp.engine
+    evaluation observer's carried gradient and final risk; not the
+    evaluator's work buffers."""
+    engine, evaluation = exp.engine, exp.evaluation
     skip = {"observers", "_on_iteration", "_on_aggregation"}
     return _comparable(({k: v for k, v in vars(engine).items() if k not in skip},
-                        exp.evaluation._pending, exp.evaluation._next_grad_sq))
+                        evaluation._pending, evaluation._next_grad_sq, evaluation.final_risk))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -754,6 +756,38 @@ def test_metrics_csv_shape_and_round_trip():
     assert float(first[4]) == result.rows[0].beta
 
 
+def csv_writer_text(rows):
+    """metrics.csv as ``csv.writer`` renders it, each float as repr(float(x))
+    and None as an empty cell: the reference for ``metrics_csv_text``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for r in rows:
+        cells = (getattr(r, name) for name in CSV_HEADER)
+        writer.writerow(["" if v is None else repr(float(v)) if isinstance(v, float) else v
+                         for v in cells])
+    return buf.getvalue()
+
+
+def test_metrics_csv_has_the_bytes_of_a_csv_writer_rendering():
+    _, result, _ = run_experiment(resolve_config(small_doc(eval={"every": 3})))
+    rows = result.rows
+    assert any(r.global_risk is None for r in rows) and any(r.grad_sqnorm is None for r in rows)
+    last = rows[-1]
+    rows = rows + [
+        # a numpy float64 β, as the server's clamp can give, and one
+        # evaluation column set without the other
+        dataclasses.replace(last, t=last.t + 1, beta=np.float64(0.1) / 3, global_risk=0.25,
+                            grad_sqnorm=None),
+        dataclasses.replace(last, t=last.t + 2, time=1e-300, beta=np.float64(1.0),
+                            lambda_checksum=2.0 / 3, fairness_index=1.0, global_risk=None,
+                            grad_sqnorm=np.float64(1.5e300)),
+    ]
+    assert isinstance(rows[-1].beta, np.float64)
+    assert metrics_csv_text(rows) == csv_writer_text(rows)
+    assert metrics_csv_text([]) == csv_writer_text([])
+
+
 def test_summary_contents_and_final_risk_recompute():
     exp, result, _ = run_experiment(resolve_config(small_doc()))
     summary = summarize(exp, result, None)
@@ -789,6 +823,23 @@ def test_final_risk_is_set_when_the_last_row_was_not_due():
     direct = exp.evaluation.evaluator(server.w_global, server.lambdas, False)[0]
     assert summarize(exp, result, None)["final_risk"] == direct
     assert direct == pytest.approx(reference_global_risk(
+        engine.model, server.w_global, engine.data, server.lambdas), rel=1e-12)
+
+
+@pytest.mark.parametrize("every, stops", [(1, [10]), (3, [10]), (3, [0]), (2, [4, 7])])
+def test_final_risk_is_the_stop_models_risk_bit_for_bit(every, stops):
+    # the final risk comes from the stack evaluated on stop, at whatever slot
+    # the stop model took there: after a due row, after one that was not
+    # due, with no aggregation and after a split run
+    exp = build_experiment(resolve_config(small_doc(eval={"every": every})))
+    engine = exp.engine
+    for stop in stops:
+        engine.run(aggregations=stop)
+    server = engine.server
+    assert server.t == len(engine.rows) == stops[-1]
+    alone = GlobalEvaluator(engine.model, engine.data, uniform_weights(len(engine.runtimes)))
+    assert exp.evaluation.final_risk == alone(server.w_global, server.lambdas, False)[0]
+    assert exp.evaluation.final_risk == pytest.approx(reference_global_risk(
         engine.model, server.w_global, engine.data, server.lambdas), rel=1e-12)
 
 
@@ -1435,14 +1486,15 @@ def test_final_risk_is_one_value_in_stdout_summary_and_sweep(tmp_path, capsys, e
         assert printed == "n/a"
 
 
-def test_cli_run_evaluates_the_final_risk_once(tmp_path, monkeypatch):
-    # the Evaluation's evaluator fills the due rows inside run(); every call
-    # after run() returns is a final-risk evaluation
+def test_cli_run_evaluates_nothing_after_the_run(tmp_path, monkeypatch):
+    # the Evaluation fills the due rows inside run(), and takes the final
+    # risk in the stack it evaluates when run() stops; writing the outputs
+    # evaluates nothing
     log = []
-    evaluate, run = GlobalEvaluator.__call__, SimulationEngine.run
+    evaluate, run, write = GlobalEvaluator.__call__, SimulationEngine.run, harness.write_outputs
 
     def counted(self, *args):
-        log.append(self)
+        log.append("evaluated")
         return evaluate(self, *args)
 
     def logged(self, *args, **kwargs):
@@ -1450,15 +1502,21 @@ def test_cli_run_evaluates_the_final_risk_once(tmp_path, monkeypatch):
         log.append("run returned")
         return result
 
+    def written(*args):
+        summary = write(*args)
+        log.append("outputs written")
+        return summary
+
     monkeypatch.setattr(GlobalEvaluator, "__call__", counted)
     monkeypatch.setattr(SimulationEngine, "run", logged)
+    monkeypatch.setattr(harness, "write_outputs", written)
     doc = small_doc(eval={"every": 3}, sim={"T": 10})
     assert cli.main(["run", "--config", write_cfg(tmp_path, doc), "--out",
                      str(tmp_path / "run")]) == 0
     returned = log.index("run returned")
-    assert log.count("run returned") == 1 and returned > 0
-    # one call, on the evaluator that filled the rows
-    assert log[returned + 1:] == [log[0]]
+    assert returned > 0 and log[returned:] == ["run returned", "outputs written"]
+    summary = yaml.safe_load((tmp_path / "run" / "summary.yaml").read_text())
+    assert summary["final_risk"] is not None
 
 
 def test_cli_sweep_checks_every_cell_before_running_any(tmp_path, capsys):

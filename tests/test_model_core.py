@@ -274,9 +274,11 @@ def test_stacked_shards_are_views_in_order():
         np.testing.assert_array_equal(yv, y)
         assert np.shares_memory(Xv, data.X) and np.shares_memory(yv, data.y)
     weights = np.array([0.2, 0.7, 0.1])
-    rho = GlobalEvaluator(LossModel(LossKind.QUADRATIC, 3), data, weights).rho
-    assert np.array_equal(rho, np.repeat(weights / np.array(data.sizes), data.sizes))
-    np.testing.assert_allclose(rho, [0.05] * 4 + [0.1] * 7 + [0.05] * 2)
+    evaluate = GlobalEvaluator(LossModel(LossKind.QUADRATIC, 3), data, weights)
+    assert np.array_equal(evaluate.shard_rho, weights / np.array(data.sizes))
+    np.testing.assert_allclose(evaluate.shard_rho, [0.05, 0.1, 0.05])
+    assert np.array_equal(evaluate.XT_rho,
+                          data.X.T * np.repeat(weights / np.array(data.sizes), data.sizes))
 
 
 def test_the_evaluator_keeps_a_read_only_xt():
@@ -293,6 +295,36 @@ def test_the_evaluator_keeps_a_read_only_xt():
             arr[0] = 1.0
     for Xv, yv in data.views():
         assert np.shares_memory(Xv, data.X) and np.shares_memory(yv, data.y)
+
+
+@pytest.mark.parametrize("kind", [LossKind.QUADRATIC, LossKind.LOGISTIC])
+def test_xt_rho_is_xt_with_each_row_weighed_built_once_by_a_gradient_call(kind):
+    rng = np.random.default_rng(16)
+    sizes = (4, 7, 2)
+    data = stack_shards([make_shard(rng, n, 3, kind) for n in sizes])
+    weights = np.array([0.2, 0.7, 0.1])
+    evaluate = GlobalEvaluator(LossModel(kind, 3), data, weights)
+    w = rng.standard_normal((2, 3))
+    evaluate(w, np.tile(weights, (2, 1)), False)
+    assert "XT_rho" not in vars(evaluate)               # a risk-only call builds nothing
+    evaluate(w, None, True)
+    XT_rho = vars(evaluate)["XT_rho"]
+    assert np.array_equal(XT_rho, evaluate.XT * np.repeat(weights / np.array(sizes), sizes))
+    assert XT_rho.flags.c_contiguous and not np.shares_memory(XT_rho, evaluate.XT)
+    with pytest.raises(ValueError):
+        XT_rho[0, 0] = 1.0
+    evaluate(w, np.tile(weights, (2, 1)), True)
+    assert evaluate.XT_rho is XT_rho
+
+
+def test_the_quadratic_minimum_builds_no_gradient_operand(monkeypatch):
+    def refuse(self):
+        raise AssertionError("XT_rho was built")
+
+    monkeypatch.setattr(GlobalEvaluator, "XT_rho", property(refuse))
+    rng = np.random.default_rng(17)
+    data = stack_shards([make_shard(rng, n, 3, LossKind.QUADRATIC) for n in (20, 12)])
+    quadratic_global_minimum(data, np.array([0.4, 0.6]))
 
 
 def test_one_evaluation_gives_both_parts_bit_for_bit():
@@ -457,6 +489,31 @@ def test_a_stack_straddling_tiles_matches_the_reference_formulas(kind):
             np.testing.assert_allclose(grads[b],
                                        reference_global_gradient(model, w[b], data, uniform),
                                        rtol=1e-12, atol=1e-15)
+
+
+# 64-row shards, eight to a tile as in the K = 100 presets, then shards
+# that straddle tiles, and a short last tile
+MANY_SHARD_SIZES = (64,) * 20 + (700, 5, 300)
+
+
+@pytest.mark.parametrize("kind", [LossKind.QUADRATIC, LossKind.LOGISTIC])
+@pytest.mark.parametrize("stack", [1, 63, 64])
+def test_a_stack_over_many_shards_per_tile_matches_the_reference_formulas(kind, stack):
+    assert sum(MANY_SHARD_SIZES) % 512 > 0
+    rng = np.random.default_rng(45)
+    k = len(MANY_SHARD_SIZES)
+    data = stack_shards([make_shard(rng, n, 5, kind) for n in MANY_SHARD_SIZES])
+    grad_weights = rng.dirichlet(np.ones(k))
+    model = LossModel(kind, 5)
+    w = rng.standard_normal((stack, 5))
+    lam = rng.dirichlet(np.ones(k), size=stack)
+    risks, grads = GlobalEvaluator(model, data, grad_weights)(w, lam, True)
+    for b in range(stack):
+        assert risks[b] == pytest.approx(reference_global_risk(model, w[b], data, lam[b]),
+                                         rel=1e-12, abs=LOSS_ABS_FLOOR)
+        np.testing.assert_allclose(grads[b],
+                                   reference_global_gradient(model, w[b], data, grad_weights),
+                                   rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("kind", [LossKind.QUADRATIC, LossKind.LOGISTIC])

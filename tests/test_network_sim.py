@@ -441,7 +441,7 @@ def test_a_law_states_its_mean_rate():
 
 def test_only_an_evaluating_engine_builds_the_evaluator_arrays():
     # its feature-major copy XT, with the logistic label signs s = 1 - 2y
-    # folded into its columns, and its per-row gradient weights
+    # folded into its columns, and its per-shard gradient weights
     for kind in (LossKind.QUADRATIC, LossKind.LOGISTIC):
         assert build_engine(k=2, kind=kind).observers == []
         engine = build_engine(k=2, eval_every=3, kind=kind)
@@ -449,8 +449,10 @@ def test_only_an_evaluating_engine_builds_the_evaluator_arrays():
         assert evaluator.data is data
         signs = 1.0 - 2.0 * data.y if kind is LossKind.LOGISTIC else 1.0
         np.testing.assert_array_equal(evaluator.XT, data.X.T * signs)
-        np.testing.assert_array_equal(evaluator.rho, np.repeat(0.5 / np.array(data.sizes),
-                                                               data.sizes))
+        np.testing.assert_array_equal(evaluator.shard_rho, 0.5 / np.array(data.sizes))
+        assert "XT_rho" not in vars(evaluator)          # built by the first gradient call
+        np.testing.assert_array_equal(evaluator.XT_rho, evaluator.XT * np.repeat(
+            0.5 / np.array(data.sizes), data.sizes))
         assert not hasattr(evaluator, "signs")
 
 
