@@ -637,17 +637,17 @@ def run_experiment(
 def metrics_csv_text(rows: Sequence) -> str:
     """Render the CSV_HEADER fields of the per-aggregation rows, header first.
 
-    A float is written as repr(float(x)), its shortest exact round-trip form,
-    and an evaluation column that was not due as an empty cell.
+    Every field is a Python int or float; a float is written as its repr,
+    its shortest exact round-trip form, and an evaluation column that was
+    not due as an empty cell.
     """
     line = "{},{!r},{},{},{!r},{!r},{!r},{},{}\n".format
     text = [",".join(CSV_HEADER) + "\n"]
     for r in rows:
         risk, grad_sq = r.global_risk, r.grad_sqnorm
-        text.append(line(r.t, float(r.time), r.sender, r.age, float(r.beta),
-                         float(r.lambda_checksum), float(r.fairness_index),
-                         "" if risk is None else repr(float(risk)),
-                         "" if grad_sq is None else repr(float(grad_sq))))
+        text.append(line(r.t, r.time, r.sender, r.age, r.beta, r.lambda_checksum,
+                         r.fairness_index, "" if risk is None else repr(risk),
+                         "" if grad_sq is None else repr(grad_sq)))
     return "".join(text)
 
 

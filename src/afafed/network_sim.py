@@ -28,8 +28,10 @@ When a run stops, each coworker is advanced to the newest entry such an
 event would already have delivered, and the prefix of the log that every
 cursor has passed is dropped.
 
-A coworker's arrival law yields its arrival times (``arrival_times``), and
-the engine takes them in order without asking which law it is.
+A coworker's arrival law gives arrival i's time from arrival i - 1's
+(``time_of``), and the engine asks it without asking which law it is.  It
+draws arrival i only once arrival i - 1 is admitted, so the index it asks
+for is always the buffer's ``next_arrival_index``.
 Data arrivals are calendar events only while a coworker's buffer warms up:
 its first ``minibatch`` arrivals, the last of which wakes the stalled
 coworker.  A ready buffer stays ready (neither eviction takes it below one
@@ -57,7 +59,7 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -294,9 +296,10 @@ class ArrivalProcess:
 
     Construction refuses a law that could not run: an unknown kind, a
     Poisson rate or periodic interval that is not positive, or trace times
-    that are empty, negative, non-finite or decreasing.  ``arrival_times``
-    yields the law's times and ``mean_rate`` states its long-run density,
-    so callers need not read the fields to learn which law it is.
+    that are empty, negative, non-finite or decreasing.  ``time_of`` gives
+    one arrival's time from the one before and ``mean_rate`` states the
+    law's long-run density, so callers need not read the fields to learn
+    which law it is.
     """
 
     kind: str = "poisson"           # poisson | periodic | trace
@@ -337,25 +340,15 @@ class ArrivalProcess:
             return 1.0 / self.interval
         return None
 
-    def arrival_times(self, rng: Optional[np.random.Generator]) -> Iterator[float]:
-        """The arrival times in order: a trace's own, else from t = 0, t + interval
-        or t plus an exponential gap of mean 1/rate, one draw from rng per gap.
-
-        A generator is one object for the cyclic garbage collector to track;
-        at K = 100, chains of three or four itertools objects per stream
-        added collections enough to slow set-up measurably."""
-        if self.kind == "trace":
-            yield from self.times
-            return
-        t = 0.0
+    def time_of(self, index: int, previous: float, rng: Optional[np.random.Generator]) -> float:
+        """The time of arrival index, given arrival index - 1's (0.0 for the first):
+        a trace's own time, or inf past its end; previous + interval; or previous
+        plus an exponential gap of mean 1/rate, one draw from rng."""
+        if self.kind == "poisson":
+            return previous + rng.exponential(1.0 / self.rate)
         if self.kind == "periodic":
-            while True:
-                t += self.interval
-                yield t
-        scale = 1.0 / self.rate
-        while True:
-            t += rng.exponential(scale)
-            yield t
+            return previous + self.interval
+        return self.times[index] if index < len(self.times) else math.inf
 
 
 @dataclass
@@ -384,8 +377,8 @@ class _Runtime:
     and the length of the current cluster (``state.iter_k``).  The current
     cluster is ``cluster_token``, ``cluster_anchor`` and ``iters_left``: the
     coworker is stalled while the token is 0, computing while iterations are
-    left, and waiting for a downlink or its timer otherwise.  ``arrivals``
-    is the law's ``arrival_times``, past the arrivals already scheduled.
+    left, and waiting for a downlink or its timer otherwise.  ``law`` gives
+    each arrival's time from the one before, drawing from ``rng_arrival``.
     Once the buffer is ready, ``next_arrival`` is the time of the first
     arrival not yet admitted; it is inf while the buffer warms up (those
     arrivals are calendar events) and once a trace is exhausted.
@@ -393,10 +386,11 @@ class _Runtime:
 
     state: cw.CoworkerState
     link: LinkModel
-    arrivals: Iterator[float]       # arrival times not yet scheduled
+    law: ArrivalProcess
     iteration_duration: float       # virtual time of one local iteration
     rng_sample: np.random.Generator
     rng_link: Optional[np.random.Generator]         # None when the link does not draw
+    rng_arrival: Optional[np.random.Generator]      # None when the law does not draw
     cluster_token: int = 0          # clusters started; names the current one
     iters_left: int = 0             # iterations of the current cluster not yet run
     cluster_anchor: float = 0.0     # start time of the current cluster
@@ -589,10 +583,11 @@ class SimulationEngine:
             rt = _Runtime(
                 state=state,
                 link=setup.link,
-                arrivals=setup.arrivals.arrival_times(streams.get((2, cid))),
+                law=setup.arrivals,
                 iteration_duration=setup.iteration_duration,
                 rng_sample=streams[0, cid],
                 rng_link=streams.get((1, cid)),
+                rng_arrival=streams.get((2, cid)),
             )
             self.runtimes.append(rt)
 
@@ -606,18 +601,19 @@ class SimulationEngine:
 
         # seed the calendar; every coworker stalls until its buffer warms up
         for cid in range(k):
-            self._schedule_next_arrival(cid)
+            self._schedule_next_arrival(cid, 0.0)
 
     # ---------------- scheduling helpers ---------------- #
 
-    def _schedule_next_arrival(self, cid: int) -> None:
-        """Schedule the coworker's next arrival, if its stream has one.
+    def _schedule_next_arrival(self, cid: int, previous: float) -> None:
+        """Schedule the coworker's next arrival, the one after the arrival at
+        previous (0.0 for the first), if its stream has one.
 
         While the buffer warms up it is a calendar event; once the buffer is
         ready it goes to rt.next_arrival, which _catch_up admits.
         """
         rt = self.runtimes[cid]
-        t = next(rt.arrivals, math.inf)
+        t = rt.law.time_of(rt.state.buffer.next_arrival_index, previous, rt.rng_arrival)
         if rt.state.buffer.ready:
             rt.next_arrival = t
         elif t < math.inf:
@@ -655,14 +651,15 @@ class SimulationEngine:
                     break
                 while rt.next_arrival < boundary:
                     admit(buf)
-                    rt.next_arrival = next(rt.arrivals, math.inf)
+                    rt.next_arrival = rt.law.time_of(buf.next_arrival_index, rt.next_arrival,
+                                                     rt.rng_arrival)
                 # _delivered(..., boundary, -1) passes the next entry exactly
                 # when it arrived strictly before the boundary
                 if rt.coef_cursor < len(log) and log[rt.coef_cursor].sent + delay < boundary:
                     self._adopt_coefficients(rt, cid, boundary, -1)
                 ok = cw.run_single_iteration(state, adaptive, model, rng, now=boundary)
                 if not ok:
-                    raise RuntimeError(
+                    raise ProtocolError(
                         f"coworker {cid} lost minibatch readiness mid-cluster at {boundary:.6g}"
                     )
                 rt.iters_left -= 1
@@ -670,7 +667,8 @@ class SimulationEngine:
                     observe(cid, state)
         while rt.next_arrival <= now:
             admit(buf)
-            rt.next_arrival = next(rt.arrivals, math.inf)
+            rt.next_arrival = rt.law.time_of(buf.next_arrival_index, rt.next_arrival,
+                                             rt.rng_arrival)
         if rt.coef_cursor < len(log):
             self._adopt_coefficients(rt, cid, now, seq)
 
@@ -708,7 +706,7 @@ class SimulationEngine:
         rt = self.runtimes[cid]
         self._catch_up(cid, ev.time, ev.seq)
         admit(rt.state.buffer)
-        self._schedule_next_arrival(cid)
+        self._schedule_next_arrival(cid, ev.time)
         if rt.cluster_token == 0 and rt.state.buffer.ready:
             self._start_cluster(cid, ev.time)
 
@@ -719,7 +717,7 @@ class SimulationEngine:
             return  # the cluster was aborted by a downlink
         self._catch_up(cid, ev.time, ev.seq)
         if rt.iters_left:
-            raise RuntimeError("cluster completion fired before all iterations elapsed")
+            raise ProtocolError("cluster completion fired before all iterations elapsed")
         payload = cw.finalize_cluster(rt.state, self.adaptive)
         self.uplink_attempts += 1
         delay = rt.link.uplink_attempt(rt.rng_link)

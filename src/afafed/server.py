@@ -157,7 +157,7 @@ def process_uplink(
     except OverflowError:
         beta = cfg.beta_min
     else:
-        raw = state.lambdas[k] * phi(age, cfg) / decay
+        raw = float(state.lambdas[k]) * phi(age, cfg) / decay
         beta = min(max(raw, cfg.beta_min), cfg.beta_max)
 
     state.w_global = (1.0 - beta) * state.w_global + beta * payload.w

@@ -8,7 +8,7 @@ import pytest
 import afafed
 from afafed.coworker import CoworkerState
 from afafed.harness import CONFIG_SCHEMA
-from afafed.network_sim import SimulationEngine, _Runtime
+from afafed.network_sim import ArrivalProcess, SimulationEngine, _Runtime
 from afafed.server import MixingConfig, ServerState
 
 
@@ -70,8 +70,9 @@ def test_deleted_shard_set_helpers_stay_gone(name):
     "timer_token", "stalls",
     # a cluster is its token, anchor and iterations left; the link holds the timer
     "phase", "iters_done", "timer_duration",
-    # the arrival law's arrival_times holds its stream
-    "rng_arrival",
+    # the law gives each arrival's time from the one before: the engine
+    # holds the stream's position, and no iterator holds it again
+    "arrivals",
 ])
 def test_deleted_runtime_fields_stay_gone(name):
     assert name not in _Runtime.__dataclass_fields__
@@ -106,8 +107,14 @@ def test_the_delivery_tie_rule_is_not_an_engine_method():
 
 
 def test_the_arrival_recurrence_is_not_an_engine_method():
-    # each law yields its own times through ArrivalProcess.arrival_times
+    # each law gives its own times through ArrivalProcess.time_of
     assert not hasattr(SimulationEngine, "_arrival_after")
+
+
+def test_an_arrival_law_is_not_a_generator_of_times():
+    # a generator per coworker held the stream's position a second time,
+    # and made a built engine unpicklable
+    assert not hasattr(ArrivalProcess, "arrival_times")
 
 
 def test_the_timer_factor_and_k_are_stated_once():

@@ -1,14 +1,16 @@
 """Config resolution, data generation, outputs, and the CLI."""
 
 import csv
+import copy
 import dataclasses
 import enum
 import io
+import math
 import os
+import pickle
 import re
 import subprocess
 import sys
-import types
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -41,6 +43,7 @@ from afafed.model_core import GlobalEvaluator, uniform_weights
 from afafed.network_sim import ArrivalProcess, SimulationEngine
 from afafed.profiler import ParameterEstimates
 from reference_evaluation import reference_global_gradient, reference_global_risk
+import test_golden_trace as golden_trace
 from test_shared_arrays import FreezeHandedOnArrays
 
 
@@ -298,23 +301,31 @@ def test_random_valid_configs_keep_the_protocol_invariants(doc):
 
 
 def _run_in_parts(engine, stops, sim):
-    """Run to each stop in turn, then to T, all under the config's budget.
+    """Run to each aggregation count of stops in turn, under the config's budget.
 
     Returns the last run's result, or the message of a divergence, which
     ends the run.
     """
     try:
-        for aggregations in stops + [sim["T"]]:
+        for aggregations in stops:
             result = engine.run(aggregations=aggregations, event_budget=sim["event_budget"])
     except NumericDivergenceError as exc:
         return str(exc)
     return result
 
 
+def _copies(exp):
+    """A pickled and a deep copy of a stopped experiment: its engine and its
+    evaluation observer, copied together so that the copied engine's
+    observer is the copied evaluation."""
+    both = (exp.engine, exp.evaluation)
+    return [dataclasses.replace(exp, engine=engine, evaluation=evaluation)
+            for engine, evaluation in (pickle.loads(pickle.dumps(both)), copy.deepcopy(both))]
+
+
 def _comparable(value):
     """A comparable form of a run value: arrays and floats by their bits,
-    random streams by their state, the fields a dataclass compares, and an
-    arrival iterator by the next time it yields (which it draws)."""
+    random streams by their state and the fields a dataclass compares."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: _comparable(getattr(value, f.name))
                 for f in dataclasses.fields(value) if f.compare}
@@ -328,8 +339,6 @@ def _comparable(value):
         return [_comparable(v) for v in value]
     if isinstance(value, dict):
         return {k: _comparable(v) for k, v in value.items()}
-    if isinstance(value, types.GeneratorType):
-        return _comparable(next(value, None))
     if hasattr(value, "__dict__") and not isinstance(value, enum.Enum):
         return _comparable(vars(value))
     return value
@@ -350,7 +359,8 @@ def _run_state(exp):
 def test_a_split_run_equals_one_uninterrupted_run(doc, every, chunk, T, data):
     # evaluation on, in chunks of 1-5 models, so that the flush at each stop
     # falls inside a chunk; the rows and every state field must not show
-    # where the run was stopped
+    # where the run was stopped, nor that a pickled or deep copy of the
+    # stopped engine and its observers ran on in its place
     doc = {**doc, "eval": {"every": every}, "sim": {**doc["sim"], "T": T, "event_budget": 5000}}
     stops = sorted(data.draw(st.lists(st.integers(1, T - 1), min_size=1, max_size=3,
                                       unique=True), label="stops"))
@@ -359,11 +369,21 @@ def test_a_split_run_equals_one_uninterrupted_run(doc, every, chunk, T, data):
             np.errstate(over="ignore", invalid="ignore"):
         patch.setattr(network_sim, "_EVAL_CHUNK", chunk)
         whole, split = build_experiment(cfg), build_experiment(cfg)
-        whole_result = _run_in_parts(whole.engine, [], cfg["sim"])
-        split_result = _run_in_parts(split.engine, stops, cfg["sim"])
-    assert _comparable(split_result) == _comparable(whole_result)
-    assert metrics_csv_text(split.engine.rows) == metrics_csv_text(whole.engine.rows)
-    assert _run_state(split) == _run_state(whole)
+        whole_result = _run_in_parts(whole.engine, [T], cfg["sim"])
+        runs = []           # (experiment, result) of each copy, then of the split run
+        for i, stop in enumerate(stops):
+            result = _run_in_parts(split.engine, [stop], cfg["sim"])
+            if isinstance(result, str):         # diverged: the run ends here
+                break
+            runs += [(c, _run_in_parts(c.engine, stops[i + 1:] + [T], cfg["sim"]))
+                     for c in _copies(split)]
+        else:
+            result = _run_in_parts(split.engine, [T], cfg["sim"])
+        runs.append((split, result))
+    for exp, result in runs:
+        assert _comparable(result) == _comparable(whole_result)
+        assert metrics_csv_text(exp.engine.rows) == metrics_csv_text(whole.engine.rows)
+        assert _run_state(exp) == _run_state(whole)
 
 
 def test_rows_recorded_before_a_divergence_keep_their_eval_columns():
@@ -669,11 +689,12 @@ def test_trace_arrivals_feed_the_buffer_from_the_file(tmp_path):
     np.testing.assert_array_equal(y, np.arange(12.0))
     np.testing.assert_array_equal(X[:, 0], np.arange(12.0))
     # each coworker's first time from the file is on the calendar, and its
-    # stream yields the rest
+    # law gives the rest, then inf
     engine = exp.engine
     for cid, rt in enumerate(engine.runtimes):
         assert [ev.time for ev in engine.queue._heap if ev.coworker == cid] == [0.1]
-        assert list(rt.arrivals) == [0.1 * (i + 1) for i in range(1, 12)]
+        assert [rt.law.time_of(i, 0.0, None) for i in range(1, 13)] == [
+            0.1 * (i + 1) for i in range(1, 12)] + [math.inf]
 
 
 @pytest.mark.parametrize("trace", ["a.csv", ["a.csv", "b.csv"] * 3], ids=["one", "two"])
@@ -701,7 +722,8 @@ def test_each_distinct_trace_file_is_parsed_once(tmp_path, monkeypatch, trace):
     first = sorted((ev.time, ev.coworker) for ev in engine.queue._heap)
     assert first == sorted((offsets[name] + 0.1, cid) for cid, name in enumerate(names))
     for rt, name in zip(engine.runtimes, names):
-        assert list(rt.arrivals) == [offsets[name] + 0.1 * (i + 1) for i in range(1, 12)]
+        assert [rt.law.time_of(i, 0.0, None) for i in range(1, 13)] == [
+            offsets[name] + 0.1 * (i + 1) for i in range(1, 12)] + [math.inf]
         np.testing.assert_array_equal(rt.state.buffer.y, np.arange(12.0) + offsets[name])
     assert len(engine.data.y) == 6 * 12
 
@@ -775,17 +797,33 @@ def test_metrics_csv_has_the_bytes_of_a_csv_writer_rendering():
     assert any(r.global_risk is None for r in rows) and any(r.grad_sqnorm is None for r in rows)
     last = rows[-1]
     rows = rows + [
-        # a numpy float64 β, as the server's clamp can give, and one
-        # evaluation column set without the other
-        dataclasses.replace(last, t=last.t + 1, beta=np.float64(0.1) / 3, global_risk=0.25,
+        # one evaluation column set without the other, and floats at the
+        # ends of the range
+        dataclasses.replace(last, t=last.t + 1, beta=0.1 / 3, global_risk=0.25,
                             grad_sqnorm=None),
-        dataclasses.replace(last, t=last.t + 2, time=1e-300, beta=np.float64(1.0),
+        dataclasses.replace(last, t=last.t + 2, time=1e-300, beta=1.0,
                             lambda_checksum=2.0 / 3, fairness_index=1.0, global_risk=None,
-                            grad_sqnorm=np.float64(1.5e300)),
+                            grad_sqnorm=1.5e300),
     ]
-    assert isinstance(rows[-1].beta, np.float64)
     assert metrics_csv_text(rows) == csv_writer_text(rows)
     assert metrics_csv_text([]) == csv_writer_text([])
+
+
+@pytest.mark.parametrize("name", sorted(golden_trace.CASES))
+def test_every_row_field_is_a_python_int_or_float(name):
+    # the metrics writer converts nothing: β, the times, the checksum, the
+    # index and the evaluation columns reach it as Python numbers, with the
+    # golden digests unchanged
+    case = golden_trace.CASES[name]
+    _, result, _ = run_experiment(resolve_config(case["doc"]),
+                                  enable_profiling=case.get("profile", False))
+    for r in result.rows:
+        for field in CSV_HEADER:
+            value = getattr(r, field)
+            assert type(value) in (int, float) or (
+                value is None and field in ("global_risk", "grad_sqnorm")), (r.t, field)
+    assert (golden_trace._trajectory_sha(result.rows)
+            == golden_trace.GOLDEN[name]["trajectory_sha256"])
 
 
 def test_summary_contents_and_final_risk_recompute():
@@ -1097,6 +1135,23 @@ def test_cli_divergence_exits_3_with_one_line(tmp_path):
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: coworker ") and "diverged" in proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("fault", ["iteration", "cluster"])
+def test_cli_a_broken_engine_invariant_exits_3_with_one_line(tmp_path, capsys, monkeypatch,
+                                                             fault):
+    # the engine's own invariant checks raise ProtocolError, which the CLI
+    # reports in one line like any other protocol fault
+    if fault == "iteration":        # a ready buffer that cannot serve a minibatch
+        monkeypatch.setattr("afafed.coworker.run_single_iteration", lambda *a, **k: False)
+        message = "error: coworker 0 lost minibatch readiness mid-cluster at "
+    else:                           # a cluster that ends before its iterations ran
+        monkeypatch.setattr(SimulationEngine, "_catch_up", lambda self, cid, now, seq: None)
+        message = "error: cluster completion fired before all iterations elapsed\n"
+    out = tmp_path / "x"
+    assert cli.main(["run", "--config", write_cfg(tmp_path, small_doc()), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("de", [1000, 1000000])

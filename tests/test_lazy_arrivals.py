@@ -41,8 +41,9 @@ from afafed.server import MixingConfig
 class CalendarEngine(SimulationEngine):
     """The engine with every data arrival a calendar event, warm buffer or not."""
 
-    def _schedule_next_arrival(self, cid):
-        t = next(self.runtimes[cid].arrivals, math.inf)
+    def _schedule_next_arrival(self, cid, previous):
+        rt = self.runtimes[cid]
+        t = rt.law.time_of(rt.state.buffer.next_arrival_index, previous, rt.rng_arrival)
         if t < math.inf:
             self.queue.push(t, EventKind.DATA_ARRIVAL, cid)
 

@@ -1,6 +1,5 @@
 """Event engine: determinism, timing, losses, stalls, and broadcast semantics."""
 
-import itertools
 import math
 import re
 from types import SimpleNamespace
@@ -676,7 +675,10 @@ def test_poisson_times_are_the_scalar_gap_recurrence(rate, seed, cid):
     # the times are t + exponential(1/rate) from numpy's stream of the same key
     rng = random_streams(seed, [(2, cid)])[0]
     law = ArrivalProcess(kind="poisson", rate=rate)
-    got = list(itertools.islice(law.arrival_times(rng), 200))
+    got, t = [], 0.0
+    for i in range(200):
+        t = law.time_of(i, t, rng)
+        got.append(t)
     ref, t, want = reference_stream(seed, 2, cid), 0.0, []
     for _ in got:
         t += ref.exponential(1.0 / rate)
@@ -691,8 +693,10 @@ def test_poisson_times_are_the_scalar_gap_recurrence(rate, seed, cid):
 @example(0.1)
 @example(0.3)
 def test_periodic_times_are_the_interval_recurrence(interval):
-    got = list(itertools.islice(
-        ArrivalProcess(kind="periodic", interval=interval).arrival_times(None), 10_000))
+    law, got, t = ArrivalProcess(kind="periodic", interval=interval), [], 0.0
+    for i in range(10_000):
+        t = law.time_of(i, t, None)
+        got.append(t)
     t, want = 0.0, []
     for _ in got:
         t += interval
@@ -704,8 +708,11 @@ def test_periodic_times_are_the_interval_recurrence(interval):
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=20).map(sorted))
 def test_trace_times_are_its_own_then_inf_for_good(times):
-    it = ArrivalProcess(kind="trace", times=tuple(times)).arrival_times(None)
-    assert [next(it, math.inf) for _ in range(len(times) + 3)] == times + [math.inf] * 3
+    law, got, t = ArrivalProcess(kind="trace", times=tuple(times)), [], 0.0
+    for i in range(len(times) + 3):
+        t = law.time_of(i, t, None)
+        got.append(t)
+    assert got == times + [math.inf] * 3
 
 
 def test_arrival_process_validation():
