@@ -9,7 +9,9 @@ Lagrange multiplier, so no per-coworker tuning is required.
 
 A cluster is ``iter_k`` calls of :func:`run_single_iteration` followed by
 one :func:`finalize_cluster`; the event engine makes these calls one
-iteration boundary at a time.  An iteration is one flat pass that states
+iteration boundary at a time, or steps many coworkers at once through a
+:class:`Round`, which leaves each state as the single iterations would, to
+the bit.  An iteration is one flat pass that states
 the step rule once: it samples, takes the minibatch gradient, and computes
 the deviation ``w - w_global_last`` once for both the dual violation and
 the primal step; the logarithms of ``omega`` are taken once per config.
@@ -20,18 +22,25 @@ call overhead, not arithmetic.  A numpy ufunc on a 5-vector costs about
 primal step, whose operands are three scalars and three vectors, runs its
 multiplies, adds and subtracts on Python floats instead: the same IEEE
 operations in the same order, neither side fusing any, so the same bits.
+A round of B coworkers instead pays each numpy call once for all B: one
+gather, batched matrix products and elementwise passes over (B, d) arrays.
+In ``timeit`` at d = 5 and 16-row minibatches, one step of a round of 36,
+with the members' draws, its set-up and its write-back, costs about 8 µs
+per coworker, against about 13 µs for run_single_iteration; at 8 members
+the two cost the same.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from operator import attrgetter
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from .errors import NumericDivergenceError, ProtocolError
-from .model_core import LossModel, minibatch_gradient
+from .model_core import LossKind, LossModel, minibatch_gradient
 from .stream_manager import StreamBuffer, evict_oldest_if_surplus, sample_minibatch
 
 
@@ -223,6 +232,163 @@ def run_single_iteration(
                 "multiplier" if all(map(math.isfinite, w)) else "model vector")
         raise NumericDivergenceError(state.id, now, what)
     return True
+
+
+def _rows16(count: int, n: int) -> np.ndarray:
+    """An uninitialised (count, n) float64 array whose rows each start on 16 bytes.
+
+    Under OpenBLAS's Prescott kernels a dot product rounds differently when
+    an operand starts off a 16-byte boundary (matrix-vector products were
+    not seen to), and the vectors run_single_iteration takes dot products of
+    are fresh arrays, which numpy aligns to 16 bytes.  An even row length
+    keeps every row on that boundary.
+    """
+    return np.empty((count, n + (n & 1)))[:, :n]
+
+
+class Round:
+    """Coworker states held as (B, ...) arrays while they iterate in lockstep.
+
+    Each :meth:`step` runs one run_single_iteration of every member, each
+    on the minibatch it has drawn, as one vectorised pass; the members'
+    states are written back by :meth:`sync`, and by :meth:`keep` and
+    :meth:`drop` as members leave, so a state read between steps is current
+    only once synced.  After any number of steps a synced state is the one
+    that many run_single_iteration calls leave, to the bit:
+
+    - the products are batched ``np.matmul`` calls: (B, m, d) @ (B, d, 1)
+      for ``X.dot(w)``, (B, 1, m) @ (B, m, d) for ``r.dot(X)`` and
+      (B, 1, d) @ (B, d, 1) for each 1-D dot.  numpy makes one BLAS call per
+      member, the call ``ndarray.dot`` makes, and the dot products' operands
+      start on 16 bytes as fresh arrays do (``_rows16``), so a member's bits
+      depend neither on B nor on its position.  m and d must be at least 2;
+    - the residual passes, the clamps, the primal step on (B, d) and the mu
+      update are the IEEE operations of the Python-float forms, in their
+      order; omega runs per member through ``math``, whose ``exp`` numpy's
+      may not match, and the running sums and counts are kept as they are.
+
+    A step builds new model and gradient arrays, so an array handed to a
+    state is never written again.  No float error is reported as a numpy warning, as the
+    Python-float forms report none.
+    """
+
+    def __init__(self, states: Sequence[CoworkerState], cfg: AdaptiveConfig,
+                 model: LossModel) -> None:
+        self.states = states = list(states)
+        self.cfg, self.logistic = cfg, model.kind is LossKind.LOGISTIC
+        self.w = np.array([s.w for s in states])
+        self.w_global = np.array([s.w_global_last for s in states])
+        self.tolerance, self.lam, self.mu, self.mu_sum = (
+            np.fromiter(map(attrgetter(name), states), float, len(states))
+            for name in ("tolerance", "lambda_last", "mu", "mu_sum"))
+        self.t_local = np.fromiter(map(attrgetter("t_local"), states), np.int64, len(states))
+        self.eta0 = self.eta1 = self.grad = None
+
+    def adopt(self, i: int, lambda_k: float) -> None:
+        """Member i adopts a fairness coefficient, as handle_fairness_broadcast."""
+        handle_fairness_broadcast(self.states[i], lambda_k)
+        self.lam[i] = lambda_k
+
+    def step(self, rows: np.ndarray, X: np.ndarray, y: np.ndarray,
+             boundaries: Sequence[float]) -> Dict[int, NumericDivergenceError]:
+        """One iteration of every member; row i of the (B, m) ``rows`` holds
+        member i's minibatch rows of the stacked data (X, y).
+
+        Returns the members whose step left the finite range, each with the
+        NumericDivergenceError that run_single_iteration would raise at its
+        boundary; the step stays in their arrays, as in a state that raised.
+        """
+        (B, m), d = rows.shape, X.shape[1]
+        if m < 2 or d < 2:
+            # numpy takes a one-row or one-column product as a dot product,
+            # which can round a zero's sign unlike ndarray.dot's matrix-vector one
+            raise ValueError(f"a round needs minibatches of at least 2 rows of at least "
+                             f"2 features, got {m} x {d}")
+        cfg = self.cfg
+        lo, hi = cfg.eta_min, cfg.eta_max
+        with np.errstate(over="ignore", invalid="ignore"):
+            Xb = X.take(rows, axis=0)
+            r = np.matmul(Xb, self.w[:, :, None]).reshape(B, 1, m)
+            if self.logistic:
+                r *= 0.5
+                np.tanh(r, out=r)
+                r += 1.0
+                r *= 0.5
+            r -= y.take(rows)[:, None, :]
+            G = _rows16(B, d)
+            np.matmul(r, Xb, out=G[:, None, :])
+            G /= float(m)
+            D = _rows16(B, d)
+            np.subtract(self.w, self.w_global, out=D)
+            violation = np.matmul(D[:, None, :], D[:, :, None]).reshape(B)
+            violation -= self.tolerance
+            mu_bar = self.mu_sum / (self.t_local + 1)
+            om = np.array([omega(b, cfg) for b in mu_bar.tolist()])
+            eta0 = np.sqrt(np.matmul(G[:, None, :], G[:, :, None]).reshape(B))
+            eta0 *= om
+            eta0 = np.minimum(np.maximum(eta0, lo), hi)
+            eta1 = np.abs(violation)
+            eta1 *= om
+            eta1 = np.minimum(np.maximum(eta1, lo), hi)
+            step = self.lam[:, None] * G
+            step += self.mu[:, None] * D
+            step *= eta0[:, None]
+            self.w = self.w - step
+            mu = eta1 * violation
+            mu += self.mu
+            self.mu = mu = np.where(mu > 0.0, mu, 0.0)
+            self.mu_sum += mu
+            self.t_local += 1
+            self.eta0, self.eta1, self.grad = eta0, eta1, G
+            finite_w = np.isfinite(self.w).all(axis=1)
+            ok = finite_w & np.isfinite(mu) & (eta1 == eta1)
+        for s in self.states:
+            evict_oldest_if_surplus(s.buffer)
+        if ok.all():
+            return {}
+        failed = {}
+        for i in np.flatnonzero(~ok).tolist():
+            what = ("constraint violation" if eta1[i] != eta1[i] else
+                    "multiplier" if finite_w[i] else "model vector")
+            failed[i] = NumericDivergenceError(self.states[i].id, boundaries[i], what)
+        return failed
+
+    _ARRAYS = ("w", "w_global", "tolerance", "lam", "mu", "mu_sum", "t_local",
+               "eta0", "eta1", "grad")
+
+    def sync(self, members: Sequence[int]) -> None:
+        """Write the given members' arrays back into their states (none
+        before the first step).  A state's model and gradient are its rows
+        of the step's arrays, which no later step writes."""
+        if self.grad is None:
+            return
+        mu, mu_sum, t_local = self.mu.tolist(), self.mu_sum.tolist(), self.t_local.tolist()
+        eta0, eta1 = self.eta0.tolist(), self.eta1.tolist()
+        for i in members:
+            s = self.states[i]
+            s.w, s.last_grad = self.w[i], self.grad[i]
+            s.mu, s.mu_sum, s.t_local = mu[i], mu_sum[i], t_local[i]
+            s.eta0, s.eta1 = eta0[i], eta1[i]
+
+    def keep(self, count: int) -> None:
+        """Sync the members from count on, then keep only the first count."""
+        self.sync(range(count, len(self.states)))
+        del self.states[count:]
+        for name in self._ARRAYS:
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, value[:count])
+
+    def drop(self, members: Sequence[int]) -> None:
+        """Sync the given members, then take them out of the round."""
+        self.sync(members)
+        keep = np.ones(len(self.states), dtype=bool)
+        keep[list(members)] = False
+        self.states = [s for s, k in zip(self.states, keep.tolist()) if k]
+        for name in self._ARRAYS:
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, value[keep])
 
 
 def finalize_cluster(state: CoworkerState, cfg: AdaptiveConfig) -> UplinkPayload:

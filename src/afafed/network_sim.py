@@ -28,6 +28,23 @@ When a run stops, each coworker is advanced to the newest entry such an
 event would already have delivered, and the prefix of the log that every
 cursor has passed is dropped.
 
+Between coefficient changes no coworker's iterations depend on another's,
+so the pending iterations of many coworkers run as one vectorised step, a
+round (``coworker.Round``).  When an aggregation appends a log entry,
+each computing coworker's bound is the arrival, at that coworker, of the
+newest entry that the current event delivers; a stop's flush would catch it
+up that far anyway, so its iterations at or before the bound run now, with
+the inputs they would get later and so the same bits.  The due coworkers
+step in rounds of one iteration each, a coworker leaving once its next
+boundary passes its bound, until fewer than ``_ROUND_MIN`` are left; the
+lazy catch-ups run the rest, as they run everything in a run whose
+coefficients never change.  A round adopts coefficients through a cursor
+of its own per coworker and never moves ``coef_cursor``, so the trims and
+every catch-up are those of an engine without rounds.  A coworker whose
+round step diverges keeps that step's state and holds the
+NumericDivergenceError, which the catch-up that reaches its boundary
+raises: the run fails with the same error at the same point.
+
 A coworker's arrival law gives arrival i's time from arrival i - 1's
 (``time_of``), and the engine asks it without asking which law it is.  It
 draws arrival i only once arrival i - 1 is admitted, so the index it asks
@@ -53,9 +70,11 @@ evaluations may all hold the same array.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import heapq
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -75,7 +94,7 @@ from .model_core import (
     uniform_weights,
 )
 from .profiler import ProfilingLog, record_aggregation
-from .stream_manager import StreamBuffer, admit, sample_minibatch
+from .stream_manager import StreamBuffer, admit, sample_minibatch, sample_positions
 
 
 # the hash constants of numpy.random.bit_generator, mirrored by random_streams
@@ -381,7 +400,10 @@ class _Runtime:
     each arrival's time from the one before, drawing from ``rng_arrival``.
     Once the buffer is ready, ``next_arrival`` is the time of the first
     arrival not yet admitted; it is inf while the buffer warms up (those
-    arrivals are calendar events) and once a trace is exhausted.
+    arrivals are calendar events) and once a trace is exhausted.  ``held``
+    is the error of a round step that diverged: the step is in the state,
+    but the iteration is not counted as run, and the catch-up that reaches
+    its boundary raises the error.
     """
 
     state: cw.CoworkerState
@@ -396,6 +418,7 @@ class _Runtime:
     cluster_anchor: float = 0.0     # start time of the current cluster
     coef_cursor: int = 0            # index in the log of the first unapplied entry
     next_arrival: float = math.inf  # first arrival that _catch_up has not admitted
+    held: Optional[Exception] = None    # the error of the iteration at the next boundary
 
 
 class _Coefficients(NamedTuple):
@@ -404,6 +427,29 @@ class _Coefficients(NamedTuple):
     sent: float                     # server time of the change
     lambdas: np.ndarray
     seq: int                        # queue position: after every event pushed before it
+
+
+class _Member:
+    """A coworker in the current rounds: its own log cursor, the arrival
+    times at it of the log's entries (inf past the last) and ``n``, the
+    number of its iterations at or before its bound."""
+
+    __slots__ = ("cid", "rt", "buf", "arrivals", "cursor", "k1", "n")
+
+    def __init__(self, cid: int, rt: _Runtime, bound: float, arrivals: List[float]) -> None:
+        self.cid, self.rt, self.buf = cid, rt, rt.state.buffer
+        self.arrivals, self.cursor = arrivals, rt.coef_cursor
+        self.k1 = rt.state.iter_k + 1     # the next iteration is number k1 - iters_left
+        # the last iteration j of the cluster whose boundary anchor + j * dur is
+        # at or before the bound: from past the quotient's floor, a margin for
+        # its rounding, down to the first that is
+        first, anchor, dur = self.k1 - rt.iters_left, rt.cluster_anchor, rt.iteration_duration
+        j, quotient = rt.state.iter_k, (bound - anchor) / dur
+        if quotient < j:
+            j = min(j, math.floor(quotient) + 2)
+        while anchor + j * dur > bound:
+            j -= 1
+        self.n = j - first + 1
 
 
 def _delivered(log: List[_Coefficients], cursor: int, delay: float,
@@ -425,6 +471,11 @@ def _delivered(log: List[_Coefficients], cursor: int, delay: float,
 
 # the log is trimmed once it holds this many entries (or twice its last size)
 _LOG_TRIM_MIN = 64
+# the fewest coworkers one vectorised round runs: a one-step round of 8, its
+# set-up and write-back included, costs what their single iterations cost
+# (timeit, d = 5, 16-row minibatches); a smaller round's iterations are left
+# to the lazy catch-ups
+_ROUND_MIN = 8
 # due evaluations wait until this many models are pending, then run as one
 # stack: the evaluator's fixed stack height
 _EVAL_CHUNK = GlobalEvaluator.SLOTS
@@ -529,7 +580,7 @@ class SimulationEngine:
     order.  ``on_iteration(cid, state)`` runs after every local iteration:
     calls for one coworker come in its iteration order, but calls for
     different coworkers may interleave, because iterations run lazily when
-    an event or a coefficient flush reaches their coworker.
+    an event or a coefficient flush reaches their coworker, or in a round.
     ``on_aggregation(engine, record)`` runs after every aggregation; the
     record is the row just appended to ``rows``.  ``on_stop(engine)`` runs
     last in every run() whose event loop starts, whether it returns or raises.
@@ -597,6 +648,20 @@ class SimulationEngine:
         self.events_processed = 0
         self._coef_log: List[_Coefficients] = []
         self._coef_trim_at = _LOG_TRIM_MIN
+        # the next iteration boundary of each computing coworker, inf for
+        # the others and for one holding an error: the rounds' index, a list
+        # because a pass over K floats costs less than numpy's calls at this
+        # K; and how many are finite, so that an append with fewer computing
+        # coworkers than a round needs costs no pass (at its own uplink the
+        # sender is waiting, so with K = _ROUND_MIN no round ever forms)
+        self._next_boundary = [math.inf] * k
+        self._computing = 0
+        # each coworker's first row in the stacked data
+        self._row_start = (0, *itertools.accumulate(self.data.sizes[:-1]))
+        # the distinct downlink delays, and each coworker's among them
+        delays = [setup.link.downlink_delay for setup in setups]
+        self._delays = sorted(set(delays))
+        self._delay_of = [self._delays.index(delay) for delay in delays]
         self.profiling_log = ProfilingLog(self.w0) if enable_profiling else None
 
         # seed the calendar; every coworker stalls until its buffer warms up
@@ -624,6 +689,9 @@ class SimulationEngine:
         rt.cluster_token += 1
         rt.iters_left = rt.state.iter_k
         rt.cluster_anchor = now
+        if self._next_boundary[cid] == math.inf:
+            self._computing += 1
+        self._next_boundary[cid] = now + rt.iteration_duration
         end = now + rt.state.iter_k * rt.iteration_duration
         self.queue.push(end, EventKind.CLUSTER_COMPLETE, cid, token=rt.cluster_token)
 
@@ -634,7 +702,7 @@ class SimulationEngine:
         boundary and adopts the newest coefficient that arrived strictly
         before it.  Afterwards the coworker admits every arrival at or before
         now and adopts every coefficient delivered by (now, seq) in calendar
-        order.
+        order.  A held error is raised when its boundary is reached.
         """
         rt = self.runtimes[cid]
         buf = rt.state.buffer
@@ -645,6 +713,9 @@ class SimulationEngine:
             dur = rt.iteration_duration
             delay = rt.link.downlink_delay
             k1 = state.iter_k + 1         # the next iteration is number k1 - iters_left
+            # a held error's step is the next iteration
+            if rt.held is not None and rt.cluster_anchor + (k1 - rt.iters_left) * dur <= now:
+                raise rt.held
             while rt.iters_left:
                 boundary = rt.cluster_anchor + (k1 - rt.iters_left) * dur
                 if boundary > now:
@@ -665,6 +736,10 @@ class SimulationEngine:
                 rt.iters_left -= 1
                 for observe in observers:
                     observe(cid, state)
+            else:
+                boundary = math.inf
+                self._computing -= 1
+            self._next_boundary[cid] = boundary
         while rt.next_arrival <= now:
             admit(buf)
             rt.next_arrival = rt.law.time_of(buf.next_arrival_index, rt.next_arrival,
@@ -697,6 +772,134 @@ class SimulationEngine:
         for rt in self.runtimes:
             rt.coef_cursor -= passed
         self._coef_trim_at = max(_LOG_TRIM_MIN, 2 * len(self._coef_log))
+
+    def _advance(self, now: float, seq: int) -> None:
+        """Run, in lockstep rounds, the pending iterations a stop at (now, seq) would run.
+
+        A stop's flush catches coworker k up to the arrival at k of the
+        newest log entry that (now, seq) delivers, so every iteration at or
+        before that bound runs before run() returns, whether the run stops
+        after this event or later.  Its inputs are fixed already: its
+        sampling stream, the arrivals and the newest coefficient strictly
+        before its boundary, w_global_last and the tolerance.  So it gives
+        now the bits it would give later.  The due coworkers are those whose
+        ``_next_boundary`` is at or before their bound, found in one pass
+        over that list; there is no pass while fewer than ``_ROUND_MIN``
+        coworkers compute.  They step in rounds, one iteration each per round,
+        as long as a round has ``_ROUND_MIN`` members of one minibatch size;
+        the rest of their iterations stay with the lazy catch-ups.
+        """
+        if self._computing < _ROUND_MIN or self.model.dim < 2:
+            return
+        log = self._coef_log
+        bounds = []
+        for delay in self._delays:
+            bound = -math.inf
+            for entry in reversed(log):     # the delivered entries are a prefix
+                arrival = entry.sent + delay
+                if arrival < now or (arrival == now and entry.seq <= seq):
+                    bound = arrival
+                    break
+            bounds.append(bound)
+        if len(bounds) == 1:
+            due = [cid for cid, b in enumerate(self._next_boundary) if b <= bounds[0]]
+        else:
+            due = [cid for cid, (b, group) in enumerate(zip(self._next_boundary, self._delay_of))
+                   if b <= bounds[group]]
+        if len(due) < _ROUND_MIN:
+            return
+        arrivals = [[entry.sent + delay for entry in log] + [math.inf] for delay in self._delays]
+        by_size = {}
+        for cid in due:
+            rt, group = self.runtimes[cid], self._delay_of[cid]
+            by_size.setdefault(rt.state.buffer.minibatch_size, []).append(
+                _Member(cid, rt, bounds[group], arrivals[group]))
+        for size, members in by_size.items():
+            if size >= 2:
+                self._run_rounds(members)
+
+    def _run_rounds(self, members: List[_Member]) -> None:
+        """Step members in rounds while at least _ROUND_MIN have an iteration due.
+
+        Each member first admits and adopts as ``_catch_up`` does before an
+        iteration, but through its own cursor: ``coef_cursor`` only moves in
+        a catch-up, so the trim schedule stays that of the lazy engine.  The
+        members are ordered by their count of due iterations, so those still
+        due after r rounds are a prefix of the round's arrays.  A member
+        whose step diverges holds the error and leaves at once.
+        """
+        log, observers = self._coef_log, self._on_iteration
+        X, y = self.data.X, self.data.y
+        members.sort(key=lambda mb: -mb.n)
+        rnd = cw.Round([mb.rt.state for mb in members], self.adaptive, self.model)
+        starts = np.array([self._row_start[mb.cid] for mb in members])[:, None]
+        sizes = np.array([self.data.sizes[mb.cid] for mb in members])[:, None]
+        done = 0                    # rounds run
+        while True:
+            due = len(members)
+            while due and members[due - 1].n <= done:
+                due -= 1
+            if due < _ROUND_MIN:
+                break
+            if due < len(members):
+                rnd.keep(due)
+                self._leave(members[due:])
+                del members[due:]
+                starts, sizes = starts[:due], sizes[:due]
+            positions, oldest, boundaries = [], [], []
+            for i, mb in enumerate(members):
+                rt, buf = mb.rt, mb.buf
+                boundary = rt.cluster_anchor + (mb.k1 - rt.iters_left) * rt.iteration_duration
+                while rt.next_arrival < boundary:
+                    admit(buf)
+                    rt.next_arrival = rt.law.time_of(buf.next_arrival_index, rt.next_arrival,
+                                                     rt.rng_arrival)
+                # _delivered(log, cursor, delay, boundary, -1), as a bisection
+                if mb.arrivals[mb.cursor] < boundary:
+                    mb.cursor = bisect.bisect_left(mb.arrivals, boundary, mb.cursor)
+                    rnd.adopt(i, float(log[mb.cursor - 1].lambdas[mb.cid]))
+                drawn = sample_positions(buf, rt.rng_sample)
+                if drawn is None:
+                    raise ProtocolError(f"coworker {mb.cid} lost minibatch readiness "
+                                        f"mid-cluster at {boundary:.6g}")
+                positions.append(drawn)
+                oldest.append(buf.next_arrival_index - buf.count)
+                boundaries.append(boundary)
+            # stream_manager.sample_positions: the rows of a draw, in the stacked data
+            rows = np.array(positions)
+            rows += np.array(oldest)[:, None]
+            rows %= sizes
+            rows += starts
+            failed = rnd.step(rows, X, y, boundaries)
+            if observers:
+                rnd.sync(range(len(members)))
+            for i, mb in enumerate(members):
+                if i not in failed:
+                    mb.rt.iters_left -= 1
+                    for observe in observers:
+                        observe(mb.cid, mb.rt.state)
+            if failed:
+                for i, error in failed.items():
+                    members[i].rt.held = error
+                    self._next_boundary[members[i].cid] = math.inf
+                    self._computing -= 1
+                rnd.drop(list(failed))
+                members = [mb for i, mb in enumerate(members) if i not in failed]
+                starts, sizes = (np.delete(a, list(failed), axis=0) for a in (starts, sizes))
+            done += 1
+        rnd.keep(0)
+        self._leave(members)
+
+    def _leave(self, members: List[_Member]) -> None:
+        """Record each leaving member's next boundary, inf once its cluster is done."""
+        for mb in members:
+            rt = mb.rt
+            if rt.iters_left:
+                self._next_boundary[mb.cid] = (
+                    rt.cluster_anchor + (mb.k1 - rt.iters_left) * rt.iteration_duration)
+            else:
+                self._next_boundary[mb.cid] = math.inf
+                self._computing -= 1
 
     # ---------------- event handlers ---------------- #
 
@@ -741,6 +944,7 @@ class SimulationEngine:
         # coefficient broadcast first, then the sender's model downlink
         if record.lambda_changed:
             self._coef_log.append(_Coefficients(ev.time, server.lambdas, self.queue.next_seq))
+            self._advance(ev.time, ev.seq)
             if len(self._coef_log) >= self._coef_trim_at:
                 self._flush_coefficients(ev.time, ev.seq)
         rt = self.runtimes[payload.sender]

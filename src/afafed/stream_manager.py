@@ -155,6 +155,19 @@ def evict_oldest_if_surplus(buf: StreamBuffer) -> Optional[int]:
     return None
 
 
+def sample_positions(buf: StreamBuffer, rng: np.random.Generator) -> Optional[np.ndarray]:
+    """The window positions of :func:`sample_minibatch`'s draw, 0 the oldest.
+
+    ``rng.choice`` draws the same positions from the integer ``count`` as
+    from the window's rows, so with o = ``next_arrival_index - count``, the
+    oldest stored arrival, the draw's rows are ``(o + positions) % n``.  A
+    caller that gathers the rows of many buffers at once maps them so.
+    """
+    if buf.count < buf.minibatch_size:
+        return None
+    return rng.choice(buf.count, size=buf._draw_size, replace=False)
+
+
 def sample_minibatch(
     buf: StreamBuffer, rng: np.random.Generator
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:

@@ -1,11 +1,15 @@
 """Golden-check every benchmark input: the 64 input seeds of each perfbench workload.
 
     PYTHONPATH=src python tests/golden_all_inputs.py [WORKLOAD ...] [--seeds A-B]
+                                                     [--round-min N]
 
 Run from the repository root.  With no arguments every input of the three
 workloads is checked; workload names and an inclusive seed range such as
 ``--seeds 0-7`` narrow the check to a subset.  An unknown workload or a
-seed range outside 0-63 exits with status 2 and names it.
+seed range outside 0-63 exits with status 2 and names it.  ``--round-min
+N`` sets ``network_sim._ROUND_MIN``, the fewest coworkers the engine steps
+as one round, for this process: at 1 the K = 8 inputs run rounds too.  It
+is a check of the rounds, not a setting of the library.
 
 Each input seed runs one pipeline through
 ``workloads.prepare``/``run_pipeline``/``check``, the path that
@@ -26,6 +30,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import workloads
+
+from afafed import network_sim
 
 
 def check_input(name: str, seed: int, golden: dict) -> list:
@@ -57,7 +63,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=seed_range, default=range(workloads.GOLDEN_SEEDS),
                         help="inclusive input seed range A-B (default: 0-%d)"
                              % (workloads.GOLDEN_SEEDS - 1))
+    parser.add_argument("--round-min", type=int, metavar="N",
+                        help="the fewest coworkers one round runs (default: the engine's %d)"
+                             % network_sim._ROUND_MIN)
     args = parser.parse_args(argv)
+    if args.round_min is not None:
+        if args.round_min < 1:
+            parser.error(f"--round-min must be at least 1, got {args.round_min}")
+        network_sim._ROUND_MIN = args.round_min
     for name in args.names:
         if name not in workloads.WORKLOADS:
             parser.error(f"unknown workload {name!r}; known: {sorted(workloads.WORKLOADS)}")

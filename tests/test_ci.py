@@ -5,7 +5,8 @@ input in a second job.  Both jobs log numpy's version and SIMD level after
 installing, and OpenBLAS names the kernel it loaded (``Core: <kernel>``),
 since the golden digests depend on all three.  The golden job also runs the
 benchmark itself once per workload, briefly, which covers the parts of
-``perfbench/`` that the golden script does not run.  The ``test`` extra
+``perfbench/`` that the golden script does not run, and golden-checks 16
+input seeds per workload again with rounds of any size.  The ``test`` extra
 pins the numpy line that made the goldens."""
 
 import json
@@ -47,6 +48,15 @@ def test_the_workflow_golden_checks_every_perfbench_input():
     assert runs[:2] == ["pip install -e '.[test]'", SHOW_RUNTIME]
     assert runs[2].endswith(f" python {script}")
     assert (ROOT / script).is_file()
+
+
+def test_the_golden_job_also_checks_inputs_through_rounds_of_any_size():
+    # the K = 8 workload never forms a round of the engine's minimum size,
+    # so a second pass sets it to 1 over the first 16 input seeds
+    workflow = yaml.safe_load((ROOT / ".github/workflows/tier1.yml").read_text(encoding="utf-8"))
+    runs = [step["run"] for step in workflow["jobs"]["golden"]["steps"] if "run" in step]
+    assert runs[3] == ("PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} "
+                       "python tests/golden_all_inputs.py --round-min 1 --seeds 0-15")
 
 
 def test_the_test_extra_pins_the_numpy_line_of_the_goldens():

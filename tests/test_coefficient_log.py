@@ -7,6 +7,7 @@ k's entry of the newest change sent at a time s with s + k's downlink delay
 < b, or 1/K before any such change.  The configs are the tie-heavy ones of
 ``test_lazy_arrivals`` (a 1/8 time grid, downlink delays of 0 and 1/8), and
 the log is trimmed once it holds two entries, so trims happen mid-run.
+Rounds of any size run, each member adopting through its own cursor.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ def test_each_iteration_uses_the_newest_coefficient_that_arrived_before_it(confi
     kwargs, _, stop = config
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(network_sim, "_LOG_TRIM_MIN", 2)
+        mp.setattr(network_sim, "_ROUND_MIN", 1)
         engine = SimulationEngine(model=LossModel(LossKind.QUADRATIC, 2), mixing=MixingConfig(),
                                   w0=np.zeros(2), **kwargs)
         log = AdoptionLog(engine)

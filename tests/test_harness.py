@@ -301,14 +301,26 @@ def test_random_valid_configs_keep_the_protocol_invariants(doc):
 
 
 def _run_in_parts(engine, stops, sim):
-    """Run to each aggregation count of stops in turn, under the config's budget.
+    """Run to each stop in turn, within T and the config's budget.
 
-    Returns the last run's result, or the message of a divergence, which
-    ends the run.
+    A stop is ``("aggregations", n)``, ``("budget", n)`` or ``("horizon",
+    x)``: n more aggregations, n more calendar events or x more virtual time
+    than where the engine stands; None runs on to T.  Returns the last
+    run's result, or the message of a divergence, which ends the run.
     """
+    T, budget = sim["T"], sim["event_budget"]
     try:
-        for aggregations in stops:
-            result = engine.run(aggregations=aggregations, event_budget=sim["event_budget"])
+        for stop in stops:
+            kind, amount = stop or ("aggregations", T)
+            if kind == "aggregations":
+                result = engine.run(aggregations=min(engine.server.t + amount, T),
+                                    event_budget=budget)
+            elif kind == "budget":
+                result = engine.run(aggregations=T, event_budget=min(
+                    engine.events_processed + amount, budget))
+            else:
+                result = engine.run(aggregations=T, horizon=engine.now + amount,
+                                    event_budget=budget)
     except NumericDivergenceError as exc:
         return str(exc)
     return result
@@ -354,31 +366,37 @@ def _run_state(exp):
                         evaluation._pending, evaluation._next_grad_sq, evaluation.final_risk))
 
 
+_STOPS = st.one_of(st.tuples(st.just("aggregations"), st.integers(1, 20)),
+                   st.tuples(st.just("budget"), st.integers(1, 300)),
+                   st.tuples(st.just("horizon"), st.floats(0.01, 3.0)))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(small_configs(), st.integers(1, 3), st.integers(1, 5), st.integers(10, 60), st.data())
-def test_a_split_run_equals_one_uninterrupted_run(doc, every, chunk, T, data):
+@given(small_configs(), st.integers(1, 3), st.integers(1, 5), st.integers(10, 60),
+       st.lists(_STOPS, min_size=1, max_size=3))
+def test_a_split_run_equals_one_uninterrupted_run(doc, every, chunk, T, stops):
     # evaluation on, in chunks of 1-5 models, so that the flush at each stop
-    # falls inside a chunk; the rows and every state field must not show
-    # where the run was stopped, nor that a pickled or deep copy of the
+    # falls inside a chunk, and rounds of any size; the rows and every state
+    # field must not show where the run was stopped, by an aggregation
+    # count, a budget or a horizon, nor that a pickled or deep copy of the
     # stopped engine and its observers ran on in its place
     doc = {**doc, "eval": {"every": every}, "sim": {**doc["sim"], "T": T, "event_budget": 5000}}
-    stops = sorted(data.draw(st.lists(st.integers(1, T - 1), min_size=1, max_size=3,
-                                      unique=True), label="stops"))
     cfg = resolve_config(doc)
     with pytest.MonkeyPatch.context() as patch, \
             np.errstate(over="ignore", invalid="ignore"):
         patch.setattr(network_sim, "_EVAL_CHUNK", chunk)
+        patch.setattr(network_sim, "_ROUND_MIN", 1)
         whole, split = build_experiment(cfg), build_experiment(cfg)
-        whole_result = _run_in_parts(whole.engine, [T], cfg["sim"])
+        whole_result = _run_in_parts(whole.engine, [None], cfg["sim"])
         runs = []           # (experiment, result) of each copy, then of the split run
         for i, stop in enumerate(stops):
             result = _run_in_parts(split.engine, [stop], cfg["sim"])
             if isinstance(result, str):         # diverged: the run ends here
                 break
-            runs += [(c, _run_in_parts(c.engine, stops[i + 1:] + [T], cfg["sim"]))
+            runs += [(c, _run_in_parts(c.engine, stops[i + 1:] + [None], cfg["sim"]))
                      for c in _copies(split)]
         else:
-            result = _run_in_parts(split.engine, [T], cfg["sim"])
+            result = _run_in_parts(split.engine, [None], cfg["sim"])
         runs.append((split, result))
     for exp, result in runs:
         assert _comparable(result) == _comparable(whole_result)

@@ -2,8 +2,10 @@
 
 Once a coworker's buffer is ready, the engine admits its data arrivals
 inside the catch-up instead of as calendar events.  ``CalendarEngine`` keeps
-every arrival an event, as the engine did before, and the differential test
-runs both over small configs built for exact time ties: every duration lies
+every arrival an event and runs every iteration in a catch-up, as the engine
+did before it had either lazy arrivals or rounds.  The differential test
+runs the engine, with rounds of any size, against it over small configs
+built for exact time ties: every duration lies
 on a 1/8 grid, and so do trace arrival times and most periodic intervals.
 The periodic intervals 0.1 and 0.3 are not dyadic: their sums round, and
 cross binades within a run.  At rate 32 about three in ten Poisson
@@ -19,11 +21,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import afafed
-from afafed import harness
+from afafed import harness, network_sim
 from afafed.coworker import AdaptiveConfig
 from afafed.harness import resolve_config, run_experiment
 from afafed.model_core import LossKind, LossModel
@@ -39,13 +42,17 @@ from afafed.server import MixingConfig
 
 
 class CalendarEngine(SimulationEngine):
-    """The engine with every data arrival a calendar event, warm buffer or not."""
+    """The engine with every data arrival a calendar event, warm buffer or not,
+    and no rounds: every iteration runs in a catch-up."""
 
     def _schedule_next_arrival(self, cid, previous):
         rt = self.runtimes[cid]
         t = rt.law.time_of(rt.state.buffer.next_arrival_index, previous, rt.rng_arrival)
         if t < math.inf:
             self.queue.push(t, EventKind.DATA_ARRIVAL, cid)
+
+    def _advance(self, now, seq):
+        pass
 
 
 GRID = 0.125
@@ -141,12 +148,14 @@ def assert_same_run(lazy, got, calendar, want):
 @given(tie_configs(), st.integers(1, 20))
 def test_lazy_admission_matches_a_calendar_of_arrival_events(config, more):
     kwargs, every, stop = config
-    lazy, got = run(SimulationEngine, kwargs, every, stop)
-    calendar, want = run(CalendarEngine, kwargs, every, stop)
-    assert_same_run(lazy, got, calendar, want)
-    # a second run() resumes both engines from where they stopped
-    resume = dict(aggregations=got.aggregations + more, horizon=got.final_time + 8.0)
-    assert_same_run(lazy, lazy.run(**resume), calendar, calendar.run(**resume))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network_sim, "_ROUND_MIN", 1)
+        lazy, got = run(SimulationEngine, kwargs, every, stop)
+        calendar, want = run(CalendarEngine, kwargs, every, stop)
+        assert_same_run(lazy, got, calendar, want)
+        # a second run() resumes both engines from where they stopped
+        resume = dict(aggregations=got.aggregations + more, horizon=got.final_time + 8.0)
+        assert_same_run(lazy, lazy.run(**resume), calendar, calendar.run(**resume))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -181,6 +190,7 @@ TIE_DOC = {
 
 
 def test_an_arrival_at_the_stopping_instant_counts_as_admitted(monkeypatch):
+    monkeypatch.setattr(network_sim, "_ROUND_MIN", 1)
     exp, result, _ = run_experiment(resolve_config(TIE_DOC))
     assert (result.stop_reason, result.final_time) == ("T_reached", 21.0)
     assert [rt.state.buffer.next_arrival_index for rt in exp.engine.runtimes] == [84] * 4

@@ -11,6 +11,7 @@ import argparse
 
 import pytest
 
+from afafed import coworker, network_sim
 from golden_all_inputs import check_input, main, seed_range, workloads
 
 WORKLOADS = ("k100-eval", "k100-lossy-noeval", "k8-trace-profile")
@@ -27,6 +28,18 @@ def test_the_script_checks_a_chosen_subset(capsys):
     assert capsys.readouterr().out == "1 of 1 inputs match the golden file\n"
 
 
+def test_the_script_can_run_rounds_of_any_size(capsys, monkeypatch):
+    # the option sets the engine's minimum for the process; the test restores it
+    monkeypatch.setattr(network_sim, "_ROUND_MIN", network_sim._ROUND_MIN)
+    sizes = []
+    real = coworker.Round.step
+    monkeypatch.setattr(coworker.Round, "step",
+                        lambda rnd, rows, *args: sizes.append(len(rows)) or real(rnd, rows, *args))
+    assert main(["k8-trace-profile", "--seeds", "1-1", "--round-min", "1"]) == 0
+    assert capsys.readouterr().out == "1 of 1 inputs match the golden file\n"
+    assert network_sim._ROUND_MIN == 1 and sizes
+
+
 def test_seed_ranges_are_inclusive_and_bounded():
     assert seed_range("0-63") == range(workloads.GOLDEN_SEEDS)
     assert seed_range("5-5") == range(5, 6)
@@ -38,6 +51,7 @@ def test_seed_ranges_are_inclusive_and_bounded():
 @pytest.mark.parametrize("argv, named", [
     (["k8-trace-profile", "k9-nothing"], "k9-nothing"),
     (["--seeds", "0-99"], "0-99"),
+    (["--round-min", "0"], "--round-min"),
 ])
 def test_an_unknown_workload_or_seed_exits_2_naming_it(capsys, argv, named):
     with pytest.raises(SystemExit) as exc:
